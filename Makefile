@@ -99,10 +99,10 @@ bench-smoke-engine:
 
 # Full-sweep regression gate, two checks in one run:
 #  * --assert-accel 1.3 -- the tight, machine- and load-independent gate:
-#    the accelerated and unaccelerated sequential sweeps run back to back in
-#    the same process, so their ratio is immune to co-tenant load and
-#    hardware speed.  A drop below 1.3x means the batching/screening
-#    pipeline itself regressed.
+#    the fast-path and reference-search (SlingConfig.reference_search)
+#    sequential sweeps run back to back in the same process, so their ratio
+#    is immune to co-tenant load and hardware speed.  A drop below 1.3x
+#    means the batching/screening fast path itself regressed.
 #  * --compare (threshold 0.60) -- the absolute wall-time trajectory against
 #    the committed benchmarks/BENCH_engine.json, loosened because the
 #    committed baseline is an idle-box measurement and shared machines swing

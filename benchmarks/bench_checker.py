@@ -76,15 +76,15 @@ def test_checker_rejection_cost(benchmark):
 
 
 # ---------------------------------------------------------------------------
-# Columnar kernel vs legacy per-variant scan (PR 8)
+# Columnar kernel vs the reference per-candidate search
 # ---------------------------------------------------------------------------
 #
 # Group decision over synthetic streams of varying entry counts: an sll of
 # ``size`` nodes gives the lseg skeleton a stream of size+1 entries (one per
 # suffix hole), and the full candidate lattice of lseg supplies a realistic
-# mix of pinned and pin-free variants.  The kernel resolves the pinned ones
-# through the slot indexes and memoizes the pin-free scan; the legacy path
-# re-scans the stream once per variant.
+# mix of pinned and pin-free variants.  The kernel shares one skeleton search
+# and resolves the pinned variants through the slot indexes; the reference
+# (``check_all``) runs the exact search once per candidate.
 
 _FRESH = ("u91", "u92")
 
@@ -125,26 +125,29 @@ def _lseg_batch(size: int):
     return [model], skeleton, variants
 
 
+def _decide(path, checker, models, skeleton, variants):
+    if path == "kernel":
+        return checker.check_batch(models, skeleton, variants, drop_vacuous=False)
+    return [checker.check_all(models, variant.formula) for variant in variants]
+
+
 @pytest.mark.parametrize("entries", [8, 32, 128])
-@pytest.mark.parametrize("path", ["kernel", "scan"])
-def test_group_decision_kernel_vs_scan(benchmark, entries, path):
+@pytest.mark.parametrize("path", ["kernel", "reference"])
+def test_group_decision_kernel_vs_reference(benchmark, entries, path):
     """One candidate group settled against a stream of ``entries`` entries.
 
-    Run via ``make bench-micro``; compare the ``kernel`` and ``scan`` rows
-    at equal entry counts.  A fresh checker per round keeps the stream memo
-    and the settle-record cache cold, so the timing covers the stream solve
-    plus the decision pass itself.
+    Run via ``make bench-micro``; compare the ``kernel`` and ``reference``
+    rows at equal entry counts.  A fresh checker per round keeps the stream
+    memo and the settle-record cache cold, so the kernel timing covers the
+    stream solve plus the decision pass itself.
     """
     models, skeleton, variants = _lseg_batch(entries - 1)
 
     def setup():
-        checker = ModelChecker(
-            standard_predicates(), columnar_kernels=(path == "kernel")
-        )
-        return (checker,), {}
+        return (ModelChecker(standard_predicates()),), {}
 
     def run(checker):
-        return checker.check_batch(models, skeleton, variants, drop_vacuous=False)
+        return _decide(path, checker, models, skeleton, variants)
 
     outcomes = benchmark.pedantic(run, setup=setup, rounds=3, iterations=1)
     assert len(outcomes) == len(variants)
@@ -167,15 +170,14 @@ def _outcome_key(outcomes):
 
 @pytest.mark.parametrize("entries", [64])
 def test_group_decision_paths_agree(entries):
-    """The two paths must produce identical outcomes on the same batch
-    (cheap end-to-end identity check riding along with the micro-bench)."""
+    """The kernel and the reference must produce identical outcomes on the
+    same batch (cheap end-to-end identity check riding along with the
+    micro-bench)."""
     models, skeleton, variants = _lseg_batch(entries - 1)
-    outcomes = {}
-    for path in ("kernel", "scan"):
-        checker = ModelChecker(
-            standard_predicates(), columnar_kernels=(path == "kernel")
+    outcomes = {
+        path: _decide(
+            path, ModelChecker(standard_predicates()), models, skeleton, variants
         )
-        outcomes[path] = checker.check_batch(
-            models, skeleton, variants, drop_vacuous=False
-        )
-    assert _outcome_key(outcomes["kernel"]) == _outcome_key(outcomes["scan"])
+        for path in ("kernel", "reference")
+    }
+    assert _outcome_key(outcomes["kernel"]) == _outcome_key(outcomes["reference"])

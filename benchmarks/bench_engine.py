@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Benchmark the batch-inference engine: parallelism, batching, screening.
 
-Runs up to three sweeps over the Table 1 suite (sequential with skeleton
-batching and the checker memo disabled, sequential with all accelerations,
-parallel with all accelerations), checks that every sweep reproduces the
+Runs up to three sweeps over the Table 1 suite (sequential with the
+reference search, sequential on the fast path, parallel on the fast path),
+checks that every sweep reproduces the
 same invariants exactly, and records wall times, speedups, cache hit rates
 and candidate-screening/batching counters as JSON.  With ``--jobs 1`` the
 parallel sweep is skipped (``parallel_skipped`` in the report); on a

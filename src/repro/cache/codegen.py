@@ -20,11 +20,10 @@ today -- the key shape is what guarantees it stays true as matchers grow.
 Matchers come in pairs:
 
 ``match(entry, values, concrete, view, discharge)``
-    The full scan matcher, a drop-in for the closures of
-    ``repro.sl.checker._compile_matcher``: pinned slots must agree with the
-    entry's stored values (an unbound ``None`` slot is compatible with
-    anything), then entries carrying deferred pure goals re-run the
-    endgame.  Returns ``(matched, final_env)``.
+    The full scan matcher: pinned slots must agree with the entry's stored
+    values (an unbound ``None`` slot is compatible with anything), then
+    entries carrying deferred pure goals re-run the endgame.  Returns
+    ``(matched, final_env)``.
 
 ``endgame(entry, concrete, view, discharge)``
     The deferred-goal endgame alone: decode the entry's environment, bind

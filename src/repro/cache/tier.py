@@ -99,14 +99,9 @@ class PersistentCache:
         """Hook this tier into a checker and warm its bulk-loadable caches.
 
         Refuses (:class:`PersistentCacheError`) when the checker's stream
-        keys are not canonical -- concrete keys embed per-process addresses
+        keys cannot be canonical -- concrete keys embed per-process addresses
         and salted hashes, so persisting them would corrupt the cache.
         """
-        if not getattr(checker, "canonical_stream_keys", False):
-            raise PersistentCacheError(
-                "persistent cache requires canonical stream keys "
-                "(the checker was built with canonical_stream_keys=False)"
-            )
         if getattr(checker, "structs", None) is None:
             raise PersistentCacheError(
                 "persistent cache requires canonical stream keys, but this "

@@ -199,8 +199,8 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="RATIO",
         help=(
             "fail (exit 1) when this run's speedup.cache -- the same-run, "
-            "load-immune accelerated-vs-unaccelerated sequential ratio -- "
-            "falls below RATIO"
+            "load-immune ratio of the reference-search sequential sweep to "
+            "the fast-path one -- falls below RATIO"
         ),
     )
     bench.add_argument(
@@ -529,8 +529,8 @@ def _cmd_bench(arguments: argparse.Namespace) -> None:
         if accel is None or accel < arguments.assert_accel:
             failure = (
                 f"bench: acceleration speedup {accel} fell below the required "
-                f"{arguments.assert_accel} (sequential vs sequential_nocache, "
-                "measured in this same run)"
+                f"{arguments.assert_accel} (sequential vs the reference-search "
+                "sequential_nocache sweep, measured in this same run)"
             )
     if arguments.out and failure is None:
         with open(arguments.out, "w", encoding="utf-8") as handle:

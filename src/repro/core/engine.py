@@ -23,7 +23,7 @@ Design notes
   same invariants as ``jobs=1``, merely faster.  :func:`benchmark_engine`
   asserts this property on every run (a divergence raises
   :class:`EngineError`).
-* Cache accounting: each report carries the checker-memo and
+* Cache accounting: each report carries the checker and
   predicate-unfolding cache counters (:class:`CacheStats`) measured inside
   the worker for exactly that job.
 * Self-healing: the worker pool is supervised through a claim/done
@@ -151,7 +151,7 @@ class CacheStats:
     schema, so existing consumers keep working.
     """
 
-    checker_hits: int = 0
+    #: Exact per-candidate reductions run (``ModelChecker.check`` calls).
     checker_misses: int = 0
     unfold_hits: int = 0
     unfold_misses: int = 0
@@ -190,7 +190,7 @@ class CacheStats:
     # Columnar-kernel counters (``repro.sl.kernels``): group-kernel
     # invocations, variants resolved via posting-list intersection over the
     # stream slot indexes, and pin-free variants that kept the full scan.
-    # All zero when ``SlingConfig.columnar_kernels`` is off.
+    # All zero under ``SlingConfig.reference_search``.
     kernel_groups: int = 0
     stream_index_hits: int = 0
     kernel_scan_fallbacks: int = 0
@@ -233,7 +233,6 @@ class CacheStats:
 
     def merge(self, other: "CacheStats") -> None:
         """Accumulate another job's counters into this one."""
-        self.checker_hits += other.checker_hits
         self.checker_misses += other.checker_misses
         self.unfold_hits += other.unfold_hits
         self.unfold_misses += other.unfold_misses
@@ -285,11 +284,6 @@ class CacheStats:
             self.max_trail_depth = other.max_trail_depth
 
     @property
-    def checker_hit_rate(self) -> float:
-        total = self.checker_hits + self.checker_misses
-        return self.checker_hits / total if total else 0.0
-
-    @property
     def unfold_hit_rate(self) -> float:
         total = self.unfold_hits + self.unfold_misses
         return self.unfold_hits / total if total else 0.0
@@ -314,9 +308,7 @@ class CacheStats:
 
     def as_dict(self) -> dict[str, float]:
         return {
-            "checker_hits": self.checker_hits,
             "checker_misses": self.checker_misses,
-            "checker_hit_rate": round(self.checker_hit_rate, 4),
             "unfold_hits": self.unfold_hits,
             "unfold_misses": self.unfold_misses,
             "unfold_hit_rate": round(self.unfold_hit_rate, 4),
@@ -1476,11 +1468,10 @@ def benchmark_engine(
     1. sequential with every checker acceleration enabled (this cold sweep
        also pays the one-time registry import and unfold-template warm-up,
        so the speedups below are conservative, not inflated),
-    2. sequential with the checker accelerations disabled -- skeleton
-       batching off, the per-formula memo off, isomorphism dedup and
-       canonical stream keys off -- the pre-engine baseline (the unfolding
-       caches on the shared predicate registries stay warm across sweeps and
-       cannot be disabled),
+    2. sequential with the reference search (``reference_search``): the
+       exact per-candidate check with no screening, skeleton batching or
+       isomorphism dedup (the unfolding caches on the shared predicate
+       registries stay warm across sweeps and cannot be disabled),
     3. parallel with ``jobs`` workers and all accelerations enabled.
 
     The parallel *timing* is only reported when it can mean anything: with
@@ -1547,7 +1538,7 @@ def benchmark_engine(
 
     say(f"sweep 1/{total_sweeps}: sequential, checker accelerations enabled")
     sequential_seconds, sequential_result = sweep(traced_config, 1)
-    say(f"sweep 2/{total_sweeps}: sequential, batching and checker cache disabled")
+    say(f"sweep 2/{total_sweeps}: sequential, reference search")
     nocache_seconds, nocache_result = sweep(uncached_config, 1)
     parallel_seconds = None
     parallel_result = None
@@ -1562,8 +1553,8 @@ def benchmark_engine(
     sequential_fingerprints = table1_fingerprints(sequential_result)
     if sequential_fingerprints != table1_fingerprints(nocache_result):
         raise EngineError(
-            "accelerated sweep diverged from the unaccelerated baseline; "
-            "skeleton batching or the checker memo is changing results"
+            "accelerated sweep diverged from the reference search; "
+            "the fast path is changing results"
         )
     deterministic = None
     if parallel_result is not None:
@@ -1644,20 +1635,14 @@ def bench_metadata() -> dict:
 
 
 def nocache_sweep_config() -> SlingConfig:
-    """The all-accelerations-off configuration of the bench baseline sweep.
+    """The reference-search configuration of the bench baseline sweep.
 
-    Every optimisation whose result-identity the bench fingerprint
-    comparison asserts is disabled here -- including the persistent cache,
-    which must not leak warm state into the baseline measurement.
+    The fast path whose result-identity the bench fingerprint comparison
+    asserts is replaced by the reference search here, and the persistent
+    cache is off: warm state must not leak into the baseline measurement.
     """
     return SlingConfig(
-        discard_crashed_runs=True,
-        checker_cache_size=0,
-        batch_by_skeleton=False,
-        dedupe_isomorphic_models=False,
-        canonical_stream_keys=False,
-        columnar_kernels=False,
-        persistent_cache=None,
+        discard_crashed_runs=True, reference_search=True, persistent_cache=None
     )
 
 

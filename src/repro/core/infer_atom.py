@@ -48,14 +48,10 @@ class InferAtomConfig:
     max_results: int = 4
     #: Keep zero-coverage results (formulas whose reduction consumes nothing).
     keep_vacuous: bool = False
-    #: Semantically pre-filter candidates against per-model facts before any
-    #: checker call (never changes results; see :mod:`repro.sl.screen`).
-    screen_candidates: bool = True
-    #: Group candidates by spatial skeleton and decide each group through
-    #: ``ModelChecker.check_batch`` -- one shared search per (skeleton,
-    #: model) instead of one per candidate (never changes results; see
-    #: ``docs/performance.md``).
-    batch_by_skeleton: bool = True
+    #: Check every candidate with the exact per-candidate ``check_all``,
+    #: skipping the semantic pre-filter and skeleton batching (the reference
+    #: search; see ``SlingConfig.reference_search``).
+    reference_search: bool = False
 
 
 class Candidate(NamedTuple):
@@ -110,9 +106,9 @@ def infer_atoms(
         # Per-model facts for the candidate pre-filter, computed once per
         # split and shared by every predicate's candidate loop.
         facts = (
-            tuple(ModelFacts(model, root) for model in sub_models)
-            if config.screen_candidates
-            else None
+            None
+            if config.reference_search
+            else tuple(ModelFacts(model, root) for model in sub_models)
         )
         for predicate in predicates.candidates_for_type(root_type):
             if predicate.arity > config.max_pred_arity:
@@ -157,7 +153,7 @@ def _infer_inductive(
     """Enumerate, screen, group and batch-check one predicate's candidates.
 
     The pipeline has four phases, all order-stable with respect to the
-    original one-candidate-at-a-time loop (results are identical and appear
+    reference one-candidate-at-a-time loop (results are identical and appear
     in the same order):
 
     1. enumerate argument permutations (type filter, signature dedup,
@@ -168,11 +164,13 @@ def _infer_inductive(
        per (predicate, root position) with the pure slot deltas attached --
        and decide each group with ``checker.check_batch``, which runs the
        heap-matching search once per (skeleton, model) instead of once per
-       candidate and (with ``columnar_kernels`` on) settles the whole
-       group's variants in one columnar pass over the stream's slot indexes
-       (:mod:`repro.sl.kernels`) rather than one scan per variant;
+       candidate and settles the whole group's variants in one columnar
+       pass over the stream's slot indexes (:mod:`repro.sl.kernels`);
     4. assemble accepted candidates into :class:`AtomResult`\\ s in
        enumeration order.
+
+    Under ``config.reference_search`` phase 2 is skipped (``facts`` is
+    ``None``) and phase 3 checks each candidate with ``checker.check_all``.
     """
     arity = predicate.arity
     results: list[AtomResult] = []
@@ -248,7 +246,7 @@ def _infer_inductive(
 
     # -- phase 3: skeleton-batched checking -----------------------------------
     drop_vacuous = not config.keep_vacuous
-    if config.batch_by_skeleton and checker.batch_by_skeleton and models_list:
+    if not config.reference_search and models_list:
         outcomes: list = [None] * len(prepared)
         for group in _group_by_skeleton(prepared, predicate, root):
             stats.candidate_groups += 1

@@ -63,41 +63,12 @@ class SlingConfig:
     max_candidates_per_pred: int = 4000
     #: Step budget of the symbolic-heap model checker per reduction.
     checker_max_steps: int = 50_000
-    #: Capacity of the checker's per-formula reduction memo (0 disables it).
-    #: ``None`` is adaptive: off while ``batch_by_skeleton`` is on (the
-    #: skeleton streams already share the search, and the per-formula memo
-    #: measured as a net loss on the batched pipeline), 65,536 otherwise.
-    checker_cache_size: int | None = None
-    #: Group candidates by spatial skeleton and decide each group through
-    #: one shared search per (skeleton, model) -- ``ModelChecker.check_batch``
-    #: (see ``docs/performance.md``; never changes results).
-    batch_by_skeleton: bool = True
-    #: Semantically pre-filter candidates before any checker call (see
-    #: ``docs/performance.md``; never changes results).
-    screen_candidates: bool = True
-    #: Check models smallest-heap-first and try the learned refuter first in
-    #: ``check_all`` (never changes results).
-    checker_fail_fast: bool = True
-    #: Screen predicate cases inside the search before instantiating them
-    #: (never changes results).
-    checker_prune_cases: bool = True
-    #: Collapse each location's models into isomorphism classes (canonical
-    #: labeling, see :mod:`repro.sl.model`) and run Algorithm 2 on one
-    #: representative per class, replaying instantiations to the other
-    #: members through the witness bijection (never changes results; models
-    #: whose canonicalization is not provably exact fall back to the
-    #: per-model path).
-    dedupe_isomorphic_models: bool = True
-    #: Key the checker's skeleton-stream memo and learned-refuter table on
-    #: canonical heap forms, sharing streams across address-renamed models
-    #: (never changes results; see ``docs/performance.md``).
-    canonical_stream_keys: bool = True
-    #: Decide candidate groups through the columnar group kernel
-    #: (:mod:`repro.sl.kernels`): posting-list indexes over the skeleton
-    #: streams' slot columns plus code-generated matchers settle all
-    #: variants of a group in one pass, instead of a compiled-closure scan
-    #: per variant (never changes results; see ``docs/performance.md``).
-    columnar_kernels: bool = True
+    #: Run the reference search instead of the fast path: every candidate
+    #: goes through the exact per-candidate ``ModelChecker.check_all``, with
+    #: no semantic pre-filter, no skeleton batching and no isomorphism
+    #: dedup.  It is the oracle the fast path is checked against (see
+    #: ``docs/performance.md``); both infer the same invariants.
+    reference_search: bool = False
     #: Variable-analysis order: "reachability" (the paper's heuristic),
     #: "stack" (declaration order) or "reverse" (ablation baselines).
     variable_order: str = "reachability"
@@ -112,7 +83,7 @@ class SlingConfig:
     #: canonical-keyed caches across runs (see :mod:`repro.cache` and
     #: ``docs/performance.md``).  ``None`` (the default) keeps the tier
     #: entirely inert: no file is touched and every code path is identical
-    #: to a cache-less run.  Requires ``canonical_stream_keys``.
+    #: to a cache-less run.
     persistent_cache: str | Path | None = None
     #: Tracing handle (see :mod:`repro.telemetry`).  ``None`` (the default)
     #: keeps every instrumented call site a single ``is None`` branch away
@@ -146,8 +117,7 @@ class SlingConfig:
             max_candidates_per_pred=self.max_candidates_per_pred,
             max_results=self.max_results_per_var,
             keep_vacuous=self.keep_vacuous,
-            screen_candidates=self.screen_candidates,
-            batch_by_skeleton=self.batch_by_skeleton,
+            reference_search=self.reference_search,
         )
 
     def interpreter_config(self) -> InterpreterConfig:
@@ -174,13 +144,7 @@ class Sling:
         self.checker = ModelChecker(
             predicates,
             max_steps=self.config.checker_max_steps,
-            cache_size=self.config.checker_cache_size,
-            fail_fast=self.config.checker_fail_fast,
-            prune_cases=self.config.checker_prune_cases,
-            batch_by_skeleton=self.config.batch_by_skeleton,
-            canonical_stream_keys=self.config.canonical_stream_keys,
             structs=program.structs,
-            columnar_kernels=self.config.columnar_kernels,
         )
         self.checker.tracer = self.tracer
         #: Fault-injection plan handed to the checker (stream
@@ -200,9 +164,9 @@ class Sling:
                 fault_plan=self.config.fault_plan,
             )
             self.persistent_cache.tracer = self.tracer
-            # ``attach`` refuses non-canonical checkers; with the Sling
-            # entry point that can only happen when the user explicitly
-            # disabled canonical_stream_keys, so the error is theirs to see.
+            # ``attach`` refuses checkers without structs (their stream keys
+            # stay concrete): a program without a struct registry cannot
+            # use the disk tier, and the error says so.
             self.persistent_cache.attach(self.checker)
         # Hit/miss counters of the per-inference (variable, models) memo that
         # shares Algorithm 2 runs among result branches.
@@ -230,7 +194,6 @@ class Sling:
         # module load, so the reverse import must stay out of load order.
         from repro.core.engine import CacheStats
 
-        checker = self.checker.cache_info()
         unfold = self.predicates.unfold_stats()
         screen = self.checker.screen_stats
         if self.persistent_cache is not None:
@@ -244,8 +207,7 @@ class Sling:
                 "disk_load_errors": 0,
             }
         return CacheStats(
-            checker_hits=checker["hits"],
-            checker_misses=checker["misses"],
+            checker_misses=self.checker.check_calls,
             unfold_hits=unfold["hits"],
             unfold_misses=unfold["misses"],
             atom_cache_hits=self.atom_cache_hits,
@@ -341,8 +303,8 @@ class Sling:
     ) -> list[Invariant]:
         """Algorithm 1 over already-collected stack-heap models.
 
-        With ``dedupe_isomorphic_models`` the model list is first collapsed
-        into isomorphism classes (equal exact canonical forms, see
+        On the fast path (not ``reference_search``) the model list is first
+        collapsed into isomorphism classes (equal exact canonical forms, see
         :mod:`repro.sl.model`): the whole iteration then runs on one
         representative per class, weighted by class size wherever the
         original algorithm summed over models, and the per-representative
@@ -472,11 +434,11 @@ class Sling:
         original model index to ``(representative position, translation)``
         -- the translation being a representative-address to member-address
         map (``None`` for the representatives themselves).  When nothing
-        collapses (or the feature is off) the original list is returned with
-        unit weights and ``expansion=None``, so the caller takes the exact
-        original code path.
+        collapses (or under ``reference_search``) the original list is
+        returned with unit weights and ``expansion=None``, so the caller
+        takes the exact original code path.
         """
-        if not self.config.dedupe_isomorphic_models or len(models) <= 1:
+        if self.config.reference_search or len(models) <= 1:
             return models, [1] * len(models), None
         structs = self.program.structs
         representatives: list[StackHeapModel] = []

@@ -38,7 +38,6 @@ from repro.telemetry import monotime
 #: under a historical flat name (the ``--json`` schema predates the struct);
 #: every other field maps by identity.
 _RENAMED_CACHE_FIELDS = {
-    "checker_hits": "checker_cache_hits",
     "checker_misses": "checker_cache_misses",
     "unfold_hits": "unfold_cache_hits",
     "unfold_misses": "unfold_cache_misses",
@@ -71,7 +70,6 @@ class ProgramResult:
     pure_atoms: int
     specification: Specification | None = None
     # Memoization counters of the run that produced this row (engine metric).
-    checker_cache_hits: int = 0
     checker_cache_misses: int = 0
     unfold_cache_hits: int = 0
     unfold_cache_misses: int = 0
@@ -97,8 +95,8 @@ class ProgramResult:
     canonical_stream_hits: int = 0
     iso_exact_fallbacks: int = 0
     exact_selection_ambiguities: int = 0
-    # Columnar-kernel counters (see ``repro.sl.kernels``; all zero when
-    # ``SlingConfig.columnar_kernels`` is off).
+    # Columnar-kernel counters (see ``repro.sl.kernels``; all zero under
+    # ``SlingConfig.reference_search``).
     kernel_groups: int = 0
     stream_index_hits: int = 0
     kernel_scan_fallbacks: int = 0

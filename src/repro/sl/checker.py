@@ -18,21 +18,23 @@ reductions the checker returns one with a *minimal* residual heap (maximal
 coverage), which matches the behaviour SLING relies on in its examples
 (e.g. ``dll(x, u1, u2, tmp)`` covering the whole sub-heap of ``x``).
 
-Performance architecture (see ``docs/performance.md``):
+There are two ways to decide a candidate.  :meth:`ModelChecker.check_all`
+runs the exact search once per (candidate, model): it is the reference
+semantics.  :meth:`ModelChecker.check_batch` is the fast path: it shares
+one relaxed search per (skeleton, model) among a whole candidate group and
+settles the group through the columnar kernel (:mod:`repro.sl.kernels`),
+falling back to the exact search whenever a verdict could depend on the
+enumeration order.  Both always share (see ``docs/performance.md``):
 
-* the memo table is keyed on :meth:`SymHeap.structural_key` -- a nested
-  tuple built from interned AST nodes, with existentials alpha-normalized
-  positionally -- instead of a ``pretty()``-rendered string;
 * the search threads one mutable environment and one mutable
   available-address set through the recursion, undoing bindings via a
   *trail* on backtrack, instead of copying a ``dict`` per branch;
 * predicate cases are screened (:mod:`repro.sl.screen`) before they are
   instantiated: a recursive case whose root address is not available, or a
   base case whose equalities are already violated, is skipped outright;
-* :meth:`check_all` is fail-fast: models are tried in ascending heap-size
-  order and the last refuting model per formula shape is remembered, so the
-  likeliest refuter runs first and most wrong candidates die after a single
-  (often memoized) check.
+* models are tried in ascending heap-size order and the last refuting model
+  per formula shape is remembered, so the likeliest refuter runs first and
+  most wrong candidates die after a single check.
 """
 
 from __future__ import annotations
@@ -47,7 +49,6 @@ from repro.sl.exprs import (
     Eq,
     Expr,
     IntConst,
-    Ne,
     Nil,
     Not,
     Or,
@@ -119,38 +120,13 @@ class ModelChecker:
         Number of complete reductions to enumerate before settling on the
         best one found; keeps the search cheap on heavily ambiguous
         formulas.
-    cache_size:
-        Capacity of the built-in memo table.  Every ``check`` call is keyed
-        on ``(structural key, model)`` -- the key alpha-renames existentials
-        positionally so candidates that differ only in the machine-generated
-        names of their existentials share one entry -- and both successful
-        and failed reductions are cached.  ``0`` disables memoization.
-        ``None`` (the default) is adaptive: batched checking bypasses the
-        per-formula memo entirely (its skeleton streams already share the
-        search), so the table defaults off when ``batch_by_skeleton`` is on
-        and to 65,536 entries otherwise.
-    batch_by_skeleton:
-        Enables :meth:`check_batch`'s shared skeleton streams (see below).
-        The flag is consulted by the candidate loop (:mod:`repro.core.
-        infer_atom`) and by the adaptive ``cache_size`` default; the batched
-        decision procedure itself is always exact.
-    fail_fast:
-        When true, :meth:`check_all` orders models by ascending heap size
-        and remembers the last refuting model per formula shape, so the
-        likeliest refuter is tried first.  Results are unchanged either way.
-    prune_cases:
-        When true, predicate cases are screened against the current
-        environment before being instantiated (skipping, e.g., recursive
-        cases whose root address is not available).  Results are unchanged
-        either way.
-    columnar_kernels:
-        When true (the default), :meth:`check_batch` settles all variants of
-        a candidate group through the columnar group kernel
-        (:mod:`repro.sl.kernels`): per-position posting-list indexes over the
-        stream's slot columns plus code-generated matchers, instead of the
-        per-variant closure scan.  Verdicts are identical either way (the
-        kernel replicates :meth:`_decide_variant`'s selection rule exactly);
-        only the per-entry work and the ``kernel_*`` counters change.
+    structs:
+        A :class:`~repro.lang.types.StructRegistry`.  With one, skeleton
+        streams and learned refuters are keyed on canonical heap forms (see
+        :mod:`repro.sl.model`): streams are then shared across
+        address-renamed models, with environments translated back through
+        the witness bijection lazily.  Without one (or when a heap's
+        canonicalization is not provably exact) the keys stay concrete.
     """
 
     def __init__(
@@ -158,51 +134,25 @@ class ModelChecker:
         registry: PredicateRegistry,
         max_steps: int = 50_000,
         max_solutions: int = 64,
-        cache_size: int | None = None,
-        fail_fast: bool = True,
-        prune_cases: bool = True,
-        batch_by_skeleton: bool = True,
         stream_cache_size: int = 1024,
         stream_max_entries: int = 4096,
-        canonical_stream_keys: bool = True,
         structs=None,
-        columnar_kernels: bool = True,
     ):
         self.registry = registry
-        #: Key skeleton streams and learned refuters on canonical heap forms
-        #: (see :mod:`repro.sl.model`): streams are then shared across
-        #: address-renamed models, with environments translated back through
-        #: the witness bijection lazily.  Requires ``structs`` (a
-        #: :class:`~repro.lang.types.StructRegistry`) for the exactness
-        #: guard; without one the checker silently keeps concrete keys.
-        self.canonical_stream_keys = canonical_stream_keys
         self.structs = structs
         self.max_steps = max_steps
         self.max_solutions = max_solutions
-        self.batch_by_skeleton = batch_by_skeleton
-        if cache_size is None:
-            # Adaptive default: the batched pipeline shares the search via
-            # skeleton streams and proved the per-formula memo a net loss
-            # (see docs/performance.md), so it only defaults on when the
-            # caller opts out of batching.
-            cache_size = 0 if batch_by_skeleton else 65_536
-        self.cache_size = cache_size
-        self.fail_fast = fail_fast
-        self.prune_cases = prune_cases
-        self._cache: OrderedDict[tuple, tuple | None] | None = (
-            OrderedDict() if cache_size > 0 else None
-        )
-        self.cache_hits = 0
-        self.cache_misses = 0
+        #: Exact per-candidate reductions run (:meth:`check` calls).
+        self.check_calls = 0
         #: Whether the most recent ``_check_uncached`` selection was
         #: enumeration-order dependent (see its docstring).
         self.last_check_ambiguous = False
         #: Screening / fail-fast counters (shared with the candidate loop).
         self.screen_stats = ScreeningStats()
-        #: Learned refuters: formula shape -> index of the model (within the
-        #: last ``check_all`` batch of that shape) that refuted it.  Bounded
-        #: with the same LRU discipline as the check memo: formula shapes
-        #: accumulate for the life of an engine run otherwise.
+        #: Learned refuters: formula shape -> key of the model (within the
+        #: last ``check_all`` batch of that shape) that refuted it.
+        #: LRU-bounded: formula shapes accumulate for the life of an engine
+        #: run otherwise.
         self._refuters: OrderedDict[tuple, int] = OrderedDict()
         self.refuters_limit = _REFUTERS_LIMIT
         #: Memoized skeleton streams: (skeleton structural key, model) ->
@@ -220,15 +170,12 @@ class ModelChecker:
         #: Optional fault-injection plan (set by the owning :class:`Sling`;
         #: ``None`` keeps the stream-materialization site untouched).
         self.fault_plan = None
-        self.columnar_kernels = columnar_kernels
-        #: The group decision kernel (``None`` keeps the legacy per-variant
-        #: scan).  Imported lazily: :mod:`repro.sl.kernels` imports names
-        #: from this module at load time.
-        self._kernel = None
-        if columnar_kernels:
-            from repro.sl.kernels import decide_group
+        #: The group decision kernel, looked up here rather than at import:
+        #: :mod:`repro.sl.kernels` imports names from this module at load
+        #: time.
+        from repro.sl.kernels import decide_group
 
-            self._kernel = decide_group
+        self._kernel = decide_group
         #: Registry fingerprint keying the process-wide code-gen matcher
         #: cache (computed lazily on first kernel use; see
         #: :mod:`repro.cache.codegen`).
@@ -237,89 +184,9 @@ class ModelChecker:
     # ------------------------------------------------------------------ API --
 
     def check(self, model: StackHeapModel, formula: SymHeap) -> CheckResult | None:
-        """Memoizing wrapper around the reduction of Definition 2.
-
-        Results are looked up by the alpha-normalized structural key of the
-        formula and the model; on a hit the cached instantiation is rebound
-        to the formula's actual existential names (cached entries are
-        name-independent otherwise: residual and consumed sets only mention
-        heap addresses).
-        """
-        if self._cache is None:
-            # No memo table: still count the lookup as a miss so that
-            # ``hits + misses`` remains the number of ``check`` calls.
-            self.cache_misses += 1
-            return self._check_uncached(model, formula)
-        # The shadow mask records which existentials collide with a stack
-        # variable of this model: the search resolves such names against the
-        # stack (a scoping quirk kept for compatibility), so alpha-variants
-        # with different collisions are NOT equivalent and must not share an
-        # entry.
-        stack = model.stack_map
-        shadow = tuple(
-            position
-            for position, name in enumerate(formula.exists)
-            if name in stack
-        )
-        key = (formula.structural_key(), shadow, model)
-        entry = self._cache.get(key, _CACHE_ABSENT)
-        if entry is not _CACHE_ABSENT:
-            self._cache.move_to_end(key)
-            self.cache_hits += 1
-            payload, ambiguous = entry
-            # Replay the ambiguity signal on every hit: the dedup layer
-            # snapshots the counter around each location and must see
-            # order-dependent selections even when they are served from the
-            # memo (the cached result itself is deterministic -- it just is
-            # not replayable through an address bijection).
-            self.last_check_ambiguous = ambiguous
-            if ambiguous:
-                self.screen_stats.exact_selection_ambiguities += 1
-            if payload is None:
-                return None
-            residual, consumed, instantiation_items = payload
-            return CheckResult(
-                residual=residual,
-                instantiation={
-                    formula.exists[position]: value
-                    for position, value in instantiation_items
-                },
-                consumed=consumed,
-            )
-        self.cache_misses += 1
-        result = self._check_uncached(model, formula)
-        if result is None:
-            payload = None
-        else:
-            payload = (
-                result.residual,
-                result.consumed,
-                tuple(
-                    (formula.exists.index(name), value)
-                    for name, value in result.instantiation.items()
-                ),
-            )
-        self._cache[key] = (payload, self.last_check_ambiguous)
-        if len(self._cache) > self.cache_size:
-            self._cache.popitem(last=False)
-        return result
-
-    def cache_info(self) -> dict[str, int]:
-        """Hit/miss counters and current size of the memo table."""
-        return {
-            "hits": self.cache_hits,
-            "misses": self.cache_misses,
-            "entries": len(self._cache) if self._cache is not None else 0,
-            "capacity": self.cache_size,
-        }
-
-    def clear_cache(self) -> None:
-        """Drop all memoized reductions (and skeleton streams), reset counters."""
-        if self._cache is not None:
-            self._cache.clear()
-        self._streams.clear()
-        self.cache_hits = 0
-        self.cache_misses = 0
+        """The reduction of Definition 2, counted in ``check_calls``."""
+        self.check_calls += 1
+        return self._check_uncached(model, formula)
 
     def _check_uncached(self, model: StackHeapModel, formula: SymHeap) -> CheckResult | None:
         """Run the reduction of Definition 2; ``None`` when no reduction exists.
@@ -397,10 +264,10 @@ class ModelChecker:
     ) -> list[CheckResult] | None:
         """Check a formula against every model; ``None`` unless all succeed.
 
-        With ``fail_fast`` enabled the models are *tried* in ascending
-        heap-size order, preceded by the model that most recently refuted a
-        formula of the same shape -- most wrong candidates are then settled
-        by the first check.  The returned list is always in input order.
+        The models are *tried* in ascending heap-size order, preceded by the
+        model that most recently refuted a formula of the same shape -- most
+        wrong candidates are then settled by the first check.  The returned
+        list is always in input order.
         """
         if self.tracer is None:
             return self._check_all(models, formula)
@@ -415,7 +282,7 @@ class ModelChecker:
         self, models: Sequence[StackHeapModel], formula: SymHeap
     ) -> list[CheckResult] | None:
         count = len(models)
-        if not self.fail_fast or count <= 1:
+        if count <= 1:
             results = []
             for model in models:
                 result = self.check(model, formula)
@@ -440,15 +307,14 @@ class ModelChecker:
     def _refuter_key(self, model: StackHeapModel) -> object | None:
         """Canonical identity a learned refuter is remembered under.
 
-        With canonical keys on (and a struct registry available) this is the
-        model's canonical form: a model that refuted a shape keeps steering
-        the try order even when later batches contain only address-renamed
-        copies of it.  ``None`` when no exact form is available -- the
-        caller then falls back to the positional index, exactly the
-        pre-canonical behaviour (storing the model itself would put whole
-        heaps in the LRU and deep-compare them on every lookup).
+        With a struct registry available this is the model's canonical form:
+        a model that refuted a shape keeps steering the try order even when
+        later batches contain only address-renamed copies of it.  ``None``
+        when no exact form is available -- the caller then falls back to the
+        positional index (storing the model itself would put whole heaps in
+        the LRU and deep-compare them on every lookup).
         """
-        if self.canonical_stream_keys and self.structs is not None:
+        if self.structs is not None:
             canon = model.canonical(self.structs)
             if canon.exact:
                 return canon.form
@@ -509,9 +375,9 @@ class ModelChecker:
         :class:`PureVariant` re-pins some of those slots to stack values and
         carries the exact per-candidate formula.  The trail-based ``_solve``
         search runs once per (skeleton, model) and lazily enumerates every
-        satisfying environment into a memoized :class:`EnvStream`; a variant
-        is then decided by evaluating its compiled slot equalities against
-        the streamed environments.
+        satisfying environment into a memoized :class:`EnvStream`; the group
+        kernel (:func:`repro.sl.kernels.decide_group`) then decides every
+        variant from its slot equalities against the streamed environments.
 
         Exactness contract (the batched pipeline is bit-identical to
         per-candidate :meth:`check_all`):
@@ -576,7 +442,7 @@ class ModelChecker:
         )
         root_name = slot_names[root_position]
         shape = formula_shape(skeleton)
-        if self.fail_fast and count > 1:
+        if count > 1:
             order = self._model_order(models, shape)
         else:
             order = list(range(count))
@@ -594,11 +460,6 @@ class ModelChecker:
         needs_exact = [False] * total
         #: Per-variant, per-model reductions settled from the streams.
         settled: list[list[CheckResult | None]] = [[None] * count for _ in range(total)]
-        #: Per-variant compiled matchers: (pinned positions, evaluator).
-        #: The positions are static per variant except for the rare
-        #: stack-shadowed free slot, so compilation happens once, not once
-        #: per (variant, model).
-        matchers: list[tuple[tuple[int, ...], object] | None] = [None] * total
         refuted_per_model: dict[int, int] = {}
 
         for position, model_index in enumerate(order):
@@ -621,70 +482,36 @@ class ModelChecker:
                 continue
             stream, view = self._get_stream(skeleton, model, root_position, root_value)
             refuted_here = 0
-            if self._kernel is not None:
-                # Columnar path: resolve every live variant's requirements,
-                # then settle the whole group against this model in one
-                # kernel invocation (posting-list intersections over the
-                # stream's slot columns, code-generated deferred endgames).
-                work: list[tuple[int, PureVariant, tuple, tuple]] = []
-                for index in live:
-                    variant = variants[index]
-                    required = variant.resolve(stack)
-                    if required is None:
-                        # A free variable of the candidate has no stack value
-                        # in this model: the exact search refutes it outright.
-                        pending[index] = False
-                        refuted[index] = True
-                        refuted_here += 1
-                        continue
-                    work.append(
-                        (
-                            index,
-                            variant,
-                            tuple(pair[0] for pair in required),
-                            tuple(pair[1] for pair in required),
-                        )
+            # Resolve every live variant's requirements, then settle the
+            # whole group against this model in one kernel invocation
+            # (posting-list intersections over the stream's slot columns,
+            # code-generated deferred endgames).
+            work: list[tuple[int, PureVariant, tuple, tuple]] = []
+            for index in live:
+                variant = variants[index]
+                required = variant.resolve(stack)
+                if required is None:
+                    # A free variable of the candidate has no stack value
+                    # in this model: the exact search refutes it outright.
+                    pending[index] = False
+                    refuted[index] = True
+                    refuted_here += 1
+                    continue
+                work.append(
+                    (
+                        index,
+                        variant,
+                        tuple(pair[0] for pair in required),
+                        tuple(pair[1] for pair in required),
                     )
-                if work:
-                    verdicts = self._run_kernel(
-                        atom.name, root_position, stream, view, slot_names,
-                        stack, model, domain, work,
-                    )
-                    for item, verdict in zip(work, verdicts):
-                        index = item[0]
-                        if verdict is None:
-                            pending[index] = False
-                            refuted[index] = True
-                            refuted_here += 1
-                        elif verdict is _UNDECIDED:
-                            needs_exact[index] = True
-                        else:
-                            settled[index][model_index] = verdict
-                            if verdict.consumed:
-                                vacuous_ok[index] = False
-            else:
-                for index in live:
-                    variant = variants[index]
-                    required = variant.resolve(stack)
-                    if required is None:
-                        # A free variable of the candidate has no stack value
-                        # in this model: the exact search refutes it outright.
-                        pending[index] = False
-                        refuted[index] = True
-                        refuted_here += 1
-                        continue
-                    positions = tuple(pair[0] for pair in required)
-                    values = tuple(pair[1] for pair in required)
-                    cached = matchers[index]
-                    if cached is None or cached[0] != positions:
-                        cached = (
-                            positions,
-                            _compile_matcher(positions, slot_names, self._discharge_deferred),
-                        )
-                        matchers[index] = cached
-                    verdict = self._decide_variant(
-                        stream, view, variant, cached[1], values, slot_names, stack, model, domain
-                    )
+                )
+            if work:
+                verdicts = self._run_kernel(
+                    atom.name, root_position, stream, view, slot_names,
+                    stack, model, domain, work,
+                )
+                for item, verdict in zip(work, verdicts):
+                    index = item[0]
                     if verdict is None:
                         pending[index] = False
                         refuted[index] = True
@@ -699,7 +526,7 @@ class ModelChecker:
                 refuted_per_model[model_index] = refuted_here
                 if position == 0:
                     stats.refuted_by_first_model += refuted_here
-        if self.fail_fast and refuted_per_model:
+        if refuted_per_model:
             # Group-granularity refuter learning: remember the model that
             # settled the most variants of this skeleton shape.
             best = max(refuted_per_model, key=refuted_per_model.__getitem__)
@@ -770,85 +597,6 @@ class ModelChecker:
             space = self._codegen_space = registry_fingerprint(self.registry)
         return space
 
-    def _decide_variant(
-        self,
-        stream: "EnvStream",
-        view: "_StreamView",
-        variant: "PureVariant",
-        matcher,
-        values: tuple[int, ...],
-        slot_names: tuple[str, ...],
-        stack: dict[str, int],
-        model: StackHeapModel,
-        domain: frozenset[int],
-    ) -> "CheckResult | None | object":
-        """Settle one (variant, model) pair from the skeleton stream.
-
-        Replicates ``_check_uncached``'s selection rule over the matching
-        entries: the result is the first enumerated solution achieving the
-        maximal consumed size, enumeration stops at a full-coverage solution
-        or after ``max_solutions``.  Whenever that selection could depend on
-        the (unknowable) per-candidate enumeration order -- more matches
-        than ``max_solutions``, an incomplete stream, or tied best
-        reductions that disagree on residual or instantiation -- the verdict
-        is :data:`_UNDECIDED` and the caller falls back to the exact search.
-
-        ``view`` translates between this model's concrete addresses and the
-        coordinates the stream stores its entries in: slot comparisons run in
-        stream coordinates (the variant's pinned values are encoded once),
-        while deferred-goal environments and the final residual/instantiation
-        are decoded back to the model's addresses.
-
-        Returns ``None`` for a sound refutation (no compatible environment
-        in a complete stream), a :class:`CheckResult` when the selection is
-        unambiguous, ``_UNDECIDED`` otherwise.
-        """
-        stats = self.screen_stats
-        entries = stream.entries
-        encoded = view.encode_values(values)
-        matches = 0
-        best_size = -1
-        tied: list[tuple[_StreamEntry, dict | None]] = []
-        index = 0
-        while stream.ensure(index):
-            entry = entries[index]
-            index += 1
-            stats.pure_variant_evals += 1
-            matched, final_env = matcher(entry, encoded, values, view)
-            if not matched:
-                continue
-            matches += 1
-            if matches > self.max_solutions:
-                return _UNDECIDED
-            size = entry.nconsumed
-            if size > best_size:
-                best_size = size
-                tied = [(entry, final_env)]
-            elif size == best_size:
-                tied.append((entry, final_env))
-        if matches == 0:
-            return None if stream.complete else _UNDECIDED
-        if not stream.complete:
-            return _UNDECIDED
-        chosen_entry, chosen_env = tied[0]
-        instantiation = _variant_instantiation(
-            variant, chosen_entry, chosen_env, stack, slot_names, view
-        )
-        for entry, final_env in tied[1:]:
-            if entry.avail != chosen_entry.avail:
-                return _UNDECIDED
-            if (
-                _variant_instantiation(variant, entry, final_env, stack, slot_names, view)
-                != instantiation
-            ):
-                return _UNDECIDED
-        avail = view.decode_avail(chosen_entry.avail)
-        return CheckResult(
-            residual=model.heap.restrict(avail),
-            instantiation=instantiation,
-            consumed=domain - avail,
-        )
-
     def _get_stream(
         self,
         skeleton: SymHeap,
@@ -866,16 +614,16 @@ class ModelChecker:
         or share a residual heap across result branches -- therefore share
         one enumeration.
 
-        With ``canonical_stream_keys`` (and a struct registry, and an exact
-        canonicalization) the concrete ``(root value, heap)`` tail of the key
-        is replaced by ``(root orbit, canonical heap form)``: address-renamed
-        copies of a heap then share one stream, whose entries are stored in
-        canonical coordinates and translated per consumer by the returned
-        :class:`_StreamView` (the witness bijection, applied lazily).
+        With a struct registry (and an exact canonicalization) the concrete
+        ``(root value, heap)`` tail of the key is replaced by ``(root orbit,
+        canonical heap form)``: address-renamed copies of a heap then share
+        one stream, whose entries are stored in canonical coordinates and
+        translated per consumer by the returned :class:`_StreamView` (the
+        witness bijection, applied lazily).
         """
         atom = skeleton.spatial_atoms()[0]
         canon = None
-        if self.canonical_stream_keys and self.structs is not None:
+        if self.structs is not None:
             heap_canon = model.heap.canonical(root_value, self.structs)
             if heap_canon.exact:
                 canon = heap_canon
@@ -1142,13 +890,12 @@ class ModelChecker:
         # size): every well-formed recursive case consumes at least one cell
         # before recursing, so deeper unfoldings cannot succeed and are pruned
         # in ``_solve``.
-        screens = definition.case_screens() if self.prune_cases else None
-        if screens is not None:
-            arg_values = [_try_eval(arg, env) for arg in goal.args]
-            heap_get = model.heap.get
+        screens = definition.case_screens()
+        arg_values = [_try_eval(arg, env) for arg in goal.args]
+        heap_get = model.heap.get
         unfold_key: object = _KEY_UNSET
         for case_index in range(len(definition.cases)):
-            if screens is not None and not case_feasible(
+            if not case_feasible(
                 screens[case_index], arg_values, heap_get, available
             ):
                 # The case's own equalities or points-to anchors are already
@@ -1327,11 +1074,11 @@ _DEFER = object()
 #: filter is guaranteed to drop it without needing the concrete results.
 BATCH_VACUOUS = object()
 
-#: Internal verdict of ``_decide_variant``: the stream cannot settle this
+#: Internal verdict of the group kernel: the stream cannot settle this
 #: (variant, model) pair exactly; the caller must run the exact search.
 _UNDECIDED = object()
 
-#: Upper bound on learned refuter entries (same LRU discipline as the memo).
+#: Upper bound on learned refuter entries (LRU-evicted beyond it).
 _REFUTERS_LIMIT = 4096
 
 #: Prefix of the synthetic skeleton slot variables.  ``?`` cannot occur in
@@ -1347,7 +1094,7 @@ class PureVariant:
     equivalent to ``exists w... . p(w0, ..., r@k, ..., wn) /\\ wi = ai`` for
     its non-fresh arguments -- the skeleton plus a conjunction of slot
     equalities.  ``formula`` keeps the exact per-candidate symbolic heap for
-    the fallback path (and for ablation comparisons).
+    the fallback path (and for reference comparisons).
     """
 
     #: The original candidate formula (fallback / reference semantics).
@@ -1455,60 +1202,6 @@ class _StreamView:
 
 
 _IDENTITY_VIEW = _StreamView(None)
-
-
-def _compile_matcher(positions, slot_names, discharge):
-    """Compile a variant's pinned slot positions into an entry evaluator.
-
-    Compiled once per variant (the pinned *positions* are static); the
-    per-model values arrive per call, both in stream coordinates (``values``,
-    for the slot comparisons) and concretely (``concrete``, for the deferred
-    endgame).  The evaluator decides whether one streamed environment is
-    compatible with the variant's bindings: pinned slots must agree with the
-    entry's values (an unbound slot is compatible with anything -- nothing on
-    the leaf's path constrained it), and entries carrying deferred pure goals
-    re-run the ``_discharge_deferred`` endgame under the extended (decoded)
-    environment, exactly as the per-candidate search would.  It returns
-    ``(matched, final_env)`` where ``final_env`` is the endgame's witness
-    environment in the consumer's concrete space (``None`` for entries
-    without deferred goals).
-    """
-    names = tuple(slot_names[position] for position in positions)
-    if len(positions) == 1:
-        (position,) = positions
-        name = names[0]
-
-        def match_one(entry, values, concrete, view):
-            slot = entry.values[position]
-            value = values[0]
-            if slot is not None and slot != value:
-                return False, None
-            if entry.deferred is None:
-                return True, None
-            env = view.decode_env(entry.env)
-            if env.get(name) is None:
-                env[name] = concrete[0]
-            final_env = discharge(list(entry.deferred), env, entry.unknowns)
-            return final_env is not None, final_env
-
-        return match_one
-
-    def match_many(entry, values, concrete, view):
-        entry_values = entry.values
-        for position, value in zip(positions, values):
-            slot = entry_values[position]
-            if slot is not None and slot != value:
-                return False, None
-        if entry.deferred is None:
-            return True, None
-        env = view.decode_env(entry.env)
-        for name, value in zip(names, concrete):
-            if env.get(name) is None:
-                env[name] = value
-        final_env = discharge(list(entry.deferred), env, entry.unknowns)
-        return final_env is not None, final_env
-
-    return match_many
 
 
 def _variant_instantiation(
@@ -1728,10 +1421,7 @@ class EnvStream:
         """Exhaust the source; True when the enumeration completed.
 
         The group kernel settles every variant from the full entry list, so
-        it pulls the whole stream up front -- exactly the entries the
-        per-variant scan would have pulled (``_decide_variant`` has no early
-        exit short of an ``_UNDECIDED`` bail-out, and those verdicts do not
-        depend on the unpulled tail either).  After this call ``_source`` is
+        it pulls the whole stream up front.  After this call ``_source`` is
         ``None`` and the entry list is immutable.
         """
         index = len(self.entries)
@@ -1789,17 +1479,12 @@ class EnvStream:
 # itself may legitimately be ``None`` for non-canonical argument tuples).
 _KEY_UNSET = object()
 
-# Sentinel distinguishing "cached None" from "not cached" in the memo table.
-_CACHE_ABSENT = object()
-
 
 def canonical_formula_key(formula: SymHeap) -> str:
     """Render a formula with its existentials alpha-renamed positionally.
 
-    This is the original (pretty-printed) memo key, kept for debugging and
-    for asserting alpha-equivalence in tests; the checker itself now keys
-    its memo table on the much cheaper :meth:`SymHeap.structural_key`, which
-    induces the same equivalence classes.
+    A readable alpha-equivalence key for debugging and tests; it induces the
+    same equivalence classes as the cheaper :meth:`SymHeap.structural_key`.
     """
     from repro.sl.pretty import pretty
 

@@ -12,10 +12,10 @@ Expressions and formulae are immutable dataclasses.  They support
 * free-variable computation,
 * structural keys (:meth:`Expr.skey`): nested tuples of plain strings and
   integers that identify a term up to a variable renaming supplied by the
-  caller.  The model checker's memo table is keyed on these instead of
-  pretty-printed strings -- building a tuple is an order of magnitude
-  cheaper than rendering, and tuple hashing reuses CPython's cached string
-  hashes.
+  caller.  Formula keys (e.g. the predicate-registry fingerprint) are
+  built from these instead of pretty-printed strings -- building a tuple is
+  an order of magnitude cheaper than rendering, and tuple hashing reuses
+  CPython's cached string hashes.
 
 ``Var`` instances are hash-consed: constructing the same name twice yields
 the same object (up to an interning capacity), and the hash is computed once

@@ -1,27 +1,22 @@
 """Columnar group-at-once decision kernels for skeleton-batched checking.
 
-``ModelChecker._check_batch`` historically settled each
-:class:`~repro.sl.checker.PureVariant` of a candidate group with its own
-scan over the shared :class:`~repro.sl.checker.EnvStream` -- one compiled
-closure call per (variant, entry) pair, which the committed benchmarks
-measured at 132k+ ``pure_variant_evals`` per Table 1 sweep.  This module
-replaces that loop with a *group kernel*: all variants of a group are
-settled against one model in a single pass over the stream's columnar
-side-representation.
+``ModelChecker._check_batch`` settles every
+:class:`~repro.sl.checker.PureVariant` of a candidate group against one model
+in a single pass over the shared :class:`~repro.sl.checker.EnvStream`'s
+columnar side-representation, instead of one scan of the stream per variant.
 
 The kernel works in three steps:
 
-1. the stream is materialized to exhaustion once (exactly the entries the
-   per-variant scans would have pulled) and its per-position posting-list
-   indexes (:meth:`EnvStream.position_index`) are built lazily for the
-   positions the group actually pins;
+1. the stream is materialized to exhaustion once and its per-position
+   posting-list indexes (:meth:`EnvStream.position_index`) are built lazily
+   for the positions the group actually pins;
 2. variants are bucketed by pinned-position signature; each bucket shares
    one pair of code-generated matchers (:mod:`repro.cache.codegen`), keyed
    process-wide by the registry fingerprint;
 3. a variant with pins resolves to the ordered intersection of its pins'
    posting lists -- only those candidate entries are examined (entries
    carrying deferred pure goals still re-run the endgame per variant); a
-   variant with no pins keeps the full scan as its fallback.
+   variant with no pins scans every entry.
 
 On top of the indexes sits a *settle-record memo* (``EnvStream._settle_cache``):
 the match/best-size/tie computation depends only on ``(pinned positions,
@@ -36,20 +31,21 @@ goals re-runs the endgame under each consumer's decoded environment, so its
 records are additionally keyed by the consumer's canonical labeling (a stable,
 per-(heap, root) memoized object).
 
-Exactness: verdicts replicate ``_decide_variant`` bit-for-bit.  The posting
-intersection enumerates candidates in ascending entry order -- the same
-order the scan visits them -- so "first solution of maximal consumed size",
-the ``max_solutions`` cutoff, tie detection and the ``_UNDECIDED`` triggers
-(incomplete stream, too many matches, ambiguous ties) all fire identically.
-The equivalence suite (``tests/sl/test_kernels.py``) asserts this per
-(variant, model) against the legacy scan under both stream-view kinds.
+Exactness: verdicts replicate the exact search's selection rule.  The posting
+intersection enumerates candidates in ascending entry order -- the stream's
+enumeration order -- so "first solution of maximal consumed size" holds, and
+whenever the selection could depend on the per-candidate enumeration order
+(incomplete stream, more than ``max_solutions`` matches, ambiguous ties) the
+verdict is ``_UNDECIDED`` and the caller runs the exact search.  The
+equivalence suite (``tests/sl/test_kernels.py``) asserts every settled
+verdict against the reference ``ModelChecker.check`` under both stream-view
+kinds.
 
 Counters (:class:`repro.sl.screen.ScreeningStats`): ``kernel_groups``
 counts kernel invocations (one per group x model), ``stream_index_hits``
 variants resolved through posting-list intersection,
 ``kernel_scan_fallbacks`` pin-free variants that scanned every entry;
-``pure_variant_evals`` keeps its meaning -- entries actually examined per
-variant -- and is what the columnar path drives down.
+``pure_variant_evals`` counts entries actually examined per variant.
 """
 
 from __future__ import annotations
@@ -91,8 +87,8 @@ def decide_group(
     count = len(work)
     if not stream.materialize():
         # Every verdict off an incomplete stream depends on the unobserved
-        # tail: ``_decide_variant`` returns ``_UNDECIDED`` in all such
-        # branches, so the kernel skips the per-entry work entirely.
+        # tail, so all of them are ``_UNDECIDED`` and the kernel skips the
+        # per-entry work entirely.
         return [_UNDECIDED] * count
 
     verdicts: list = [None] * count
@@ -160,9 +156,9 @@ def decide_group(
                 )
         else:
             # Nothing pinned: every entry is trivially slot-compatible, so
-            # the record degenerates to the scan the legacy path would run
-            # -- computed once per (stream, consumer) and shared by every
-            # group's all-fresh variant from then on.
+            # the record degenerates to a full scan -- computed once per
+            # (stream, consumer) and shared by every group's all-fresh
+            # variant from then on.
             stats.kernel_scan_fallbacks += len(members)
             key = (positions, (), consumer)
             record = cache.get(key, _ABSENT)
@@ -316,9 +312,9 @@ def _verdict(record, variant, slot_names, stack, model, domain, view):
 def _finish(tied, variant, slot_names, stack, model, domain, view):
     """Turn a tie set into a verdict (shared tail of both settle loops).
 
-    Replicates ``_decide_variant``: the first enumerated solution of maximal
-    consumed size wins, unless a tied solution disagrees on residual or
-    instantiation -- then only the exact search may choose.
+    The first enumerated solution of maximal consumed size wins, unless a
+    tied solution disagrees on residual or instantiation -- then only the
+    exact search may choose.
     """
     chosen_entry, chosen_env = tied[0]
     instantiation = _variant_instantiation(

@@ -473,7 +473,8 @@ class StackHeapModel:
         object.__setattr__(self, "freed_addresses", frozenset(freed_addresses))
 
     def __hash__(self) -> int:
-        # Models key the checker's memo table; cache the (immutable) hash.
+        # Models key memo tables (split sharing, refuters); cache the
+        # (immutable) hash.
         cached = self.__dict__.get("_hash")
         if cached is None:
             cached = hash((self.stack, self.heap, self.var_types, self.freed_addresses))

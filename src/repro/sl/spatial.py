@@ -244,10 +244,9 @@ class SymHeap:
         candidates that differ only in machine-generated existential names --
         share one key.  The existential *count* is part of the key: two
         formulae with identical bodies but different numbers of unused bound
-        variables must not collide, because cached checker instantiations
-        are rebound by position.  Building this tuple touches no strings
+        variables must not collide.  Building this tuple touches no strings
         beyond the ones already interned in the AST, which is what makes it
-        cheap enough for the checker's memo table (no ``pretty()`` call).
+        cheap (no ``pretty()`` call).
         """
         if not self.exists:
             return (0, self.spatial.skey(_EMPTY_REN), self.pure.skey(_EMPTY_REN))

@@ -182,6 +182,15 @@ class Tracer:
             self._file.close()
 
 
+#: This process's segment tracers, keyed by segment path (which names the
+#: pid).  Every pool job unpickles a fresh :class:`Telemetry`, so a tracer
+#: cached on the handle would be rebuilt -- and the segment reopened and
+#: truncated -- per job; sharing one per process keeps a single file handle
+#: and span sequence per worker segment, so a worker that runs several jobs
+#: keeps its earlier jobs' records and never reuses their span ids.
+_SEGMENT_TRACERS: dict[str, Tracer] = {}
+
+
 class Telemetry:
     """Picklable tracing handle for :class:`~repro.core.sling.SlingConfig`.
 
@@ -190,7 +199,8 @@ class Telemetry:
     :class:`Tracer` -- the origin pid writes ``path`` itself, every other
     pid writes the segment file ``<path>.seg-<pid>`` for the engine to
     merge.  Pickling (and ``fork``) drops the cached tracer, so a worker
-    that inherited or unpickled this handle always opens its own segment.
+    that inherited or unpickled this handle always uses its own segment,
+    through the process-level tracer for that segment.
     """
 
     def __init__(self, path):
@@ -210,8 +220,13 @@ class Telemetry:
         pid = os.getpid()
         tracer = self._tracer
         if tracer is None or tracer.pid != pid:
-            target = self.path if pid == self.origin_pid else self.segment_path(pid)
-            tracer = Tracer(target, pid=pid)
+            if pid == self.origin_pid:
+                tracer = Tracer(self.path, pid=pid)
+            else:
+                segment = self.segment_path(pid)
+                tracer = _SEGMENT_TRACERS.get(segment)
+                if tracer is None:
+                    tracer = _SEGMENT_TRACERS[segment] = Tracer(segment, pid=pid)
             self._tracer = tracer
         return tracer
 

@@ -487,34 +487,26 @@ class TestAttachRefusal:
         # instead of persisting them.
         registry = standard_predicates()
         checker = ModelChecker(registry)  # no structs: the latent gotcha
-        assert checker.canonical_stream_keys  # looks canonical...
-        assert checker.structs is None  # ...but cannot be
+        assert checker.structs is None
         tier = PersistentCache(tmp_path / "c.sqlite", registry)
         with pytest.raises(PersistentCacheError, match="structs"):
             tier.attach(checker)
         assert checker.persistent is None
 
-    def test_checker_with_canonical_keys_disabled_is_refused(self, tmp_path):
-        registry = standard_predicates()
-        checker = ModelChecker(
-            registry, canonical_stream_keys=False, structs=standard_structs()
-        )
-        tier = PersistentCache(tmp_path / "c.sqlite", registry)
-        with pytest.raises(PersistentCacheError, match="canonical"):
-            tier.attach(checker)
-        assert checker.persistent is None
-
     def test_sling_config_combination_is_refused(self, tmp_path):
+        # A program without a struct registry cannot key streams
+        # canonically, so a config asking for the disk tier is refused.
         from repro.benchsuite.registry import get_benchmark
+        from repro.lang.ast import Program
 
         benchmark = get_benchmark("sll/insertFront")
-        with pytest.raises(PersistentCacheError):
+        program = Program(None, benchmark.program.functions.values())
+        with pytest.raises(PersistentCacheError, match="structs"):
             Sling(
-                benchmark.program,
+                program,
                 benchmark.predicates,
                 SlingConfig(
                     discard_crashed_runs=True,
-                    canonical_stream_keys=False,
                     persistent_cache=str(tmp_path / "c.sqlite"),
                 ),
             )

@@ -56,7 +56,6 @@ def test_table1_parallel_jobs_flag():
             for program in row["programs"]:
                 for key in (
                     "seconds",
-                    "checker_cache_hits",
                     "checker_cache_misses",
                     "unfold_cache_hits",
                     "unfold_cache_misses",

@@ -142,7 +142,6 @@ class TestSearchSpaceGuard:
     def test_counters_exposed_in_cache_stats(self):
         stats = run_workload("sll/insertFront")
         for key in (
-            "checker_hits",
             "checker_misses",
             "unfold_hits",
             "unfold_misses",
@@ -188,7 +187,7 @@ class TestSearchSpaceGuard:
 
 
 class TestScreeningNeverChangesResults:
-    """The whole fail-fast pipeline is a pure optimisation."""
+    """The whole fast path is a pure optimisation of the reference search."""
 
     @pytest.mark.parametrize("name", ("sll/reverse", "dll/append"))
     def test_invariants_identical_with_screening_off(self, name):
@@ -201,16 +200,7 @@ class TestScreeningNeverChangesResults:
 
         screened = invariants(SlingConfig(discard_crashed_runs=True))
         unscreened = invariants(
-            SlingConfig(
-                discard_crashed_runs=True,
-                screen_candidates=False,
-                checker_fail_fast=False,
-                checker_prune_cases=False,
-                batch_by_skeleton=False,
-                dedupe_isomorphic_models=False,
-                canonical_stream_keys=False,
-                columnar_kernels=False,
-            )
+            SlingConfig(discard_crashed_runs=True, reference_search=True)
         )
         assert screened == unscreened
 
@@ -229,17 +219,13 @@ class TestGuardRefusesPersistentCache:
 
 
 class TestNocacheSweepDisablesPersistentCache:
-    """The bench's all-optimisations-off fingerprint baseline must not read
-    or write a persistent cache either -- warm state leaking into the
-    reference sweep would make the identity assertion vacuous."""
+    """The bench's reference-search fingerprint baseline must not read or
+    write a persistent cache either -- warm state leaking into the reference
+    sweep would make the identity assertion vacuous."""
 
     def test_nocache_sweep_config_has_no_persistent_cache(self):
         from repro.core.engine import nocache_sweep_config
 
         config = nocache_sweep_config()
         assert config.persistent_cache is None
-        assert config.canonical_stream_keys is False
-        assert config.batch_by_skeleton is False
-        assert config.dedupe_isomorphic_models is False
-        assert config.columnar_kernels is False
-        assert config.checker_cache_size == 0
+        assert config.reference_search is True

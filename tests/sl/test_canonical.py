@@ -186,7 +186,7 @@ def test_checker_verdicts_invariant_under_permutation(size, y_choice, order):
     )
     permuted = _permute(model, _shuffled_mapping(model.heap, list(order)))
     mapping = _shuffled_mapping(model.heap, list(order))
-    checker = ModelChecker(_PREDICATES, canonical_stream_keys=True, structs=_STRUCTS)
+    checker = ModelChecker(_PREDICATES, structs=_STRUCTS)
     for text in ("sll(x)", "lseg(x, y)", "lseg(x, nil)", "exists u. lseg(x, u)"):
         formula = parse_formula(text)
         original = checker.check(model, formula)
@@ -227,8 +227,8 @@ def test_shared_canonical_streams_match_exact_checker(size, y_choice, order):
         seen.add(signature)
         members.append(Candidate(permutation, fresh))
 
-    shared = ModelChecker(_PREDICATES, canonical_stream_keys=True, structs=_STRUCTS)
-    exact = ModelChecker(_PREDICATES, cache_size=0, batch_by_skeleton=False)
+    shared = ModelChecker(_PREDICATES, structs=_STRUCTS)
+    exact = ModelChecker(_PREDICATES)
     skeleton = build_skeleton("lseg", predicate.arity, "x", 0)
     variants = []
     for candidate in members:

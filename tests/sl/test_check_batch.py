@@ -128,7 +128,7 @@ def _variant_of(pred_name: str, candidate: Candidate, position: int) -> PureVari
 def _assert_batch_matches_exact(pred_name, boundary, root, models, drop_vacuous=True):
     predicate = _PREDICATES.get(pred_name)
     batch_checker = ModelChecker(_PREDICATES)
-    exact_checker = ModelChecker(_PREDICATES, cache_size=0, batch_by_skeleton=False)
+    exact_checker = ModelChecker(_PREDICATES)
 
     by_position: dict[int, list[Candidate]] = {}
     for candidate in _candidates(pred_name, boundary, root):
@@ -261,7 +261,7 @@ def test_sorted_list_bounds_batch_equals_exact(values, y_choice):
 
 
 # ---------------------------------------------------------------------------
-# unit tests: stream memo, vacuity, bounded refuters, adaptive cache default
+# unit tests: stream memo, bounded refuters
 # ---------------------------------------------------------------------------
 
 
@@ -315,14 +315,3 @@ class TestBoundedRefuters:
         assert len(checker._refuters) == 4
         assert ("shape", 9) in checker._refuters
         assert ("shape", 0) not in checker._refuters
-
-
-class TestAdaptiveCacheDefault:
-    def test_cache_defaults_off_with_batching(self):
-        assert ModelChecker(_PREDICATES).cache_size == 0
-
-    def test_cache_defaults_on_without_batching(self):
-        assert ModelChecker(_PREDICATES, batch_by_skeleton=False).cache_size == 65_536
-
-    def test_explicit_size_wins(self):
-        assert ModelChecker(_PREDICATES, cache_size=7).cache_size == 7

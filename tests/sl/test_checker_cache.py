@@ -1,12 +1,9 @@
-"""Correctness of the checker memo table and the predicate unfolding cache.
+"""Checker state isolation, formula keys and the predicate unfolding cache.
 
-The contract under test: enabling either cache never changes any result --
-cached and uncached checkers agree on satisfiability, residual heaps,
-consumed cells and instantiations for every (formula, model) pair, including
-alpha-variants of the same formula.
+The contract under test: state a checker keeps across calls (learned
+refuters, the predicate unfolding cache) never changes any result -- for
+every (formula, model) pair, including alpha-variants of the same formula.
 """
-
-import pytest
 
 from repro.sl.checker import ModelChecker, canonical_formula_key
 from repro.sl.model import Heap, HeapCell, StackHeapModel
@@ -14,21 +11,6 @@ from repro.sl.parser import parse_formula
 from repro.sl.stdpreds import standard_predicates
 
 from tests.conftest import dll_model, sll_model
-
-#: (formula, model) pairs covering points-to, inductive predicates with and
-#: without existentials, unsatisfiable goals and partial-coverage residues.
-_CASES = [
-    ("emp & x = nil", StackHeapModel({"x": 0}, Heap())),
-    ("sll(x)", sll_model(3)),
-    ("sll(x)", sll_model(0)),
-    ("exists n. x -> SllNode{next: n}", sll_model(2)),
-    ("exists y. lseg(x, y)", sll_model(3)),
-    ("exists y. lseg(x, y) * sll(y)", sll_model(3)),
-    ("x -> SllNode{next: nil}", sll_model(2)),  # unsatisfiable
-    ("exists p, t, n. dll(x, p, t, n)", dll_model(3)),
-    ("exists p, t. dll(x, p, t, nil)", dll_model(2)),
-    ("sll(x)", dll_model(2)),  # wrong structure type
-]
 
 
 def _result_tuple(result):
@@ -38,45 +20,11 @@ def _result_tuple(result):
 
 
 class TestCheckerCacheCorrectness:
-    def test_cached_matches_uncached_everywhere(self):
-        registry = standard_predicates()
-        cached = ModelChecker(registry, cache_size=4096)
-        uncached = ModelChecker(registry, cache_size=0)
-        # Two passes so the second pass hits the warm cache.
-        for _ in range(2):
-            for text, model in _CASES:
-                formula = parse_formula(text)
-                assert _result_tuple(cached.check(model, formula)) == _result_tuple(
-                    uncached.check(model, formula)
-                ), f"cache changed the result of {text!r}"
-        assert cached.cache_hits > 0
-        assert uncached.cache_hits == 0
-
-    def test_alpha_variants_share_an_entry_and_rebind_names(self):
-        checker = ModelChecker(standard_predicates(), cache_size=128)
-        model = sll_model(2)
-        first = checker.check(model, parse_formula("exists n. x -> SllNode{next: n}"))
-        misses = checker.cache_misses
-        second = checker.check(model, parse_formula("exists m. x -> SllNode{next: m}"))
-        assert checker.cache_misses == misses  # alpha-variant was a hit
-        assert first.instantiation == {"n": 2}
-        assert second.instantiation == {"m": 2}  # rebound to the query's name
-        assert first.residual.domain() == second.residual.domain()
-
-    def test_negative_results_are_cached(self):
-        checker = ModelChecker(standard_predicates(), cache_size=128)
-        model = sll_model(2)
-        formula = parse_formula("x -> SllNode{next: nil}")
-        assert checker.check(model, formula) is None
-        hits = checker.cache_hits
-        assert checker.check(model, formula) is None
-        assert checker.cache_hits == hits + 1
-
     def test_shadowed_existential_does_not_poison_alpha_variant(self):
         # ``n`` is both a stack variable and an existential: the search
         # resolves it against the stack (scoping quirk), so the formula is
-        # NOT equivalent to its alpha-variant with a fresh name.  The memo
-        # key must keep the two apart regardless of which is checked first.
+        # NOT equivalent to its alpha-variant with a fresh name.  Whatever a
+        # checker learned from one of them must not leak into the other.
         registry = standard_predicates()
         model = StackHeapModel(
             {"x": 1, "n": 2},
@@ -88,44 +36,30 @@ class TestCheckerCacheCorrectness:
             ),
             {"x": "SllNode*", "n": "SllNode*"},
         )
-        shadowed = parse_formula("exists n. x -> SllNode{next: n}")
-        fresh = parse_formula("exists m. x -> SllNode{next: m}")
-        uncached = ModelChecker(registry, cache_size=0)
-        for order in ((shadowed, fresh), (fresh, shadowed)):
-            cached = ModelChecker(registry, cache_size=128)
-            for formula in order:
-                assert _result_tuple(cached.check(model, formula)) == _result_tuple(
-                    uncached.check(model, formula)
-                ), "shadow-sensitive formulas must not share a cache entry"
+        formulas = {
+            "shadowed": parse_formula("exists n. x -> SllNode{next: n}"),
+            "fresh": parse_formula("exists m. x -> SllNode{next: m}"),
+        }
+        expected = {
+            name: _result_tuple(ModelChecker(registry).check(model, formula))
+            for name, formula in formulas.items()
+        }
+        assert expected["shadowed"] is None
+        assert expected["fresh"] is not None
+        for order in (("shadowed", "fresh"), ("fresh", "shadowed")):
+            checker = ModelChecker(registry)
+            for name in order:
+                assert _result_tuple(checker.check(model, formulas[name])) == expected[name], (
+                    "shadow-sensitive formulas must be checked independently"
+                )
 
     def test_distinct_models_do_not_collide(self):
-        checker = ModelChecker(standard_predicates(), cache_size=128)
+        checker = ModelChecker(standard_predicates())
         formula = parse_formula("sll(x)")
         good = checker.check(sll_model(2), formula)
         bad = checker.check(dll_model(2), formula)
         assert good is not None and good.covers_everything()
         assert bad is None
-
-    def test_lru_eviction_respects_capacity(self):
-        checker = ModelChecker(standard_predicates(), cache_size=2)
-        for size in range(1, 6):
-            checker.check(sll_model(size), parse_formula("sll(x)"))
-        assert checker.cache_info()["entries"] <= 2
-
-    def test_clear_cache_resets_counters(self):
-        checker = ModelChecker(standard_predicates(), cache_size=128)
-        model = sll_model(1)
-        formula = parse_formula("sll(x)")
-        checker.check(model, formula)
-        checker.check(model, formula)
-        assert checker.cache_hits == 1
-        checker.clear_cache()
-        assert checker.cache_info() == {
-            "hits": 0,
-            "misses": 0,
-            "entries": 0,
-            "capacity": 128,
-        }
 
 
 class TestCanonicalFormulaKey:

@@ -16,7 +16,7 @@ from repro.sl.stdpreds import standard_predicates
 
 @pytest.fixture(scope="module")
 def checker():
-    return ModelChecker(standard_predicates(), cache_size=0)
+    return ModelChecker(standard_predicates())
 
 
 def discharge(checker, goals, env=None, unknowns=("u",)):

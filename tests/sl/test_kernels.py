@@ -1,20 +1,25 @@
-"""Columnar group kernel: ``decide_group`` must equal ``_decide_variant``.
+"""Columnar group kernel: ``decide_group`` must agree with the reference.
 
 The contract under test is the exactness guarantee of
-:func:`repro.sl.kernels.decide_group` (see its docstring): for every
-(variant, model) pair the kernel's verdict -- ``None`` refutation,
-``_UNDECIDED`` sentinel or settled :class:`CheckResult` -- is *the same
-object kind and value* the legacy per-variant scan produces, including the
-``_UNDECIDED`` triggers (incomplete stream, ``max_solutions`` overflow,
-tie-ambiguity between distinct best reductions).
+:func:`repro.sl.kernels.decide_group` (see its docstring), checked per
+(variant, model) pair against two oracles defined here:
+
+* a plain per-variant *scan* of the stream applying the exact search's
+  selection rule -- the kernel's verdict (``None`` refutation,
+  ``_UNDECIDED`` sentinel or settled :class:`CheckResult`) must be the same
+  object kind and value;
+* the reference ``ModelChecker.check`` of the variant's own formula --
+  every verdict other than ``_UNDECIDED`` (which makes the caller run the
+  exact search) must be exactly its result.
 
 The property tests drive randomized sll / dll / tree / sorted-list
 workloads through the full candidate lattice of a predicate, under both
 stream-view kinds: concretely-keyed streams (identity view) and
 canonically-keyed streams (address-translating view).  The unit tests pin
-each ``_UNDECIDED`` trigger deterministically, exercise the generated
-matchers against the legacy closures on synthetic entries, and check the
-process-wide code-gen cache discipline.
+each ``_UNDECIDED`` trigger (incomplete stream, ``max_solutions`` overflow,
+tie-ambiguity between distinct best reductions) deterministically, exercise
+the generated matchers against a plain reference closure on synthetic
+entries, and check the process-wide code-gen cache discipline.
 """
 
 from __future__ import annotations
@@ -38,11 +43,12 @@ from repro.core.infer_atom import Candidate, _candidate_variant
 from repro.lang.types import standard_structs
 from repro.sl import kernels
 from repro.sl.checker import (
+    CheckResult,
     EnvStream,
     ModelChecker,
     _IDENTITY_VIEW,
     _UNDECIDED,
-    _compile_matcher,
+    _variant_instantiation,
     build_skeleton,
 )
 from repro.sl.exprs import Nil, Var
@@ -137,6 +143,38 @@ def _variant_of(pred_name: str, candidate: Candidate, position: int):
 
 
 # ---------------------------------------------------------------------------
+# oracles
+# ---------------------------------------------------------------------------
+
+
+def _reference_matcher(positions, slot_names, discharge):
+    """The matcher contract as a plain closure.
+
+    Pinned slots must agree with the entry's stored values (an unbound
+    ``None`` slot matches anything); entries carrying deferred goals then
+    re-run the endgame with the pinned names bound where the leaf left them
+    unbound.
+    """
+    names = tuple(slot_names[position] for position in positions)
+
+    def match(entry, values, concrete, view):
+        for position, value in zip(positions, values):
+            slot = entry.values[position]
+            if slot is not None and slot != value:
+                return False, None
+        if entry.deferred is None:
+            return True, None
+        env = view.decode_env(entry.env)
+        for name, value in zip(names, concrete):
+            if env.get(name) is None:
+                env[name] = value
+        final_env = discharge(list(entry.deferred), env, entry.unknowns)
+        return final_env is not None, final_env
+
+    return match
+
+
+# ---------------------------------------------------------------------------
 # the verdict-equivalence harness
 # ---------------------------------------------------------------------------
 
@@ -150,22 +188,69 @@ def _verdict_key(verdict):
 
 
 def _checker(canonical: bool, **overrides) -> ModelChecker:
+    """A checker keying streams canonically (with structs) or concretely."""
     return ModelChecker(
-        _PREDICATES,
-        canonical_stream_keys=canonical,
-        structs=_STRUCTS if canonical else None,
-        **overrides,
+        _PREDICATES, structs=_STRUCTS if canonical else None, **overrides
+    )
+
+
+def _scan_verdict(checker, stream, view, item, slot_names, stack, model, domain):
+    """The oracle scan: one pass over the stream for one variant.
+
+    Applies the exact search's selection rule to the matching entries: the
+    first solution of maximal consumed size wins; more than
+    ``max_solutions`` matches, an incomplete stream or tied solutions that
+    disagree on residual or instantiation leave the pair ``_UNDECIDED``.
+    """
+    _, variant, positions, values = item
+    match = _reference_matcher(positions, slot_names, checker._discharge_deferred)
+    encoded = view.encode_values(values)
+    matches, best_size, tied = 0, -1, []
+    index = 0
+    while stream.ensure(index):
+        entry = stream.entries[index]
+        index += 1
+        matched, final_env = match(entry, encoded, values, view)
+        if not matched:
+            continue
+        matches += 1
+        if matches > checker.max_solutions:
+            return _UNDECIDED
+        if entry.nconsumed > best_size:
+            best_size, tied = entry.nconsumed, [(entry, final_env)]
+        elif entry.nconsumed == best_size:
+            tied.append((entry, final_env))
+    if not stream.complete:
+        return _UNDECIDED
+    if matches == 0:
+        return None
+
+    def instantiation(entry, final_env):
+        return _variant_instantiation(variant, entry, final_env, stack, slot_names, view)
+
+    chosen, chosen_env = tied[0]
+    chosen_instantiation = instantiation(chosen, chosen_env)
+    for entry, final_env in tied[1:]:
+        if entry.avail != chosen.avail or instantiation(entry, final_env) != chosen_instantiation:
+            return _UNDECIDED
+    avail = view.decode_avail(chosen.avail)
+    return CheckResult(
+        residual=model.heap.restrict(avail),
+        instantiation=chosen_instantiation,
+        consumed=domain - avail,
     )
 
 
 def _assert_kernel_matches_scan(checker, pred_name, boundary, root, models):
-    """Per (variant, model): ``decide_group`` verdict == ``_decide_variant``.
+    """Per (variant, model): ``decide_group`` == the oracle scan, and every
+    settled verdict == the reference ``check`` of the variant's formula.
 
-    Both paths read the same memoized stream (the kernel materializes it
-    first; the legacy scan then walks the identical snapshot), so any
-    divergence is the kernel's fault, not the enumeration's.
+    The kernel and the scan read the same memoized stream (the kernel
+    materializes it first), so any divergence is the kernel's fault, not the
+    enumeration's.
     """
     predicate = _PREDICATES.get(pred_name)
+    reference = ModelChecker(_PREDICATES, max_solutions=checker.max_solutions)
     compared = 0
     by_position: dict[int, list[Candidate]] = {}
     for candidate in _candidates(pred_name, boundary, root):
@@ -184,7 +269,6 @@ def _assert_kernel_matches_scan(checker, pred_name, boundary, root, models):
                 continue
             stream, view = checker._get_stream(skeleton, model, position, root_value)
             work = []
-            legacy = {}
             for index, variant in enumerate(variants):
                 required = variant.resolve(stack)
                 if required is None:
@@ -192,13 +276,6 @@ def _assert_kernel_matches_scan(checker, pred_name, boundary, root, models):
                 positions = tuple(pair[0] for pair in required)
                 values = tuple(pair[1] for pair in required)
                 work.append((index, variant, positions, values))
-                matcher = _compile_matcher(
-                    positions, slot_names, checker._discharge_deferred
-                )
-                legacy[index] = checker._decide_variant(
-                    stream, view, variant, matcher, values, slot_names,
-                    stack, model, domain,
-                )
             verdicts = kernels.decide_group(
                 checker, atom.name, position, stream, view, slot_names,
                 stack, model, domain, work,
@@ -206,9 +283,19 @@ def _assert_kernel_matches_scan(checker, pred_name, boundary, root, models):
             assert len(verdicts) == len(work)
             for item, verdict in zip(work, verdicts):
                 compared += 1
-                assert _verdict_key(verdict) == _verdict_key(legacy[item[0]]), (
+                scanned = _scan_verdict(
+                    checker, stream, view, item, slot_names, stack, model, domain
+                )
+                assert _verdict_key(verdict) == _verdict_key(scanned), (
                     f"kernel verdict for {item[1].formula!r} diverges from "
-                    f"_decide_variant on model {model!r}"
+                    f"the oracle scan on model {model!r}"
+                )
+                if verdict is _UNDECIDED:
+                    continue
+                expected = reference.check(model, item[1].formula)
+                assert _verdict_key(verdict) == _verdict_key(expected), (
+                    f"kernel verdict for {item[1].formula!r} diverges from "
+                    f"the reference check on model {model!r}"
                 )
     assert compared > 0
 
@@ -292,7 +379,7 @@ def test_tree_kernel_equals_scan(sizes, y_choice, canonical):
 )
 def test_sorted_list_kernel_equals_scan(values, y_choice, canonical):
     """`sls`/`slseg` leave bound parameters to the deferred endgame: the
-    generated ``endgame`` must replicate the closure's binding order and the
+    generated ``endgame`` must bind the pinned slots and reproduce the
     ``_discharge_deferred`` bounds-fixpoint witness selection."""
     checker = _checker(canonical)
     size = len(values)
@@ -313,8 +400,8 @@ def test_sorted_list_kernel_equals_scan(values, y_choice, canonical):
 
 
 class TestUndecidedTriggers:
-    def _tie_verdicts(self, entries):
-        """Kernel vs legacy verdict for a hand-built two-entry tie stream."""
+    def _tie_verdict(self, entries):
+        """Kernel verdict for a hand-built two-entry tie stream."""
         checker = _checker(False)
         model = StackHeapModel({"x": 1}, Heap(_sll_heap(2)), {"x": "SllNode*"})
         stack = model.stack_map
@@ -329,40 +416,32 @@ class TestUndecidedTriggers:
         stream = EnvStream(source, slot_names, len(model.heap), 16)
         variant = _variant_of("lseg", Candidate(("x", "u91"), {"u91"}), 0)
         work = [(0, variant, (), ())]
-        (kernel_verdict,) = kernels.decide_group(
+        (verdict,) = kernels.decide_group(
             checker, atom.name, 0, stream, _IDENTITY_VIEW, slot_names,
             stack, model, domain, work,
         )
-        matcher = _compile_matcher((), slot_names, checker._discharge_deferred)
-        legacy_verdict = checker._decide_variant(
-            stream, _IDENTITY_VIEW, variant, matcher, (), slot_names,
-            stack, model, domain,
-        )
-        return kernel_verdict, legacy_verdict
+        return verdict, model
 
     def test_residual_tie_ambiguity_is_undecided(self):
         # Two solutions of equal consumed size but different availability
         # sets: the "first of maximal size" rule cannot break the tie.
-        kernel_verdict, legacy_verdict = self._tie_verdicts(
-            [(2, [1]), (2, [2])]
-        )
-        assert kernel_verdict is _UNDECIDED and legacy_verdict is _UNDECIDED
+        verdict, _ = self._tie_verdict([(2, [1]), (2, [2])])
+        assert verdict is _UNDECIDED
 
     def test_instantiation_tie_ambiguity_is_undecided(self):
         # Same residual, but the tied solutions pin the candidate's fresh
         # argument to different values.
-        kernel_verdict, legacy_verdict = self._tie_verdicts(
-            [(2, [1]), (997, [1])]
-        )
-        assert kernel_verdict is _UNDECIDED and legacy_verdict is _UNDECIDED
+        verdict, _ = self._tie_verdict([(2, [1]), (997, [1])])
+        assert verdict is _UNDECIDED
 
     def test_agreeing_ties_settle(self):
-        # Ties that agree on residual and instantiation are not ambiguous.
-        kernel_verdict, legacy_verdict = self._tie_verdicts(
-            [(2, [1]), (2, [1])]
+        # Ties that agree on residual and instantiation are not ambiguous:
+        # the first solution settles the pair.
+        verdict, model = self._tie_verdict([(2, [1]), (2, [1])])
+        assert verdict is not _UNDECIDED
+        assert _verdict_key(verdict) == (
+            model.heap.restrict(frozenset({1})), {"u91": 2}, {2}
         )
-        assert kernel_verdict is not _UNDECIDED
-        assert _verdict_key(kernel_verdict) == _verdict_key(legacy_verdict)
 
     def test_max_solutions_overflow_is_undecided(self):
         # lseg(x, u) on a 3-node list has four solutions (hole at every
@@ -425,7 +504,7 @@ class TestUndecidedTriggers:
 
 
 # ---------------------------------------------------------------------------
-# generated matchers vs legacy closures
+# generated matchers vs the reference closure
 # ---------------------------------------------------------------------------
 
 
@@ -448,7 +527,7 @@ class TestGeneratedMatchers:
     def _pairs(self, positions):
         names = tuple(self.SLOTS[p] for p in positions)
         generated = matcher_for("test-space", "p", 3, 0, positions, names)
-        closure = _compile_matcher(positions, self.SLOTS, self._discharge)
+        closure = _reference_matcher(positions, self.SLOTS, self._discharge)
         return generated, closure
 
     @staticmethod

@@ -10,6 +10,7 @@ import itertools
 
 import pytest
 
+from repro.sl import checker as checker_module
 from repro.sl.checker import ModelChecker
 from repro.sl.exprs import Nil, Var
 from repro.sl.model import Heap, HeapCell, StackHeapModel
@@ -93,7 +94,7 @@ class TestPrefilterSoundness:
 
     @pytest.mark.parametrize("size", [0, 1, 3])
     def test_never_rejects_a_kept_candidate(self, registry, size):
-        checker = ModelChecker(registry, cache_size=0)
+        checker = ModelChecker(registry)
         models = [sll_model(size), sll_model(max(size - 1, 0)), dll_model(size)]
         facts = [ModelFacts(model, "x") for model in models]
         names = ["x", "nil", "u9"]  # boundary var, nil, fresh existential
@@ -179,12 +180,10 @@ class TestScreeningStats:
 
 
 class TestFailFastEquivalence:
-    """fail_fast / prune_cases must never change a check_all outcome."""
+    """Fail-fast ordering and case pruning never change a check_all outcome."""
 
     @pytest.mark.parametrize("size", [0, 2, 4])
-    def test_check_all_agrees_with_reference(self, registry, size):
-        fast = ModelChecker(registry, cache_size=0, fail_fast=True, prune_cases=True)
-        slow = ModelChecker(registry, cache_size=0, fail_fast=False, prune_cases=False)
+    def test_check_all_agrees_with_reference(self, registry, size, monkeypatch):
         models = [sll_model(size), sll_model(size + 1), sll_model(max(size - 1, 0))]
         formulas = [
             SymHeap(spatial=PredApp("sll", [Var("x")])),
@@ -192,10 +191,15 @@ class TestFailFastEquivalence:
             SymHeap(spatial=PredApp("lseg", [Var("x"), Nil()])),
             SymHeap(exists=("p", "t", "n"), spatial=PredApp("dll", [Var("x"), Var("p"), Var("t"), Var("n")])),
         ]
-        for formula in formulas:
-            expected = slow.check_all(models, formula)
-            actual = fast.check_all(models, formula)
-            if expected is None:
+        fast = ModelChecker(registry)
+        actuals = [fast.check_all(models, formula) for formula in formulas]
+        # The reference checks every model on its own, in input order, with
+        # case screening switched off.
+        monkeypatch.setattr(checker_module, "case_feasible", lambda *args: True)
+        slow = ModelChecker(registry)
+        for formula, actual in zip(formulas, actuals):
+            expected = [slow.check(model, formula) for model in models]
+            if any(result is None for result in expected):
                 assert actual is None
             else:
                 assert actual is not None
@@ -203,3 +207,5 @@ class TestFailFastEquivalence:
                 assert [r.instantiation for r in actual] == [
                     r.instantiation for r in expected
                 ]
+        assert fast.screen_stats.pruned_cases > 0
+        assert slow.screen_stats.pruned_cases == 0

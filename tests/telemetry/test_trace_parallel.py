@@ -43,6 +43,31 @@ def test_worker_spans_reparent_under_origin(tmp_path):
     assert {span["parent"] for span in function_spans} <= job_ids
 
 
+def test_workers_running_several_jobs_keep_every_job_span(tmp_path):
+    """More jobs than workers: each worker's segment keeps all its jobs.
+
+    Every job unpickles a fresh ``Telemetry``; the worker must keep writing
+    through one segment tracer instead of reopening (and truncating) its
+    segment per job, so each job appears exactly once and span ids stay
+    unique across the whole merged trace.
+    """
+    trace_path = tmp_path / "reused.ndjson"
+    telemetry = Telemetry(trace_path)
+    config = default_job_config(telemetry=telemetry)
+    engine = InferenceEngine(jobs=2)
+    reports = engine.run(
+        [EngineJob(kind="spec", benchmark=name, config=config) for name in BENCHMARKS]
+    )
+    telemetry.close()
+    assert all(report.ok for report in reports)
+
+    spans = span_records(read_trace(trace_path))
+    job_spans = [span for span in spans if span["kind"] == "job"]
+    assert sorted(span["name"] for span in job_spans) == sorted(BENCHMARKS)
+    ids = [span["id"] for span in spans]
+    assert len(ids) == len(set(ids))
+
+
 def test_worker_spans_parent_to_open_sweep_span(tmp_path):
     """With a sweep span open at merge time, worker jobs nest under it."""
     from repro.core.engine import run_category_batch

@@ -43,7 +43,7 @@ class TestTracerRoundTrip:
             with tracer.span("job", name="sll/insertFront", seed=0) as job:
                 job.set(ok=True)
             sweep.set(jobs=1)
-        tracer.counters("demo", {"checker_hits": 3})
+        tracer.counters("demo", {"checker_misses": 3})
         tracer.close()
 
         records = read_trace(path)
@@ -56,7 +56,7 @@ class TestTracerRoundTrip:
         assert spans["demo"]["parent"] is None
         assert spans["sll/insertFront"]["attrs"] == {"seed": 0, "ok": True}
         counters = [r for r in records if r["type"] == "counters"]
-        assert counters[0]["values"] == {"checker_hits": 3}
+        assert counters[0]["values"] == {"checker_misses": 3}
 
     def test_invalid_lines_are_rejected(self, tmp_path):
         path = tmp_path / "broken.ndjson"
