@@ -25,7 +25,10 @@ Design notes
   :class:`EngineError`).
 * Cache accounting: each report carries the checker and
   predicate-unfolding cache counters (:class:`CacheStats`) measured inside
-  the worker for exactly that job.
+  the worker for exactly that job.  A Table 1 payload carries that same
+  struct (``ProgramResult.cache is report.cache``; one pickle per report
+  keeps the identity across the fork), so the healing counters the parent
+  stamps onto the report are the payload's too.
 * Self-healing: the worker pool is supervised through a claim/done
   protocol (a crash-proof shared-memory claim slot per worker plus a
   result queue), so a worker death (segfault, OOM kill, an injected
@@ -47,7 +50,7 @@ import os
 import signal
 import threading
 from contextlib import nullcontext
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Sequence
 
 from repro.core.sling import SlingConfig
@@ -143,6 +146,12 @@ class EngineJob:
 class CacheStats:
     """Memoization and candidate-screening counters, for one job.
 
+    The one declaration of every counter: ``merge`` and ``as_dict`` are
+    derived from these fields.  A field sums when batches merge unless its
+    metadata says ``{"merge": "max"}`` (a depth or a size, not a volume:
+    the batch value is the largest any job observed); ``{"rate": name}``
+    renders that rate property right after the field in ``as_dict``.
+
     The screening counters (``candidates_*``, ``refuted_by_first_model``)
     measure the fail-fast pipeline of Algorithm 2: candidates enumerated,
     candidates rejected by the semantic pre-filter without any checker call,
@@ -154,23 +163,23 @@ class CacheStats:
     #: Exact per-candidate reductions run (``ModelChecker.check`` calls).
     checker_misses: int = 0
     unfold_hits: int = 0
-    unfold_misses: int = 0
+    unfold_misses: int = field(default=0, metadata={"rate": "unfold_hit_rate"})
     # Per-inference (variable, models) memo of the driver: Algorithm 2 runs
     # shared among result branches (see ``Sling.infer_from_models``).
     atom_cache_hits: int = 0
     atom_cache_misses: int = 0
     candidates_generated: int = 0
     candidates_prefiltered: int = 0
-    candidates_checked: int = 0
+    candidates_checked: int = field(default=0, metadata={"rate": "prefilter_rate"})
     refuted_by_first_model: int = 0
     pruned_cases: int = 0
-    max_trail_depth: int = 0
+    max_trail_depth: int = field(default=0, metadata={"merge": "max"})
     # Skeleton-batching counters (``ModelChecker.check_batch``): groups
     # formed, skeleton searches run, env-stream memo reuses, compiled
     # pure-variant evaluations, exact-search fallbacks.
     candidate_groups: int = 0
     skeletons_solved: int = 0
-    env_stream_reuses: int = 0
+    env_stream_reuses: int = field(default=0, metadata={"rate": "stream_reuse_rate"})
     pure_variant_evals: int = 0
     batch_exact_fallbacks: int = 0
     # Canonical-interning counters (isomorphism dedup in the driver and
@@ -189,7 +198,8 @@ class CacheStats:
     exact_selection_ambiguities: int = 0
     # Columnar-kernel counters (``repro.sl.kernels``): group-kernel
     # invocations, variants resolved via posting-list intersection over the
-    # stream slot indexes, and pin-free variants that kept the full scan.
+    # stream slot indexes, and full entry scans actually run for pin-free
+    # variants (settle-record cache misses; at most one per invocation).
     # All zero under ``SlingConfig.reference_search``.
     kernel_groups: int = 0
     stream_index_hits: int = 0
@@ -200,9 +210,9 @@ class CacheStats:
     # undecodable rows).  All zero unless ``SlingConfig.persistent_cache``
     # is set -- the search-guard baselines pin exactly that.
     disk_hits: int = 0
-    disk_misses: int = 0
+    disk_misses: int = field(default=0, metadata={"rate": "disk_hit_rate"})
     disk_evictions: int = 0
-    cache_file_bytes: int = 0
+    cache_file_bytes: int = field(default=0, metadata={"merge": "max"})
     disk_load_errors: int = 0
     # Resilience counters (see ``docs/resilience.md``): transient-failure
     # retries consumed, pool workers respawned after a death, jobs
@@ -225,7 +235,7 @@ class CacheStats:
     # restart.  All exactly zero outside serve mode -- the search-guard
     # baselines pin that, like every prior subsystem.
     serve_requests: int = 0
-    serve_queue_high_water: int = 0
+    serve_queue_high_water: int = field(default=0, metadata={"merge": "max"})
     serve_rejections: int = 0
     serve_deadline_expiries: int = 0
     serve_client_disconnects: int = 0
@@ -233,55 +243,9 @@ class CacheStats:
 
     def merge(self, other: "CacheStats") -> None:
         """Accumulate another job's counters into this one."""
-        self.checker_misses += other.checker_misses
-        self.unfold_hits += other.unfold_hits
-        self.unfold_misses += other.unfold_misses
-        self.atom_cache_hits += other.atom_cache_hits
-        self.atom_cache_misses += other.atom_cache_misses
-        self.candidates_generated += other.candidates_generated
-        self.candidates_prefiltered += other.candidates_prefiltered
-        self.candidates_checked += other.candidates_checked
-        self.refuted_by_first_model += other.refuted_by_first_model
-        self.pruned_cases += other.pruned_cases
-        self.candidate_groups += other.candidate_groups
-        self.skeletons_solved += other.skeletons_solved
-        self.env_stream_reuses += other.env_stream_reuses
-        self.pure_variant_evals += other.pure_variant_evals
-        self.batch_exact_fallbacks += other.batch_exact_fallbacks
-        self.iso_classes += other.iso_classes
-        self.models_deduped += other.models_deduped
-        self.canonical_stream_hits += other.canonical_stream_hits
-        self.iso_exact_fallbacks += other.iso_exact_fallbacks
-        self.exact_selection_ambiguities += other.exact_selection_ambiguities
-        self.kernel_groups += other.kernel_groups
-        self.stream_index_hits += other.stream_index_hits
-        self.kernel_scan_fallbacks += other.kernel_scan_fallbacks
-        self.disk_hits += other.disk_hits
-        self.disk_misses += other.disk_misses
-        self.disk_evictions += other.disk_evictions
-        self.disk_load_errors += other.disk_load_errors
-        self.jobs_retried += other.jobs_retried
-        self.workers_respawned += other.workers_respawned
-        self.jobs_poisoned += other.jobs_poisoned
-        self.pool_rebuilds += other.pool_rebuilds
-        self.degraded_sequential += other.degraded_sequential
-        self.faults_injected += other.faults_injected
-        self.serve_requests += other.serve_requests
-        self.serve_rejections += other.serve_rejections
-        self.serve_deadline_expiries += other.serve_deadline_expiries
-        self.serve_client_disconnects += other.serve_client_disconnects
-        self.serve_requests_resumed += other.serve_requests_resumed
-        # A depth, not a volume: the queue high-water mark of a merged batch
-        # is the deepest any contributor observed.
-        if other.serve_queue_high_water > self.serve_queue_high_water:
-            self.serve_queue_high_water = other.serve_queue_high_water
-        # A size, not a volume: jobs sharing one cache file all report the
-        # same file, so the batch-wide value is the largest observed.
-        if other.cache_file_bytes > self.cache_file_bytes:
-            self.cache_file_bytes = other.cache_file_bytes
-        # A depth, not a volume: the batch-wide value is the deepest job.
-        if other.max_trail_depth > self.max_trail_depth:
-            self.max_trail_depth = other.max_trail_depth
+        for name, keep_max, _ in _COUNTERS:
+            mine, theirs = getattr(self, name), getattr(other, name)
+            setattr(self, name, max(mine, theirs) if keep_max else mine + theirs)
 
     @property
     def unfold_hit_rate(self) -> float:
@@ -307,53 +271,22 @@ class CacheStats:
         return self.disk_hits / total if total else 0.0
 
     def as_dict(self) -> dict[str, float]:
-        return {
-            "checker_misses": self.checker_misses,
-            "unfold_hits": self.unfold_hits,
-            "unfold_misses": self.unfold_misses,
-            "unfold_hit_rate": round(self.unfold_hit_rate, 4),
-            "atom_cache_hits": self.atom_cache_hits,
-            "atom_cache_misses": self.atom_cache_misses,
-            "candidates_generated": self.candidates_generated,
-            "candidates_prefiltered": self.candidates_prefiltered,
-            "candidates_checked": self.candidates_checked,
-            "prefilter_rate": round(self.prefilter_rate, 4),
-            "refuted_by_first_model": self.refuted_by_first_model,
-            "pruned_cases": self.pruned_cases,
-            "max_trail_depth": self.max_trail_depth,
-            "candidate_groups": self.candidate_groups,
-            "skeletons_solved": self.skeletons_solved,
-            "env_stream_reuses": self.env_stream_reuses,
-            "stream_reuse_rate": round(self.stream_reuse_rate, 4),
-            "pure_variant_evals": self.pure_variant_evals,
-            "batch_exact_fallbacks": self.batch_exact_fallbacks,
-            "iso_classes": self.iso_classes,
-            "models_deduped": self.models_deduped,
-            "canonical_stream_hits": self.canonical_stream_hits,
-            "iso_exact_fallbacks": self.iso_exact_fallbacks,
-            "exact_selection_ambiguities": self.exact_selection_ambiguities,
-            "kernel_groups": self.kernel_groups,
-            "stream_index_hits": self.stream_index_hits,
-            "kernel_scan_fallbacks": self.kernel_scan_fallbacks,
-            "disk_hits": self.disk_hits,
-            "disk_misses": self.disk_misses,
-            "disk_hit_rate": round(self.disk_hit_rate, 4),
-            "disk_evictions": self.disk_evictions,
-            "cache_file_bytes": self.cache_file_bytes,
-            "disk_load_errors": self.disk_load_errors,
-            "jobs_retried": self.jobs_retried,
-            "workers_respawned": self.workers_respawned,
-            "jobs_poisoned": self.jobs_poisoned,
-            "pool_rebuilds": self.pool_rebuilds,
-            "degraded_sequential": self.degraded_sequential,
-            "faults_injected": self.faults_injected,
-            "serve_requests": self.serve_requests,
-            "serve_queue_high_water": self.serve_queue_high_water,
-            "serve_rejections": self.serve_rejections,
-            "serve_deadline_expiries": self.serve_deadline_expiries,
-            "serve_client_disconnects": self.serve_client_disconnects,
-            "serve_requests_resumed": self.serve_requests_resumed,
-        }
+        """Every counter in declaration order, each rate after its counters."""
+        data: dict[str, float] = {}
+        for name, _, rate in _COUNTERS:
+            data[name] = getattr(self, name)
+            if rate is not None:
+                data[rate] = round(getattr(self, rate), 4)
+        return data
+
+
+#: ``(field, merges by max, rate rendered after it)`` for every
+#: :class:`CacheStats` field in declaration order: the one table that
+#: ``merge`` and ``as_dict`` walk, derived from the field declarations.
+_COUNTERS = tuple(
+    (spec.name, spec.metadata.get("merge") == "max", spec.metadata.get("rate"))
+    for spec in fields(CacheStats)
+)
 
 
 @dataclass
@@ -519,7 +452,7 @@ def _dispatch(job: EngineJob) -> tuple[object, CacheStats]:
         from repro.evaluation.table1 import evaluate_program
 
         result = evaluate_program(benchmark, config=job.config, seed=job.seed)
-        return result, result.cache_stats()
+        return result, result.cache
 
     if job.kind == "table2":
         from repro.evaluation.table2 import compare_benchmark
@@ -706,7 +639,6 @@ class InferenceEngine:
         )
         if used:
             report.cache.jobs_retried += used
-            _mirror_heal_counters(report)
         return report
 
     def run_named(
@@ -780,9 +712,7 @@ class InferenceEngine:
 # Self-healing pool
 # ---------------------------------------------------------------------------
 
-#: Parent-side healing counters stamped onto the guilty job's report (and
-#: mirrored onto payloads that carry matching fields, e.g. the Table 1
-#: ``ProgramResult``).  ``faults_injected`` is worker-side and mirrored too.
+#: Parent-side healing counters stamped onto the guilty job's report.
 _HEAL_FIELDS = (
     "jobs_retried",
     "workers_respawned",
@@ -790,22 +720,6 @@ _HEAL_FIELDS = (
     "pool_rebuilds",
     "degraded_sequential",
 )
-
-
-def _mirror_heal_counters(report: EngineReport) -> None:
-    """Copy resilience counters from ``report.cache`` onto its payload.
-
-    Table 1 payloads fill their counter fields from the worker-side
-    ``Sling`` snapshot, which cannot know about parent-side healing; this
-    post-hoc copy is what makes retries and respawns visible in the table
-    JSON and ``cache_totals()``.
-    """
-    payload = report.payload
-    if payload is None:
-        return
-    for field_name in (*_HEAL_FIELDS, "faults_injected"):
-        if hasattr(payload, field_name):
-            setattr(payload, field_name, getattr(report.cache, field_name))
 
 
 def _backoff_seed(job: EngineJob) -> int:
@@ -1348,7 +1262,6 @@ class _PoolSupervisor:
             report = self.final[index]
             for field_name, value in state.heal.items():
                 setattr(report.cache, field_name, getattr(report.cache, field_name) + value)
-            _mirror_heal_counters(report)
 
     def _emit_span(self, kind: str, name: str, **attrs) -> None:
         if self.tracer is None:

@@ -196,16 +196,9 @@ class Sling:
 
         unfold = self.predicates.unfold_stats()
         screen = self.checker.screen_stats
+        disk = {}
         if self.persistent_cache is not None:
             disk = self.persistent_cache.counters()
-        else:
-            disk = {
-                "disk_hits": 0,
-                "disk_misses": 0,
-                "disk_evictions": 0,
-                "cache_file_bytes": 0,
-                "disk_load_errors": 0,
-            }
         return CacheStats(
             checker_misses=self.checker.check_calls,
             unfold_hits=unfold["hits"],

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import argparse
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
 from repro.benchsuite.registry import BenchmarkProgram
@@ -34,28 +34,15 @@ from repro.core.results import Specification
 from repro.core.sling import Sling, SlingConfig
 from repro.telemetry import monotime
 
-#: :class:`ProgramResult` attributes that render :class:`CacheStats` fields
-#: under a historical flat name (the ``--json`` schema predates the struct);
-#: every other field maps by identity.
-_RENAMED_CACHE_FIELDS = {
-    "checker_misses": "checker_cache_misses",
-    "unfold_hits": "unfold_cache_hits",
-    "unfold_misses": "unfold_cache_misses",
-}
-
-#: ``(ProgramResult attribute, CacheStats field)`` pairs -- generated from
-#: the struct itself, so a counter added to :class:`CacheStats` flows into
-#: per-program results, JSON output and ``cache_totals()`` by adding one
-#: matching :class:`ProgramResult` field.
-_CACHE_FIELD_PAIRS = [
-    (_RENAMED_CACHE_FIELDS.get(spec.name, spec.name), spec.name)
-    for spec in fields(CacheStats)
-]
-
-
 @dataclass
 class ProgramResult:
-    """Per-program measurements feeding one Table 1 row."""
+    """Per-program measurements feeding one Table 1 row.
+
+    ``cache`` holds the run's counters.  Under the engine it is the very
+    :class:`CacheStats` of the job's :class:`~repro.core.engine.EngineReport`,
+    so the healing counters the engine stamps on the report after the fact
+    (a worker cannot know it died) are this row's counters too.
+    """
 
     name: str
     loc: int
@@ -69,70 +56,7 @@ class ProgramResult:
     inductive_atoms: int
     pure_atoms: int
     specification: Specification | None = None
-    # Memoization counters of the run that produced this row (engine metric).
-    checker_cache_misses: int = 0
-    unfold_cache_hits: int = 0
-    unfold_cache_misses: int = 0
-    # Per-inference (variable, models) memo sharing Algorithm 2 runs.
-    atom_cache_hits: int = 0
-    atom_cache_misses: int = 0
-    # Candidate-screening counters (fail-fast pipeline of Algorithm 2).
-    candidates_generated: int = 0
-    candidates_prefiltered: int = 0
-    candidates_checked: int = 0
-    refuted_by_first_model: int = 0
-    pruned_cases: int = 0
-    max_trail_depth: int = 0
-    # Skeleton-batching counters (see ``ModelChecker.check_batch``).
-    candidate_groups: int = 0
-    skeletons_solved: int = 0
-    env_stream_reuses: int = 0
-    pure_variant_evals: int = 0
-    batch_exact_fallbacks: int = 0
-    # Canonical-interning counters (isomorphism dedup + canonical streams).
-    iso_classes: int = 0
-    models_deduped: int = 0
-    canonical_stream_hits: int = 0
-    iso_exact_fallbacks: int = 0
-    exact_selection_ambiguities: int = 0
-    # Columnar-kernel counters (see ``repro.sl.kernels``; all zero under
-    # ``SlingConfig.reference_search``).
-    kernel_groups: int = 0
-    stream_index_hits: int = 0
-    kernel_scan_fallbacks: int = 0
-    # Persistent-cache counters (all zero unless the run set
-    # ``SlingConfig.persistent_cache``; see :mod:`repro.cache`).
-    disk_hits: int = 0
-    disk_misses: int = 0
-    disk_evictions: int = 0
-    cache_file_bytes: int = 0
-    disk_load_errors: int = 0
-    # Resilience counters (all zero for fault-free runs; the parent-side
-    # healing counters are stamped onto this payload by the engine after
-    # the fact -- a worker cannot know it died).  See docs/resilience.md.
-    jobs_retried: int = 0
-    workers_respawned: int = 0
-    jobs_poisoned: int = 0
-    pool_rebuilds: int = 0
-    degraded_sequential: int = 0
-    faults_injected: int = 0
-    # Serving-layer counters (all zero outside ``repro serve`` request
-    # handling; see docs/serving.md).
-    serve_requests: int = 0
-    serve_queue_high_water: int = 0
-    serve_rejections: int = 0
-    serve_deadline_expiries: int = 0
-    serve_client_disconnects: int = 0
-    serve_requests_resumed: int = 0
-
-    def cache_stats(self) -> CacheStats:
-        """This run's counters, repackaged as the engine's struct."""
-        return CacheStats(
-            **{
-                stats_field: getattr(self, attribute)
-                for attribute, stats_field in _CACHE_FIELD_PAIRS
-            }
-        )
+    cache: CacheStats = field(default_factory=CacheStats)
 
     def as_dict(self, include_invariants: bool = False) -> dict:
         """JSON-serializable view (used by ``python -m repro table1 --json``)."""
@@ -149,8 +73,12 @@ class ProgramResult:
             "inductive_atoms": self.inductive_atoms,
             "pure_atoms": self.pure_atoms,
         }
-        for attribute, _ in _CACHE_FIELD_PAIRS:
-            data[attribute] = getattr(self, attribute)
+        counters = asdict(self.cache)
+        # Historical flat names: the ``--json`` schema predates the struct.
+        data["checker_cache_misses"] = counters.pop("checker_misses")
+        data["unfold_cache_hits"] = counters.pop("unfold_hits")
+        data["unfold_cache_misses"] = counters.pop("unfold_misses")
+        data.update(counters)
         if include_invariants and self.specification is not None:
             data["inferred"] = [
                 {"location": inv.location, "formula": inv.pretty(), "spurious": inv.spurious}
@@ -196,15 +124,15 @@ class CategoryRow:
 
     @property
     def candidates_checked(self) -> int:
-        return sum(result.candidates_checked for result in self.programs)
+        return sum(result.cache.candidates_checked for result in self.programs)
 
     @property
     def candidates_prefiltered(self) -> int:
-        return sum(result.candidates_prefiltered for result in self.programs)
+        return sum(result.cache.candidates_prefiltered for result in self.programs)
 
     @property
     def candidate_groups(self) -> int:
-        return sum(result.candidate_groups for result in self.programs)
+        return sum(result.cache.candidate_groups for result in self.programs)
 
     @property
     def a_s_x(self) -> tuple[int, int, int]:
@@ -254,7 +182,7 @@ class Table1Result:
         totals = CacheStats()
         for row in self.rows:
             for program in row.programs:
-                totals.merge(program.cache_stats())
+                totals.merge(program.cache)
         return totals
 
     def as_dict(self, include_invariants: bool = False) -> dict:
@@ -308,7 +236,6 @@ def evaluate_program(
     else:
         classification = "A"
 
-    cache = collect_cache_stats(sling, unfold_before)
     return ProgramResult(
         name=benchmark.name,
         loc=benchmark.loc(),
@@ -322,10 +249,7 @@ def evaluate_program(
         inductive_atoms=sum(invariant.predicate_count() for invariant in invariants),
         pure_atoms=sum(invariant.pure_count() for invariant in invariants),
         specification=specification,
-        **{
-            attribute: getattr(cache, stats_field)
-            for attribute, stats_field in _CACHE_FIELD_PAIRS
-        },
+        cache=collect_cache_stats(sling, unfold_before),
     )
 
 

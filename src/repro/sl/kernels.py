@@ -44,7 +44,8 @@ kinds.
 Counters (:class:`repro.sl.screen.ScreeningStats`): ``kernel_groups``
 counts kernel invocations (one per group x model), ``stream_index_hits``
 variants resolved through posting-list intersection,
-``kernel_scan_fallbacks`` pin-free variants that scanned every entry;
+``kernel_scan_fallbacks`` full entry scans actually run for pin-free
+variants (settle-record memo misses, so at most one per invocation);
 ``pure_variant_evals`` counts entries actually examined per variant.
 """
 
@@ -159,10 +160,10 @@ def decide_group(
             # the record degenerates to a full scan -- computed once per
             # (stream, consumer) and shared by every group's all-fresh
             # variant from then on.
-            stats.kernel_scan_fallbacks += len(members)
             key = (positions, (), consumer)
             record = cache.get(key, _ABSENT)
             if record is _ABSENT:
+                stats.kernel_scan_fallbacks += 1
                 record = _settle_scan(
                     stats, entries, match, discharge, max_solutions, view
                 )

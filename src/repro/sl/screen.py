@@ -32,7 +32,7 @@ candidates that a base case can satisfy vacuously.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Mapping, Sequence
 
 from repro.sl.errors import UnknownPredicateError
@@ -87,31 +87,15 @@ class ScreeningStats:
     exact_selection_ambiguities: int = 0
     #: Columnar-kernel counters (see :mod:`repro.sl.kernels`): group-kernel
     #: invocations (one per candidate group x model), variants resolved by
-    #: posting-list intersection over the stream's slot indexes, and
-    #: pin-free variants that kept the full entry scan as their fallback.
+    #: posting-list intersection over the stream's slot indexes, and full
+    #: entry scans actually run for pin-free variants (settle-record cache
+    #: misses, so at most one per invocation).
     kernel_groups: int = 0
     stream_index_hits: int = 0
     kernel_scan_fallbacks: int = 0
 
     def as_dict(self) -> dict[str, int]:
-        return {
-            "candidates_generated": self.candidates_generated,
-            "candidates_prefiltered": self.candidates_prefiltered,
-            "candidates_checked": self.candidates_checked,
-            "refuted_by_first_model": self.refuted_by_first_model,
-            "pruned_cases": self.pruned_cases,
-            "max_trail_depth": self.max_trail_depth,
-            "candidate_groups": self.candidate_groups,
-            "skeletons_solved": self.skeletons_solved,
-            "env_stream_reuses": self.env_stream_reuses,
-            "pure_variant_evals": self.pure_variant_evals,
-            "batch_exact_fallbacks": self.batch_exact_fallbacks,
-            "canonical_stream_hits": self.canonical_stream_hits,
-            "exact_selection_ambiguities": self.exact_selection_ambiguities,
-            "kernel_groups": self.kernel_groups,
-            "stream_index_hits": self.stream_index_hits,
-            "kernel_scan_fallbacks": self.kernel_scan_fallbacks,
-        }
+        return asdict(self)
 
 
 # ---------------------------------------------------------------------------

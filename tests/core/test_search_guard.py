@@ -95,9 +95,9 @@ class TestSearchSpaceGuard:
             "canonical_stream_hits",
             "iso_exact_fallbacks",
             # The columnar-kernel shape is deterministic too: invocations,
-            # index-resolved variants and pin-free scan fallbacks per
-            # workload only move when the grouping or the kernel's
-            # resolution strategy changes.
+            # index-resolved variants and full scans run for pin-free
+            # variants per workload only move when the grouping or the
+            # kernel's resolution strategy changes.
             "kernel_groups",
             "stream_index_hits",
             "kernel_scan_fallbacks",
