@@ -3,15 +3,15 @@
 PYTHON ?= python
 PYTHONPATH := src
 
-.PHONY: check test smoke trace-smoke chaos-smoke serve-smoke lint-timing bench bench-micro bench-smoke bench-smoke-engine bench-compare bench-warm docs table1 table2
+.PHONY: check test smoke trace-smoke chaos-smoke serve-smoke lint-timing perfbench-selftest bench-micro bench-smoke bench-warm docs table1 table2
 
 # Tier-1 gate: the full test suite (which includes the deterministic
-# search-space guard), a CLI smoke test, the micro/ablation benchmark
-# harnesses (run once each, as correctness smoke), a small engine bench and
-# the full engine bench gated against the committed trajectory -- one
-# command.  (bench-smoke-engine, not bench-smoke: `test` already ran the
-# guard.)
-check: lint-timing test smoke trace-smoke bench-micro bench-smoke-engine bench-compare
+# search-space guard), a CLI smoke test (including a cold and a resumed
+# `repro cache verify`), the micro/ablation benchmark harnesses (run once
+# each, as correctness smoke) and the repo benchmark's self-test, whose
+# full jobs=2 sweep is checked against the committed oracle references --
+# one command.
+check: lint-timing test smoke trace-smoke bench-micro perfbench-selftest
 
 # The pytest-benchmark harnesses (checker scaling, variable-order ablation)
 # exercised as plain tests: their assertions catch API or counter drift that
@@ -24,9 +24,14 @@ bench-micro:
 test:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest -x -q
 
+# The cache verify pair runs on one fresh file: the first run writes it
+# (cold), the second reads it back as a restored cache would be (resumed).
 smoke:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro table1 --category SLL --limit 2 --json > /dev/null
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro docs --stdout > /dev/null
+	rm -f /tmp/smoke_cache.sqlite*
+	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro cache verify --file /tmp/smoke_cache.sqlite > /dev/null
+	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro cache verify --file /tmp/smoke_cache.sqlite > /dev/null
 	@echo "CLI smoke test OK"
 
 # Produce a real trace end to end and prove every consumer of it works:
@@ -80,54 +85,30 @@ lint-timing:
 	fi
 	@echo "timing lint OK"
 
-bench:
-	PYTHONPATH=$(PYTHONPATH) $(PYTHON) benchmarks/bench_engine.py --jobs 4 --limit 2
+# The repo benchmark's self-test (see BENCHMARK.json and perfbench/): the
+# per-layer books balance, worker segments keep every job, and a traced
+# jobs=2 sweep of all 150 programs matches the committed oracle references
+# -- which covers both fast path == reference search and jobs=N == jobs=1.
+perfbench-selftest:
+	$(PYTHON) perfbench/selftest.py
+	@echo "perfbench self-test OK"
 
 # Quick performance gate: the deterministic search-space guard (exact
-# candidate counts, no timing flakiness) plus a two-programs-per-category
-# engine bench as an end-to-end smoke.  Timing comparisons against the
-# committed trajectory need the full sweep: see bench-compare (a --limit
-# run is not comparable to the full-sweep baseline).
+# candidate counts, no timing flakiness; the fast path must also check
+# fewer candidates than the reference search).
 bench-smoke:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest tests/core/test_search_guard.py -q
-	$(MAKE) bench-smoke-engine
 
-bench-smoke-engine:
-	PYTHONPATH=$(PYTHONPATH) $(PYTHON) benchmarks/bench_engine.py --jobs 2 --limit 2 \
-		--quiet --out /tmp/bench_smoke.json
-	@echo "bench smoke OK (report: /tmp/bench_smoke.json)"
-
-# Full-sweep regression gate, two checks in one run:
-#  * --assert-accel 1.3 -- the tight, machine- and load-independent gate:
-#    the fast-path and reference-search (SlingConfig.reference_search)
-#    sequential sweeps run back to back in the same process, so their ratio
-#    is immune to co-tenant load and hardware speed.  A drop below 1.3x
-#    means the batching/screening fast path itself regressed.
-#  * --compare (threshold 0.60) -- the absolute wall-time trajectory against
-#    the committed benchmarks/BENCH_engine.json, loosened because the
-#    committed baseline is an idle-box measurement and shared machines swing
-#    well past the default 20%; it still catches catastrophic slowdowns.
-# The report goes to /tmp so CI never touches the committed baseline;
-# refresh the baseline deliberately (PYTHONPATH=src python
-# benchmarks/bench_engine.py --jobs 4) on an idle machine.
-bench-compare:
-	PYTHONPATH=$(PYTHONPATH) $(PYTHON) benchmarks/bench_engine.py --jobs 4 --quiet \
-		--compare benchmarks/BENCH_engine.json --compare-threshold 0.60 \
-		--assert-accel 1.3 --out /tmp/bench_compare.json
-	@echo "bench compare OK (report: /tmp/bench_compare.json)"
-
-# Warm-start gate: a cold sweep writes the persistent cache, a warm sweep
-# re-reads it, and the run fails unless the warm disk hit rate is >= 0.9
-# and both sweeps reproduce the cache-less reference bit-identically.
-# WARM_CACHE defaults to a throwaway file; point it at a kept path (as the
-# CI warm-start job does, via actions/cache keyed on the predicate-registry
-# fingerprint) to measure warm starts across invocations.
+# Warm-start gate: `repro cache verify` writes the persistent cache file if
+# it is missing, re-reads it, and fails unless the warm disk hit rate is
+# >= 0.9 and every cached sweep reproduces the cache-less one
+# bit-identically.  Point WARM_CACHE at a kept path (as the CI warm-start
+# job does, via actions/cache keyed on the predicate-registry fingerprint)
+# to check a cache written by an earlier run.
+WARM_CACHE ?= /tmp/bench_warm.sqlite
 bench-warm:
-	PYTHONPATH=$(PYTHONPATH) $(PYTHON) benchmarks/bench_engine.py --warm-start \
-		--limit 2 --quiet --assert-warm-hit 0.9 \
-		$(if $(WARM_CACHE),--cache-file $(WARM_CACHE),) \
-		--out /tmp/bench_warm.json
-	@echo "warm-start bench OK (report: /tmp/bench_warm.json)"
+	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro cache verify --file $(WARM_CACHE)
+	@echo "warm-start check OK"
 
 docs:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro docs

@@ -17,15 +17,11 @@ repro``.  Subcommands:
 ``table1`` / ``table2``
     Regenerate the paper's evaluation tables, optionally in parallel
     (``--jobs N``) and as JSON (``--json``).
-``bench``
-    Measure sequential-vs-parallel wall time and cache hit rates of the
-    engine over the Table 1 suite and emit a JSON report.  With
-    ``--warm-start`` it instead runs the suite twice against one persistent
-    cache file and reports the cold/warm ratio and disk hit rate.
 ``cache``
     Inspect and manage persistent cache files: ``stats``, ``export``,
-    ``import``, ``clear`` and ``fingerprint`` (the registry fingerprint
-    used as the CI cache key).
+    ``import``, ``clear``, ``fingerprint`` (the registry fingerprint used
+    as the CI cache key) and ``verify`` (a cached Table 1 sweep must
+    reproduce the cache-less one from disk).
 ``trace``
     Analyse NDJSON span traces written by ``--trace-out``: ``summary``
     (per-phase table, hottest locations/predicates), ``export --format
@@ -50,8 +46,13 @@ import json
 import os
 import sys
 
-from repro.core.engine import EngineError, EngineJob, InferenceEngine, benchmark_engine
-from repro.evaluation.table1 import add_table1_arguments, table1_command
+from repro.core.engine import EngineError, EngineJob, InferenceEngine
+from repro.evaluation.table1 import (
+    MIN_WARM_HIT_RATE,
+    add_table1_arguments,
+    table1_command,
+    verify_cache_file,
+)
 from repro.evaluation.table2 import add_table2_arguments, table2_command
 from repro.sl.stdpreds import STRUCT_FIELDS
 
@@ -161,105 +162,20 @@ def _build_parser() -> argparse.ArgumentParser:
     add_table2_arguments(table2)
     table2.set_defaults(handler=table2_command)
 
-    bench = subparsers.add_parser(
-        "bench", help="benchmark the engine: sequential vs parallel, cache hit rates"
-    )
-    bench.add_argument("--category", action="append", help="restrict to a category (repeatable)")
-    bench.add_argument(
-        "--limit", type=int, default=None, help="cap programs per category (smoke runs)"
-    )
-    bench.add_argument("--jobs", type=int, default=4, help="parallel sweep worker count")
-    bench.add_argument("--seed", type=int, default=0, help="random seed for test inputs")
-    bench.add_argument("--out", default=None, help="write the JSON report to this file")
-    bench.add_argument(
-        "--compare",
-        default=None,
-        metavar="BENCH_prev.json",
-        help=(
-            "load a previous bench report and fail (exit 1) when the "
-            "sequential wall time regressed by more than 20%% "
-            "(see --compare-threshold)"
-        ),
-    )
-    bench.add_argument(
-        "--compare-threshold",
-        type=float,
-        default=BENCH_REGRESSION_THRESHOLD,
-        metavar="FRACTION",
-        help=(
-            "relative sequential wall-time increase tolerated by --compare "
-            "(default 0.20; raise it on shared/noisy machines where the "
-            "committed baseline was measured idle)"
-        ),
-    )
-    bench.add_argument(
-        "--assert-accel",
-        type=float,
-        default=None,
-        metavar="RATIO",
-        help=(
-            "fail (exit 1) when this run's speedup.cache -- the same-run, "
-            "load-immune ratio of the reference-search sequential sweep to "
-            "the fast-path one -- falls below RATIO"
-        ),
-    )
-    bench.add_argument(
-        "--warm-start",
-        action="store_true",
-        help=(
-            "persistent-cache mode: run the suite twice against one cache "
-            "file (cold write, warm read) and report the cold/warm ratio "
-            "and disk hit rate instead of the parallel sweeps"
-        ),
-    )
-    bench.add_argument(
-        "--cache-file",
-        default=None,
-        metavar="PATH",
-        help=(
-            "cache file for --warm-start (default: a temporary file, "
-            "deleted afterwards; pass a path to keep the warmed cache)"
-        ),
-    )
-    bench.add_argument(
-        "--assert-warm-hit",
-        type=float,
-        default=None,
-        metavar="RATE",
-        help=(
-            "with --warm-start, fail (exit 1) when the warm sweep's disk "
-            "hit rate falls below RATE (e.g. 0.9)"
-        ),
-    )
-    bench.add_argument(
-        "--trace",
-        action="store_true",
-        help=(
-            "trace the accelerated sweeps and add a per-phase 'phases' "
-            "summary to the report (additive keys only); the NDJSON trace "
-            "goes to --trace-out, default trace.ndjson"
-        ),
-    )
-    bench.add_argument(
-        "--trace-out",
-        default=None,
-        metavar="FILE",
-        help="NDJSON trace file for --trace (implies --trace when given)",
-    )
-    bench.add_argument("--quiet", action="store_true", help="suppress progress messages")
-    bench.set_defaults(handler=_cmd_bench)
-
     cache = subparsers.add_parser(
         "cache", help="inspect and manage persistent cache files"
     )
     cache.add_argument(
         "action",
-        choices=("stats", "export", "import", "clear", "fingerprint"),
+        choices=("stats", "export", "import", "clear", "fingerprint", "verify"),
         help=(
             "stats: summarize a cache file; export: dump it portably; "
             "import: merge a dump into a cache file; clear: drop all "
             "entries; fingerprint: print the standard predicate registry's "
-            "fingerprint (the cache key)"
+            "fingerprint (the cache key); verify: write the file if it is "
+            "missing, then fail (exit 1) unless a Table 1 sweep reading it "
+            f"reproduces the cache-less sweep with a disk hit rate >= "
+            f"{MIN_WARM_HIT_RATE}"
         ),
     )
     cache.add_argument(
@@ -489,102 +405,6 @@ def _spec_report_dict(report) -> dict:
     return data
 
 
-#: Relative wall-time increase over the previous report that fails a
-#: ``bench --compare`` run.
-BENCH_REGRESSION_THRESHOLD = 0.20
-
-
-def _cmd_bench(arguments: argparse.Namespace) -> None:
-    progress = None if arguments.quiet else lambda message: print(f"# {message}", file=sys.stderr)
-    if arguments.warm_start:
-        _cmd_bench_warm_start(arguments, progress)
-        return
-    # Read the baseline up front: --out may legitimately point at the same
-    # file (the accumulating BENCH_engine.json trajectory), and comparing
-    # after the write would pit the new report against itself.
-    previous = None
-    if arguments.compare:
-        with open(arguments.compare, encoding="utf-8") as handle:
-            previous = json.load(handle)
-    trace_out = arguments.trace_out
-    if arguments.trace and trace_out is None:
-        trace_out = "trace.ndjson"
-    report = benchmark_engine(
-        categories=arguments.category,
-        limit=arguments.limit,
-        jobs=arguments.jobs,
-        seed=arguments.seed,
-        progress=progress,
-        trace_out=trace_out,
-    )
-    text = json.dumps(report, indent=2)
-    # The regression gates run BEFORE the report is written: when --out and
-    # --compare point at the same trajectory file, a failing run must not
-    # replace the very baseline it failed against.
-    failure = None
-    if previous is not None:
-        failure = _compare_bench_reports(previous, report, arguments.compare_threshold)
-    if failure is None and arguments.assert_accel is not None:
-        accel = report["speedup"]["cache"]
-        if accel is None or accel < arguments.assert_accel:
-            failure = (
-                f"bench: acceleration speedup {accel} fell below the required "
-                f"{arguments.assert_accel} (sequential vs the reference-search "
-                "sequential_nocache sweep, measured in this same run)"
-            )
-    if arguments.out and failure is None:
-        with open(arguments.out, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
-        print(f"wrote {arguments.out}", file=sys.stderr)
-    else:
-        print(text)
-    if failure is not None:
-        raise SystemExit(failure)
-
-
-def _cmd_bench_warm_start(arguments: argparse.Namespace, progress) -> None:
-    """``bench --warm-start``: Table 1 twice against one persistent cache file."""
-    import os
-    import tempfile
-
-    from repro.core.engine import benchmark_warm_start
-
-    cache_file = arguments.cache_file
-    temp_dir = None
-    if cache_file is None:
-        temp_dir = tempfile.TemporaryDirectory(prefix="repro-warm-")
-        cache_file = os.path.join(temp_dir.name, "warm.sqlite")
-    try:
-        report = benchmark_warm_start(
-            categories=arguments.category,
-            limit=arguments.limit,
-            seed=arguments.seed,
-            cache_file=cache_file,
-            jobs=arguments.jobs,
-            progress=progress,
-        )
-    finally:
-        if temp_dir is not None:
-            temp_dir.cleanup()
-    text = json.dumps(report, indent=2)
-    failure = None
-    if arguments.assert_warm_hit is not None:
-        hit_rate = report["disk"]["warm"]["hit_rate"]
-        if hit_rate < arguments.assert_warm_hit:
-            failure = (
-                f"bench: warm-start disk hit rate {hit_rate} fell below the "
-                f"required {arguments.assert_warm_hit}"
-            )
-    if arguments.out and failure is None:
-        with open(arguments.out, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
-        print(f"wrote {arguments.out}", file=sys.stderr)
-    else:
-        print(text)
-    if failure is not None:
-        raise SystemExit(failure)
-
-
 def _cmd_cache(arguments: argparse.Namespace) -> None:
     """``repro cache``: inspect and manage persistent cache files."""
     import pickle
@@ -600,6 +420,20 @@ def _cmd_cache(arguments: argparse.Namespace) -> None:
 
     if arguments.file is None:
         raise SystemExit(f"cache {arguments.action}: pass --file PATH")
+    if arguments.action == "verify":
+        report = verify_cache_file(arguments.file)
+        print(json.dumps(report, indent=2))
+        if not report["identical"]:
+            raise SystemExit(
+                "cache verify: a sweep through the cache file diverged from "
+                "the cache-less sweep"
+            )
+        if not report["passed"]:
+            raise SystemExit(
+                f"cache verify: warm disk hit rate {report['warm']['hit_rate']} "
+                f"fell below {MIN_WARM_HIT_RATE}"
+            )
+        return
     store = CacheStore(arguments.file)
     try:
         if arguments.action == "stats":
@@ -727,33 +561,6 @@ def _format_trace_diff(diff: dict) -> str:
             f"{entry['total_delta']:+10.3f}"
         )
     return "\n".join(lines)
-
-
-def _compare_bench_reports(
-    previous: dict, report: dict, threshold: float = BENCH_REGRESSION_THRESHOLD
-) -> str | None:
-    """Check the sequential wall time against the threshold.
-
-    The sequential sweep is the comparison metric: it is the engine's
-    reference execution mode and is unaffected by worker-count or
-    fork-overhead differences between machines.  Returns the failure
-    message on a regression beyond the threshold, ``None`` otherwise.
-    """
-    previous_seconds = previous["wall_seconds"]["sequential"]
-    current_seconds = report["wall_seconds"]["sequential"]
-    ratio = current_seconds / previous_seconds if previous_seconds else float("inf")
-    print(
-        f"# sequential wall time: {previous_seconds:.3f}s -> {current_seconds:.3f}s "
-        f"({ratio:.2f}x of previous)",
-        file=sys.stderr,
-    )
-    if current_seconds > previous_seconds * (1.0 + threshold):
-        return (
-            f"bench: sequential wall time regressed by more than "
-            f"{threshold:.0%} "
-            f"({previous_seconds:.3f}s -> {current_seconds:.3f}s)"
-        )
-    return None
 
 
 def _cmd_chaos(arguments: argparse.Namespace) -> None:

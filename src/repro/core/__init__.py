@@ -17,7 +17,6 @@ from repro.core.engine import (
     EngineJob,
     EngineReport,
     InferenceEngine,
-    benchmark_engine,
 )
 from repro.core.infer_atom import infer_atoms
 from repro.core.infer_pure import infer_pure_equalities
@@ -30,7 +29,6 @@ __all__ = [
     "EngineJob",
     "EngineReport",
     "InferenceEngine",
-    "benchmark_engine",
     "AtomResult",
     "InferredResult",
     "Invariant",

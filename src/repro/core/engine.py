@@ -20,9 +20,8 @@ Design notes
 * Determinism: inference is deterministic per (benchmark, seed, config) --
   the candidate search, the model checker and the existential-renaming
   normalization are all order-stable -- so ``jobs=N`` produces exactly the
-  same invariants as ``jobs=1``, merely faster.  :func:`benchmark_engine`
-  asserts this property on every run (a divergence raises
-  :class:`EngineError`).
+  same invariants as ``jobs=1``, merely faster.  The repo benchmark's
+  oracle references (``perfbench/golden/``) check this on every sweep.
 * Cache accounting: each report carries the checker and
   predicate-unfolding cache counters (:class:`CacheStats`) measured inside
   the worker for exactly that job.  A Table 1 payload carries that same
@@ -1340,7 +1339,7 @@ def warm_worker_state() -> dict[str, int]:
     canonical-form intern table (:mod:`repro.sl.model`) needs no explicit
     warm-up: forms interned by any work the parent already did are inherited
     as-is -- this function just makes the fork point explicit and reports
-    the inherited state's size for the bench report.
+    the inherited state's size.
     """
     from repro.benchsuite.registry import all_benchmarks, load_all
     from repro.sl.model import intern_table_size
@@ -1359,351 +1358,6 @@ def warm_worker_state() -> dict[str, int]:
         "predicate_case_screens": screens,
         "interned_canonical_forms": intern_table_size(),
     }
-
-
-# ---------------------------------------------------------------------------
-# Engine benchmark harness
-# ---------------------------------------------------------------------------
-
-
-def benchmark_engine(
-    categories: Sequence[str] | None = None,
-    limit: int | None = None,
-    jobs: int = 2,
-    seed: int = 0,
-    progress: Callable[[str], None] | None = None,
-    trace_out: str | None = None,
-) -> dict:
-    """Measure sequential vs. parallel wall time and cache effectiveness.
-
-    Up to three sweeps over the (optionally restricted) Table 1 suite:
-
-    1. sequential with every checker acceleration enabled (this cold sweep
-       also pays the one-time registry import and unfold-template warm-up,
-       so the speedups below are conservative, not inflated),
-    2. sequential with the reference search (``reference_search``): the
-       exact per-candidate check with no screening, skeleton batching or
-       isomorphism dedup (the unfolding caches on the shared predicate
-       registries stay warm across sweeps and cannot be disabled),
-    3. parallel with ``jobs`` workers and all accelerations enabled.
-
-    The parallel *timing* is only reported when it can mean anything: with
-    ``jobs <= 1`` the sweep is skipped outright (``parallel_skipped``
-    explains why), and on a single available CPU the sweep still runs --
-    the full-suite parallel-determinism assertion must not silently
-    disappear on 1-CPU CI boxes -- but ``wall_seconds.parallel`` and the
-    parallel speedups are reported as ``None`` with ``parallel_note``
-    explaining that a "speedup" there would only measure fork overhead
-    (``--compare`` only reads the sequential wall time, so its semantics
-    are unchanged either way).
-
-    Returns a JSON-serializable report with wall times, speedups and cache
-    hit rates.  The per-program invariants of every sweep are compared with
-    the first; a mismatch raises :class:`EngineError` (the checker
-    accelerations' result-identity and the engine's determinism guarantee
-    are asserted, not merely reported).
-
-    With ``trace_out`` set, the accelerated sweeps (sequential and parallel)
-    run with tracing on and the report gains ``phases`` (the per-kind span
-    summary) and ``trace_file`` keys -- additions only, the existing schema
-    is untouched.  The nocache baseline sweep stays *untraced*, so the
-    fingerprint assertion below doubles as proof that tracing does not
-    change results.
-    """
-    from repro.evaluation.table1 import run_table1
-
-    def say(message: str) -> None:
-        if progress is not None:
-            progress(message)
-
-    telemetry = None
-    traced_config: SlingConfig | None = None
-    if trace_out is not None:
-        from repro.telemetry import Telemetry
-
-        telemetry = Telemetry(trace_out)
-        traced_config = default_job_config(telemetry=telemetry)
-
-    def sweep(config: SlingConfig | None, sweep_jobs: int):
-        start = monotime()
-        result = run_table1(
-            categories=categories,
-            config=config,
-            seed=seed,
-            max_programs_per_category=limit,
-            jobs=sweep_jobs,
-        )
-        return monotime() - start, result
-
-    uncached_config = nocache_sweep_config()
-    available_cpus = multiprocessing.cpu_count()
-    parallel_skipped: str | None = None
-    parallel_note: str | None = None
-    if jobs <= 1:
-        parallel_skipped = "parallel sweep skipped: jobs <= 1"
-    elif available_cpus <= 1:
-        parallel_note = (
-            "single available CPU: parallel wall time not reported (a speedup "
-            "here would only measure fork overhead); the sweep still ran to "
-            "assert the engine's parallel determinism"
-        )
-    total_sweeps = 2 if parallel_skipped else 3
-
-    say(f"sweep 1/{total_sweeps}: sequential, checker accelerations enabled")
-    sequential_seconds, sequential_result = sweep(traced_config, 1)
-    say(f"sweep 2/{total_sweeps}: sequential, reference search")
-    nocache_seconds, nocache_result = sweep(uncached_config, 1)
-    parallel_seconds = None
-    parallel_result = None
-    if parallel_skipped is None:
-        say(f"sweep 3/3: parallel with {jobs} workers, accelerations enabled")
-        parallel_seconds, parallel_result = sweep(traced_config, jobs)
-        if parallel_note is not None:
-            parallel_seconds = None
-    else:
-        say(parallel_skipped)
-
-    sequential_fingerprints = table1_fingerprints(sequential_result)
-    if sequential_fingerprints != table1_fingerprints(nocache_result):
-        raise EngineError(
-            "accelerated sweep diverged from the reference search; "
-            "the fast path is changing results"
-        )
-    deterministic = None
-    if parallel_result is not None:
-        deterministic = sequential_fingerprints == table1_fingerprints(parallel_result)
-        if not deterministic:
-            raise EngineError(
-                f"parallel sweep (jobs={jobs}) diverged from the sequential results; "
-                "the engine's determinism guarantee is broken"
-            )
-    cache = sequential_result.cache_totals()
-
-    report = {
-        "benchmarks": sum(row.program_count for row in sequential_result.rows),
-        "jobs": jobs,
-        "wall_seconds": {
-            "sequential_nocache": round(nocache_seconds, 3),
-            "sequential": round(sequential_seconds, 3),
-            "parallel": round(parallel_seconds, 3) if parallel_seconds else None,
-        },
-        "speedup": {
-            "cache": round(nocache_seconds / sequential_seconds, 3)
-            if sequential_seconds
-            else None,
-            "parallel": round(sequential_seconds / parallel_seconds, 3)
-            if parallel_seconds
-            else None,
-            "combined": round(nocache_seconds / parallel_seconds, 3)
-            if parallel_seconds
-            else None,
-        },
-        "cache": cache.as_dict(),
-        "deterministic": deterministic,
-        "available_cpus": available_cpus,
-        "interned_canonical_forms": _intern_table_size(),
-        "meta": bench_metadata(),
-    }
-    if parallel_skipped is not None:
-        report["parallel_skipped"] = parallel_skipped
-    if parallel_note is not None:
-        report["parallel_note"] = parallel_note
-    if telemetry is not None:
-        telemetry.close()
-        from repro.telemetry import phase_summary, read_trace
-
-        report["trace_file"] = trace_out
-        report["phases"] = phase_summary(read_trace(trace_out))
-    return report
-
-
-def bench_metadata() -> dict:
-    """Environment provenance stamped into every bench report.
-
-    Records what a later reader needs to judge whether two bench numbers
-    are comparable: CPU count, the hash seed (``PYTHONHASHSEED`` governs
-    set/dict iteration and therefore *could* matter if determinism ever
-    regressed), platform, Python version and the git revision.
-    """
-    import platform
-    import subprocess
-
-    try:
-        git_rev = subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
-            capture_output=True,
-            text=True,
-            timeout=5,
-            cwd=os.path.dirname(os.path.abspath(__file__)),
-        ).stdout.strip() or None
-    except (OSError, subprocess.SubprocessError):
-        git_rev = None
-    return {
-        "cpu_count": multiprocessing.cpu_count(),
-        "pythonhashseed": os.environ.get("PYTHONHASHSEED"),
-        "platform": platform.platform(),
-        "python_version": platform.python_version(),
-        "git_rev": git_rev,
-    }
-
-
-def nocache_sweep_config() -> SlingConfig:
-    """The reference-search configuration of the bench baseline sweep.
-
-    The fast path whose result-identity the bench fingerprint comparison
-    asserts is replaced by the reference search here, and the persistent
-    cache is off: warm state must not leak into the baseline measurement.
-    """
-    return SlingConfig(
-        discard_crashed_runs=True, reference_search=True, persistent_cache=None
-    )
-
-
-def benchmark_warm_start(
-    categories: Sequence[str] | None = None,
-    limit: int | None = None,
-    seed: int = 0,
-    cache_file: str = "",
-    jobs: int = 1,
-    progress: Callable[[str], None] | None = None,
-) -> dict:
-    """Measure the persistent cache: Table 1 twice against one cache file.
-
-    Three sweeps over the (optionally restricted) Table 1 suite:
-
-    1. a reference sweep with the persistent cache *off* (the result-identity
-       baseline),
-    2. a cold sweep writing ``cache_file``,
-    3. a warm sweep reading the file the cold sweep just wrote.
-
-    When ``cache_file`` already exists -- a cache restored from a previous
-    invocation, as the CI warm-start job does -- the cold sweep is skipped
-    (measuring "cold" against a pre-warmed file would be meaningless) and
-    the warm sweep reads the restored file directly: genuine *cross-run*
-    warmth.  The report then carries ``"resumed": true`` with the cold
-    fields ``null``.
-
-    Every sweep that runs must produce bit-identical invariants
-    (:class:`EngineError` otherwise -- the disk tier's result-identity is
-    asserted, not merely reported).  The report carries the cold/warm wall
-    times and the disk counters of both cache sweeps; the warm sweep's
-    ``disk_hit_rate`` is the headline number (target: >= 0.9, near-zero
-    fresh skeleton solves).
-    """
-    from repro.evaluation.table1 import run_table1
-
-    def say(message: str) -> None:
-        if progress is not None:
-            progress(message)
-
-    resumed = bool(cache_file) and os.path.exists(cache_file)
-
-    def sweep(config: SlingConfig | None):
-        start = monotime()
-        result = run_table1(
-            categories=categories,
-            config=config,
-            seed=seed,
-            max_programs_per_category=limit,
-            jobs=jobs,
-        )
-        return monotime() - start, result
-
-    cached_config = default_job_config(persistent_cache=cache_file)
-
-    sweeps = 2 if resumed else 3
-    say(f"sweep 1/{sweeps}: reference (persistent cache off)")
-    reference_seconds, reference_result = sweep(None)
-    if resumed:
-        say(f"cache file {cache_file} already warm (restored run); skipping cold sweep")
-        cold_seconds, cold_result = None, None
-    else:
-        say(f"sweep 2/{sweeps}: cold, writing {cache_file}")
-        cold_seconds, cold_result = sweep(cached_config)
-    say(f"sweep {sweeps}/{sweeps}: warm, reading {cache_file}")
-    warm_seconds, warm_result = sweep(cached_config)
-
-    reference_fingerprints = table1_fingerprints(reference_result)
-    if cold_result is not None and (
-        table1_fingerprints(cold_result) != reference_fingerprints
-    ):
-        raise EngineError(
-            "cold persistent-cache sweep diverged from the cache-less "
-            "reference; writing the cache file is changing results"
-        )
-    if table1_fingerprints(warm_result) != reference_fingerprints:
-        raise EngineError(
-            "warm persistent-cache sweep diverged from the cache-less "
-            "reference; results served from disk are not bit-identical"
-        )
-
-    cold_cache = cold_result.cache_totals() if cold_result is not None else None
-    warm_cache = warm_result.cache_totals()
-    return {
-        "mode": "warm-start",
-        "meta": bench_metadata(),
-        "resumed": resumed,
-        "benchmarks": sum(row.program_count for row in reference_result.rows),
-        "cache_file": os.path.abspath(cache_file),
-        "jobs": jobs,
-        "wall_seconds": {
-            "reference": round(reference_seconds, 3),
-            "cold": round(cold_seconds, 3) if cold_seconds is not None else None,
-            "warm": round(warm_seconds, 3),
-        },
-        "speedup": {
-            "warm": round(cold_seconds / warm_seconds, 3)
-            if cold_seconds is not None and warm_seconds
-            else None,
-        },
-        "disk": {
-            "cold": None
-            if cold_cache is None
-            else {
-                "disk_hits": cold_cache.disk_hits,
-                "disk_misses": cold_cache.disk_misses,
-                "disk_evictions": cold_cache.disk_evictions,
-                "cache_file_bytes": cold_cache.cache_file_bytes,
-                "disk_load_errors": cold_cache.disk_load_errors,
-            },
-            "warm": {
-                "disk_hits": warm_cache.disk_hits,
-                "disk_misses": warm_cache.disk_misses,
-                "disk_evictions": warm_cache.disk_evictions,
-                "cache_file_bytes": warm_cache.cache_file_bytes,
-                "disk_load_errors": warm_cache.disk_load_errors,
-                "hit_rate": round(warm_cache.disk_hit_rate, 4),
-            },
-        },
-        "identical": True,
-    }
-
-
-def _intern_table_size() -> int:
-    from repro.sl.model import intern_table_size
-
-    return intern_table_size()
-
-
-def table1_fingerprints(result) -> list[tuple]:
-    """Order-stable identity of a Table 1 run's inferred invariants.
-
-    Used to assert that parallel sweeps reproduce the sequential results
-    exactly (timings excluded, of course).
-    """
-    fingerprints = []
-    for row in result.rows:
-        for program in row.programs:
-            invariants: tuple[str, ...] = ()
-            if program.specification is not None:
-                invariants = tuple(
-                    invariant.pretty()
-                    for invariant in program.specification.all_invariants()
-                )
-            fingerprints.append(
-                (row.category, program.name, program.classification, invariants)
-            )
-    return fingerprints
 
 
 def default_job_config(config: SlingConfig | None = None, **overrides) -> SlingConfig:

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
@@ -177,6 +178,26 @@ class Table1Result:
             "seconds": sum(row.seconds for row in self.rows),
         }
 
+    def fingerprints(self) -> list[tuple]:
+        """Order-stable identity of the inferred invariants (timings excluded).
+
+        Two runs that must agree -- ``jobs=N`` against ``jobs=1``, a
+        persistent-cache run against a cache-less one -- compare these.
+        """
+        fingerprints = []
+        for row in self.rows:
+            for program in row.programs:
+                invariants: tuple[str, ...] = ()
+                if program.specification is not None:
+                    invariants = tuple(
+                        invariant.pretty()
+                        for invariant in program.specification.all_invariants()
+                    )
+                fingerprints.append(
+                    (row.category, program.name, program.classification, invariants)
+                )
+        return fingerprints
+
     def cache_totals(self) -> CacheStats:
         """Aggregated memoization counters across every evaluated program."""
         totals = CacheStats()
@@ -286,6 +307,61 @@ def run_table1(
             rows.append(row)
         row.programs.append(payload)
     return Table1Result(rows=rows)
+
+
+#: The ``repro cache verify`` sweep: two programs per category with input
+#: seed 0, on four pool workers so concurrent readers of one cache file are
+#: covered.
+VERIFY_PROGRAMS_PER_CATEGORY = 2
+VERIFY_SEED = 0
+VERIFY_JOBS = 4
+#: Share of warm skeleton solves the cache file must serve from disk.
+MIN_WARM_HIT_RATE = 0.9
+
+
+def verify_cache_file(cache_file: str) -> dict:
+    """Check that a persistent cache file reproduces the cache-less run.
+
+    Runs the verify sweep with the persistent cache off (the reference),
+    then a cold sweep writing ``cache_file`` -- skipped when the file
+    already exists, e.g. restored from an earlier run (``"resumed"``) --
+    and a warm sweep reading it.  The report's ``passed`` is true when every
+    cached sweep reproduces the reference invariants bit-identically and
+    the warm sweep's disk hit rate is at least :data:`MIN_WARM_HIT_RATE`.
+    """
+
+    def sweep(config: SlingConfig | None) -> Table1Result:
+        return run_table1(
+            config=config,
+            seed=VERIFY_SEED,
+            max_programs_per_category=VERIFY_PROGRAMS_PER_CATEGORY,
+            jobs=VERIFY_JOBS,
+        )
+
+    resumed = os.path.exists(cache_file)
+    cached_config = SlingConfig(discard_crashed_runs=True, persistent_cache=cache_file)
+    expected = sweep(None).fingerprints()
+    identical = True
+    if not resumed:  # the cold sweep writes the file
+        identical = sweep(cached_config).fingerprints() == expected
+    warm = sweep(cached_config)
+    identical = identical and warm.fingerprints() == expected
+    cache = warm.cache_totals()
+    hit_rate = round(cache.disk_hit_rate, 4)
+    return {
+        "cache_file": os.path.abspath(cache_file),
+        "resumed": resumed,
+        "benchmarks": len(expected),
+        "identical": identical,
+        "warm": {
+            "disk_hits": cache.disk_hits,
+            "disk_misses": cache.disk_misses,
+            "disk_load_errors": cache.disk_load_errors,
+            "cache_file_bytes": cache.cache_file_bytes,
+            "hit_rate": hit_rate,
+        },
+        "passed": identical and hit_rate >= MIN_WARM_HIT_RATE,
+    }
 
 
 def format_table1(result: Table1Result) -> str:

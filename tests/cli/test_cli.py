@@ -99,3 +99,10 @@ def test_generated_docs_are_in_sync():
     assert process.stdout == committed, (
         "docs/predicates.md is stale; regenerate it with `python -m repro docs`"
     )
+
+
+def test_bench_subcommand_is_gone():
+    """The benchmark lives in perfbench/ (BENCHMARK.json), not in the CLI."""
+    process = _run("bench")
+    assert process.returncode == 2
+    assert "invalid choice: 'bench'" in process.stderr

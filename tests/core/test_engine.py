@@ -7,7 +7,6 @@ from repro.core.engine import (
     EngineJob,
     InferenceEngine,
     SpecPayload,
-    table1_fingerprints,
 )
 from repro.evaluation.table1 import run_table1
 
@@ -91,7 +90,7 @@ class TestTable1Determinism:
     def test_jobs1_equals_jobs4_on_a_category(self):
         sequential = run_table1(categories=["SLL"], max_programs_per_category=3, jobs=1)
         parallel = run_table1(categories=["SLL"], max_programs_per_category=3, jobs=4)
-        assert table1_fingerprints(sequential) == table1_fingerprints(parallel)
+        assert sequential.fingerprints() == parallel.fingerprints()
         # Timings differ; every counted column must not.
         seq_totals = sequential.totals()
         par_totals = parallel.totals()
