@@ -49,6 +49,10 @@ CACHE_SCHEMA_VERSION = 1
 #: order) are evicted at flush time.
 DEFAULT_MAX_ENTRIES = 100_000
 
+#: Keys bound per ``IN (...)`` query, under SQLite's historic 999-variable
+#: limit (two more variables carry the fingerprint and kind).
+_KEYS_PER_QUERY = 500
+
 #: Process-global preloaded row tables, keyed by absolute cache-file path.
 #: Populated by :func:`preload_cache_file` in the engine parent *before*
 #: the worker pool forks, so every worker inherits the table copy-on-write
@@ -250,6 +254,29 @@ class CacheStore:
         except sqlite3.Error as exc:
             self._fail(exc)
             return []
+
+    def present_keys(self, fingerprint: str, kind: str, keys: list[bytes]) -> set[bytes]:
+        """The subset of ``keys`` with a row under ``(fingerprint, kind)``."""
+        if not keys:
+            return set()
+        conn = self._connect()
+        if conn is None:
+            return set()
+        present: set[bytes] = set()
+        try:
+            self._inject("cache_read")
+            for start in range(0, len(keys), _KEYS_PER_QUERY):
+                chunk = keys[start : start + _KEYS_PER_QUERY]
+                rows = conn.execute(
+                    "SELECT key FROM entries WHERE fingerprint = ? AND kind = ?"
+                    f" AND key IN ({', '.join('?' * len(chunk))})",
+                    (fingerprint, kind, *chunk),
+                ).fetchall()
+                present.update(bytes(key) for (key,) in rows)
+        except sqlite3.Error as exc:
+            self._fail(exc)
+            return set()
+        return present
 
     def iter_rows(self) -> list[tuple[str, str, bytes, bytes]]:
         """Every row of the store (used by preload and export)."""

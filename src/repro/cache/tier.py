@@ -5,7 +5,9 @@ in-memory caches of one :class:`~repro.sl.checker.ModelChecker`:
 
 * the ``EnvStream`` skeleton memo -- served lazily, one stream per miss
   (:meth:`PersistentCache.load_stream`, called from ``_get_stream`` after
-  an in-memory miss);
+  an in-memory miss that the engine batch's stream pool did not serve
+  either; a pool-served key is noted instead and checked against the file
+  at flush time, see :meth:`PersistentCache.note_pooled`);
 * the learned-refuter table -- bulk-loaded at :meth:`attach` time (only
   canonical-form refuters persist; integer refuters are batch-relative);
 * the predicate unfolding caches -- template *keys* are persisted and the
@@ -89,6 +91,9 @@ class PersistentCache:
         }
         #: Stream keys served from disk since the last flush (recency bump).
         self._touched: set[bytes] = set()
+        #: Stream keys served by the batch's stream pool since the last
+        #: flush, not yet checked against the store (see :meth:`note_pooled`).
+        self._pooled: set[bytes] = set()
         #: Optional span tracer (set by the owning :class:`Sling`; ``None``
         #: keeps loads and flushes on the untraced fast path).
         self.tracer = None
@@ -199,6 +204,17 @@ class PersistentCache:
         self._touched.add(key_bytes)
         return stream
 
+    def note_pooled(self, key) -> None:
+        """Record a stream the engine batch's pool served instead of disk.
+
+        The job that published it usually wrote its row already, so the
+        next :meth:`flush` asks the store which pooled keys it holds: those
+        count as known and get the recency bump a disk hit gets, without
+        being re-encoded; the rest (the publisher wrote another file, its
+        flush failed, or eviction dropped the row) are written as usual.
+        """
+        self._pooled.add(stable_key_bytes(key))
+
     def _note_decode_error(self, kind: str, exc: BaseException) -> None:
         if self._decode_errors == 0:
             log.warning(
@@ -217,8 +233,9 @@ class PersistentCache:
 
         Persists complete canonical-keyed streams, canonical-form refuters
         and unfolding-template keys; bumps hit metadata for streams served
-        from disk; evicts over the size cap; refreshes ``cache_file_bytes``.
-        The ``_known`` bookkeeping makes repeated flushes naturally
+        from disk (or from the batch pool, when their row is on disk);
+        evicts over the size cap; refreshes ``cache_file_bytes``.  The
+        ``_known`` bookkeeping makes repeated flushes naturally
         incremental -- only rows learned since the previous call are
         written -- so callers (the serve daemon, per-location incremental
         mode) may flush as often as they like.  Intermediate flushes pass
@@ -247,11 +264,18 @@ class PersistentCache:
     def _flush(self, checker, final: bool = True) -> dict[str, int]:
         written = {KIND_STREAM: 0, KIND_REFUTER: 0, KIND_UNFOLD: 0}
 
-        stream_rows = []
         known_streams = self._known[KIND_STREAM]
-        for key, stream in checker._streams.items():
-            if not stream.complete or not isinstance(key[-1], CanonicalForm):
-                continue
+        if self._pooled:
+            on_disk = self._pooled & known_streams
+            on_disk |= self.store.present_keys(
+                self.fingerprint, KIND_STREAM, sorted(self._pooled - known_streams)
+            )
+            known_streams |= on_disk
+            self._touched |= on_disk
+            self._pooled.clear()
+
+        stream_rows = []
+        for key, stream in checker.shareable_streams():
             key_bytes = stable_key_bytes(key)
             if key_bytes in known_streams:
                 continue

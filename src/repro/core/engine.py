@@ -36,9 +36,9 @@ Design notes
   exponential backoff (``max_retries``); a job that kills a worker *twice*
   is quarantined as poison (``error="poisoned"``, never a third respawn);
   and after ``max_pool_rebuilds`` healing rounds the engine degrades to
-  in-process sequential execution -- warned, counted, and bit-identical,
-  because sequential execution is the reference the pool must reproduce
-  anyway.  See ``docs/resilience.md``.
+  in-process sequential execution -- warned, counted, and with
+  bit-identical invariants, because sequential execution is the reference
+  the pool must reproduce anyway.  See ``docs/resilience.md``.
 """
 
 from __future__ import annotations
@@ -60,6 +60,7 @@ from repro.faults import (
     maybe_inject,
     set_current_attempt,
 )
+from repro.sl.checker import stream_pool
 from repro.telemetry import monotime
 
 log = logging.getLogger("repro.engine")
@@ -239,6 +240,12 @@ class CacheStats:
     serve_deadline_expiries: int = 0
     serve_client_disconnects: int = 0
     serve_requests_resumed: int = 0
+    # Run-scoped stream pool (``repro.sl.checker.StreamPool``): stream-memo
+    # misses served by a finished stream an earlier job of the same engine
+    # batch published.  Like ``disk_hits``, counted in neither
+    # ``skeletons_solved`` nor ``env_stream_reuses``; zero for a ``Sling``
+    # built outside a batch -- the search-guard baselines pin that.
+    stream_pool_hits: int = 0
 
     def merge(self, other: "CacheStats") -> None:
         """Accumulate another job's counters into this one."""
@@ -504,7 +511,12 @@ class InferenceEngine:
     jobs:
         Worker-pool size.  ``1`` (the default) executes inline in the
         calling process -- no fork, no pickling -- which is also the
-        reference behaviour parallel runs must reproduce bit-for-bit.
+        reference behaviour parallel runs must reproduce: bit-for-bit in
+        the inferred invariants and the candidate search.  The counters
+        of the skeleton work a batch's stream pool saves
+        (``skeletons_solved``, ``stream_pool_hits`` and the search-depth
+        counters of the solves) depend on which earlier jobs shared a
+        worker, so they are only reproducible run to run with ``jobs=1``.
     job_timeout:
         Default per-job timeout in seconds (see :class:`EngineJob.timeout`).
         ``None`` waits indefinitely.  Enforced per job by an interval timer
@@ -532,8 +544,8 @@ class InferenceEngine:
         Healing rounds tolerated before the engine gives up on pools
         entirely and runs the remaining jobs inline, sequentially, in the
         parent process -- warned, counted per job (``degraded_sequential``)
-        and bit-identical, since sequential execution is the reference the
-        pool must reproduce anyway.
+        and with bit-identical invariants, since sequential execution is
+        the reference the pool must reproduce anyway.
     """
 
     def __init__(
@@ -590,6 +602,12 @@ class InferenceEngine:
         shrinking wall-clock budget (the serve daemon's per-request
         deadline) stays accurate for the later jobs of a batch: each one is
         stamped with only the budget remaining when it actually starts.
+
+        A batch of two or more jobs runs under a run-scoped stream pool
+        (:func:`repro.sl.checker.stream_pool`): later jobs reuse the
+        finished skeleton streams earlier ones published, with identical
+        results.  Forked pool workers inherit the empty pool and each fills
+        its own; the pool is dropped when the batch returns or raises.
         """
         # Bake the engine-wide default timeout into each job so the executing
         # process (inline or pool worker) enforces it locally.
@@ -601,25 +619,29 @@ class InferenceEngine:
         ]
         if not batch:
             return []
-        if self.jobs == 1 or len(batch) == 1:
-            reports = []
-            for index, job in enumerate(batch):
-                reason = cancel() if cancel is not None else None
-                if reason is not None:
-                    report = EngineReport(
-                        job=job, ok=False, error=f"cancelled: {reason}", seconds=0.0
-                    )
-                else:
-                    if timeout_for is not None:
-                        job = replace(job, timeout=timeout_for(job))
-                    report = self._execute_inline(job)
-                if on_report is not None:
-                    on_report(index, report)
-                reports.append(report)
-            return reports
-        return self._run_pool(
-            batch, on_report=on_report, cancel=cancel, timeout_for=timeout_for
-        )
+        with stream_pool() if len(batch) > 1 else nullcontext():
+            if self.jobs == 1 or len(batch) == 1:
+                reports = []
+                for index, job in enumerate(batch):
+                    reason = cancel() if cancel is not None else None
+                    if reason is not None:
+                        report = EngineReport(
+                            job=job,
+                            ok=False,
+                            error=f"cancelled: {reason}",
+                            seconds=0.0,
+                        )
+                    else:
+                        if timeout_for is not None:
+                            job = replace(job, timeout=timeout_for(job))
+                        report = self._execute_inline(job)
+                    if on_report is not None:
+                        on_report(index, report)
+                    reports.append(report)
+                return reports
+            return self._run_pool(
+                batch, on_report=on_report, cancel=cancel, timeout_for=timeout_for
+            )
 
     def _execute_inline(self, job: EngineJob) -> EngineReport:
         """Run one job in this process, with the same retry policy as the pool.
@@ -1215,9 +1237,9 @@ class _PoolSupervisor:
         """Finish the remaining jobs inline, sequentially, in this process.
 
         Lethal fault actions are downgraded outside pool workers, so even
-        the plan that broke the pool cannot kill the parent here; results
-        are bit-identical to a healthy pool run by the engine's determinism
-        guarantee.
+        the plan that broke the pool cannot kill the parent here; inferred
+        invariants are bit-identical to a healthy pool run by the engine's
+        determinism guarantee.
         """
         for index in sorted(self.outstanding):
             if self.cancel is not None and not self.cancelled:

@@ -215,18 +215,19 @@ class Sling:
     def cache_stats(self) -> dict:
         """Dict rendering of :meth:`cache_counters` (JSON reports, tests).
 
-        When the persistent cache is active the dict additionally carries a
-        ``counter_semantics`` note: streams served from disk count neither
-        ``skeletons_solved`` nor ``env_stream_reuses``, so those counters
-        are **not comparable** with a cache-less run's (see
-        ``docs/performance.md``).
+        When the persistent cache or an engine batch's stream pool is active
+        the dict additionally carries a ``counter_semantics`` note: streams
+        served from disk or from the pool count neither ``skeletons_solved``
+        nor ``env_stream_reuses``, so those counters are **not comparable**
+        with a standalone, cache-less run's (see ``docs/performance.md``).
         """
         stats = self.cache_counters().as_dict()
-        if self.persistent_cache is not None:
+        if self.persistent_cache is not None or self.checker.stream_pool is not None:
             stats["counter_semantics"] = (
-                "persistent cache active: disk-served streams count neither "
-                "skeletons_solved nor env_stream_reuses; do not compare these "
-                "counters with a cache-less run"
+                "persistent cache or batch stream pool active: disk- and "
+                "pool-served streams count neither skeletons_solved nor "
+                "env_stream_reuses; do not compare these counters with a "
+                "standalone cache-less run"
             )
         return stats
 
@@ -519,6 +520,7 @@ class Sling:
             models, location=location_name, free_vars=free_vars
         )
         self.flush_persistent()
+        self.checker.publish_streams()
         return invariants
 
     def infer_function(
@@ -583,6 +585,7 @@ class Sling:
 
         specification.validated = self._validate(specification, traces, function_name)
         self.flush_persistent()
+        self.checker.publish_streams()
         return specification
 
     # ------------------------------------------------------------------ internals --

@@ -39,7 +39,9 @@ enumeration order.  Both always share (see ``docs/performance.md``):
 
 from __future__ import annotations
 
+import threading
 from collections import OrderedDict
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
@@ -57,7 +59,7 @@ from repro.sl.exprs import (
     FalseF,
     Var,
 )
-from repro.sl.model import Heap, StackHeapModel
+from repro.sl.model import CanonicalForm, Heap, StackHeapModel
 from repro.sl.predicates import PredicateRegistry, canonical_unfold_key
 from repro.sl.screen import ScreeningStats, case_feasible, formula_shape
 from repro.sl.spatial import Emp, PointsTo, PredApp, SepConj, Spatial, SymHeap
@@ -160,6 +162,11 @@ class ModelChecker:
         self.stream_cache_size = stream_cache_size
         self.stream_max_entries = stream_max_entries
         self._streams: OrderedDict[tuple, EnvStream] = OrderedDict()
+        #: The run-scoped pool of the engine batch this checker was built
+        #: in (see :func:`stream_pool`); ``None`` outside a batch keeps the
+        #: stream path exactly as it is for a standalone checker.
+        self.stream_pool: StreamPool | None = getattr(_POOL_SCOPE, "pool", None)
+        self._pool_space: tuple | None = None
         #: Optional disk tier beneath the canonical-keyed caches (set by
         #: :meth:`repro.cache.tier.PersistentCache.attach`; ``None`` keeps
         #: every code path byte-identical to the cache-less checker).
@@ -597,6 +604,43 @@ class ModelChecker:
             space = self._codegen_space = registry_fingerprint(self.registry)
         return space
 
+    def pool_space(self) -> tuple:
+        """The part of a stream-pool key that pins this checker's search.
+
+        Two checkers may share a finished stream only when they enumerate
+        and settle it identically: same predicate definitions (the registry
+        fingerprint), same step budget and entry cap (which decide whether
+        an enumeration completes), and same solution cap (which shapes the
+        settle records the stream carries along).
+        """
+        space = self._pool_space
+        if space is None:
+            space = self._pool_space = (
+                self.codegen_space(),
+                self.max_steps,
+                self.max_solutions,
+                self.stream_max_entries,
+            )
+        return space
+
+    def shareable_streams(self) -> Iterator[tuple[tuple, "EnvStream"]]:
+        """The ``(key, stream)`` memo entries that may leave this checker.
+
+        Only a *complete* stream under a canonical key is a pure function
+        of its key: a concrete key embeds process-local addresses, and a
+        stream cut off by the entry cap or the step budget is not a full
+        enumeration.  The batch stream pool and the disk tier both share
+        exactly these.
+        """
+        for key, stream in self._streams.items():
+            if stream.complete and isinstance(key[-1], CanonicalForm):
+                yield key, stream
+
+    def publish_streams(self) -> None:
+        """Offer this checker's finished streams to its batch's pool."""
+        if self.stream_pool is not None:
+            self.stream_pool.publish(self.pool_space(), self.shareable_streams())
+
     def _get_stream(
         self,
         skeleton: SymHeap,
@@ -657,33 +701,38 @@ class ModelChecker:
             from repro.faults import maybe_inject
 
             maybe_inject(self.fault_plan, "stream_materialize", qualifier=atom.name)
-        if canon is not None and self.persistent is not None:
-            # Disk tier, canonical keys only: a persisted stream is a
-            # finished enumeration in canonical space, directly readable
-            # through this consumer's view.  Deliberately counts neither
-            # ``skeletons_solved`` (nothing was solved) nor
-            # ``env_stream_reuses`` (nothing was in memory).
-            loaded = self.persistent.load_stream(key)
-            if loaded is not None:
-                streams[key] = loaded
-                if len(streams) > self.stream_cache_size:
-                    streams.popitem(last=False)
-                return loaded, view
-        stream = EnvStream(
-            self._iter_skeleton_leaves(model, skeleton),
-            tuple(arg.name for arg in atom.args),
-            len(model.heap),
-            self.stream_max_entries,
-            canon=canon,
-            source_root=root_value,
-            source_heap_hash=hash(model.heap),
-            tracer=self.tracer,
-        )
-        streams[key] = stream
+        shared = None
+        if canon is not None:
+            # A finished enumeration in canonical space, directly readable
+            # through this consumer's view: first from the run-scoped pool
+            # (published by an earlier job of this engine batch), then from
+            # the disk tier.  Neither counts ``skeletons_solved`` (nothing
+            # was solved here) nor ``env_stream_reuses`` (nothing was in
+            # this checker's memo).
+            if self.stream_pool is not None:
+                shared = self.stream_pool.get((self.pool_space(), key))
+                if shared is not None:
+                    self.screen_stats.stream_pool_hits += 1
+                    if self.persistent is not None:
+                        self.persistent.note_pooled(key)
+            if shared is None and self.persistent is not None:
+                shared = self.persistent.load_stream(key)
+        if shared is None:
+            shared = EnvStream(
+                self._iter_skeleton_leaves(model, skeleton),
+                tuple(arg.name for arg in atom.args),
+                len(model.heap),
+                self.stream_max_entries,
+                canon=canon,
+                source_root=root_value,
+                source_heap_hash=hash(model.heap),
+                tracer=self.tracer,
+            )
+            self.screen_stats.skeletons_solved += 1
+        streams[key] = shared
         if len(streams) > self.stream_cache_size:
             streams.popitem(last=False)
-        self.screen_stats.skeletons_solved += 1
-        return stream, view
+        return shared, view
 
     def _iter_skeleton_leaves(self, model: StackHeapModel, skeleton: SymHeap):
         """Raw-leaf enumeration of the skeleton search (EnvStream source).
@@ -1081,6 +1130,11 @@ _UNDECIDED = object()
 #: Upper bound on learned refuter entries (LRU-evicted beyond it).
 _REFUTERS_LIMIT = 4096
 
+#: Upper bound on the streams one run-scoped :class:`StreamPool` holds
+#: (LRU-evicted beyond it).  An unbounded pool saves a few more solves but
+#: keeps every finished stream of the batch alive.
+_STREAM_POOL_LIMIT = 256
+
 #: Prefix of the synthetic skeleton slot variables.  ``?`` cannot occur in
 #: parsed/program variable names, so slots never shadow stack variables.
 _SLOT_PREFIX = "?w"
@@ -1474,6 +1528,68 @@ class EnvStream:
                 entry.deferred is not None for entry in self.entries
             )
         return cached
+
+
+class StreamPool:
+    """Finished skeleton streams shared by the jobs of one engine batch.
+
+    The benchmark programs of a sweep share predicate registries and heap
+    shapes, so a later job keeps asking for streams an earlier job already
+    enumerated.  At the end of a successful inference each job publishes
+    the *complete*, canonically keyed streams of its checker's memo
+    (:meth:`ModelChecker.publish_streams`); a later checker consults the
+    pool after its own memo misses and before the disk tier.  A complete
+    stream is a pure function of its key, so serving it changes no verdict;
+    a stream cut off by the entry cap or the step budget is never published.
+
+    Keys are ``(pool space, stream key)`` where the pool space
+    (:meth:`ModelChecker.pool_space`) pins the registry and the search
+    limits.  Insertion follows each publishing memo's own LRU order, so the
+    pool is deterministic for a deterministic batch, and it is LRU-bounded
+    by ``_STREAM_POOL_LIMIT``.
+    """
+
+    __slots__ = ("_streams",)
+
+    def __init__(self):
+        self._streams: OrderedDict[tuple, EnvStream] = OrderedDict()
+
+    def get(self, key: tuple) -> "EnvStream | None":
+        stream = self._streams.get(key)
+        if stream is not None:
+            self._streams.move_to_end(key)
+        return stream
+
+    def publish(self, space: tuple, streams) -> None:
+        """Add ``(key, stream)`` pairs of one checker's shareable streams."""
+        pool = self._streams
+        for key, stream in streams:
+            pooled = (space, key)
+            pool[pooled] = stream
+            pool.move_to_end(pooled)
+        while len(pool) > _STREAM_POOL_LIMIT:
+            pool.popitem(last=False)
+
+
+#: Per-thread home of the open pool: checkers bind to it at construction.
+#: A forked engine worker inherits its parent thread's (empty) pool.
+_POOL_SCOPE = threading.local()
+
+
+@contextmanager
+def stream_pool():
+    """Open an empty :class:`StreamPool` for the checkers built in this block.
+
+    Scoped to the calling thread and restored on exit, also when the block
+    raises: a checker built afterwards, or on another thread, sees no pool.
+    """
+    previous = getattr(_POOL_SCOPE, "pool", None)
+    pool = _POOL_SCOPE.pool = StreamPool()
+    try:
+        yield pool
+    finally:
+        _POOL_SCOPE.pool = previous
+
 
 # Sentinel for the lazily computed unfold key in ``_solve_pred`` (the key
 # itself may legitimately be ``None`` for non-canonical argument tuples).

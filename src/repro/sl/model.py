@@ -12,8 +12,8 @@ to thread residual heaps through the iterative inference.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Sequence
 
 from repro.sl.errors import HeapError
 from repro.sl.exprs import NIL_VALUE

@@ -93,6 +93,10 @@ class ScreeningStats:
     kernel_groups: int = 0
     stream_index_hits: int = 0
     kernel_scan_fallbacks: int = 0
+    #: Stream-memo misses served by the run-scoped pool of an engine batch
+    #: (see :class:`repro.sl.checker.StreamPool`).  Like a disk hit, a pool
+    #: hit counts neither ``skeletons_solved`` nor ``env_stream_reuses``.
+    stream_pool_hits: int = 0
 
     def as_dict(self) -> dict[str, int]:
         return asdict(self)

@@ -41,26 +41,63 @@ def test_table2_json_parses():
     assert data["summary"]["total"] > 0
 
 
+#: Per-program counters of the skeleton work the batch's stream pool saves.
+#: With ``--jobs 2`` they depend on which earlier jobs shared each worker's
+#: pool, so only sequential runs reproduce them exactly.
+POOL_DEPENDENT = (
+    "skeletons_solved",
+    "stream_pool_hits",
+    "pruned_cases",
+    "max_trail_depth",
+    "pure_variant_evals",
+    "kernel_scan_fallbacks",
+    "canonical_stream_hits",
+)
+
+
+def _drop(data, keys):
+    for row in data["rows"]:
+        for program in row["programs"]:
+            for key in keys:
+                program.pop(key)
+
+
 def test_table1_parallel_jobs_flag():
     process = _run("table1", "--category", "SLL", "--limit", "2", "--jobs", "2", "--json")
     assert process.returncode == 0, process.stderr
     parallel = json.loads(process.stdout)
-    sequential = json.loads(
-        _run("table1", "--category", "SLL", "--limit", "2", "--json").stdout
+    sequential, again = (
+        json.loads(_run("table1", "--category", "SLL", "--limit", "2", "--json").stdout)
+        for _ in range(2)
     )
-    # Drop the timing/cache fields; every counted column must agree.
-    for data in (parallel, sequential):
+    # A parallel run agrees on the stream-memo misses, whether solved or
+    # served by a pool.
+    misses = [
+        [
+            program["skeletons_solved"] + program["stream_pool_hits"]
+            for row in data["rows"]
+            for program in row["programs"]
+        ]
+        for data in (parallel, sequential)
+    ]
+    assert misses[0] == misses[1]
+    # Drop the timing/cache fields: two sequential runs agree on every
+    # counted column, a parallel one on all but the pool-dependent ones.
+    for data in (parallel, sequential, again):
         del data["cache"]
         data["totals"].pop("seconds")
-        for row in data["rows"]:
-            for program in row["programs"]:
-                for key in (
-                    "seconds",
-                    "checker_cache_misses",
-                    "unfold_cache_hits",
-                    "unfold_cache_misses",
-                ):
-                    program.pop(key)
+        _drop(
+            data,
+            (
+                "seconds",
+                "checker_cache_misses",
+                "unfold_cache_hits",
+                "unfold_cache_misses",
+            ),
+        )
+    assert again == sequential
+    _drop(parallel, POOL_DEPENDENT)
+    _drop(sequential, POOL_DEPENDENT)
     assert parallel == sequential
 
 

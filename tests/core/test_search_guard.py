@@ -101,6 +101,10 @@ class TestSearchSpaceGuard:
             "serve_deadline_expiries",
             "serve_client_disconnects",
             "serve_requests_resumed",
+            # Pinned at zero: the run-scoped stream pool exists only inside
+            # an engine batch of two or more jobs, so a standalone Sling
+            # never sees one.
+            "stream_pool_hits",
         ):
             assert stats[key] == recorded[key], (
                 f"{name}: {key} changed from {recorded[key]} to {stats[key]} "
@@ -159,6 +163,7 @@ class TestSearchSpaceGuard:
             "serve_deadline_expiries",
             "serve_client_disconnects",
             "serve_requests_resumed",
+            "stream_pool_hits",
         ):
             assert key in stats, f"cache_stats() lost the {key!r} counter"
 

@@ -176,6 +176,7 @@ class TestScreeningStats:
             "kernel_scan_fallbacks",
             "canonical_stream_hits",
             "exact_selection_ambiguities",
+            "stream_pool_hits",
         }
 
 
