@@ -15,7 +15,12 @@ from repro.cache.store import (
     CacheStore,
     preload_cache_file,
 )
-from repro.cache.tier import PersistentCache, PersistentCacheError
+from repro.cache.tier import (
+    PersistentCache,
+    PersistentCacheError,
+    bind_tier,
+    close_tiers,
+)
 
 __all__ = [
     "CACHE_SCHEMA_VERSION",
@@ -23,6 +28,8 @@ __all__ = [
     "CacheStore",
     "PersistentCache",
     "PersistentCacheError",
+    "bind_tier",
+    "close_tiers",
     "preload_cache_file",
     "registry_fingerprint",
 ]

@@ -8,7 +8,9 @@ Two invariants shape everything here:
   memoization order -- neither may ever be used as a database key.  Keys
   are therefore rendered through :func:`stable_key_bytes`: canonical forms
   are unwrapped to their raw key tuples (plain ``str``/``int`` nests whose
-  ``repr`` is deterministic) and the whole key is ``repr``-encoded.
+  ``repr`` is deterministic) and the whole key is ``repr``-encoded.  A
+  form's rendering is cached on the interned form, so a key costs one
+  ``repr`` of its small outer tuple however often it is rendered.
 * **Payloads must not smuggle process-local state.**  Stream entries are
   stored in canonical space already (tags ``('a', cid)``, dense ids) and
   are name-self-contained, so they pickle as plain data.  Canonical forms
@@ -27,18 +29,29 @@ from repro.sl.checker import EnvStream, _StreamEntry
 from repro.sl.model import CanonicalForm, intern_form
 
 
-def _strip_forms(value):
-    """Replace every CanonicalForm in a key nest by a stable marker tuple."""
+def _render(value) -> str:
+    """``repr`` of a key nest in which every CanonicalForm reads as the
+    marker tuple ``("__cf__", form.key)``; each form is rendered once."""
     if isinstance(value, CanonicalForm):
-        return ("__cf__", value.key)
-    if isinstance(value, tuple):
-        return tuple(_strip_forms(item) for item in value)
-    return value
+        text = value.stable_repr
+        if text is None:
+            text = value.stable_repr = repr(("__cf__", value.key))
+        return text
+    if not isinstance(value, tuple):
+        return repr(value)
+    parts = [repr(item) if type(item) in _LEAVES else _render(item) for item in value]
+    if len(parts) == 1:
+        return f"({parts[0]},)"
+    return f"({', '.join(parts)})"
+
+
+#: Key items that are rendered by ``repr`` alone (a fast path of _render).
+_LEAVES = frozenset((str, int))
 
 
 def stable_key_bytes(key) -> bytes:
     """Byte-stable rendering of a cache key (see the module docstring)."""
-    return repr(_strip_forms(key)).encode("utf-8")
+    return _render(key).encode("utf-8")
 
 
 # ------------------------------------------------------------------ streams --

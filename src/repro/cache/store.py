@@ -49,9 +49,10 @@ CACHE_SCHEMA_VERSION = 1
 #: order) are evicted at flush time.
 DEFAULT_MAX_ENTRIES = 100_000
 
-#: Keys bound per ``IN (...)`` query, under SQLite's historic 999-variable
-#: limit (two more variables carry the fingerprint and kind).
-_KEYS_PER_QUERY = 500
+#: Connections dropped because their file was replaced under them (see
+#: :meth:`CacheStore.abandon`).  Held, never closed: closing one would
+#: checkpoint its write-ahead log into whatever file now sits at the path.
+_ABANDONED: list[sqlite3.Connection] = []
 
 #: Process-global preloaded row tables, keyed by absolute cache-file path.
 #: Populated by :func:`preload_cache_file` in the engine parent *before*
@@ -81,11 +82,6 @@ def preload_cache_file(path) -> int:
     return len(rows)
 
 
-def preloaded_rows(path) -> dict[tuple[str, str, bytes], bytes] | None:
-    """The preloaded row table for ``path`` (``None`` when not preloaded)."""
-    return _PRELOADED.get(os.path.abspath(os.fspath(path)))
-
-
 class CacheStore:
     """One persistent cache file (see the module docstring).
 
@@ -96,6 +92,7 @@ class CacheStore:
 
     def __init__(self, path, max_entries: int = DEFAULT_MAX_ENTRIES, fault_plan=None):
         self.path = os.fspath(path)
+        self._abspath = os.path.abspath(self.path)
         self.max_entries = max_entries
         #: Failures swallowed so far (corruption, version skew, IO errors).
         self.load_errors = 0
@@ -106,6 +103,12 @@ class CacheStore:
         self.fault_plan = fault_plan
         self._conn: sqlite3.Connection | None = None
         self._failed = False
+        #: ``(device, inode)`` of the database and of its write-ahead log
+        #: when the connection was opened (see :meth:`replaced`).
+        self._identity: tuple = ()
+        #: ``PRAGMA data_version`` last seen, and :meth:`generation`.
+        self._data_version = None
+        self._generation = 0
 
     # ------------------------------------------------------------ plumbing --
 
@@ -192,11 +195,61 @@ class CacheStore:
                     (version,),
                 )
                 conn.commit()
+            (self._data_version,) = conn.execute("PRAGMA data_version").fetchone()
             self._conn = conn
+            self._identity = self._file_identity()
             return conn
         except (sqlite3.Error, OSError, ValueError) as exc:
             self._fail(exc)
             return None
+
+    def _file_identity(self) -> tuple:
+        identity = []
+        for suffix in ("", "-wal"):
+            try:
+                info = os.stat(self.path + suffix)
+            except OSError:
+                identity.append(None)
+            else:
+                identity.append((info.st_dev, info.st_ino))
+        return tuple(identity)
+
+    @property
+    def failed(self) -> bool:
+        """Whether a failure has disabled the store."""
+        return self._failed
+
+    def replaced(self) -> bool:
+        """Whether the open connection's file was swapped out from under it.
+
+        Other writers' commits are fine -- sqlite sees them -- but a file
+        deleted, replaced, or stripped of its write-ahead log is invisible
+        to a connection that keeps the old inodes open.
+        """
+        return self._conn is not None and self._file_identity() != self._identity
+
+    def abandon(self) -> None:
+        """Forget the connection of a :meth:`replaced` file without closing it."""
+        if self._conn is not None:
+            _ABANDONED.append(self._conn)
+            self._conn = None
+
+    def generation(self) -> int:
+        """A number that moves whenever rows may have left the file since
+        the last call: this store evicted some, or another connection
+        committed (its ``DELETE`` or eviction is invisible otherwise).
+        Tiers drop their known-row sets when it moves."""
+        conn = self._conn
+        if conn is not None:
+            try:
+                (version,) = conn.execute("PRAGMA data_version").fetchone()
+            except sqlite3.Error as exc:
+                self._fail(exc)
+            else:
+                if version != self._data_version:
+                    self._data_version = version
+                    self._generation += 1
+        return self._generation
 
     def close(self) -> None:
         """Close the underlying connection (the store may be reopened)."""
@@ -215,7 +268,7 @@ class CacheStore:
         Consults the process-global preloaded table first (fork-after-load),
         then the database.
         """
-        preloaded = preloaded_rows(self.path)
+        preloaded = _PRELOADED.get(self._abspath)
         if preloaded is not None:
             payload = preloaded.get((fingerprint, kind, key))
             if payload is not None:
@@ -254,29 +307,6 @@ class CacheStore:
         except sqlite3.Error as exc:
             self._fail(exc)
             return []
-
-    def present_keys(self, fingerprint: str, kind: str, keys: list[bytes]) -> set[bytes]:
-        """The subset of ``keys`` with a row under ``(fingerprint, kind)``."""
-        if not keys:
-            return set()
-        conn = self._connect()
-        if conn is None:
-            return set()
-        present: set[bytes] = set()
-        try:
-            self._inject("cache_read")
-            for start in range(0, len(keys), _KEYS_PER_QUERY):
-                chunk = keys[start : start + _KEYS_PER_QUERY]
-                rows = conn.execute(
-                    "SELECT key FROM entries WHERE fingerprint = ? AND kind = ?"
-                    f" AND key IN ({', '.join('?' * len(chunk))})",
-                    (fingerprint, kind, *chunk),
-                ).fetchall()
-                present.update(bytes(key) for (key,) in rows)
-        except sqlite3.Error as exc:
-            self._fail(exc)
-            return set()
-        return present
 
     def iter_rows(self) -> list[tuple[str, str, bytes, bytes]]:
         """Every row of the store (used by preload and export)."""
@@ -387,6 +417,7 @@ class CacheStore:
         except sqlite3.Error as exc:
             self._fail(exc)
             return 0
+        self._generation += 1
         return excess
 
     def clear(self) -> int:

@@ -6,10 +6,10 @@ in-memory caches of one :class:`~repro.sl.checker.ModelChecker`:
 * the ``EnvStream`` skeleton memo -- served lazily, one stream per miss
   (:meth:`PersistentCache.load_stream`, called from ``_get_stream`` after
   an in-memory miss that the engine batch's stream pool did not serve
-  either; a pool-served key is noted instead and checked against the file
-  at flush time, see :meth:`PersistentCache.note_pooled`);
-* the learned-refuter table -- bulk-loaded at :meth:`attach` time (only
-  canonical-form refuters persist; integer refuters are batch-relative);
+  either);
+* the learned-refuter table -- loaded once per tier and replayed into
+  every checker it is attached to (only canonical-form refuters persist;
+  integer refuters are batch-relative);
 * the predicate unfolding caches -- template *keys* are persisted and the
   closures recompiled at attach time (they cannot be pickled).
 
@@ -23,11 +23,23 @@ any visible signal).
 The tier is write-behind: loads happen during the run, everything new is
 persisted in one :meth:`flush` at the end of an inference (failures inside
 the store never propagate -- see :mod:`repro.cache.store`).
+
+A :class:`~repro.core.sling.Sling` does not build a tier: it binds to its
+thread's tier for (cache file, registry fingerprint) with :func:`bind_tier`.
+Tiers and their one shared :class:`CacheStore` per file live as long as the
+thread (the serve daemon's executor, an engine worker), so a second job on
+the same file reopens nothing, reads no refuter or unfolding rows again and
+keeps the known-row sets that spare its flush from re-writing rows.  A
+tier or store that failed is dropped at the next bind, so that job reopens
+the file and counts its own failures.
 """
 
 from __future__ import annotations
 
 import logging
+import os
+import threading
+from collections import OrderedDict
 
 from repro.cache.fingerprint import registry_fingerprint
 from repro.cache.serialize import (
@@ -54,20 +66,34 @@ class PersistentCacheError(RuntimeError):
 
 
 class PersistentCache:
-    """Disk tier for one checker/registry pair (see the module docstring).
+    """Disk tier for one cache file and registry (see the module docstring).
 
     ``disk_hits``/``disk_misses`` count *stream* lookups served from or
     missed by the disk tier (the per-lookup signal the warm-start hit rate
     is computed from); bulk refuter/unfold loads are one-shot and appear in
-    the store stats instead.
+    the store stats instead.  Every counter but the ``cache_file_bytes``
+    gauge counts since the last :meth:`attach`, i.e. per job.
+
+    A ``read_only`` tier loads but never flushes: ``repro cache verify``
+    measures a file with it without its warm jobs serving each other.
     """
 
     def __init__(
-        self, path, registry, max_entries: int = DEFAULT_MAX_ENTRIES, fault_plan=None
+        self,
+        path,
+        registry,
+        max_entries: int = DEFAULT_MAX_ENTRIES,
+        fault_plan=None,
+        *,
+        store: CacheStore | None = None,
+        read_only: bool = False,
     ):
         self.registry = registry
         self.fingerprint = registry_fingerprint(registry)
-        self.store = CacheStore(path, max_entries=max_entries, fault_plan=fault_plan)
+        if store is None:
+            store = CacheStore(path, max_entries=max_entries, fault_plan=fault_plan)
+        self.store = store
+        self.read_only = read_only
         #: Tier-level kill switch: any exception escaping a mid-run cache
         #: operation (the store absorbs sqlite errors itself, but decode
         #: and filesystem surprises -- or an injected fault -- can escape)
@@ -81,19 +107,26 @@ class PersistentCache:
         self.disk_evictions = 0
         self.cache_file_bytes = 0
         self._decode_errors = 0
+        self._errors_at_attach = 0
         self._stream_max_entries = 4096
-        #: Keys already present on disk (loaded or flushed), per kind --
-        #: avoids rewriting rows, which would reset their hit metadata.
-        self._known: dict[str, set[bytes]] = {
-            KIND_STREAM: set(),
-            KIND_REFUTER: set(),
-            KIND_UNFOLD: set(),
-        }
+        #: Rows known to be on disk (loaded or flushed), held as the
+        #: in-memory keys their row keys are rendered from -- avoids
+        #: rewriting rows, which would reset their hit metadata, and
+        #: rendering the keys of rows that need no write.  Dropped whenever
+        #: the store's generation moves.
+        self._known_streams: set[tuple] = set()
+        self._known_refuters: set[tuple] = set()
+        self._known_unfolds: set[tuple] = set()
+        self._generation: int | None = None
         #: Stream keys served from disk since the last flush (recency bump).
         self._touched: set[bytes] = set()
-        #: Stream keys served by the batch's stream pool since the last
-        #: flush, not yet checked against the store (see :meth:`note_pooled`).
-        self._pooled: set[bytes] = set()
+        #: Whether the refuter and unfolding rows have been read.
+        self._loaded = False
+        #: The refuters to replay into each attached checker, least
+        #: recently written first, bounded by the checker's LRU limit.
+        self._refuters: OrderedDict[tuple, CanonicalForm] = OrderedDict()
+        #: Rows written since the last eviction (see :meth:`flush`).
+        self._unevicted = False
         #: Optional span tracer (set by the owning :class:`Sling`; ``None``
         #: keeps loads and flushes on the untraced fast path).
         self.tracer = None
@@ -103,9 +136,11 @@ class PersistentCache:
     def attach(self, checker) -> None:
         """Hook this tier into a checker and warm its bulk-loadable caches.
 
-        Refuses (:class:`PersistentCacheError`) when the checker's stream
-        keys cannot be canonical -- concrete keys embed per-process addresses
-        and salted hashes, so persisting them would corrupt the cache.
+        The first attach reads the refuter and unfolding rows; later ones
+        replay them from memory.  Refuses (:class:`PersistentCacheError`)
+        when the checker's stream keys cannot be canonical -- concrete keys
+        embed per-process addresses and salted hashes, so persisting them
+        would corrupt the cache.
         """
         if getattr(checker, "structs", None) is None:
             raise PersistentCacheError(
@@ -116,34 +151,56 @@ class PersistentCache:
             )
         self._stream_max_entries = checker.stream_max_entries
         checker.persistent = self
-        self._warm_refuters(checker)
-        self._warm_unfold_templates()
+        self.disk_hits = self.disk_misses = self.disk_evictions = 0
+        self._errors_at_attach = self._errors()
+        generation = self.store.generation()
+        if generation != self._generation:
+            self._generation = generation
+            self._known_streams.clear()
+            self._known_refuters.clear()
+            self._known_unfolds.clear()
+        if not self._loaded:
+            self._load_refuters(checker.refuters_limit)
+            self._load_unfold_templates()
+            self._loaded = True
+        elif checker.registry is not self.registry:
+            # Another registry object with the same definitions: compile
+            # the known templates into it too.
+            self.registry = checker.registry
+            for pred_name, case_index, key in self._known_unfolds:
+                if pred_name in self.registry:
+                    self.registry.get(pred_name).warm_unfold_template(case_index, key)
+        for shape, form in self._refuters.items():
+            checker._learn_refuter(shape, form)
         self.cache_file_bytes = self.store.file_bytes()
 
-    def _warm_refuters(self, checker) -> None:
-        """Replay persisted refuters into the checker's LRU table.
+    def _load_refuters(self, limit: int) -> None:
+        """Read the persisted refuters, to be replayed into each checker.
 
         Rows arrive least recently used first, so replaying in order leaves
         the most recently useful refuters freshest in the LRU.  Only the
-        last ``refuters_limit`` rows are replayed (the table would evict the
-        rest immediately anyway).  Refuters only steer which model a batch
-        tries first -- a wrong or stale one costs a few extra checks, never
-        a wrong verdict -- so this preload cannot affect results.
+        last ``limit`` rows are kept for replay (the checker's table would
+        evict the rest immediately anyway).  Refuters only steer which
+        model a batch tries first -- a wrong or stale one costs a few extra
+        checks, never a wrong verdict -- so this preload cannot affect
+        results.
         """
-        rows = self.store.iter_kind(self.fingerprint, KIND_REFUTER)
-        limit = getattr(checker, "refuters_limit", None)
-        if limit is not None and len(rows) > limit:
-            rows = rows[-limit:]
-        for key_bytes, payload in rows:
+        for _, payload in self.store.iter_kind(self.fingerprint, KIND_REFUTER):
             try:
                 shape, form = decode_refuter(payload)
             except Exception as exc:
                 self._note_decode_error(KIND_REFUTER, exc)
                 continue
-            checker._learn_refuter(shape, form)
-            self._known[KIND_REFUTER].add(bytes(key_bytes))
+            self._remember_refuter(shape, form, limit)
 
-    def _warm_unfold_templates(self) -> None:
+    def _remember_refuter(self, shape: tuple, form: CanonicalForm, limit: int) -> None:
+        self._known_refuters.add(shape)
+        self._refuters[shape] = form
+        self._refuters.move_to_end(shape)
+        if len(self._refuters) > limit:
+            self._refuters.popitem(last=False)
+
+    def _load_unfold_templates(self) -> None:
         """Recompile persisted unfolding-template keys into the registry.
 
         Payloads carry only ``(predicate, case index, argument shape)`` --
@@ -151,17 +208,18 @@ class PersistentCache:
         hit/miss counters snapshotted around the compile so warming is
         invisible to ``unfold_stats()``.
         """
-        for key_bytes, payload in self.store.iter_kind(self.fingerprint, KIND_UNFOLD):
+        for _, payload in self.store.iter_kind(self.fingerprint, KIND_UNFOLD):
             try:
-                pred_name, case_index, key = decode_unfold_key(payload)
+                record = decode_unfold_key(payload)
             except Exception as exc:
                 self._note_decode_error(KIND_UNFOLD, exc)
                 continue
+            pred_name, case_index, key = record
             if pred_name not in self.registry:
                 continue
             predicate = self.registry.get(pred_name)
             if predicate.warm_unfold_template(case_index, key):
-                self._known[KIND_UNFOLD].add(bytes(key_bytes))
+                self._known_unfolds.add(record)
 
     # -------------------------------------------------------------- loads --
 
@@ -200,20 +258,19 @@ class PersistentCache:
             self.disk_misses += 1
             return None
         self.disk_hits += 1
-        self._known[KIND_STREAM].add(key_bytes)
+        self._known_streams.add(key)
         self._touched.add(key_bytes)
         return stream
 
     def note_pooled(self, key) -> None:
         """Record a stream the engine batch's pool served instead of disk.
 
-        The job that published it usually wrote its row already, so the
-        next :meth:`flush` asks the store which pooled keys it holds: those
-        count as known and get the recency bump a disk hit gets, without
-        being re-encoded; the rest (the publisher wrote another file, its
-        flush failed, or eviction dropped the row) are written as usual.
+        A key this tier already knows on disk gets the recency bump a disk
+        hit gets; any other one is written by the next :meth:`flush` like
+        a stream solved here (the upsert is idempotent).
         """
-        self._pooled.add(stable_key_bytes(key))
+        if key in self._known_streams:
+            self._touched.add(stable_key_bytes(key))
 
     def _note_decode_error(self, kind: str, exc: BaseException) -> None:
         if self._decode_errors == 0:
@@ -233,22 +290,24 @@ class PersistentCache:
 
         Persists complete canonical-keyed streams, canonical-form refuters
         and unfolding-template keys; bumps hit metadata for streams served
-        from disk (or from the batch pool, when their row is on disk);
-        evicts over the size cap; refreshes ``cache_file_bytes``.  The
-        ``_known`` bookkeeping makes repeated flushes naturally
-        incremental -- only rows learned since the previous call are
-        written -- so callers (the serve daemon, per-location incremental
-        mode) may flush as often as they like.  Intermediate flushes pass
-        ``final=False`` to skip eviction and the file-size refresh: those
-        are end-of-run accounting, and running eviction mid-inference could
-        drop rows a concurrent sharer just wrote.
+        from disk (or from the batch pool, when their row is known on
+        disk); refreshes ``cache_file_bytes``.  The known-row bookkeeping
+        makes repeated flushes naturally incremental -- only rows learned
+        since the previous call are written -- so callers (the serve
+        daemon, per-location incremental mode) may flush as often as they
+        like.  Intermediate flushes pass ``final=False`` to skip eviction
+        and the file-size refresh: those are end-of-run accounting, and
+        running eviction mid-inference could drop rows a concurrent sharer
+        just wrote.  A final flush evicts over the size cap only when this
+        tier wrote rows since its last eviction.  A read-only tier writes
+        nothing.
 
         Total, like :meth:`load_stream`: a failed flush (disk full, file
         made read-only mid-run) disables the tier and writes nothing --
         the in-memory results of the run are unaffected.
         """
         empty = {KIND_STREAM: 0, KIND_REFUTER: 0, KIND_UNFOLD: 0}
-        if self._disabled:
+        if self._disabled or self.read_only:
             return empty
         try:
             if self.tracer is None:
@@ -262,52 +321,37 @@ class PersistentCache:
             return empty
 
     def _flush(self, checker, final: bool = True) -> dict[str, int]:
-        written = {KIND_STREAM: 0, KIND_REFUTER: 0, KIND_UNFOLD: 0}
-
-        known_streams = self._known[KIND_STREAM]
-        if self._pooled:
-            on_disk = self._pooled & known_streams
-            on_disk |= self.store.present_keys(
-                self.fingerprint, KIND_STREAM, sorted(self._pooled - known_streams)
-            )
-            known_streams |= on_disk
-            self._touched |= on_disk
-            self._pooled.clear()
+        written = {}
 
         stream_rows = []
+        known_streams = self._known_streams
         for key, stream in checker.shareable_streams():
-            key_bytes = stable_key_bytes(key)
-            if key_bytes in known_streams:
+            if key in known_streams:
                 continue
-            stream_rows.append((key_bytes, encode_stream(stream)))
-            known_streams.add(key_bytes)
+            stream_rows.append((stable_key_bytes(key), encode_stream(stream)))
+            known_streams.add(key)
         written[KIND_STREAM] = self.store.put_many(
             self.fingerprint, KIND_STREAM, stream_rows
         )
 
         refuter_rows = []
-        known_refuters = self._known[KIND_REFUTER]
         for shape, value in checker._refuters.items():
-            if not isinstance(value, CanonicalForm):
+            if not isinstance(value, CanonicalForm) or shape in self._known_refuters:
                 continue
-            key_bytes, payload = encode_refuter(shape, value)
-            if key_bytes in known_refuters:
-                continue
-            refuter_rows.append((key_bytes, payload))
-            known_refuters.add(key_bytes)
+            refuter_rows.append(encode_refuter(shape, value))
+            self._remember_refuter(shape, value, checker.refuters_limit)
         written[KIND_REFUTER] = self.store.put_many(
             self.fingerprint, KIND_REFUTER, refuter_rows
         )
 
         unfold_rows = []
-        known_unfolds = self._known[KIND_UNFOLD]
         for predicate in self.registry:
             for case_index, key in predicate.unfold_cache_keys():
-                key_bytes, payload = encode_unfold_key(predicate.name, case_index, key)
-                if key_bytes in known_unfolds:
+                record = (predicate.name, case_index, tuple(key))
+                if record in self._known_unfolds:
                     continue
-                unfold_rows.append((key_bytes, payload))
-                known_unfolds.add(key_bytes)
+                unfold_rows.append(encode_unfold_key(*record))
+                self._known_unfolds.add(record)
         written[KIND_UNFOLD] = self.store.put_many(
             self.fingerprint, KIND_UNFOLD, unfold_rows
         )
@@ -318,8 +362,11 @@ class PersistentCache:
             )
             self._touched.clear()
 
+        self._unevicted = self._unevicted or any(written.values())
         if final:
-            self.disk_evictions += self.store.evict_over_cap()
+            if self._unevicted:
+                self.disk_evictions += self.store.evict_over_cap()
+                self._unevicted = False
             self.cache_file_bytes = self.store.file_bytes()
         return written
 
@@ -339,11 +386,15 @@ class PersistentCache:
         self._disabled = True
         self._tier_errors += 1
 
+    def _errors(self) -> int:
+        return self.store.load_errors + self._decode_errors + self._tier_errors
+
     @property
     def disk_load_errors(self) -> int:
-        """Failures absorbed so far (store failures, undecodable rows, and
-        tier-level operations that had to disable the tier mid-run)."""
-        return self.store.load_errors + self._decode_errors + self._tier_errors
+        """Failures absorbed since the last attach (store failures,
+        undecodable rows, and tier-level operations that had to disable the
+        tier mid-run)."""
+        return self._errors() - self._errors_at_attach
 
     def counters(self) -> dict[str, int]:
         """The tier's contribution to ``cache_stats()``."""
@@ -358,3 +409,68 @@ class PersistentCache:
     def close(self) -> None:
         """Close the underlying store connection."""
         self.store.close()
+
+
+# --------------------------------------------------------- the tier table --
+
+
+class _Tiers(threading.local):
+    """One thread's stores, by (pid, file), and tiers, by (pid, file,
+    registry fingerprint, read-only).  The pid keeps a forked worker off
+    the connections it inherited; the thread keeps a job's counters its
+    own and each connection on the thread that opened it."""
+
+    def __init__(self):
+        self.stores: dict[tuple, CacheStore] = {}
+        self.tiers: dict[tuple, PersistentCache] = {}
+
+
+_TIERS = _Tiers()
+
+
+def bind_tier(
+    path, checker, *, fault_plan=None, tracer=None, read_only: bool = False
+) -> PersistentCache:
+    """Attach ``checker`` to this thread's tier for ``path`` and its registry.
+
+    Builds the store and the tier on first use; reuses them while they are
+    healthy.  A failed store, or one whose file was replaced under its
+    connection, is dropped with its tiers, and a disabled tier is dropped,
+    so the job reopens the file as a fresh run would.
+    """
+    pid = os.getpid()
+    path = os.path.abspath(os.fspath(path))
+    store = _TIERS.stores.get((pid, path))
+    if store is not None and (store.failed or store.replaced()):
+        store.abandon()
+        _drop(pid, path)
+        store = None
+    if store is None:
+        store = _TIERS.stores[(pid, path)] = CacheStore(path)
+    store.fault_plan = fault_plan
+    key = (pid, path, checker.codegen_space(), read_only)
+    tier = _TIERS.tiers.get(key)
+    if tier is None or tier._disabled:
+        tier = PersistentCache(
+            path, checker.registry, store=store, read_only=read_only
+        )
+        _TIERS.tiers[key] = tier
+    tier.tracer = tracer
+    tier.attach(checker)
+    return tier
+
+
+def _drop(pid: int, path: str) -> None:
+    del _TIERS.stores[(pid, path)]
+    for key in [key for key in _TIERS.tiers if key[:2] == (pid, path)]:
+        del _TIERS.tiers[key]
+
+
+def close_tiers(path=None) -> None:
+    """Close and forget this thread's tiers (on ``path`` only, if given)."""
+    pid = os.getpid()
+    wanted = None if path is None else os.path.abspath(os.fspath(path))
+    for owner, file in list(_TIERS.stores):
+        if owner == pid and wanted in (None, file):
+            _TIERS.stores[(owner, file)].close()
+            _drop(owner, file)

@@ -85,6 +85,10 @@ class SlingConfig:
     #: entirely inert: no file is touched and every code path is identical
     #: to a cache-less run.
     persistent_cache: str | Path | None = None
+    #: Read ``persistent_cache`` without writing to it.  Internal to
+    #: ``repro cache verify``, whose warm sweep must measure the file, not
+    #: rows its own earlier jobs wrote.
+    persistent_cache_read_only: bool = False
     #: Tracing handle (see :mod:`repro.telemetry`).  ``None`` (the default)
     #: keeps every instrumented call site a single ``is None`` branch away
     #: from the untraced code path: no tracer is built, no file is touched,
@@ -156,18 +160,19 @@ class Sling:
         #: every code path identical to a cache-less run).
         self.persistent_cache = None
         if self.config.persistent_cache is not None:
-            from repro.cache import PersistentCache
+            from repro.cache import bind_tier
 
-            self.persistent_cache = PersistentCache(
+            # The tier outlives this driver (see :func:`bind_tier`).  It
+            # refuses checkers without structs (their stream keys stay
+            # concrete): a program without a struct registry cannot use the
+            # disk tier, and the error says so.
+            self.persistent_cache = bind_tier(
                 self.config.persistent_cache,
-                predicates,
+                self.checker,
                 fault_plan=self.config.fault_plan,
+                tracer=self.tracer,
+                read_only=self.config.persistent_cache_read_only,
             )
-            self.persistent_cache.tracer = self.tracer
-            # ``attach`` refuses checkers without structs (their stream keys
-            # stay concrete): a program without a struct registry cannot
-            # use the disk tier, and the error says so.
-            self.persistent_cache.attach(self.checker)
         # Hit/miss counters of the per-inference (variable, models) memo that
         # shares Algorithm 2 runs among result branches.
         self.atom_cache_hits = 0

@@ -26,10 +26,11 @@ from __future__ import annotations
 import argparse
 import json
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import Sequence
 
 from repro.benchsuite.registry import BenchmarkProgram
+from repro.cache import close_tiers
 from repro.core.engine import CacheStats, collect_cache_stats, run_category_batch
 from repro.core.results import Specification
 from repro.core.sling import Sling, SlingConfig
@@ -342,9 +343,13 @@ def verify_cache_file(cache_file: str) -> dict:
     cached_config = SlingConfig(discard_crashed_runs=True, persistent_cache=cache_file)
     expected = sweep(None).fingerprints()
     identical = True
-    if not resumed:  # the cold sweep writes the file
-        identical = sweep(cached_config).fingerprints() == expected
-    warm = sweep(cached_config)
+    try:
+        if not resumed:  # the cold sweep writes the file
+            identical = sweep(cached_config).fingerprints() == expected
+        # Read-only: a warm job must not hit rows an earlier warm job wrote.
+        warm = sweep(replace(cached_config, persistent_cache_read_only=True))
+    finally:
+        close_tiers(cache_file)
     identical = identical and warm.fingerprints() == expected
     cache = warm.cache_totals()
     hit_rate = round(cache.disk_hit_rate, 4)

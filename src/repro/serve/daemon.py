@@ -2,9 +2,16 @@
 
 One Unix-domain socket, NDJSON in and out (:mod:`repro.serve.protocol`),
 one warm :class:`~repro.core.engine.InferenceEngine` shared by every
-request -- interned canonical forms, compiled predicate screens and the
-persistent cache tier stay hot across requests instead of being rebuilt
-per CLI invocation.  The robustness contract:
+request.  What stays hot across requests instead of being rebuilt per CLI
+invocation: the interned canonical forms (with their rendered cache
+keys), the compiled predicate screens and unfolding templates, and the
+persistent cache tier of the thread running the jobs -- one open sqlite
+connection per cache file, the refuters it replays into each request's
+checker, and the set of rows already on disk, so a warm request neither
+reopens nor re-reads the file and flushes only what it newly learned
+(see :func:`repro.cache.bind_tier`).  Each request still gets a fresh
+checker, so its results and counters are its own.  Teardown closes the
+tiers.  The robustness contract:
 
 * **Bounded admission.**  A fixed-capacity FIFO queue; a submission that
   would overflow it is rejected immediately with a structured ``rejected``
@@ -48,6 +55,7 @@ import threading
 from collections import deque
 from dataclasses import dataclass, field
 
+from repro.cache import close_tiers
 from repro.core.engine import CacheStats, EngineJob, InferenceEngine
 from repro.core.sling import SlingConfig
 from repro.serve.journal import RequestJournal
@@ -328,6 +336,7 @@ class ServeDaemon:
         for connection in connections:
             connection.close()
         self.journal.close()
+        close_tiers()
         if self.telemetry is not None:
             self.telemetry.merge_segments()
             self.telemetry.close()

@@ -51,11 +51,14 @@ from repro.sl.exprs import NIL_VALUE
 class CanonicalForm:
     """An interned canonical form: value identity with a precomputed hash."""
 
-    __slots__ = ("key", "_hash")
+    __slots__ = ("key", "_hash", "stable_repr")
 
     def __init__(self, key: tuple):
         self.key = key
         self._hash = hash(key)
+        #: The form's rendering inside persistent-cache keys, filled on
+        #: first use by :func:`repro.cache.serialize.stable_key_bytes`.
+        self.stable_repr: str | None = None
 
     def __hash__(self) -> int:
         return self._hash

@@ -11,6 +11,7 @@ import json
 import pytest
 
 from repro import cli
+from repro.cache import CacheStore
 from repro.evaluation import table1
 
 
@@ -62,3 +63,15 @@ def test_empty_resumed_file_exits_1(tmp_path):
     with pytest.raises(SystemExit) as excinfo:
         cli.main(["cache", "verify", "--file", str(cache_file)])
     assert "hit rate 0.0" in str(excinfo.value.code)
+
+
+def test_warm_sweep_writes_nothing(tmp_path):
+    # The warm sweep reads the file read-only: what it measures is the
+    # file as it was, never rows its own earlier jobs wrote.
+    cache_file = tmp_path / "empty.sqlite"
+    cli.main(["cache", "clear", "--file", str(cache_file)])
+    with pytest.raises(SystemExit):
+        cli.main(["cache", "verify", "--file", str(cache_file)])
+    store = CacheStore(cache_file)
+    assert store.stats()["entries"] == 0
+    store.close()

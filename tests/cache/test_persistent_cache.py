@@ -286,16 +286,6 @@ class TestEviction:
         assert tier.cache_file_bytes > 0
 
 
-def test_present_keys_spans_query_chunks(tmp_path):
-    store = CacheStore(tmp_path / "c.sqlite")
-    keys = [b"k%04d" % i for i in range(2 * store_module._KEYS_PER_QUERY + 3)]
-    store.put_many("fp", "stream", [(key, b"p") for key in keys[::2]])
-    store.put_many("other", "stream", [(key, b"p") for key in keys[1::2]])
-    store.put_many("fp", "refuter", [(keys[1], b"p")])
-    assert store.present_keys("fp", "stream", keys) == set(keys[::2])
-    assert store.present_keys("fp", "stream", []) == set()
-
-
 # ---------------------------------------------------------------------------
 # invalidation: fingerprint and schema version
 # ---------------------------------------------------------------------------
