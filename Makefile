@@ -3,10 +3,12 @@
 PYTHON ?= python
 PYTHONPATH := src
 
-.PHONY: check test smoke trace-smoke chaos-smoke serve-smoke lint-timing perfbench-selftest bench-micro bench-smoke bench-warm docs table1 table2
+.PHONY: check test smoke trace-smoke lint-timing perfbench-selftest bench-micro bench-smoke bench-warm docs table1 table2
 
 # Tier-1 gate: the full test suite (which includes the deterministic
-# search-space guard), a CLI smoke test (including a cold and a resumed
+# search-space guard, the fault-injection scenarios and the serve daemon
+# drills: overflow, deadline, disconnect, SIGTERM drain, restart-resume),
+# a CLI smoke test (including a cold and a resumed
 # `repro cache verify`), the micro/ablation benchmark harnesses (run once
 # each, as correctness smoke) and the repo benchmark's self-test, whose
 # full jobs=2 sweep is checked against the committed oracle references --
@@ -49,29 +51,6 @@ trace-smoke:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro trace diff \
 		/tmp/trace_smoke.ndjson /tmp/trace_smoke.ndjson > /dev/null
 	@echo "trace smoke OK (trace: /tmp/trace_smoke.ndjson)"
-
-# Chaos gate: every named fault-injection scenario -- the engine ones
-# (worker kills, hangs, cache corruption, disk-full, poison jobs) and the
-# serving-layer ones (queue overflow, deadline expiry, client disconnect)
-# -- verifying the self-healing contract end to end (see docs/resilience.md
-# and docs/serving.md).  The traced run leaves retry/pool_heal spans in
-# /tmp/chaos_smoke.ndjson; the CI chaos job uploads it as an artifact when
-# the gate fails.
-chaos-smoke:
-	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro chaos \
-		--trace-out /tmp/chaos_smoke.ndjson
-	@echo "chaos smoke OK (trace: /tmp/chaos_smoke.ndjson)"
-
-# Serve gate: the end-to-end daemon drill -- real subprocesses, sockets and
-# signals.  Asserts incremental streaming through `repro infer --connect`,
-# a clean exit-0 SIGTERM drain (idle and mid-request), and a bit-identical
-# restart-resume of the checkpointed backlog (see docs/serving.md).  On
-# failure the drill keeps its workdir (daemon log, journal, trace) in
-# /tmp/serve_smoke for the CI job to upload.
-serve-smoke:
-	rm -rf /tmp/serve_smoke
-	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro.serve.smoke --workdir /tmp/serve_smoke
-	@echo "serve smoke OK (artifacts: /tmp/serve_smoke)"
 
 # There is exactly one sanctioned clock: repro.telemetry.monotime.  Bare
 # time.perf_counter() calls outside the telemetry package bypass the tracer

@@ -27,10 +27,6 @@ repro``.  Subcommands:
     (per-phase table, hottest locations/predicates), ``export --format
     chrome`` (Perfetto / ``about://tracing``) and ``diff`` (see
     ``docs/observability.md``).
-``chaos``
-    Run named fault-injection scenarios (worker kills, hangs, cache
-    corruption, disk-full, poison jobs) against the Table 1 smoke workload
-    and verify the self-healing contract (see ``docs/resilience.md``).
 ``docs``
     Regenerate ``docs/predicates.md`` from the predicate standard library.
 
@@ -218,37 +214,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     trace.add_argument("--json", action="store_true", help="emit JSON instead of text")
     trace.set_defaults(handler=_cmd_trace)
-
-    chaos = subparsers.add_parser(
-        "chaos", help="run fault-injection scenarios against the smoke workload"
-    )
-    chaos.add_argument(
-        "--scenario",
-        action="append",
-        help="scenario name (repeatable; default: all scenarios)",
-    )
-    chaos.add_argument("--list", action="store_true", help="list scenario names and exit")
-    chaos.add_argument(
-        "--category", action="append", help="restrict the workload to a category (repeatable)"
-    )
-    chaos.add_argument(
-        "--limit", type=int, default=None, help="cap programs per category (default 2)"
-    )
-    chaos.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        help="override the scenario's worker-pool size",
-    )
-    chaos.add_argument("--seed", type=int, default=0, help="fault-plan and workload seed")
-    chaos.add_argument("--json", action="store_true", help="emit JSON verdicts instead of text")
-    chaos.add_argument(
-        "--trace-out",
-        default=None,
-        metavar="FILE",
-        help="write an NDJSON span trace of the chaos sweeps (retry/pool_heal spans)",
-    )
-    chaos.set_defaults(handler=_cmd_chaos)
 
     docs = subparsers.add_parser("docs", help="regenerate docs/predicates.md")
     docs.add_argument(
@@ -561,46 +526,6 @@ def _format_trace_diff(diff: dict) -> str:
             f"{entry['total_delta']:+10.3f}"
         )
     return "\n".join(lines)
-
-
-def _cmd_chaos(arguments: argparse.Namespace) -> None:
-    from repro.faults.chaos import run_scenarios, scenario_catalog
-
-    catalog = scenario_catalog()
-    if arguments.list:
-        for name in sorted(catalog):
-            print(f"{name:16s} {catalog[name]}")
-        return
-
-    names = arguments.scenario or sorted(catalog)
-    unknown = [name for name in names if name not in catalog]
-    if unknown:
-        raise SystemExit(f"unknown chaos scenario(s): {', '.join(unknown)}")
-
-    telemetry = None
-    if arguments.trace_out:
-        from repro.telemetry import Telemetry
-
-        telemetry = Telemetry(arguments.trace_out)
-    try:
-        reports = run_scenarios(
-            names,
-            categories=arguments.category,
-            limit=arguments.limit,
-            jobs=arguments.jobs,
-            seed=arguments.seed,
-            telemetry=telemetry,
-        )
-    finally:
-        if telemetry is not None:
-            telemetry.close()
-
-    if arguments.json:
-        print(json.dumps([report.as_dict() for report in reports], indent=2))
-    else:
-        print("\n\n".join(report.summary() for report in reports))
-    if any(not report.passed for report in reports):
-        sys.exit(1)
 
 
 def _cmd_docs(arguments: argparse.Namespace) -> None:

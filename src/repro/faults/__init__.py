@@ -1,8 +1,9 @@
-"""Deterministic fault injection and chaos scenarios (see ``plan.py``).
+"""Deterministic fault injection (see ``plan.py``).
 
-Only the plan/injector layer is exported here: the engine imports this
-package at module load, and the chaos runner (:mod:`repro.faults.chaos`)
-imports the engine -- keeping it a submodule import breaks the cycle.
+The engine imports this package at module load, so it holds only the
+plan/injector layer and imports nothing from the engine.  The named chaos
+scenarios that exercise it are tests (``tests/faults/test_chaos.py``,
+``tests/serve/test_daemon.py``); see ``docs/resilience.md``.
 """
 
 from repro.faults.plan import (

@@ -247,8 +247,8 @@ def maybe_inject(
 def reset_injector(plan: FaultPlan | None) -> None:
     """Start ``plan``'s matching state over in this process.
 
-    Called from the engine's pool-worker bootstrap (and the chaos runner
-    between scenario sweeps): per-*worker-lifetime* rule counters are what
+    Called from the engine's pool-worker bootstrap (and by tests between
+    sweeps of equal plans): per-*worker-lifetime* rule counters are what
     make respawn-and-retry scenarios deterministic, regardless of whatever
     the forked parent process already counted.
     """

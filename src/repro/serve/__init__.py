@@ -9,10 +9,11 @@
   graceful drain, client-disconnect cancellation.
 * :mod:`repro.serve.client` -- ``repro infer --connect`` and the
   in-process fallback that emits the identical record stream.
-* :mod:`repro.serve.smoke` -- the end-to-end smoke drill behind
-  ``make serve-smoke`` and the CI ``serve-smoke`` job.
 
-See ``docs/serving.md`` for the protocol and lifecycle contract.
+The daemon's resilience drills (queue overflow, deadline expiry, client
+disconnect, SIGTERM drain and restart-resume) are tests under
+``tests/serve/``.  See ``docs/serving.md`` for the protocol and lifecycle
+contract.
 """
 
 from repro.serve.daemon import AdmissionQueue, ServeDaemon

@@ -263,9 +263,8 @@ class ServeDaemon:
 
         Run this on the process main thread when ``install_signals`` is
         true (SIGTERM/SIGINT drain) or when job timeouts must interrupt
-        in-flight inline jobs (``SIGALRM``).  Tests and the chaos harness
-        run it on a background thread with ``install_signals=False`` and
-        drain via :meth:`stop`.
+        in-flight inline jobs (``SIGALRM``).  Tests run it on a background
+        thread with ``install_signals=False`` and drain via :meth:`stop`.
         """
         previous_handlers = {}
         if install_signals:

@@ -36,13 +36,14 @@ TRACE_SCHEMA_VERSION = 1
 
 RECORD_TYPES = ("trace_meta", "span", "counters")
 
-#: The span taxonomy (outermost first; the last three are leaves).
+#: The span taxonomy (outermost first).
 SPAN_KINDS = (
     "sweep",
     "job",
     "function",
     "location",
     "candidate_group",
+    "variant_decide",  # one group-kernel call inside a candidate group
     "checker_call",
     "stream_materialize",
     "disk_io",

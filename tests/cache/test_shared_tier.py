@@ -20,7 +20,6 @@ import os
 import sqlite3
 import sys
 import threading
-import time
 from contextlib import closing
 
 import pytest
@@ -35,7 +34,6 @@ from repro.core.sling import Sling, SlingConfig
 from repro.evaluation.table1 import run_table1
 from repro.faults import FaultPlan, FaultRule, reset_injector
 from repro.serve.client import submit
-from repro.serve.daemon import ServeDaemon
 from repro.serve.protocol import ServeRequest
 from repro.sl.model import CanonicalForm
 
@@ -230,7 +228,9 @@ def test_inline_job_then_forked_batch_on_one_file(tmp_path):
     assert forked.cache_totals().disk_hits > 0
 
 
-def test_threads_and_a_threaded_daemon_share_one_file(tmp_path, monkeypatch):
+def test_threads_and_a_threaded_daemon_share_one_file(
+    tmp_path, monkeypatch, serve_daemon
+):
     path = tmp_path / "shared.sqlite"
     written: set[bytes] = set()
     lock = threading.Lock()
@@ -251,7 +251,7 @@ def test_threads_and_a_threaded_daemon_share_one_file(tmp_path, monkeypatch):
 
     switch_interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
-    host = _DaemonHost(tmp_path, cache_file=str(path))
+    host = serve_daemon(cache_file=str(path))
     try:
         terminal = {}
 
@@ -291,38 +291,12 @@ def _open_files() -> set[str]:
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc")
-def test_no_connection_outlives_serve(tmp_path):
+def test_no_connection_outlives_serve(tmp_path, serve_daemon):
     path = str(tmp_path / "daemon.sqlite")
-    host = _DaemonHost(tmp_path, cache_file=path)
-    try:
-        request = ServeRequest(id="one", benchmarks=("sll/insertFront",))
-        assert submit(host.socket_path, request, io.StringIO())["status"] == "complete"
-        assert path in _open_files()
-    finally:
-        host.stop()
+    host = serve_daemon(cache_file=path)
+    request = ServeRequest(id="one", benchmarks=("sll/insertFront",))
+    assert submit(host.socket_path, request, io.StringIO())["status"] == "complete"
+    assert path in _open_files()
+    host.stop()
     assert not any(name.startswith(path) for name in _open_files())
 
-
-class _DaemonHost:
-    """A daemon served from a background thread, as the daemon tests host it."""
-
-    def __init__(self, tmp_path, **kwargs):
-        self.socket_path = str(tmp_path / "serve.sock")
-        self.daemon = ServeDaemon(self.socket_path, **kwargs)
-        self.exit_code = None
-
-        def host():
-            self.exit_code = self.daemon.serve(install_signals=False)
-
-        self.thread = threading.Thread(target=host, daemon=True)
-        self.thread.start()
-        deadline = time.monotonic() + 30
-        while not os.path.exists(self.socket_path):
-            assert time.monotonic() < deadline, "daemon never bound its socket"
-            time.sleep(0.02)
-
-    def stop(self) -> None:
-        self.daemon.stop()
-        self.thread.join(timeout=30)
-        assert not self.thread.is_alive(), "daemon did not drain"
-        assert self.exit_code == 0

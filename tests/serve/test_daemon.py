@@ -1,10 +1,12 @@
 """Daemon equivalence suite: served results are bit-identical, always.
 
 The serving layer must never change *what* is computed -- only where and
-when.  These tests pin that three ways: a daemon-served stream against the
-in-process fallback, a pooled daemon against an inline one, and a
-kill-and-resume restart against a fresh run.  A subprocess test closes the
-loop against the one-shot CLI (``repro infer --json``).
+when.  These tests pin that four ways: a daemon-served stream against the
+in-process fallback, a pooled daemon against an inline one, a
+kill-and-resume restart against a fresh run, and the request after an
+abused one (queue overflow, deadline expiry, client disconnect) against a
+fresh run.  A subprocess test closes the loop against the one-shot CLI
+(``repro infer --json``).  Every thread-hosted daemon must drain with exit 0.
 """
 
 from __future__ import annotations
@@ -12,115 +14,70 @@ from __future__ import annotations
 import io
 import json
 import os
+import socket
 import subprocess
 import sys
-import threading
 import time
 
 import pytest
 
-from repro.serve.client import run_local, submit
+from repro.serve.client import submit
 from repro.serve.daemon import ServeDaemon
 from repro.serve.journal import RequestJournal
-from repro.serve.protocol import ServeRequest
+from repro.serve.protocol import ServeRequest, encode
+from tests.conftest import SERVE_WAIT, reference_payload, served_payload
 
 #: Small smoke workload (one fast SLL job, one slower DLL job).
 WORKLOAD = ("sll/insertFront", "dll/append")
 
-_WAIT = 30.0
-
-
-class _DaemonHost:
-    """A thread-hosted daemon for tests; also its exit-code witness."""
-
-    def __init__(self, tmp_path, **kwargs):
-        self.socket_path = str(tmp_path / "serve.sock")
-        self.daemon = ServeDaemon(self.socket_path, **kwargs)
-        self.exit_code = None
-
-        def host():
-            self.exit_code = self.daemon.serve(install_signals=False)
-
-        self.thread = threading.Thread(target=host, daemon=True)
-        self.thread.start()
-        deadline = time.monotonic() + _WAIT
-        while not os.path.exists(self.socket_path):
-            assert time.monotonic() < deadline, "daemon never bound its socket"
-            time.sleep(0.02)
-
-    def stop(self) -> None:
-        self.daemon.stop()
-        self.thread.join(timeout=_WAIT)
-        assert not self.thread.is_alive(), "daemon did not drain"
-        assert self.exit_code == 0
-
-
-def _payload(lines) -> list[str]:
-    return [
-        line for line in lines if '"type":"result"' in line or '"type":"job"' in line
-    ]
-
 
 def _by_benchmark(lines) -> dict[str, list[str]]:
     grouped: dict[str, list[str]] = {}
-    for line in _payload(lines):
+    for line in served_payload(lines):
         grouped.setdefault(json.loads(line)["benchmark"], []).append(line)
     return grouped
 
 
-def _reference(request: ServeRequest) -> list[str]:
-    out = io.StringIO()
-    run_local(request, out, jobs=1)
-    return _payload(out.getvalue().splitlines())
-
-
 class TestServedEquivalence:
-    def test_daemon_stream_matches_in_process_run(self, tmp_path):
-        host = _DaemonHost(tmp_path, jobs=1)
-        try:
-            request = ServeRequest(id="eq", benchmarks=WORKLOAD, seed=0)
-            out = io.StringIO()
-            terminal = submit(host.socket_path, request, out)
-            assert terminal["type"] == "done"
-            assert terminal["status"] == "complete"
-            assert terminal["counters"]["serve_requests"] == 1
-            assert _payload(out.getvalue().splitlines()) == _reference(request)
-        finally:
-            host.stop()
+    def test_daemon_stream_matches_in_process_run(self, serve_daemon):
+        host = serve_daemon(jobs=1)
+        request = ServeRequest(id="eq", benchmarks=WORKLOAD, seed=0)
+        out = io.StringIO()
+        terminal = submit(host.socket_path, request, out)
+        assert terminal["type"] == "done"
+        assert terminal["status"] == "complete"
+        assert terminal["counters"]["serve_requests"] == 1
+        assert served_payload(out.getvalue().splitlines()) == reference_payload(request)
 
-    def test_pool_daemon_matches_inline_per_benchmark(self, tmp_path):
+    def test_pool_daemon_matches_inline_per_benchmark(self, serve_daemon):
         """--jobs 2 may reorder job completion, never change any job's records."""
-        host = _DaemonHost(tmp_path, jobs=2)
-        try:
-            request = ServeRequest(
-                id="pool", benchmarks=WORKLOAD + ("sll/reverse", "dll/concat"), seed=0
-            )
-            out = io.StringIO()
-            terminal = submit(host.socket_path, request, out)
-            assert terminal["status"] == "complete"
-            assert _by_benchmark(out.getvalue().splitlines()) == _by_benchmark(
-                _reference(request)
-            )
-        finally:
-            host.stop()
+        host = serve_daemon(jobs=2)
+        request = ServeRequest(
+            id="pool", benchmarks=WORKLOAD + ("sll/reverse", "dll/concat"), seed=0
+        )
+        out = io.StringIO()
+        terminal = submit(host.socket_path, request, out)
+        assert terminal["status"] == "complete"
+        assert _by_benchmark(out.getvalue().splitlines()) == _by_benchmark(
+            reference_payload(request)
+        )
 
-    def test_request_isolation_keeps_streams_identical(self, tmp_path):
+    def test_request_isolation_keeps_streams_identical(self, serve_daemon):
         """A warm daemon serves the same request identically every time."""
-        host = _DaemonHost(tmp_path, jobs=1)
-        try:
-            request = ServeRequest(id="warm", benchmarks=WORKLOAD)
-            streams = []
-            for _ in range(2):
-                out = io.StringIO()
-                submit(host.socket_path, request, out)
-                streams.append(_payload(out.getvalue().splitlines()))
-            assert streams[0] == streams[1] == _reference(request)
-        finally:
-            host.stop()
+        host = serve_daemon(jobs=1)
+        request = ServeRequest(id="warm", benchmarks=WORKLOAD)
+        streams = []
+        for _ in range(2):
+            out = io.StringIO()
+            submit(host.socket_path, request, out)
+            streams.append(served_payload(out.getvalue().splitlines()))
+        assert streams[0] == streams[1] == reference_payload(request)
 
 
 class TestKillAndResume:
-    def test_restart_resumes_journaled_requests_bit_identically(self, tmp_path):
+    def test_restart_resumes_journaled_requests_bit_identically(
+        self, tmp_path, serve_daemon
+    ):
         journal_path = str(tmp_path / "crashed.journal")
         requests = [
             ServeRequest(id="lost-1", benchmarks=WORKLOAD[:1], seed=0),
@@ -133,29 +90,137 @@ class TestKillAndResume:
             journal.record_accepted(request)
         journal.close()
 
-        host = _DaemonHost(tmp_path, jobs=1, journal_path=journal_path)
-        try:
-            recovered_path = journal_path + ".recovered.ndjson"
-            expected = [line for request in requests for line in _reference(request)]
-            deadline = time.monotonic() + _WAIT
-            while True:
-                if os.path.exists(recovered_path):
-                    lines = _payload(
-                        open(recovered_path, encoding="utf-8").read().splitlines()
-                    )
-                    if len(lines) >= len(expected):
-                        break
-                assert time.monotonic() < deadline, "resume never completed"
-                time.sleep(0.05)
-            assert lines == expected
-            with host.daemon._stats_lock:
-                assert host.daemon.stats.serve_requests_resumed == 2
-        finally:
-            host.stop()
+        host = serve_daemon(jobs=1, journal_path=journal_path)
+        recovered_path = journal_path + ".recovered.ndjson"
+        expected = [line for request in requests for line in reference_payload(request)]
+        deadline = time.monotonic() + SERVE_WAIT
+        while True:
+            if os.path.exists(recovered_path):
+                with open(recovered_path, encoding="utf-8") as handle:
+                    lines = served_payload(handle.read().splitlines())
+                if len(lines) >= len(expected):
+                    break
+            assert time.monotonic() < deadline, "resume never completed"
+            time.sleep(0.05)
+        assert lines == expected
+        assert host.counters()["serve_requests_resumed"] == 2
+        host.stop()
         # After the resumed runs were journaled done, nothing is pending.
         reopened = RequestJournal(journal_path)
         assert reopened.unfinished() == []
         reopened.close()
+
+
+#: The long request the abuse tests keep in flight: DLL benchmarks are the
+#: slowest of the list suites (50-200 ms each), so there is always a window
+#: to overflow the queue or hang up within.
+LONG_WORKLOAD = (
+    "dll/concat",
+    "dll/midDelMid",
+    "dll/midDelStar",
+    "dll/insertBack",
+    "dll/append",
+)
+
+#: The request after the abuse, proving the daemon survived unharmed.
+FOLLOWUP = ("sll/insertFront", "sll/append")
+
+
+def _connect(socket_path: str):
+    conn = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+    conn.settimeout(SERVE_WAIT)
+    conn.connect(socket_path)
+    return conn, conn.makefile("r", encoding="utf-8")
+
+
+def _send(conn, request: ServeRequest) -> None:
+    conn.sendall((encode(request.as_dict()) + "\n").encode("utf-8"))
+
+
+def _read_until(reader, *types: str) -> list[dict]:
+    """Read records until one of ``types`` arrives (inclusive)."""
+    records = []
+    for line in reader:
+        if not line.strip():
+            continue
+        records.append(json.loads(line))
+        if records[-1].get("type") in types:
+            return records
+    raise AssertionError(f"stream ended before any of {types} arrived")
+
+
+def _assert_followup_identical(host) -> None:
+    """Abuse may cost the abused request, never the next one."""
+    request = ServeRequest(id="followup", benchmarks=FOLLOWUP)
+    out = io.StringIO()
+    terminal = submit(host.socket_path, request, out)
+    assert terminal["type"] == "done"
+    assert terminal["status"] == "complete"
+    assert served_payload(out.getvalue().splitlines()) == reference_payload(request)
+
+
+class TestDaemonUnderAbuse:
+    """Each abuse leaves the daemon serving bit-identical results, and it
+    still drains with exit 0 (asserted by the ``serve_daemon`` teardown)."""
+
+    def test_queue_overflow_rejects_only_the_extra_submission(self, serve_daemon):
+        host = serve_daemon(jobs=1, queue_limit=1)
+        conn_a, reader_a = _connect(host.socket_path)
+        _send(conn_a, ServeRequest(id="overflow-inflight", benchmarks=LONG_WORKLOAD))
+        # Once the first result is out the executor is busy with this
+        # request, so the next admission sits in the one-slot queue.
+        _read_until(reader_a, "result")
+        conn_b, reader_b = _connect(host.socket_path)
+        _send(conn_b, ServeRequest(id="overflow-queued", benchmarks=FOLLOWUP[:1]))
+        assert _read_until(reader_b, "accepted", "rejected")[-1]["type"] == "accepted"
+        conn_c, reader_c = _connect(host.socket_path)
+        _send(conn_c, ServeRequest(id="overflow-extra", benchmarks=FOLLOWUP[:1]))
+        verdict = _read_until(reader_c, "accepted", "rejected")[-1]
+        assert verdict["type"] == "rejected"
+        assert verdict["reason"] == "queue full"
+        conn_c.close()
+        # Both admitted requests still run to completion.
+        for reader, conn in ((reader_a, conn_a), (reader_b, conn_b)):
+            assert _read_until(reader, "done")[-1]["status"] == "complete"
+            conn.close()
+        counters = host.counters()
+        assert counters["serve_rejections"] >= 1
+        assert counters["serve_queue_high_water"] >= 1
+        _assert_followup_identical(host)
+
+    def test_deadline_expiry_ends_the_stream_with_partial_results(self, serve_daemon):
+        host = serve_daemon(jobs=1)
+        conn, reader = _connect(host.socket_path)
+        _send(conn, ServeRequest(id="deadline", benchmarks=LONG_WORKLOAD, deadline=0.05))
+        records = _read_until(reader, "done")
+        conn.close()
+        assert records[-1]["status"] == "deadline_expired"
+        expired = [
+            record
+            for record in records
+            if record.get("type") == "job"
+            and not record.get("ok")
+            and str(record.get("error", "")).startswith(("cancelled: deadline", "timeout"))
+        ]
+        assert expired, "no job was cut off by the deadline"
+        assert host.counters()["serve_deadline_expiries"] >= 1
+        _assert_followup_identical(host)
+
+    def test_client_disconnect_cancels_the_abandoned_request(self, serve_daemon):
+        host = serve_daemon(jobs=1)
+        conn, reader = _connect(host.socket_path)
+        _send(conn, ServeRequest(id="vanisher", benchmarks=LONG_WORKLOAD))
+        _read_until(reader, "result")
+        # Hang up mid-stream, ungracefully.  shutdown() actually sends the
+        # FIN; close() alone would keep the fd alive through the reader.
+        conn.shutdown(socket.SHUT_RDWR)
+        reader.close()
+        conn.close()
+        deadline = time.monotonic() + SERVE_WAIT
+        while host.counters()["serve_client_disconnects"] < 1:
+            assert time.monotonic() < deadline, "the hangup was never counted"
+            time.sleep(0.05)
+        _assert_followup_identical(host)
 
 
 class _RecordingSink:
@@ -169,25 +234,18 @@ class _RecordingSink:
 
 
 class TestSocketExclusivity:
-    def test_second_daemon_leaves_live_socket_intact(self, tmp_path):
+    def test_second_daemon_leaves_live_socket_intact(self, tmp_path, serve_daemon):
         """A refused rival must not unlink the running daemon's socket."""
-        host = _DaemonHost(tmp_path, jobs=1)
-        try:
-            rival = ServeDaemon(
-                host.socket_path, journal_path=str(tmp_path / "rival.journal")
-            )
-            with pytest.raises(RuntimeError, match="live daemon"):
-                rival.serve(install_signals=False)
-            assert os.path.exists(host.socket_path)
-            out = io.StringIO()
-            terminal = submit(
-                host.socket_path,
-                ServeRequest(id="still-up", benchmarks=WORKLOAD[:1]),
-                out,
-            )
-            assert terminal["status"] == "complete"
-        finally:
-            host.stop()
+        host = serve_daemon(jobs=1)
+        rival = ServeDaemon(host.socket_path, journal_path=str(tmp_path / "rival.journal"))
+        with pytest.raises(RuntimeError, match="live daemon"):
+            rival.serve(install_signals=False)
+        assert os.path.exists(host.socket_path)
+        out = io.StringIO()
+        terminal = submit(
+            host.socket_path, ServeRequest(id="still-up", benchmarks=WORKLOAD[:1]), out
+        )
+        assert terminal["status"] == "complete"
 
 
 class TestAdmissionJournal:
@@ -224,7 +282,7 @@ class TestOneShotCliEquivalence:
         env["PYTHONPATH"] = os.path.abspath(src)
         return env
 
-    def test_served_invariants_match_one_shot_cli(self, tmp_path, cli_env):
+    def test_served_invariants_match_one_shot_cli(self, serve_daemon, cli_env):
         """Daemon-served records carry the invariants the batch CLI prints."""
         completed = subprocess.run(
             [sys.executable, "-m", "repro", "infer", "--json"]
@@ -241,12 +299,9 @@ class TestOneShotCliEquivalence:
             for inv in entry["invariants"]
         }
 
-        host = _DaemonHost(tmp_path, jobs=1)
-        try:
-            out = io.StringIO()
-            submit(host.socket_path, ServeRequest(id="cli", benchmarks=WORKLOAD), out)
-        finally:
-            host.stop()
+        host = serve_daemon(jobs=1)
+        out = io.StringIO()
+        submit(host.socket_path, ServeRequest(id="cli", benchmarks=WORKLOAD), out)
         served_invariants = {
             (record["benchmark"], record["location"], inv["formula"], inv["spurious"])
             for line in out.getvalue().splitlines()

@@ -1,13 +1,16 @@
 """Trace schema round-trips, analysis invariants and the trace CLI."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.benchsuite.registry import get_benchmark
 from repro.cli import main
 from repro.core.sling import Sling, SlingConfig
+from repro.evaluation.table1 import run_table1
 from repro.telemetry import (
+    SPAN_KINDS,
     TRACE_SCHEMA_VERSION,
     Telemetry,
     TraceError,
@@ -99,6 +102,27 @@ class TestTracedInference:
         if "stream_materialize" in summary:
             assert summary["stream_materialize"].get("aux") is True
             assert "self_seconds" not in summary["stream_materialize"]
+
+
+class TestSpanTaxonomy:
+    def test_traced_sll_sweep_emits_only_declared_kinds(self, tmp_path):
+        """What ``repro table1 --category SLL --limit 2 --trace-out`` traces."""
+        path = tmp_path / "sweep.ndjson"
+        telemetry = Telemetry(path)
+        run_table1(
+            categories=("SLL",),
+            config=SlingConfig(discard_crashed_runs=True, telemetry=telemetry),
+            max_programs_per_category=2,
+        )
+        telemetry.close()
+        kinds = {span["kind"] for span in span_records(read_trace(path))}
+        assert "variant_decide" in kinds
+        assert kinds - set(SPAN_KINDS) == set()
+
+    def test_every_declared_kind_is_documented(self):
+        doc = Path(__file__).resolve().parents[2] / "docs" / "observability.md"
+        text = doc.read_text(encoding="utf-8")
+        assert [kind for kind in SPAN_KINDS if f"| `{kind}`" not in text] == []
 
 
 class TestChromeExport:
