@@ -92,6 +92,23 @@ def _check_poison(by_name, totals):
     assert totals["jobs_poisoned"] == 1
 
 
+def _sweep(rule, engine_kwargs, cache_file):
+    """Run the workload under one fault rule: reports by name, summed counters."""
+    plan = FaultPlan(rules=(rule,), seed=0)
+    # Equal plans share matching state in one process: start this one over.
+    reset_injector(plan)
+    config = SlingConfig(fault_plan=plan, persistent_cache=cache_file)
+    by_name = {
+        report.job.benchmark: report
+        for report in _run(WORKLOAD, config, **engine_kwargs)
+    }
+    totals = {
+        counter: sum(getattr(report.cache, counter, 0) for report in by_name.values())
+        for counter in _TOTALS
+    }
+    return by_name, totals
+
+
 _KILL_TARGET_ONCE = FaultRule("job_exec", "exit", match=TARGET, attempt=0)
 
 #: One row per named scenario: the injected rule, the engine settings, whether
@@ -132,19 +149,8 @@ class TestChaosScenarios:
     def test_scenario_passes(
         self, rule, engine_kwargs, cached, failed, check, reference, tmp_path
     ):
-        plan = FaultPlan(rules=(rule,), seed=0)
-        # Equal plans share matching state in one process: start this one over.
-        reset_injector(plan)
         cache_file = str(tmp_path / "chaos.sqlite") if cached else None
-        config = SlingConfig(fault_plan=plan, persistent_cache=cache_file)
-        by_name = {
-            report.job.benchmark: report
-            for report in _run(WORKLOAD, config, **engine_kwargs)
-        }
-        totals = {
-            counter: sum(getattr(report.cache, counter, 0) for report in by_name.values())
-            for counter in _TOTALS
-        }
+        by_name, totals = _sweep(rule, engine_kwargs, cache_file)
 
         assert [name for name, report in by_name.items() if not report.ok] == list(failed)
         diverged = [
@@ -161,6 +167,20 @@ class TestChaosScenarios:
         )
         assert fired > 0, "the fault plan never fired"
         check(by_name, totals)
+
+    def test_worker_kill_acceptance_details(self, reference):
+        """The acceptance criterion, spelled out: kill 1 of 4 workers with
+        max_retries=2; every job ok, the killed job respawned and retried,
+        nothing reported 'worker lost', results bit-identical."""
+        by_name, totals = _sweep(_KILL_TARGET_ONCE, _POOL, None)
+        assert all(report.ok for report in by_name.values())
+        assert all(
+            _invariants(report) == reference[name] for name, report in by_name.items()
+        )
+        assert totals["workers_respawned"] >= 1
+        assert totals["degraded_sequential"] == 0
+        assert not any("worker lost" in (report.error or "") for report in by_name.values())
+        assert by_name[TARGET].cache.jobs_retried >= 1
 
     def test_worker_kill_trace_records_the_healing(self, tmp_path):
         """The engine's healing shows in the trace as aux-track ``retry`` and
