@@ -3,20 +3,24 @@
 The engine is the one entry point through which every harness (the Table 1 /
 Table 2 evaluations, the CLI, the performance benchmarks) runs SLING over
 benchmark programs.  It accepts a batch of :class:`EngineJob` descriptions --
-(benchmark, kind, seed, configuration) tuples -- and executes them either
-inline (``jobs=1``) or fanned out over a ``multiprocessing`` worker pool,
-returning one structured :class:`EngineReport` per job **in job order**.
+(benchmark, kind, seed, configuration) tuples -- and returns one structured
+:class:`EngineReport` per job **in job order**.
 
 Design notes
 ------------
 
+* One path per job: every job goes through the same settle-and-retry state
+  machine (:class:`_BatchRun`); only the executor differs.  With ``jobs=1``
+  or a one-job batch the jobs run in the calling thread; otherwise they run
+  on a supervised ``multiprocessing`` fork pool (:class:`_PoolSupervisor`),
+  and whatever a broken pool leaves behind runs in the calling thread.
 * Jobs are *named*, not closured: a job carries the registry name of its
   benchmark (e.g. ``"sll/insertFront"``) and the worker resolves it through
   :mod:`repro.benchsuite.registry` on its side of the fork.  Benchmark
   objects hold test-case closures and are deliberately never pickled.
-* Workers never raise: failures (including timeouts enforced by the parent)
-  are reported as ``ok=False`` reports with the error message preserved, so
-  a single crashing benchmark cannot take down a full-suite sweep.
+* Workers never raise: failures (including timeouts) are reported as
+  ``ok=False`` reports with the error message preserved, so a single
+  crashing benchmark cannot take down a full-suite sweep.
 * Determinism: inference is deterministic per (benchmark, seed, config) --
   the candidate search, the model checker and the existential-renaming
   normalization are all order-stable -- so ``jobs=N`` produces exactly the
@@ -28,17 +32,19 @@ Design notes
   struct (``ProgramResult.cache is report.cache``; one pickle per report
   keeps the identity across the fork), so the healing counters the parent
   stamps onto the report are the payload's too.
-* Self-healing: the worker pool is supervised through a claim/done
-  protocol (a crash-proof shared-memory claim slot per worker plus a
-  result queue), so a worker death (segfault, OOM kill, an injected
-  ``os._exit``) fails only the job that was actually running on the dead
-  worker.  That job is retried on a respawned worker with seeded
-  exponential backoff (``max_retries``); a job that kills a worker *twice*
-  is quarantined as poison (``error="poisoned"``, never a third respawn);
-  and after ``max_pool_rebuilds`` healing rounds the engine degrades to
-  in-process sequential execution -- warned, counted, and with
-  bit-identical invariants, because sequential execution is the reference
-  the pool must reproduce anyway.  See ``docs/resilience.md``.
+* Self-healing: transient failures are retried up to :data:`MAX_RETRIES`
+  times with seeded exponential backoff, whichever executor ran them.  The
+  pool is supervised through a claim/done protocol (a crash-proof
+  shared-memory claim slot per worker plus a result queue), so a worker
+  death (segfault, OOM kill, an injected ``os._exit``) fails only the job
+  that was actually running on the dead worker.  Every dead worker is
+  replaced while jobs are outstanding, so that job is retried on a
+  respawned worker; a job that kills a worker *twice* is quarantined as
+  poison (``error="poisoned"``, never a third respawn); and after
+  :data:`MAX_POOL_REBUILDS` healing rounds the remaining jobs run in the
+  calling thread -- warned, counted, and with bit-identical invariants,
+  because sequential execution is the reference the pool must reproduce
+  anyway.  See ``docs/resilience.md``.
 """
 
 from __future__ import annotations
@@ -48,6 +54,7 @@ import multiprocessing
 import os
 import signal
 import threading
+import time
 from contextlib import nullcontext
 from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Sequence
@@ -74,28 +81,29 @@ class EngineError(RuntimeError):
 
 
 class TransientFault(EngineError):
-    """A failure worth retrying: worker loss, injected I/O faults, timeouts
-    (the latter only when the engine was built with ``retry_timeouts``)."""
+    """A failure worth retrying: worker loss and injected faults tagged
+    ``[transient]``."""
 
 
 class PermanentFault(EngineError):
-    """A deterministic failure: retrying would reproduce it exactly."""
+    """A deterministic failure (timeouts included): retrying would
+    reproduce it."""
 
 
 class PoisonedJob(EngineError):
     """A job that killed two workers; quarantined, never respawned again."""
 
 
-def classify_failure(report: "EngineReport", retry_timeouts: bool = False):
+def classify_failure(report: "EngineReport"):
     """The taxonomy class of a failed report (``None`` for ``ok`` ones).
 
     Worker-side failures cross the fork boundary as strings, so the
     classification reads :attr:`EngineReport.error`: worker loss and
     injected faults tagged ``[transient]`` are :class:`TransientFault`,
-    timeouts are transient only if the caller opted in (a timeout usually
-    reproduces -- the job is simply too slow), quarantined jobs are
-    :class:`PoisonedJob`, everything else -- ordinary exceptions inside the
-    job -- is a :class:`PermanentFault` that a retry would only repeat.
+    quarantined jobs are :class:`PoisonedJob`, everything else -- ordinary
+    exceptions inside the job, and timeouts (a timed-out job is simply too
+    slow; a retry would double the cost of finding that out again) -- is a
+    :class:`PermanentFault`.
     """
     if report.ok or report.error is None:
         return None
@@ -104,8 +112,6 @@ def classify_failure(report: "EngineReport", retry_timeouts: bool = False):
         return PoisonedJob
     if error.startswith("worker lost"):
         return TransientFault
-    if report.timed_out:
-        return TransientFault if retry_timeouts else PermanentFault
     if "InjectedFault" in error and "[transient]" in error:
         return TransientFault
     return PermanentFault
@@ -336,8 +342,8 @@ def _raise_job_timeout(signum, frame):  # noqa: ARG001 -- signal handler shape
 def execute_job(job: EngineJob) -> EngineReport:
     """Run one job to completion, converting any failure into a report.
 
-    This is the function submitted to pool workers; it is also what
-    ``jobs=1`` runs inline, so sequential and parallel execution share one
+    Pool workers and the calling-thread executor both run every job
+    through this function, so sequential and parallel execution share one
     code path -- including timeout enforcement, which uses ``SIGALRM`` and
     therefore measures each job individually (not batch wall-clock).
     Timeouts are skipped off the main thread, where signals cannot be
@@ -502,6 +508,18 @@ def collect_cache_stats(sling, unfold_before: dict[str, int] | None = None) -> C
 # Engine
 # ---------------------------------------------------------------------------
 
+#: Retries per job for *transient* failures (worker loss, injected faults
+#: tagged ``[transient]``), with seeded exponential backoff between
+#: ``BACKOFF_BASE`` and ``BACKOFF_CAP`` seconds (see
+#: :func:`repro.faults.backoff_delays`).  Permanent failures are never
+#: retried: they would reproduce deterministically.
+MAX_RETRIES = 2
+BACKOFF_BASE = 0.05
+BACKOFF_CAP = 2.0
+#: Healing rounds a pool survives before the remaining jobs of its batch
+#: run in the calling thread (counted per job in ``degraded_sequential``).
+MAX_POOL_REBUILDS = 3
+
 
 class InferenceEngine:
     """Runs batches of :class:`EngineJob` with bounded parallelism.
@@ -509,68 +527,30 @@ class InferenceEngine:
     Parameters
     ----------
     jobs:
-        Worker-pool size.  ``1`` (the default) executes inline in the
-        calling process -- no fork, no pickling -- which is also the
-        reference behaviour parallel runs must reproduce: bit-for-bit in
-        the inferred invariants and the candidate search.  The counters
-        of the skeleton work a batch's stream pool saves
-        (``skeletons_solved``, ``stream_pool_hits`` and the search-depth
-        counters of the solves) depend on which earlier jobs shared a
-        worker, so they are only reproducible run to run with ``jobs=1``.
+        Worker-pool size.  ``1`` (the default) executes in the calling
+        thread -- no fork, no pickling -- which is also the reference
+        behaviour parallel runs must reproduce: bit-for-bit in the inferred
+        invariants and the candidate search.  The counters of the skeleton
+        work a batch's stream pool saves (``skeletons_solved``,
+        ``stream_pool_hits`` and the search-depth counters of the solves)
+        depend on which earlier jobs shared a worker, so they are only
+        reproducible run to run with ``jobs=1``.
     job_timeout:
         Default per-job timeout in seconds (see :class:`EngineJob.timeout`).
         ``None`` waits indefinitely.  Enforced per job by an interval timer
-        inside the executing process, so it works for inline runs too.
-    warm_pool:
-        Populate the shared, copy-on-write worker state *before* forking the
-        pool: the benchmark registry is imported, every predicate's case
-        screens are compiled, and -- crucially for the canonical-interning
-        layer -- whatever canonical forms the parent process has already
-        interned (e.g. by a preceding sequential sweep) are inherited by
-        every worker instead of being re-derived per job.  Only observable
-        as fork-time state; results are identical either way.
-    max_retries:
-        Retry budget per job for *transient* failures (worker loss,
-        injected I/O faults, and -- with ``retry_timeouts`` -- timeouts),
-        with seeded exponential backoff + jitter between attempts (see
-        :func:`repro.faults.backoff_delays`).  Permanent failures
-        (ordinary exceptions inside the job) are never retried: they would
-        reproduce deterministically.
-    retry_timeouts:
-        Treat job timeouts as transient (off by default: a timeout usually
-        means the job is simply too slow, and retrying doubles the cost of
-        finding that out).
-    max_pool_rebuilds:
-        Healing rounds tolerated before the engine gives up on pools
-        entirely and runs the remaining jobs inline, sequentially, in the
-        parent process -- warned, counted per job (``degraded_sequential``)
-        and with bit-identical invariants, since sequential execution is
-        the reference the pool must reproduce anyway.
+        inside the executing process, so it works in the calling thread too
+        (when that is the main thread).
+
+    The retry and healing policy is fixed by the module constants
+    :data:`MAX_RETRIES`, :data:`BACKOFF_BASE`, :data:`BACKOFF_CAP` and
+    :data:`MAX_POOL_REBUILDS`.
     """
 
-    def __init__(
-        self,
-        jobs: int = 1,
-        job_timeout: float | None = None,
-        warm_pool: bool = True,
-        max_retries: int = 2,
-        retry_timeouts: bool = False,
-        max_pool_rebuilds: int = 3,
-        backoff_base: float = 0.05,
-        backoff_cap: float = 2.0,
-    ):
+    def __init__(self, jobs: int = 1, job_timeout: float | None = None):
         if jobs < 1:
             raise EngineError(f"engine needs at least one worker, got jobs={jobs}")
-        if max_retries < 0:
-            raise EngineError(f"max_retries must be >= 0, got {max_retries}")
         self.jobs = jobs
         self.job_timeout = job_timeout
-        self.warm_pool = warm_pool
-        self.max_retries = max_retries
-        self.retry_timeouts = retry_timeouts
-        self.max_pool_rebuilds = max_pool_rebuilds
-        self.backoff_base = backoff_base
-        self.backoff_cap = backoff_cap
 
     def run(
         self,
@@ -587,21 +567,22 @@ class InferenceEngine:
         which for pool runs is not batch order.  Exceptions it raises are
         the caller's problem; keep it cheap (hand off to a queue).
 
-        ``cancel`` is polled between inline jobs and on every supervisor
-        poll (~50ms).  The first non-``None`` reason it returns cancels the
-        batch: jobs still waiting settle immediately as ``ok=False`` with
-        ``error="cancelled: <reason>"``, and in-flight pool jobs are killed
-        through the claim-slot machinery (the worker that claimed the job
-        is terminated and the job is *not* retried -- cancellation is
-        deliberate, not a worker fault).  Inline in-flight jobs cannot be
-        interrupted this way; give them a ``timeout`` when the caller needs
-        a hard bound (the serve daemon does exactly that for deadlines).
+        ``cancel`` is polled before every calling-thread execution and on
+        every supervisor poll (~50ms).  The first non-``None`` reason it
+        returns cancels the batch: jobs still waiting settle immediately as
+        ``ok=False`` with ``error="cancelled: <reason>"``, and in-flight
+        pool jobs are killed through the claim-slot machinery (the worker
+        that claimed the job is terminated and the job is *not* retried --
+        cancellation is deliberate, not a worker fault).  A job running in
+        the calling thread cannot be interrupted this way; give it a
+        ``timeout`` when the caller needs a hard bound (the serve daemon
+        does exactly that for deadlines).
 
         ``timeout_for`` overrides a job's ``timeout`` at the moment the job
         is (re)submitted for execution, not at batch start.  This is how a
-        shrinking wall-clock budget (the serve daemon's per-request
-        deadline) stays accurate for the later jobs of a batch: each one is
-        stamped with only the budget remaining when it actually starts.
+        shrinking wall-clock budget (a serve request's deadline) stays
+        accurate for the later jobs of a batch: each one is stamped with
+        only the budget remaining when it actually starts.
 
         A batch of two or more jobs runs under a run-scoped stream pool
         (:func:`repro.sl.checker.stream_pool`): later jobs reuse the
@@ -610,7 +591,7 @@ class InferenceEngine:
         its own; the pool is dropped when the batch returns or raises.
         """
         # Bake the engine-wide default timeout into each job so the executing
-        # process (inline or pool worker) enforces it locally.
+        # process (calling thread or pool worker) enforces it locally.
         batch = [
             replace(job, timeout=self.job_timeout)
             if job.timeout is None and self.job_timeout is not None
@@ -619,118 +600,17 @@ class InferenceEngine:
         ]
         if not batch:
             return []
+        hooks = {"on_report": on_report, "cancel": cancel, "timeout_for": timeout_for}
+        if self.jobs == 1 or len(batch) == 1:
+            executor = _BatchRun(batch, **hooks)
+        else:
+            executor = _PoolSupervisor(batch, min(self.jobs, len(batch)), **hooks)
         with stream_pool() if len(batch) > 1 else nullcontext():
-            if self.jobs == 1 or len(batch) == 1:
-                reports = []
-                for index, job in enumerate(batch):
-                    reason = cancel() if cancel is not None else None
-                    if reason is not None:
-                        report = EngineReport(
-                            job=job,
-                            ok=False,
-                            error=f"cancelled: {reason}",
-                            seconds=0.0,
-                        )
-                    else:
-                        if timeout_for is not None:
-                            job = replace(job, timeout=timeout_for(job))
-                        report = self._execute_inline(job)
-                    if on_report is not None:
-                        on_report(index, report)
-                    reports.append(report)
-                return reports
-            return self._run_pool(
-                batch, on_report=on_report, cancel=cancel, timeout_for=timeout_for
-            )
-
-    def _execute_inline(self, job: EngineJob) -> EngineReport:
-        """Run one job in this process, with the same retry policy as the pool.
-
-        ``exit`` fault actions are downgraded to raises outside pool
-        workers (see :mod:`repro.faults`), so inline execution retries them
-        like any other transient fault instead of dying.
-        """
-        report, used = _execute_with_retries(
-            job,
-            max_retries=self.max_retries,
-            retry_timeouts=self.retry_timeouts,
-            backoff_seed=_backoff_seed(job),
-            backoff_base=self.backoff_base,
-            backoff_cap=self.backoff_cap,
-        )
-        if used:
-            report.cache.jobs_retried += used
-        return report
-
-    def run_named(
-        self,
-        names: Sequence[str],
-        kind: str = "spec",
-        seed: int = 0,
-        config: SlingConfig | None = None,
-    ) -> list[EngineReport]:
-        """Convenience wrapper: one ``kind`` job per benchmark name."""
-        return self.run(
-            [
-                EngineJob(kind=kind, benchmark=name, seed=seed, config=config)
-                for name in names
-            ]
-        )
-
-    # ------------------------------------------------------------ internals --
-
-    def _run_pool(
-        self,
-        batch: list[EngineJob],
-        on_report: Callable[[int, EngineReport], None] | None = None,
-        cancel: Callable[[], str | None] | None = None,
-        timeout_for: Callable[[EngineJob], float | None] | None = None,
-    ) -> list[EngineReport]:
-        # Load the registry in the parent so forked workers inherit it and
-        # do not re-import the benchmark modules once per process.
-        from repro.benchsuite.registry import load_all
-
-        load_all()
-        if self.warm_pool:
-            warm_worker_state()
-        # Fork-after-load for the persistent cache: read each job's cache
-        # file into the process-global preload table before the pool forks,
-        # so every worker inherits the rows copy-on-write (the same trick
-        # warm_worker_state relies on for the intern table) and stream
-        # lookups need no per-worker sqlite reads.  Preload failures are
-        # absorbed inside the store -- workers then simply read the file
-        # themselves.
-        preloaded: set[str] = set()
-        for job in batch:
-            cache_path = job.config.persistent_cache if job.config else None
-            if cache_path is not None and str(cache_path) not in preloaded:
-                from repro.cache import preload_cache_file
-
-                preload_cache_file(cache_path)
-                preloaded.add(str(cache_path))
-        context = multiprocessing.get_context(
-            "fork" if "fork" in multiprocessing.get_all_start_methods() else None
-        )
-        supervisor = _PoolSupervisor(
-            self, context, batch, on_report=on_report, cancel=cancel, timeout_for=timeout_for
-        )
-        try:
-            reports = supervisor.run()
-        finally:
-            supervisor.shutdown()
-        # Fold the workers' per-pid trace segments back into the main trace
-        # file, re-parenting their job spans under the caller's open span.
-        merged_telemetries: list[int] = []
-        for job in batch:
-            telemetry = job.config.telemetry if job.config else None
-            if telemetry is not None and id(telemetry) not in merged_telemetries:
-                merged_telemetries.append(id(telemetry))
-                telemetry.merge_segments()
-        return reports
+            return executor.execute()
 
 
 # ---------------------------------------------------------------------------
-# Self-healing pool
+# The per-job state machine and the calling-thread executor
 # ---------------------------------------------------------------------------
 
 #: Parent-side healing counters stamped onto the guilty job's report.
@@ -743,45 +623,183 @@ _HEAL_FIELDS = (
 )
 
 
-def _backoff_seed(job: EngineJob) -> int:
-    plan = job.config.fault_plan if job.config is not None else None
-    return plan.seed if plan is not None else 0
+@dataclass
+class _JobState:
+    """Parent-side bookkeeping for one job of a batch."""
+
+    job: EngineJob
+    retries: int = 0
+    worker_deaths: int = 0
+    heal: dict = field(default_factory=lambda: dict.fromkeys(_HEAL_FIELDS, 0))
 
 
-def _execute_with_retries(
-    job: EngineJob,
-    max_retries: int,
-    retry_timeouts: bool,
-    backoff_seed: int,
-    backoff_base: float,
-    backoff_cap: float,
-    already_retried: int = 0,
-    on_retry: Callable[[int], None] | None = None,
-) -> tuple[EngineReport, int]:
-    """Run a job in this process, retrying transient failures with backoff.
+class _BatchRun:
+    """One batch's jobs, each settled, retried and finalized in one place.
 
-    Returns ``(report, retries_used_here)``.  ``already_retried`` carries
-    retry budget a pool already consumed on this job before degrading.
+    Every report -- from the calling thread, a pool worker, or a worker
+    death the pool turns into a ``worker lost`` report -- goes through
+    :meth:`_settle`: a transient failure with budget left is rescheduled by
+    :meth:`_schedule_retry` (backoff, ``retry`` span, ``jobs_retried``);
+    anything else becomes final in :meth:`_finalize`.  The parent-side
+    healing counters are stamped onto the final reports when the batch
+    ends.  This class is also the calling-thread executor
+    (:meth:`_run_inline`); :class:`_PoolSupervisor` swaps in a fork pool.
     """
-    import time
 
-    retries = already_retried
-    while True:
-        report = execute_job(replace(job, attempt=retries) if retries else job)
-        if report.ok:
-            break
-        if classify_failure(report, retry_timeouts) is not TransientFault:
-            break
-        if retries >= max_retries:
-            break
-        delays = backoff_delays(
-            backoff_seed, job.benchmark, max_retries, backoff_base, backoff_cap
+    def __init__(
+        self,
+        batch: list[EngineJob],
+        on_report: Callable[[int, EngineReport], None] | None = None,
+        cancel: Callable[[], str | None] | None = None,
+        timeout_for: Callable[[EngineJob], float | None] | None = None,
+    ):
+        self.batch = batch
+        self.on_report = on_report
+        self.cancel = cancel
+        self.timeout_for = timeout_for
+        self.cancelled = False
+        self.degraded = False
+        telemetry = next(
+            (
+                job.config.telemetry
+                for job in batch
+                if job.config is not None and job.config.telemetry is not None
+            ),
+            None,
         )
-        time.sleep(delays[retries])
-        retries += 1
-        if on_retry is not None:
-            on_retry(retries)
-    return report, retries - already_retried
+        self.tracer = telemetry.tracer() if telemetry is not None else None
+        self.states = {index: _JobState(job) for index, job in enumerate(batch)}
+        self.final: dict[int, EngineReport] = {}
+        self.outstanding = set(self.states)
+        self.deferred: dict[int, float] = {}  # job index -> retry due time
+
+    def execute(self) -> list[EngineReport]:
+        self._run_inline()
+        self._stamp_heal_counters()
+        return [self.final[index] for index in range(len(self.batch))]
+
+    def _run_inline(self) -> None:
+        """The calling-thread executor: every outstanding job, in batch
+        order, through :func:`execute_job` until it settles.
+
+        A scheduled retry is slept out before the job runs again.  Lethal
+        fault actions are downgraded outside pool workers (see
+        :mod:`repro.faults`), so even a plan that broke the pool cannot
+        kill this process; jobs left by a degraded pool count
+        ``degraded_sequential``.
+        """
+        for index in sorted(self.outstanding):
+            if self.degraded:
+                self.states[index].heal["degraded_sequential"] += 1
+            while index in self.outstanding:
+                if self._cancel_requested():
+                    return
+                due = self.deferred.pop(index, None)
+                if due is not None:
+                    time.sleep(max(0.0, due - monotime()))
+                self._settle(index, execute_job(self._stamped(index)))
+
+    def _stamped(self, index: int) -> EngineJob:
+        """The job as (re)submitted now: its retry attempt and, through
+        ``timeout_for``, the timeout left at this moment."""
+        state = self.states[index]
+        job = replace(state.job, attempt=state.retries) if state.retries else state.job
+        if self.timeout_for is not None:
+            job = replace(job, timeout=self.timeout_for(job))
+        return job
+
+    def _settle(self, index: int, report: EngineReport) -> None:
+        """Accept a completed report, or schedule a retry if it earns one."""
+        if index not in self.outstanding:
+            return  # duplicate (stall resubmission) -- first result won
+        if (
+            classify_failure(report) is TransientFault
+            and self.states[index].retries < MAX_RETRIES
+        ):
+            self._schedule_retry(index, report.error)
+            return
+        self._finalize(index, report)
+
+    def _schedule_retry(self, index: int, reason: str) -> None:
+        state = self.states[index]
+        plan = state.job.config.fault_plan if state.job.config is not None else None
+        delays = backoff_delays(
+            plan.seed if plan is not None else 0,
+            state.job.benchmark,
+            MAX_RETRIES,
+            BACKOFF_BASE,
+            BACKOFF_CAP,
+        )
+        delay = delays[state.retries]
+        state.retries += 1
+        state.heal["jobs_retried"] += 1
+        self._emit_span(
+            "retry",
+            state.job.benchmark,
+            attempt=state.retries,
+            delay=round(delay, 4),
+            reason=reason[:200],
+        )
+        # Not a sleep: the pool checks due times each poll, so it keeps
+        # draining results and reaping deaths while backing off.
+        self.deferred[index] = monotime() + delay
+
+    def _finalize(self, index: int, report: EngineReport) -> None:
+        """The one place a job's report becomes final (and is streamed out)."""
+        self.outstanding.discard(index)
+        self.final[index] = report
+        if self.on_report is not None:
+            self.on_report(index, report)
+
+    def _cancel_requested(self) -> bool:
+        """Poll ``cancel``; on its first reason, cancel every unfinished job."""
+        if self.cancel is not None and not self.cancelled:
+            reason = self.cancel()
+            if reason is not None:
+                self._cancel_remaining(reason)
+        return self.cancelled
+
+    def _cancel_remaining(self, reason: str) -> None:
+        """Settle every unfinished job as ``cancelled: <reason>``; the
+        classifier treats cancellation as permanent, so none is retried."""
+        self.cancelled = True
+        self.deferred.clear()
+        for index in sorted(self.outstanding):
+            self._finalize(
+                index,
+                EngineReport(
+                    job=self.states[index].job,
+                    ok=False,
+                    error=f"cancelled: {reason}",
+                    seconds=0.0,
+                ),
+            )
+
+    def _stamp_heal_counters(self) -> None:
+        for index, state in self.states.items():
+            if not any(state.heal.values()):
+                continue
+            report = self.final[index]
+            for field_name, value in state.heal.items():
+                setattr(report.cache, field_name, getattr(report.cache, field_name) + value)
+
+    def _emit_span(self, kind: str, name: str, **attrs) -> None:
+        if self.tracer is None:
+            return
+        self.tracer.emit_span(
+            kind,
+            name,
+            ts=monotime(),
+            dur=0.0,
+            track="aux",
+            parent=self.tracer.current_id,
+            **attrs,
+        )
+
+
+# ---------------------------------------------------------------------------
+# Self-healing pool
+# ---------------------------------------------------------------------------
 
 
 def _pool_worker_main(task_queue, result_queue, plan, claim) -> None:
@@ -796,8 +814,8 @@ def _pool_worker_main(task_queue, result_queue, plan, claim) -> None:
     leaves its claim behind and is blamed for exactly that job.
     """
     # Only pool workers may actually die from an ``exit`` fault -- the same
-    # plan running inline (or in the degraded sequential fallback) must
-    # never kill the parent process.
+    # plan running in the calling thread (directly or after the pool
+    # degraded) must never kill the parent process.
     enable_lethal_faults(True)
     pid = os.getpid()
     if plan is not None:
@@ -815,35 +833,26 @@ def _pool_worker_main(task_queue, result_queue, plan, claim) -> None:
         index, job = item
         claim.value = index
         report = execute_job(job)
-        result_queue.put(("done", index, report, pid))
+        result_queue.put((index, report))
         # Cleared only after the put returned: dying while the done message
         # is still in the queue's feeder buffer then still reads as a death
         # *on this job*, which retries it -- a lost result never strands it.
         claim.value = -1
 
 
-@dataclass
-class _JobState:
-    """Supervisor-side bookkeeping for one submitted job."""
-
-    job: EngineJob
-    retries: int = 0
-    worker_deaths: int = 0
-    heal: dict = field(default_factory=lambda: dict.fromkeys(_HEAL_FIELDS, 0))
-
-
-class _PoolSupervisor:
-    """Owns the worker pool of one batch and heals it (see the engine docs).
+class _PoolSupervisor(_BatchRun):
+    """Runs a batch on a fork pool and heals it (see the engine docs).
 
     The protocol: jobs go into a shared task queue; each worker claims the
     job it is about to run by writing its index into a shared-memory slot
     (crash-proof: a queue message can die with the sender's feeder thread,
-    a memory store cannot) and returns it with ``("done", index, report,
-    pid)``.  The supervisor polls the result queue, reaps dead workers
-    between messages, and on a death blames exactly the job the dead
-    worker's claim slot still names -- retrying it (with backoff, on a
-    respawned worker) or quarantining it after its second kill.  Repeated
-    breakage degrades to inline sequential execution of whatever is left.
+    a memory store cannot) and returns it with ``(index, report)``.  The
+    supervisor polls the result queue, reaps dead workers between
+    messages, and on a death blames exactly the job the dead worker's
+    claim slot still names -- settling it as ``worker lost`` (which
+    retries it on a respawned worker) or quarantining it after its second
+    kill.  Repeated breakage hands whatever is left to the calling-thread
+    executor.
     """
 
     #: Result-queue poll interval; also the worker-death detection latency.
@@ -854,23 +863,9 @@ class _PoolSupervisor:
     #: duplicate execution is deterministic and settles only once.
     STALL_POLLS = 200
 
-    def __init__(
-        self,
-        engine: InferenceEngine,
-        context,
-        batch: list[EngineJob],
-        on_report: Callable[[int, EngineReport], None] | None = None,
-        cancel: Callable[[], str | None] | None = None,
-        timeout_for: Callable[[EngineJob], float | None] | None = None,
-    ):
-        self.engine = engine
-        self.context = context
-        self.batch = batch
-        self.on_report = on_report
-        self.cancel = cancel
-        self.timeout_for = timeout_for
-        self.cancelled = False
-        self.worker_count = min(engine.jobs, len(batch))
+    def __init__(self, batch: list[EngineJob], worker_count: int, **hooks):
+        super().__init__(batch, **hooks)
+        self.worker_count = worker_count
         self.plan = next(
             (
                 job.config.fault_plan
@@ -879,59 +874,67 @@ class _PoolSupervisor:
             ),
             None,
         )
-        telemetry = next(
-            (
-                job.config.telemetry
-                for job in batch
-                if job.config is not None and job.config.telemetry is not None
-            ),
-            None,
-        )
-        self.tracer = telemetry.tracer() if telemetry is not None else None
-        self.states = {index: _JobState(job) for index, job in enumerate(batch)}
-        self.final: dict[int, EngineReport] = {}
-        self.outstanding = set(self.states)
         self.workers: dict[int, object] = {}  # worker pid -> Process
         self.claims: dict[int, object] = {}  # worker pid -> shared claim slot
-        self.deferred: list[tuple[float, int]] = []  # (due time, job index)
         self.pool_rebuilds = 0
-        self.degraded = False
         self.idle_polls = 0
-        self.task_queue = context.Queue()
-        self.result_queue = context.Queue()
+
+    def execute(self) -> list[EngineReport]:
+        # Fork-after-load: the registry, the predicate case screens and the
+        # canonical forms the parent already interned are inherited
+        # copy-on-write by every worker.
+        warm_worker_state()
+        # Likewise each job's persistent cache file, read into the
+        # process-global preload table so stream lookups need no per-worker
+        # sqlite reads.  Preload failures are absorbed inside the store --
+        # workers then simply read the file themselves.
+        preloaded: set[str] = set()
+        for job in self.batch:
+            cache_path = job.config.persistent_cache if job.config else None
+            if cache_path is not None and str(cache_path) not in preloaded:
+                from repro.cache import preload_cache_file
+
+                preload_cache_file(cache_path)
+                preloaded.add(str(cache_path))
+        self.context = multiprocessing.get_context(
+            "fork" if "fork" in multiprocessing.get_all_start_methods() else None
+        )
+        self.task_queue = self.context.Queue()
+        self.result_queue = self.context.Queue()
+        try:
+            for index in range(len(self.batch)):
+                self._submit(index)
+            for _ in range(self.worker_count):
+                self._spawn_worker()
+            self._supervise()
+            self._stop_workers()
+        finally:
+            self.shutdown()
+        reports = super().execute()
+        # Fold the workers' per-pid trace segments back into the main trace
+        # file, re-parenting their job spans under the caller's open span.
+        merged_telemetries: list[int] = []
+        for job in self.batch:
+            telemetry = job.config.telemetry if job.config else None
+            if telemetry is not None and id(telemetry) not in merged_telemetries:
+                merged_telemetries.append(id(telemetry))
+                telemetry.merge_segments()
+        return reports
 
     # -------------------------------------------------------------- driver --
 
-    def _submit(self, index: int, job: EngineJob) -> None:
-        """Enqueue a job for a worker, restamping its timeout at this moment."""
-        if self.timeout_for is not None:
-            job = replace(job, timeout=self.timeout_for(job))
-        self.task_queue.put((index, job))
-
-    def run(self) -> list[EngineReport]:
-        for index, job in enumerate(self.batch):
-            self._submit(index, job)
-        for _ in range(self.worker_count):
-            self._spawn_worker()
-        self._supervise()
-        self._stop_workers()
-        if self.outstanding:
-            self._run_degraded()
-        self._stamp_heal_counters()
-        return [self.final[index] for index in range(len(self.batch))]
+    def _submit(self, index: int) -> None:
+        self.task_queue.put((index, self._stamped(index)))
 
     def _supervise(self) -> None:
         import queue as queue_module
 
         while self.outstanding and not self.degraded:
-            if self.cancel is not None and not self.cancelled:
-                reason = self.cancel()
-                if reason is not None:
-                    self._cancel_remaining(reason)
-                    break
+            if self._cancel_requested():
+                break
             self._submit_due_retries()
             try:
-                message = self.result_queue.get(timeout=self.POLL_SECONDS)
+                index, report = self.result_queue.get(timeout=self.POLL_SECONDS)
             except queue_module.Empty:
                 self._reap_dead_workers()
                 self._check_stall()
@@ -946,7 +949,7 @@ class _PoolSupervisor:
                 self.degraded = True
                 break
             self.idle_polls = 0
-            self._handle_message(message)
+            self._settle(index, report)
 
     def shutdown(self) -> None:
         """Terminate whatever is left; idempotent, safe after errors."""
@@ -963,109 +966,34 @@ class _PoolSupervisor:
             except (OSError, ValueError):
                 pass
 
-    # ------------------------------------------------------------ messages --
-
-    def _handle_message(self, message) -> None:
-        kind = message[0]
-        if kind == "done":
-            _, index, report, pid = message
-            self._settle(index, report)
-
     def _running_indices(self) -> set[int]:
         """Jobs currently claimed by a live worker (from the claim slots)."""
         return {
             claim.value for claim in self.claims.values() if claim.value >= 0
         }
 
-    def _settle(self, index: int, report: EngineReport) -> None:
-        """Accept a completed report, or schedule a retry if it earns one."""
-        if index not in self.outstanding:
-            return  # duplicate (stall resubmission) -- first result won
-        state = self.states[index]
-        if (
-            classify_failure(report, self.engine.retry_timeouts) is TransientFault
-            and state.retries < self.engine.max_retries
-        ):
-            self._schedule_retry(index, report.error or "transient failure")
-            return
-        self._finalize(index, report)
-
-    def _finalize(self, index: int, report: EngineReport) -> None:
-        """The one place a job's report becomes final (and is streamed out)."""
-        self.outstanding.discard(index)
-        self.final[index] = report
-        if self.on_report is not None:
-            self.on_report(index, report)
-
-    # -------------------------------------------------------- cancellation --
-
     def _cancel_remaining(self, reason: str) -> None:
-        """Cancel every unfinished job: kill in-flight workers, settle the rest.
+        """Terminate the workers of in-flight jobs, then cancel every job.
 
         In-flight jobs are found through the claim slots -- the same
-        crash-proof protocol the healer blames deaths with -- and their
-        workers terminated outright; a cancelled job is settled as
-        ``cancelled: <reason>`` and deliberately never retried (the
-        classifier treats cancellation as permanent).
+        crash-proof protocol the healer blames deaths with.
         """
-        self.cancelled = True
-        self.deferred.clear()
-        running = self._running_indices()
-        if running:
-            for pid, claim in list(self.claims.items()):
-                if claim.value >= 0:
-                    worker = self.workers.pop(pid, None)
-                    self.claims.pop(pid, None)
-                    if worker is not None:
-                        worker.terminate()
-                        worker.join(timeout=1.0)
-        for index in sorted(self.outstanding):
-            self._finalize(
-                index,
-                EngineReport(
-                    job=self.states[index].job,
-                    ok=False,
-                    error=f"cancelled: {reason}",
-                    seconds=0.0,
-                ),
-            )
-
-    # ------------------------------------------------------------- retries --
-
-    def _schedule_retry(self, index: int, reason: str) -> None:
-        state = self.states[index]
-        delays = backoff_delays(
-            _backoff_seed(state.job),
-            state.job.benchmark,
-            self.engine.max_retries,
-            self.engine.backoff_base,
-            self.engine.backoff_cap,
-        )
-        delay = delays[state.retries]
-        state.retries += 1
-        state.heal["jobs_retried"] += 1
-        self._emit_span(
-            "retry",
-            state.job.benchmark,
-            attempt=state.retries,
-            delay=round(delay, 4),
-            reason=reason[:200],
-        )
-        # Not a sleep: the due time is checked each poll, so the supervisor
-        # keeps draining results and reaping deaths while backing off.
-        self.deferred.append((monotime() + delay, index))
+        for pid, claim in list(self.claims.items()):
+            if claim.value >= 0:
+                worker = self.workers.pop(pid, None)
+                self.claims.pop(pid, None)
+                if worker is not None:
+                    worker.terminate()
+                    worker.join(timeout=1.0)
+        super()._cancel_remaining(reason)
 
     def _submit_due_retries(self) -> None:
         if not self.deferred:
             return
         now = monotime()
-        due = sorted(index for when, index in self.deferred if when <= now)
-        if not due:
-            return
-        self.deferred = [(when, index) for when, index in self.deferred if when > now]
-        for index in due:
-            state = self.states[index]
-            self._submit(index, replace(state.job, attempt=state.retries))
+        for index in sorted(index for index, due in self.deferred.items() if due <= now):
+            del self.deferred[index]
+            self._submit(index)
 
     # ------------------------------------------------------------- healing --
 
@@ -1091,10 +1019,10 @@ class _PoolSupervisor:
 
         while True:
             try:
-                message = self.result_queue.get_nowait()
+                index, report = self.result_queue.get_nowait()
             except (queue_module.Empty, EOFError, OSError):
                 return
-            self._handle_message(message)
+            self._settle(index, report)
 
     def _heal(self, dead: list, guilty: list[tuple[int, object]]) -> None:
         """One healing round: settle the guilty jobs, respawn or degrade."""
@@ -1127,45 +1055,40 @@ class _PoolSupervisor:
                     event="quarantine",
                     deaths=state.worker_deaths,
                 )
-            elif state.retries < self.engine.max_retries:
-                self._schedule_retry(
-                    index,
-                    f"worker lost (pid {worker.pid}, exitcode {worker.exitcode})",
-                )
             else:
-                self._finalize(
+                self._settle(
                     index,
                     EngineReport(
                         job=state.job,
                         ok=False,
                         error=(
-                            f"worker lost: process exited with code "
-                            f"{worker.exitcode} (retry budget exhausted)"
+                            f"worker lost: pid {worker.pid} exited with code "
+                            f"{worker.exitcode}"
                         ),
                         seconds=0.0,
                     ),
                 )
         if not self.outstanding:
             return
-        if self.pool_rebuilds > self.engine.max_pool_rebuilds:
+        if self.pool_rebuilds > MAX_POOL_REBUILDS:
             log.warning(
                 "engine pool broke %d times (max %d); degrading to in-process "
                 "sequential execution for %d remaining job(s)",
                 self.pool_rebuilds,
-                self.engine.max_pool_rebuilds,
+                MAX_POOL_REBUILDS,
                 len(self.outstanding),
             )
             self.degraded = True
             return
+        # Replace every dead worker while any job is outstanding, so a
+        # retried job always finds a respawned worker to run on.
         respawned = 0
-        target_size = min(self.worker_count, max(1, len(self.outstanding)))
-        while len(self.workers) < target_size:
+        while len(self.workers) < self.worker_count:
             self._spawn_worker()
             respawned += 1
         for count in range(respawned):
             index = guilty[count % len(guilty)][0] if guilty else blame
-            if index is not None:
-                self.states[index].heal["workers_respawned"] += 1
+            self.states[index].heal["workers_respawned"] += 1
         self._emit_span(
             "pool_heal",
             f"rebuild-{self.pool_rebuilds}",
@@ -1196,8 +1119,7 @@ class _PoolSupervisor:
             len(waiting),
         )
         for index in sorted(waiting):
-            state = self.states[index]
-            self._submit(index, replace(state.job, attempt=state.retries))
+            self._submit(index)
         self.idle_polls = 0
 
     # ------------------------------------------------------------- workers --
@@ -1214,7 +1136,8 @@ class _PoolSupervisor:
         self.claims[process.pid] = claim
 
     def _stop_workers(self) -> None:
-        # Late results beat a redundant inline re-run, so drain once more.
+        # Late results beat a redundant calling-thread re-run, so drain once
+        # more.
         self._drain_nonblocking()
         for _ in range(len(self.workers)):
             try:
@@ -1230,72 +1153,6 @@ class _PoolSupervisor:
         self.workers.clear()
         self.claims.clear()
         self._drain_nonblocking()
-
-    # ------------------------------------------------------- degraded mode --
-
-    def _run_degraded(self) -> None:
-        """Finish the remaining jobs inline, sequentially, in this process.
-
-        Lethal fault actions are downgraded outside pool workers, so even
-        the plan that broke the pool cannot kill the parent here; inferred
-        invariants are bit-identical to a healthy pool run by the engine's
-        determinism guarantee.
-        """
-        for index in sorted(self.outstanding):
-            if self.cancel is not None and not self.cancelled:
-                reason = self.cancel()
-                if reason is not None:
-                    self._cancel_remaining(reason)
-                    return
-            state = self.states[index]
-            state.heal["degraded_sequential"] += 1
-            if self.timeout_for is not None:
-                state.job = replace(state.job, timeout=self.timeout_for(state.job))
-
-            def count_retry(attempt: int, state=state) -> None:
-                state.heal["jobs_retried"] += 1
-                self._emit_span(
-                    "retry",
-                    state.job.benchmark,
-                    attempt=attempt,
-                    degraded=True,
-                    reason="transient failure in degraded sequential mode",
-                )
-
-            report, _ = _execute_with_retries(
-                state.job,
-                max_retries=self.engine.max_retries,
-                retry_timeouts=self.engine.retry_timeouts,
-                backoff_seed=_backoff_seed(state.job),
-                backoff_base=self.engine.backoff_base,
-                backoff_cap=self.engine.backoff_cap,
-                already_retried=state.retries,
-                on_retry=count_retry,
-            )
-            self._finalize(index, report)
-
-    # ------------------------------------------------------------ stamping --
-
-    def _stamp_heal_counters(self) -> None:
-        for index, state in self.states.items():
-            if not any(state.heal.values()):
-                continue
-            report = self.final[index]
-            for field_name, value in state.heal.items():
-                setattr(report.cache, field_name, getattr(report.cache, field_name) + value)
-
-    def _emit_span(self, kind: str, name: str, **attrs) -> None:
-        if self.tracer is None:
-            return
-        self.tracer.emit_span(
-            kind,
-            name,
-            ts=monotime(),
-            dur=0.0,
-            track="aux",
-            parent=self.tracer.current_id,
-            **attrs,
-        )
 
 
 def run_category_batch(

@@ -23,6 +23,7 @@ from repro.serve.protocol import (
     done_record,
     encode,
     records_for_report,
+    remaining_budget,
 )
 
 
@@ -82,7 +83,8 @@ def run_local(
     Builds the same engine configuration the daemon uses (crash discard on,
     incremental cache flushing when a cache file is given) and streams each
     benchmark's records as its job finalizes.  The request ``deadline`` is
-    honoured as the per-job timeout budget, measured from this call.
+    measured from this call: each job is stamped with the budget still left
+    when it starts, exactly as the daemon does.
     """
     from repro.core.engine import CacheStats, EngineJob, InferenceEngine
     from repro.core.sling import SlingConfig
@@ -119,12 +121,12 @@ def run_local(
                 benchmark=name,
                 seed=request.seed,
                 config=config,
-                timeout=request.deadline,
             )
             for name in request.benchmarks
         ],
         on_report=on_report,
         cancel=cancel,
+        timeout_for=lambda job: remaining_budget(deadline_at),
     )
     stats = CacheStats()
     for report in reports:

@@ -68,6 +68,7 @@ from repro.serve.protocol import (
     parse_request,
     records_for_report,
     rejected_record,
+    remaining_budget,
 )
 from repro.telemetry import monotime
 
@@ -236,7 +237,7 @@ class ServeDaemon:
         self.telemetry = telemetry
         self.fault_plan = fault_plan
         self.queue = AdmissionQueue(queue_limit)
-        self.engine = InferenceEngine(jobs=jobs, warm_pool=True)
+        self.engine = InferenceEngine(jobs=jobs)
         self.config = SlingConfig(
             discard_crashed_runs=True,
             persistent_cache=cache_file,
@@ -566,18 +567,6 @@ class ServeDaemon:
                 return "deadline"
             return None
 
-        def timeout_for(job: EngineJob) -> float | None:
-            # Called by the engine when the job is submitted, so each job of
-            # a multi-benchmark request gets only the budget still left at
-            # that moment -- not the request-start remainder.  The floor
-            # covers the race where the deadline passes between the cancel
-            # poll and this stamp: the job then times out immediately.
-            timeout = self.request_timeout
-            if deadline_at is not None:
-                remaining = max(deadline_at - monotime(), 0.001)
-                timeout = remaining if timeout is None else min(timeout, remaining)
-            return timeout
-
         def on_report(index: int, report) -> None:
             for record in records_for_report(request.id, report):
                 self._stream_record(pending, record, request_id=request.id)
@@ -587,7 +576,10 @@ class ServeDaemon:
             for name in request.benchmarks
         ]
         reports = self.engine.run(
-            jobs, on_report=on_report, cancel=cancel, timeout_for=timeout_for
+            jobs,
+            on_report=on_report,
+            cancel=cancel,
+            timeout_for=lambda job: remaining_budget(deadline_at, self.request_timeout),
         )
 
         errors = [report.error or "" for report in reports if not report.ok]

@@ -45,6 +45,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
+from repro.telemetry import monotime
+
 #: Version stamped into every ``accepted``/``rejected``/``done`` record.
 #: Bump on any change a client could misinterpret.
 SERVE_PROTOCOL_VERSION = 1
@@ -112,6 +114,22 @@ def parse_request(line: str) -> ServeRequest:
     return ServeRequest(
         id=request_id, benchmarks=tuple(benchmarks), seed=seed, deadline=deadline
     )
+
+
+def remaining_budget(deadline_at: float | None, cap: float | None = None) -> float | None:
+    """The per-job timeout a request deadline leaves at this moment.
+
+    The engine stamps each job through this at submission (its
+    ``timeout_for`` hook), so the later jobs of a multi-benchmark request
+    get only the budget still left, never the whole deadline again.
+    ``cap`` is a per-job limit of the caller's own (``None``: none).  The
+    1 ms floor covers the race where the deadline passes between the
+    cancel poll and the stamp: the job then times out immediately.
+    """
+    if deadline_at is None:
+        return cap
+    remaining = max(deadline_at - monotime(), 0.001)
+    return remaining if cap is None else min(cap, remaining)
 
 
 def encode(record: dict) -> str:

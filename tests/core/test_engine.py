@@ -14,6 +14,10 @@ from repro.evaluation.table1 import run_table1
 _BENCHMARKS = ["sll/insertFront", "bst/insert", "queue/insertHd"]
 
 
+def _spec_jobs(names):
+    return [EngineJob(kind="spec", benchmark=name) for name in names]
+
+
 def _spec_fingerprint(report):
     spec = report.payload.specification
     return (
@@ -26,7 +30,7 @@ def _spec_fingerprint(report):
 class TestEngineBasics:
     def test_inline_run_returns_reports_in_job_order(self):
         engine = InferenceEngine(jobs=1)
-        reports = engine.run_named(_BENCHMARKS)
+        reports = engine.run(_spec_jobs(_BENCHMARKS))
         assert [report.job.benchmark for report in reports] == _BENCHMARKS
         for report in reports:
             assert report.ok, report.error
@@ -56,15 +60,15 @@ class TestEngineBasics:
 
     def test_cache_counters_reported_per_job(self):
         engine = InferenceEngine(jobs=1)
-        [report] = engine.run_named(_BENCHMARKS[:1])
+        [report] = engine.run(_spec_jobs(_BENCHMARKS[:1]))
         assert report.cache.checker_misses > 0
         assert report.cache.unfold_hits + report.cache.unfold_misses > 0
 
 
 class TestEngineParallel:
     def test_parallel_specs_match_sequential_exactly(self):
-        sequential = InferenceEngine(jobs=1).run_named(_BENCHMARKS)
-        parallel = InferenceEngine(jobs=4).run_named(_BENCHMARKS)
+        sequential = InferenceEngine(jobs=1).run(_spec_jobs(_BENCHMARKS))
+        parallel = InferenceEngine(jobs=4).run(_spec_jobs(_BENCHMARKS))
         assert [_spec_fingerprint(r) for r in sequential] == [
             _spec_fingerprint(r) for r in parallel
         ]

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import pytest
 
+import repro.core.engine as engine_module
 from repro.core.engine import (
     EngineJob,
     InferenceEngine,
@@ -44,8 +45,8 @@ _TOTALS = (
     "disk_load_errors",
 )
 
-_POOL = {"jobs": 4, "max_retries": 2}
-_INLINE = {"jobs": 1, "max_retries": 2}
+_POOL = {"jobs": 4}
+_INLINE = {"jobs": 1}
 
 
 def _run(benchmarks, config, **engine_kwargs):
@@ -79,7 +80,15 @@ def _check_worker_kill(by_name, totals):
 
 
 def _check_job_hang(by_name, totals):
-    assert by_name[TARGET].cache.jobs_retried >= 1, "hung target never retried"
+    # A timeout is permanent: the hung target fails alone, never retried.
+    assert by_name[TARGET].timed_out
+    assert totals["jobs_retried"] == 0
+
+
+def _check_degraded(by_name, totals):
+    assert totals["degraded_sequential"] >= 1
+    assert by_name[TARGET].cache.degraded_sequential == 1
+    assert by_name[TARGET].cache.jobs_retried == 1
 
 
 def _check_cache_fault(by_name, totals):
@@ -111,44 +120,55 @@ def _sweep(rule, engine_kwargs, cache_file):
 
 _KILL_TARGET_ONCE = FaultRule("job_exec", "exit", match=TARGET, attempt=0)
 
-#: One row per named scenario: the injected rule, the engine settings, whether
-#: it needs a persistent cache file, the jobs that must fail, its own checks.
+#: One row per named scenario: the injected rule, the engine settings, the
+#: engine policy constants it overrides, whether it needs a persistent cache
+#: file, the jobs that must fail, its own checks.
 SCENARIOS = [
     pytest.param(
         _KILL_TARGET_ONCE,
-        _POOL, False, (), _check_worker_kill,
+        _POOL, {}, False, (), _check_worker_kill,
         id="worker_kill",
     ),
     pytest.param(
         FaultRule("job_exec", "hang", match=TARGET, attempt=0, seconds=30.0),
-        {**_POOL, "retry_timeouts": True, "job_timeout": 5.0}, False, (), _check_job_hang,
+        {**_POOL, "job_timeout": 5.0}, {}, False, (TARGET,), _check_job_hang,
         id="job_hang",
     ),
     pytest.param(
         FaultRule("cache_read", "corrupt", at=2),
-        _INLINE, True, (), _check_cache_fault,
+        _INLINE, {}, True, (), _check_cache_fault,
         id="cache_corrupt",
     ),
     pytest.param(
         FaultRule("cache_write", "disk_full"),
-        _INLINE, True, (), _check_cache_fault,
+        _INLINE, {}, True, (), _check_cache_fault,
         id="disk_full",
     ),
     pytest.param(
         FaultRule("job_exec", "exit", match=TARGET),
-        _POOL, False, (TARGET,), _check_poison,
+        _POOL, {}, False, (TARGET,), _check_poison,
         id="poison",
+    ),
+    pytest.param(
+        _KILL_TARGET_ONCE,
+        _POOL, {"MAX_POOL_REBUILDS": 0}, False, (), _check_degraded,
+        id="degraded",
     ),
 ]
 
 
 class TestChaosScenarios:
-    """The five named scenarios, and the trace that healing leaves."""
+    """The named scenarios, and the trace that healing leaves."""
 
-    @pytest.mark.parametrize("rule, engine_kwargs, cached, failed, check", SCENARIOS)
+    @pytest.mark.parametrize(
+        "rule, engine_kwargs, constants, cached, failed, check", SCENARIOS
+    )
     def test_scenario_passes(
-        self, rule, engine_kwargs, cached, failed, check, reference, tmp_path
+        self, rule, engine_kwargs, constants, cached, failed, check, reference,
+        tmp_path, monkeypatch,
     ):
+        for name, value in constants.items():
+            monkeypatch.setattr(engine_module, name, value)
         cache_file = str(tmp_path / "chaos.sqlite") if cached else None
         by_name, totals = _sweep(rule, engine_kwargs, cache_file)
 
@@ -170,7 +190,7 @@ class TestChaosScenarios:
 
     def test_worker_kill_acceptance_details(self, reference):
         """The acceptance criterion, spelled out: kill 1 of 4 workers with
-        max_retries=2; every job ok, the killed job respawned and retried,
+        MAX_RETRIES=2; every job ok, the killed job respawned and retried,
         nothing reported 'worker lost', results bit-identical."""
         by_name, totals = _sweep(_KILL_TARGET_ONCE, _POOL, None)
         assert all(report.ok for report in by_name.values())
@@ -213,16 +233,12 @@ class TestWorkerLossAttribution:
     running on the dead worker (the old pool marked the whole in-flight
     batch 'worker lost')."""
 
-    def test_only_the_running_job_is_blamed_without_retries(self):
+    def test_only_the_running_job_is_blamed_without_retries(self, monkeypatch):
+        monkeypatch.setattr(engine_module, "MAX_RETRIES", 0)
         plan = FaultPlan(
             rules=(FaultRule("job_exec", "exit", match="sll/reverse"),), seed=11
         )
-        reports = _run(
-            _BENCHMARKS,
-            SlingConfig(fault_plan=plan),
-            jobs=4,
-            max_retries=0,
-        )
+        reports = _run(_BENCHMARKS, SlingConfig(fault_plan=plan), jobs=4)
         by_name = {report.job.benchmark: report for report in reports}
         assert not by_name["sll/reverse"].ok
         assert "worker lost" in by_name["sll/reverse"].error
@@ -251,16 +267,13 @@ class TestFailureTaxonomy:
         assert classify_failure(fake("worker lost: exited 137")) is TransientFault
         assert classify_failure(fake("timed out", timed_out=True)) is PermanentFault
         assert (
-            classify_failure(fake("timed out", timed_out=True), retry_timeouts=True)
-            is TransientFault
-        )
-        assert (
             classify_failure(fake("InjectedFault: injected raise at job_exec [transient]"))
             is TransientFault
         )
         assert classify_failure(fake("ZeroDivisionError: boom")) is PermanentFault
 
-    def test_permanent_failures_are_not_retried(self):
+    def test_permanent_failures_are_not_retried(self, monkeypatch):
+        monkeypatch.setattr(engine_module, "MAX_RETRIES", 3)
         # raise_permanent injects a non-transient fault on every attempt
         # budgeted; with times=0 the rule would fire forever, so a retrying
         # engine must classify it permanent and not spend its budget.
@@ -272,12 +285,7 @@ class TestFailureTaxonomy:
             ),
             seed=5,
         )
-        reports = _run(
-            ("sll/insertFront",),
-            SlingConfig(fault_plan=plan),
-            jobs=1,
-            max_retries=3,
-        )
+        reports = _run(("sll/insertFront",), SlingConfig(fault_plan=plan), jobs=1)
         assert not reports[0].ok
         assert reports[0].cache.jobs_retried == 0
         assert reports[0].cache.faults_injected == 1

@@ -3,7 +3,8 @@
 A retry happens in the engine, outside the worker that computed the Table 1
 row, so the row's counters only show it if the engine's accounting and the
 row share one record.  One transient ``job_exec`` fault on the first attempt
-of the first SLL program forces exactly that retry, inline and on a pool.
+of the first SLL program forces exactly that retry, inline and on a pool,
+and the retry leaves exactly one ``retry`` span in the trace either way.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from repro.core.engine import EngineJob, InferenceEngine
 from repro.core.sling import SlingConfig
 from repro.evaluation.table1 import run_table1
 from repro.faults import FaultPlan, FaultRule, reset_injector
+from repro.telemetry import Telemetry, read_trace, span_records
 
 FAULTED = "sll/append"
 
@@ -38,14 +40,14 @@ PROGRAM_KEYS = [
 ]
 
 
-def _config() -> SlingConfig:
+def _config(telemetry=None) -> SlingConfig:
     plan = FaultPlan(rules=(FaultRule("job_exec", "raise", match=FAULTED, attempt=0),))
     reset_injector(plan)
-    return SlingConfig(discard_crashed_runs=True, fault_plan=plan)
+    return SlingConfig(discard_crashed_runs=True, fault_plan=plan, telemetry=telemetry)
 
 
 @pytest.mark.parametrize("jobs", (1, 2))
-def test_retries_reach_table1_totals_and_rows(jobs):
+def test_retries_reach_table1_totals_and_rows(jobs, tmp_path):
     result = run_table1(
         categories=("SLL",), max_programs_per_category=2, jobs=jobs, config=_config()
     )
@@ -55,14 +57,21 @@ def test_retries_reach_table1_totals_and_rows(jobs):
     for program in programs:
         assert list(program.as_dict()) == PROGRAM_KEYS
 
-    config = _config()
-    report, _ = InferenceEngine(jobs=jobs).run(
-        [
-            EngineJob(kind="table1", benchmark=program.name, config=config)
-            for program in programs
-        ]
-    )
+    path = tmp_path / "retry.ndjson"
+    telemetry = Telemetry(path)
+    try:
+        config = _config(telemetry)
+        report, _ = InferenceEngine(jobs=jobs).run(
+            [
+                EngineJob(kind="table1", benchmark=program.name, config=config)
+                for program in programs
+            ]
+        )
+    finally:
+        telemetry.close()
     assert report.job.benchmark == FAULTED
     assert report.ok
-    assert report.cache.jobs_retried >= 1
+    assert report.cache.jobs_retried == 1
     assert report.payload.as_dict()["jobs_retried"] == report.cache.jobs_retried
+    retries = [span for span in span_records(read_trace(path)) if span["kind"] == "retry"]
+    assert [span["name"] for span in retries] == [FAULTED]

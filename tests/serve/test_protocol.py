@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import io
 import json
 
 import pytest
 
+import repro.core.engine as engine_module
 from repro.core.engine import EngineJob, InferenceEngine
+from repro.serve.client import run_local
 from repro.serve.protocol import (
     DONE_STATUSES,
     ProtocolError,
@@ -99,3 +102,24 @@ class TestRecords:
             json.loads(encode(record))
         assert records[-1]["ok"] is True
         assert isinstance(records[-1]["validated"], bool)
+
+
+class TestRunLocal:
+    def test_later_jobs_get_only_the_remaining_deadline(self, monkeypatch):
+        # The in-process fallback stamps each job with the budget left when
+        # it starts, like the daemon: a request never overruns its deadline
+        # by a whole deadline per benchmark.
+        timeouts = []
+        execute_job = engine_module.execute_job
+
+        def recording(job):
+            timeouts.append(job.timeout)
+            return execute_job(job)
+
+        monkeypatch.setattr(engine_module, "execute_job", recording)
+        request = ServeRequest(
+            id="r1", benchmarks=("sll/insertFront", "sll/append"), deadline=60.0
+        )
+        assert run_local(request, io.StringIO())["status"] == "complete"
+        assert len(timeouts) == 2
+        assert timeouts[1] < timeouts[0] < request.deadline
