@@ -448,7 +448,7 @@ def bind_tier(
     if store is None:
         store = _TIERS.stores[(pid, path)] = CacheStore(path)
     store.fault_plan = fault_plan
-    key = (pid, path, checker.codegen_space(), read_only)
+    key = (pid, path, checker.registry_space(), read_only)
     tier = _TIERS.tiers.get(key)
     if tier is None or tier._disabled:
         tier = PersistentCache(

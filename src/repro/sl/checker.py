@@ -63,7 +63,6 @@ from repro.sl.model import CanonicalForm, Heap, StackHeapModel
 from repro.sl.predicates import PredicateRegistry, canonical_unfold_key
 from repro.sl.screen import ScreeningStats, case_feasible, formula_shape
 from repro.sl.spatial import Emp, PointsTo, PredApp, SepConj, Spatial, SymHeap
-from repro.telemetry import monotime
 
 
 @dataclass(frozen=True)
@@ -136,7 +135,6 @@ class ModelChecker:
         registry: PredicateRegistry,
         max_steps: int = 50_000,
         max_solutions: int = 64,
-        stream_cache_size: int = 1024,
         stream_max_entries: int = 4096,
         structs=None,
     ):
@@ -146,9 +144,6 @@ class ModelChecker:
         self.max_solutions = max_solutions
         #: Exact per-candidate reductions run (:meth:`check` calls).
         self.check_calls = 0
-        #: Whether the most recent ``_check_uncached`` selection was
-        #: enumeration-order dependent (see its docstring).
-        self.last_check_ambiguous = False
         #: Screening / fail-fast counters (shared with the candidate loop).
         self.screen_stats = ScreeningStats()
         #: Learned refuters: formula shape -> key of the model (within the
@@ -157,10 +152,9 @@ class ModelChecker:
         #: run otherwise.
         self._refuters: OrderedDict[tuple, int] = OrderedDict()
         self.refuters_limit = _REFUTERS_LIMIT
-        #: Memoized skeleton streams: (skeleton structural key, model) ->
-        #: :class:`EnvStream`, LRU-bounded.
-        self.stream_cache_size = stream_cache_size
         self.stream_max_entries = stream_max_entries
+        #: Memoized skeleton streams: (skeleton structural key, model) ->
+        #: :class:`EnvStream`, LRU-bounded by ``_STREAM_MEMO_LIMIT``.
         self._streams: OrderedDict[tuple, EnvStream] = OrderedDict()
         #: The run-scoped pool of the engine batch this checker was built
         #: in (see :func:`stream_pool`); ``None`` outside a batch keeps the
@@ -183,10 +177,8 @@ class ModelChecker:
         from repro.sl.kernels import decide_group
 
         self._kernel = decide_group
-        #: Registry fingerprint keying the process-wide code-gen matcher
-        #: cache (computed lazily on first kernel use; see
-        #: :mod:`repro.cache.codegen`).
-        self._codegen_space: str | None = None
+        #: Registry fingerprint (computed lazily; see :meth:`registry_space`).
+        self._registry_space: str | None = None
 
     # ------------------------------------------------------------------ API --
 
@@ -198,22 +190,20 @@ class ModelChecker:
     def _check_uncached(self, model: StackHeapModel, formula: SymHeap) -> CheckResult | None:
         """Run the reduction of Definition 2; ``None`` when no reduction exists.
 
-        Sets ``self.last_check_ambiguous`` when the *selection* among valid
-        reductions was enumeration-order dependent: distinct reductions tied
-        at the selected coverage, the solution cap truncated the
-        enumeration, or the step budget expired.  The isomorphism-dedup
-        layer consults the flag (via the ``exact_selection_ambiguities``
-        counter) because only order-independent selections may be replayed
-        onto address-renamed models -- the enumeration order itself is not
-        renaming-invariant.  (A second full-coverage reduction *after* the
-        early-exit on the first one is necessarily unobserved; full-coverage
-        ties across alpha-equivalent reductions do not occur for the
-        skeleton-shaped candidates Algorithm 2 generates, which pin every
-        argument slot per entry.)
+        Counts ``exact_selection_ambiguities`` when the *selection* among
+        valid reductions was enumeration-order dependent: distinct
+        reductions tied at the selected coverage, the solution cap truncated
+        the enumeration, or the step budget expired.  The isomorphism-dedup
+        layer consults that counter because only order-independent
+        selections may be replayed onto address-renamed models -- the
+        enumeration order itself is not renaming-invariant.  (A second
+        full-coverage reduction *after* the early-exit on the first one is
+        necessarily unobserved; full-coverage ties across alpha-equivalent
+        reductions do not occur for the skeleton-shaped candidates
+        Algorithm 2 generates, which pin every argument slot per entry.)
         """
         env = dict(model.stack)
         unknowns = set(formula.exists)
-        self.last_check_ambiguous = False
         # Free variables of the formula must be interpretable by the stack.
         for name in formula.free_vars():
             if name not in env:
@@ -260,7 +250,6 @@ class ModelChecker:
         except CheckBudgetExceeded:
             ambiguous = True
         if ambiguous:
-            self.last_check_ambiguous = True
             self.screen_stats.exact_selection_ambiguities += 1
         if state.max_trail > self.screen_stats.max_trail_depth:
             self.screen_stats.max_trail_depth = state.max_trail
@@ -381,7 +370,7 @@ class ModelChecker:
         are existentially relaxed (see :func:`build_skeleton`); each
         :class:`PureVariant` re-pins some of those slots to stack values and
         carries the exact per-candidate formula.  The trail-based ``_solve``
-        search runs once per (skeleton, model) and lazily enumerates every
+        search runs once per (skeleton, model) and enumerates every
         satisfying environment into a memoized :class:`EnvStream`; the group
         kernel (:func:`repro.sl.kernels.decide_group`) then decides every
         variant from its slot equalities against the streamed environments.
@@ -491,8 +480,7 @@ class ModelChecker:
             refuted_here = 0
             # Resolve every live variant's requirements, then settle the
             # whole group against this model in one kernel invocation
-            # (posting-list intersections over the stream's slot columns,
-            # code-generated deferred endgames).
+            # (posting-list intersections over the stream's slot columns).
             work: list[tuple[int, PureVariant, tuple, tuple]] = []
             for index in live:
                 variant = variants[index]
@@ -586,22 +574,22 @@ class ModelChecker:
             span.set(entries=len(stream.entries), complete=stream.complete)
         return verdicts
 
-    def codegen_space(self) -> str:
-        """Registry fingerprint namespacing this checker's code-gen matchers.
+    def registry_space(self) -> str:
+        """The fingerprint of this checker's predicate registry.
 
-        The process-wide matcher cache (:mod:`repro.cache.codegen`) is shared
-        across checkers; keying it by the PR 6 registry fingerprint means a
-        predicate-definition change can never serve a matcher generated for
-        another registry.  Computed once per checker (the registry is fixed
-        at construction).
+        It keys what checkers share across instances -- the stream pool
+        (through :meth:`pool_space`) and the process-wide disk-tier table
+        (:func:`repro.cache.tier.bind_tier`) -- so a predicate-definition
+        change can never be served state derived from another registry.
+        Computed once per checker (the registry is fixed at construction).
         """
-        space = self._codegen_space
+        space = self._registry_space
         if space is None:
             # Imported lazily: repro.cache's package init imports the stream
             # serializer, which imports this module.
             from repro.cache.fingerprint import registry_fingerprint
 
-            space = self._codegen_space = registry_fingerprint(self.registry)
+            space = self._registry_space = registry_fingerprint(self.registry)
         return space
 
     def pool_space(self) -> tuple:
@@ -616,7 +604,7 @@ class ModelChecker:
         space = self._pool_space
         if space is None:
             space = self._pool_space = (
-                self.codegen_space(),
+                self.registry_space(),
                 self.max_steps,
                 self.max_solutions,
                 self.stream_max_entries,
@@ -730,7 +718,7 @@ class ModelChecker:
             )
             self.screen_stats.skeletons_solved += 1
         streams[key] = shared
-        if len(streams) > self.stream_cache_size:
+        if len(streams) > _STREAM_MEMO_LIMIT:
             streams.popitem(last=False)
         return shared, view
 
@@ -1130,6 +1118,10 @@ _UNDECIDED = object()
 #: Upper bound on learned refuter entries (LRU-evicted beyond it).
 _REFUTERS_LIMIT = 4096
 
+#: Upper bound on the streams one checker's memo holds (LRU-evicted beyond
+#: it).
+_STREAM_MEMO_LIMIT = 1024
+
 #: Upper bound on the streams one run-scoped :class:`StreamPool` holds
 #: (LRU-evicted beyond it).  An unbounded pool saves a few more solves but
 #: keeps every finished stream of the batch alive.
@@ -1297,15 +1289,15 @@ class _StreamEntry:
 
 
 class EnvStream:
-    """Lazily materialized solutions of one (spatial skeleton, model) search.
+    """The solutions of one (spatial skeleton, model) search.
 
-    Entries are pulled from the raw-leaf generator on demand (``ensure``),
-    snapshotted once and shared by every pure variant that consults the
-    stream -- within one ``check_batch`` call and, through the checker's
-    stream memo, across candidate batches.  ``complete`` distinguishes an
-    exhausted enumeration (refutations may be trusted) from one cut off by
-    the step budget or the entry cap (consumers must fall back to exact
-    checks).
+    :meth:`ensure` enumerates the whole raw-leaf search once, snapshotting
+    every leaf; the entries are then shared by every pure variant that
+    consults the stream -- within one ``check_batch`` call and, through the
+    checker's stream memo, across candidate batches.  ``complete``
+    distinguishes an exhausted enumeration (refutations may be trusted) from
+    one cut off by the step budget or the entry cap (consumers must fall
+    back to exact checks).
 
     Under canonical keying (``canon`` set) the snapshots are stored in
     canonical space -- slot values and environments through the generating
@@ -1328,8 +1320,6 @@ class EnvStream:
         "_max_entries",
         "_canon",
         "_tracer",
-        "_pull_seconds",
-        "_first_ts",
         "_indexes",
         "_settle_cache",
         "_has_deferred",
@@ -1356,18 +1346,16 @@ class EnvStream:
         self._max_entries = max_entries
         self._canon = canon
         self._tracer = tracer
-        self._pull_seconds = 0.0
-        self._first_ts: float | None = None
         #: Columnar side-representation: slot position -> ``(postings,
         #: wildcards)`` where ``postings`` maps a stored slot value to the
         #: ascending list of entry indices holding it and ``wildcards`` is
         #: the ascending list of entries whose slot is unbound (``None``,
         #: compatible with any pinned value).  Built lazily per position by
-        #: :meth:`position_index`, only after the source is exhausted --
-        #: entries are immutable from then on, so the index never goes
-        #: stale.  Values live in the stream's own coordinate space
-        #: (concrete addresses or canonical tags); consumers encode their
-        #: query values through their ``_StreamView`` first.
+        #: :meth:`position_index`, only after :meth:`ensure` -- entries are
+        #: immutable from then on, so the index never goes stale.  Values
+        #: live in the stream's own coordinate space (concrete addresses or
+        #: canonical tags); consumers encode their query values through
+        #: their ``_StreamView`` first.
         self._indexes: dict[int, tuple[dict, list[int]]] | None = None
         #: Settle-record memo of the group kernel: ``(positions, encoded
         #: values, consumer key) -> record``.  A record captures the whole
@@ -1379,115 +1367,80 @@ class EnvStream:
         self._settle_cache: dict | None = None
         self._has_deferred: bool | None = None
 
-    def _emit_span(self) -> None:
-        """Flush the accumulated pull time as one ``aux``-track span.
+    def ensure(self) -> bool:
+        """Enumerate the whole skeleton search; True when it completed.
 
-        The pulls of a lazily shared stream interleave with arbitrary
-        main-track spans, so they cannot live on the span stack; the
-        aggregate goes on the ``aux`` track instead (its time is already
-        inside the main-track spans that triggered the pulls).  Emitted
-        exactly once, when the source closes -- a stream whose enumeration
-        is still open when the run ends is simply not reported.
+        The first call drains the source into ``entries`` inside one
+        main-track ``stream_materialize`` span (when traced); every later
+        call returns at once, and the entry list is immutable from then on.
+        A stream cut off by the step budget, the entry cap or an exception
+        stays incomplete.
         """
+        source = self._source
+        if source is None:
+            return self.complete
+        self._source = None
         tracer = self._tracer
         self._tracer = None
-        if tracer is None or self._first_ts is None:
-            return
-        tracer.emit_span(
-            "stream_materialize",
-            None,
-            self._first_ts,
-            self._pull_seconds,
-            entries=len(self.entries),
-            complete=self.complete,
-        )
-
-    def ensure(self, index: int) -> bool:
-        """Materialize entries up to ``index``; False when none exists."""
+        span = None if tracer is None else tracer.begin("stream_materialize")
         entries = self.entries
-        while len(entries) <= index:
-            source = self._source
-            if source is None:
-                return False
-            if self._tracer is not None:
-                pull_start = monotime()
-                if self._first_ts is None:
-                    self._first_ts = pull_start
-            else:
-                pull_start = None
-            try:
-                env, available, deferred, unknowns = next(source)
-            except StopIteration:
-                if pull_start is not None:
-                    self._pull_seconds += monotime() - pull_start
-                self._source = None
-                self.complete = True
-                self._emit_span()
-                return False
-            except CheckBudgetExceeded:
-                if pull_start is not None:
-                    self._pull_seconds += monotime() - pull_start
-                self._source = None
-                self._emit_span()
-                return False
-            if pull_start is not None:
-                self._pull_seconds += monotime() - pull_start
-            canon = self._canon
-            entry = _StreamEntry()
-            if canon is None:
-                entry.values = tuple(env.get(name) for name in self.slot_names)
-                entry.avail = frozenset(available)
-            else:
-                to_tag = canon.to_tag
-                entry.values = tuple(
-                    to_tag.get(value, value) if value is not None else None
-                    for value in (env.get(name) for name in self.slot_names)
-                )
-                to_id = canon.to_id
-                entry.avail = frozenset(to_id[addr] for addr in available)
-            entry.nconsumed = self._heap_size - len(available)
-            if deferred:
-                # The endgame is re-run per variant: keep the leaf's full
-                # environment and scope alongside the deferred goals.
-                entry.deferred = tuple(deferred)
+        slot_names = self.slot_names
+        heap_size = self._heap_size
+        max_entries = self._max_entries
+        canon = self._canon
+        if canon is not None:
+            to_tag = canon.to_tag
+            to_id = canon.to_id
+        try:
+            for env, available, deferred, unknowns in source:
+                entry = _StreamEntry()
                 if canon is None:
-                    entry.env = dict(env)
+                    entry.values = tuple(env.get(name) for name in slot_names)
+                    entry.avail = frozenset(available)
                 else:
-                    to_tag = canon.to_tag
-                    entry.env = {
-                        name: to_tag.get(value, value) for name, value in env.items()
-                    }
-                entry.unknowns = frozenset(unknowns)
+                    entry.values = tuple(
+                        to_tag.get(value, value) if value is not None else None
+                        for value in (env.get(name) for name in slot_names)
+                    )
+                    entry.avail = frozenset(to_id[addr] for addr in available)
+                entry.nconsumed = heap_size - len(available)
+                if deferred:
+                    # The endgame is re-run per variant: keep the leaf's full
+                    # environment and scope alongside the deferred goals.
+                    entry.deferred = tuple(deferred)
+                    if canon is None:
+                        entry.env = dict(env)
+                    else:
+                        entry.env = {
+                            name: to_tag.get(value, value)
+                            for name, value in env.items()
+                        }
+                    entry.unknowns = frozenset(unknowns)
+                else:
+                    entry.deferred = None
+                    entry.env = None
+                    entry.unknowns = None
+                entries.append(entry)
+                if len(entries) >= max_entries:
+                    # Safety valve for combinatorial skeletons: close out and
+                    # leave the stream marked incomplete.
+                    source.close()
+                    break
             else:
-                entry.deferred = None
-                entry.env = None
-                entry.unknowns = None
-            entries.append(entry)
-            if len(entries) >= self._max_entries and self._source is not None:
-                # Safety valve for combinatorial skeletons: close out and
-                # leave the stream marked incomplete.
-                self._source.close()
-                self._source = None
-                self._emit_span()
-        return True
-
-    def materialize(self) -> bool:
-        """Exhaust the source; True when the enumeration completed.
-
-        The group kernel settles every variant from the full entry list, so
-        it pulls the whole stream up front.  After this call ``_source`` is
-        ``None`` and the entry list is immutable.
-        """
-        index = len(self.entries)
-        while self.ensure(index):
-            index += 1
+                self.complete = True
+        except CheckBudgetExceeded:
+            pass
+        finally:
+            if span is not None:
+                span.set(entries=len(entries), complete=self.complete)
+                tracer.end(span)
         return self.complete
 
     def position_index(self, position: int) -> tuple[dict, list[int]]:
         """The ``(postings, wildcards)`` index of one slot position.
 
         Built on first request and cached for the stream's lifetime; callers
-        must :meth:`materialize` first (the kernel does).  A variant pinning
+        must :meth:`ensure` first (the kernel does).  A variant pinning
         ``position`` to value ``v`` matches exactly the entries in
         ``postings.get(v, []) + wildcards`` -- both lists ascending, so
         ordered merges preserve the stream's enumeration order, which the
@@ -1517,7 +1470,7 @@ class EnvStream:
     def has_deferred(self) -> bool:
         """True when any entry carries deferred pure goals.
 
-        Computed once after materialization (entries are immutable then).
+        Computed once after :meth:`ensure` (entries are immutable then).
         Deferred-free streams settle view-independently -- matching happens
         entirely in the stream's own coordinate space -- which lets the
         kernel share settle records across every consumer view.

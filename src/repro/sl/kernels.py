@@ -5,18 +5,16 @@
 in a single pass over the shared :class:`~repro.sl.checker.EnvStream`'s
 columnar side-representation, instead of one scan of the stream per variant.
 
-The kernel works in three steps:
+The kernel works in two steps:
 
-1. the stream is materialized to exhaustion once and its per-position
-   posting-list indexes (:meth:`EnvStream.position_index`) are built lazily
-   for the positions the group actually pins;
-2. variants are bucketed by pinned-position signature; each bucket shares
-   one pair of code-generated matchers (:mod:`repro.cache.codegen`), keyed
-   process-wide by the registry fingerprint;
-3. a variant with pins resolves to the ordered intersection of its pins'
-   posting lists -- only those candidate entries are examined (entries
-   carrying deferred pure goals still re-run the endgame per variant); a
-   variant with no pins scans every entry.
+1. the stream enumerates its whole skeleton search once
+   (:meth:`EnvStream.ensure`) and its per-position posting-list indexes
+   (:meth:`EnvStream.position_index`) are built lazily for the positions
+   the group actually pins;
+2. a variant with pins resolves to the ordered intersection of its pins'
+   posting lists, a variant with no pins to every entry; only those
+   candidate entries are examined (entries carrying deferred pure goals
+   still re-run :func:`_endgame` per variant).
 
 On top of the indexes sits a *settle-record memo* (``EnvStream._settle_cache``):
 the match/best-size/tie computation depends only on ``(pinned positions,
@@ -45,13 +43,12 @@ Counters (:class:`repro.sl.screen.ScreeningStats`): ``kernel_groups``
 counts kernel invocations (one per group x model), ``stream_index_hits``
 variants resolved through posting-list intersection,
 ``kernel_scan_fallbacks`` full entry scans actually run for pin-free
-variants (settle-record memo misses, so at most one per invocation);
+variants (settle-record misses, so at most one per invocation);
 ``pure_variant_evals`` counts entries actually examined per variant.
 """
 
 from __future__ import annotations
 
-from repro.cache.codegen import matcher_for
 from repro.sl.checker import CheckResult, _UNDECIDED, _variant_instantiation
 
 #: Settle record for a pinned-value combination that matched more than
@@ -81,23 +78,21 @@ def decide_group(
     and ``values`` aligned, values in the consumer's concrete space).
     Returns one verdict per item, aligned: ``None`` for a sound refutation,
     a :class:`CheckResult` when the stream settles the pair exactly, or the
-    ``_UNDECIDED`` sentinel when only the exact search can.
+    ``_UNDECIDED`` sentinel when only the exact search can.  ``predicate``
+    and ``root_position`` name the group; the verdicts depend only on the
+    stream, the view and the work items.
     """
     stats = checker.screen_stats
     stats.kernel_groups += 1
-    count = len(work)
-    if not stream.materialize():
+    if not stream.ensure():
         # Every verdict off an incomplete stream depends on the unobserved
         # tail, so all of them are ``_UNDECIDED`` and the kernel skips the
         # per-entry work entirely.
-        return [_UNDECIDED] * count
+        return [_UNDECIDED] * len(work)
 
-    verdicts: list = [None] * count
     entries = stream.entries
-    arity = len(slot_names)
     max_solutions = checker.max_solutions
     discharge = checker._discharge_deferred
-    space = checker.codegen_space()
     cache = stream._settle_cache
     if cache is None:
         cache = stream._settle_cache = {}
@@ -116,62 +111,34 @@ def decide_group(
     if stream.has_deferred() and view.canon is not None:
         consumer = view.canon.from_addr
 
-    # Bucket by pinned-position signature (insertion-ordered, deterministic):
-    # one generated matcher pair serves a whole bucket, and the bucket's
-    # positions decide index vs scan resolution once.
-    buckets: dict[tuple[int, ...], list[int]] = {}
-    for slot, item in enumerate(work):
-        bucket = buckets.get(item[2])
-        if bucket is None:
-            buckets[item[2]] = [slot]
-        else:
-            bucket.append(slot)
-
-    for positions, members in buckets.items():
-        names = tuple(slot_names[position] for position in positions)
-        match, endgame = matcher_for(
-            space, predicate, arity, root_position, positions, names
-        )
+    verdicts: list = []
+    for _, variant, positions, values in work:
+        encoded = view.encode_values(values)
         if positions:
-            indexes = None
-            for slot in members:
-                item = work[slot]
-                values = item[3]
-                encoded = view.encode_values(values)
-                stats.stream_index_hits += 1
-                key = (positions, encoded, consumer)
-                record = cache.get(key, _ABSENT)
-                if record is _ABSENT:
-                    if indexes is None:
-                        indexes = [
-                            stream.position_index(position) for position in positions
-                        ]
-                    candidates = _candidate_entries(indexes, encoded)
-                    record = _settle_indexed(
-                        stats, entries, candidates, endgame, discharge,
-                        max_solutions, values, view,
-                    )
-                    cache[key] = record
-                verdicts[slot] = _verdict(
-                    record, item[1], slot_names, stack, model, domain, view
+            stats.stream_index_hits += 1
+        key = (positions, encoded, consumer)
+        record = cache.get(key, _ABSENT)
+        if record is _ABSENT:
+            if positions:
+                candidates = _candidate_entries(
+                    [stream.position_index(position) for position in positions],
+                    encoded,
                 )
-        else:
-            # Nothing pinned: every entry is trivially slot-compatible, so
-            # the record degenerates to a full scan -- computed once per
-            # (stream, consumer) and shared by every group's all-fresh
-            # variant from then on.
-            key = (positions, (), consumer)
-            record = cache.get(key, _ABSENT)
-            if record is _ABSENT:
+            else:
+                # Nothing pinned: every entry is trivially slot-compatible,
+                # so the record is a full scan -- computed once per (stream,
+                # consumer) and shared by every group's all-fresh variant
+                # from then on.
                 stats.kernel_scan_fallbacks += 1
-                record = _settle_scan(
-                    stats, entries, match, discharge, max_solutions, view
-                )
-                cache[key] = record
-            for slot in members:
-                verdicts[slot] = _verdict(
-                    record, work[slot][1], slot_names, stack, model, domain, view
-                )
+                candidates = range(len(entries))
+            names = tuple(slot_names[position] for position in positions)
+            record = cache[key] = _settle_indexed(
+                stats, entries, candidates, names, discharge,
+                max_solutions, values, view,
+            )
+        verdicts.append(
+            _verdict(record, variant, slot_names, stack, model, domain, view)
+        )
     return verdicts
 
 
@@ -228,17 +195,18 @@ def _merge(left: list[int], right: list[int]) -> list[int]:
 
 
 def _settle_indexed(
-    stats, entries, candidates, endgame, discharge, max_solutions, values, view,
+    stats, entries, candidates, names, discharge, max_solutions, values, view,
 ):
-    """Settle one pinned-value combination from its pre-intersected candidates.
+    """Settle one pinned-value combination from its candidate entry indices.
 
-    Slot compatibility is guaranteed by the index intersection; only entries
-    carrying deferred pure goals still run the generated endgame (the scan
-    "fallback for deferred entries" reduced to exactly those entries).
-    Returns a shareable record: ``_OVERFLOW`` (more matches than
-    ``max_solutions``), ``None`` (no match -- a sound refutation off a
-    complete stream) or the tie list of maximal-size ``(entry, final_env)``
-    solutions, which :func:`_verdict` finishes per variant.
+    ``candidates`` are ascending entry indices: a pinned combination's index
+    intersection, or every entry when nothing is pinned.  Slot compatibility
+    is guaranteed by construction; only entries carrying deferred pure goals
+    still run :func:`_endgame`.  Returns a shareable record: ``_OVERFLOW``
+    (more matches than ``max_solutions``), ``None`` (no match -- a sound
+    refutation off a complete stream) or the tie list of maximal-size
+    ``(entry, final_env)`` solutions, which :func:`_verdict` finishes per
+    variant.
     """
     matches = 0
     best_size = -1
@@ -250,7 +218,7 @@ def _settle_indexed(
         if entry.deferred is None:
             final_env = None
         else:
-            final_env = endgame(entry, values, view, discharge)
+            final_env = _endgame(entry, names, values, view, discharge)
             if final_env is None:
                 continue
         matches += 1
@@ -269,36 +237,19 @@ def _settle_indexed(
     return tied
 
 
-def _settle_scan(stats, entries, match, discharge, max_solutions, view):
-    """Settle the pin-free combination by scanning every entry.
+def _endgame(entry, names, concrete, view, discharge):
+    """Re-run one entry's deferred pure goals under a variant's pins.
 
-    Same record contract as :func:`_settle_indexed`; the generated matcher
-    receives empty value tuples (nothing is pinned) and only the deferred
-    endgame can reject an entry.
+    Decodes the entry's environment into the consumer's addresses, binds
+    each pinned slot name the leaf left unbound to the variant's concrete
+    value, and runs ``discharge`` (``ModelChecker._discharge_deferred``).
+    Returns the witness environment or ``None``.
     """
-    matches = 0
-    best_size = -1
-    evals = 0
-    tied: list = []
-    for entry in entries:
-        evals += 1
-        matched, final_env = match(entry, (), (), view, discharge)
-        if not matched:
-            continue
-        matches += 1
-        if matches > max_solutions:
-            stats.pure_variant_evals += evals
-            return _OVERFLOW
-        size = entry.nconsumed
-        if size > best_size:
-            best_size = size
-            tied = [(entry, final_env)]
-        elif size == best_size:
-            tied.append((entry, final_env))
-    stats.pure_variant_evals += evals
-    if matches == 0:
-        return None
-    return tied
+    env = view.decode_env(entry.env)
+    for name, value in zip(names, concrete):
+        if env.get(name) is None:
+            env[name] = value
+    return discharge(list(entry.deferred), env, entry.unknowns)
 
 
 def _verdict(record, variant, slot_names, stack, model, domain, view):
@@ -311,7 +262,7 @@ def _verdict(record, variant, slot_names, stack, model, domain, view):
 
 
 def _finish(tied, variant, slot_names, stack, model, domain, view):
-    """Turn a tie set into a verdict (shared tail of both settle loops).
+    """Turn a tie set into a verdict.
 
     The first enumerated solution of maximal consumed size wins, unless a
     tied solution disagrees on residual or instantiation -- then only the

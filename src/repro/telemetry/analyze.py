@@ -17,8 +17,8 @@ def self_times(records) -> dict[str, float]:
     Only main-track spans participate -- they nest by construction (the
     tracer's stack), so within one process's span tree the self times are
     additive: they sum exactly to the root's duration.  ``aux``-track spans
-    (aggregated ``stream_materialize`` time) are excluded on both sides;
-    their time is already inside some main-track span.  Self times are
+    (``retry``, ``pool_heal``, ``queue_wait``, ``drain``) are excluded on
+    both sides; they do not nest on the span stack.  Self times are
     clamped at zero: a parallel sweep's children overlap, so their summed
     duration may legitimately exceed the parent's wall time.
     """
@@ -39,8 +39,8 @@ def phase_summary(records) -> dict[str, dict]:
 
     Main-track kinds report ``self_seconds`` (see :func:`self_times`);
     aux-track kinds report ``aux: true`` instead -- their total is a
-    side-channel measurement already contained in main-track spans and must
-    not be added to the main-track self times.
+    side-channel measurement outside the span stack and must not be added
+    to the main-track self times.
     """
     selfs = self_times(records)
     summary: dict[str, dict] = {}

@@ -17,9 +17,9 @@ mode will reuse.  Three record types exist in schema version 1:
     ``sweep``, ``job``, ``function``, ``location``, ``candidate_group``,
     ``checker_call``, ``stream_materialize``, ``disk_io``), an optional
     ``name``, ``ts``/``dur`` in clock seconds, ``pid``, ``track`` (``main``
-    for stack-nested spans, ``aux`` for aggregated side-channel spans whose
-    time is already contained in a main-track span) and an ``attrs`` object
-    carrying counter deltas and labels.
+    for stack-nested spans, ``aux`` for the side-channel events ``retry``,
+    ``pool_heal``, ``queue_wait`` and ``drain``, which do not nest on the
+    span stack) and an ``attrs`` object carrying counter deltas and labels.
 
 ``counters``
     A point-in-time snapshot of a counter dictionary (``name``, ``pid``,

@@ -128,12 +128,11 @@ class Tracer:
         parent: str | None = None,
         **attrs,
     ) -> None:
-        """Write an already-measured span (aggregated side-channel spans).
+        """Write an already-measured span (side-channel events).
 
-        Used for time that was accumulated outside the stack discipline --
-        the lazily interleaved ``stream_materialize`` pulls -- and therefore
-        goes on the ``aux`` track: its duration is already contained in some
-        main-track span, so main-track self-times stay additive.
+        Used for events measured outside the stack discipline -- ``retry``,
+        ``pool_heal``, ``queue_wait``, ``drain`` -- which therefore go on
+        the ``aux`` track, so main-track self-times stay additive.
         """
         self._write_span(self._next_id(), parent, kind, name, track, ts, dur, attrs)
 

@@ -149,8 +149,10 @@ class TestStreamRoundTrip:
                 assert theirs.env == ours.env
                 assert theirs.unknowns == ours.unknowns
                 assert theirs.deferred == ours.deferred
-            # ensure() beyond the end must report exhaustion, not resume.
-            assert clone.ensure(len(clone.entries)) is False
+            # A decoded stream is already enumerated: ensure() reports it
+            # complete without resuming anything.
+            assert clone.ensure() is True
+            assert len(clone.entries) == len(stream.entries)
 
     def test_incomplete_streams_are_refused(self):
         registry = standard_predicates()

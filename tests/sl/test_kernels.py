@@ -17,9 +17,9 @@ workloads through the full candidate lattice of a predicate, under both
 stream-view kinds: concretely-keyed streams (identity view) and
 canonically-keyed streams (address-translating view).  The unit tests pin
 each ``_UNDECIDED`` trigger (incomplete stream, ``max_solutions`` overflow,
-tie-ambiguity between distinct best reductions) deterministically, exercise
-the generated matchers against a plain reference closure on synthetic
-entries, and check the process-wide code-gen cache discipline.
+tie-ambiguity between distinct best reductions) deterministically and
+exercise the kernel's slot matching (posting-list resolution plus the
+deferred endgame) against a plain reference closure on synthetic entries.
 """
 
 from __future__ import annotations
@@ -33,12 +33,6 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.cache.codegen import (
-    clear_codegen_cache,
-    codegen_cache_info,
-    matcher_for,
-    matcher_source,
-)
 from repro.core.infer_atom import Candidate, _candidate_variant
 from repro.lang.types import standard_structs
 from repro.sl import kernels
@@ -206,10 +200,8 @@ def _scan_verdict(checker, stream, view, item, slot_names, stack, model, domain)
     match = _reference_matcher(positions, slot_names, checker._discharge_deferred)
     encoded = view.encode_values(values)
     matches, best_size, tied = 0, -1, []
-    index = 0
-    while stream.ensure(index):
-        entry = stream.entries[index]
-        index += 1
+    stream.ensure()
+    for entry in stream.entries:
         matched, final_env = match(entry, encoded, values, view)
         if not matched:
             continue
@@ -504,7 +496,7 @@ class TestUndecidedTriggers:
 
 
 # ---------------------------------------------------------------------------
-# generated matchers vs the reference closure
+# slot matching vs the reference closure
 # ---------------------------------------------------------------------------
 
 
@@ -522,13 +514,26 @@ class _IdentityView:
 
 
 class TestGeneratedMatchers:
+    """The kernel's matching -- a one-entry stream's posting-list resolution
+    plus :func:`kernels._endgame` -- against the reference closure."""
+
     SLOTS = ("x", "?w1", "?w2")
 
     def _pairs(self, positions):
         names = tuple(self.SLOTS[p] for p in positions)
-        generated = matcher_for("test-space", "p", 3, 0, positions, names)
-        closure = _reference_matcher(positions, self.SLOTS, self._discharge)
-        return generated, closure
+
+        def match(entry, values, concrete, view):
+            stream = EnvStream(None, self.SLOTS, 0, 16)
+            stream.entries = [entry]
+            indexes = [stream.position_index(p) for p in positions]
+            if not kernels._candidate_entries(indexes, values):
+                return False, None
+            if entry.deferred is None:
+                return True, None
+            final_env = kernels._endgame(entry, names, concrete, view, self._discharge)
+            return final_env is not None, final_env
+
+        return match, _reference_matcher(positions, self.SLOTS, self._discharge)
 
     @staticmethod
     def _discharge(goals, env, unknowns):
@@ -537,16 +542,16 @@ class TestGeneratedMatchers:
         return env if env.get("?w1", 0) % 2 == 0 else None
 
     def test_match_agrees_with_closure_on_plain_entries(self):
-        (match, _), closure = self._pairs((1, 2))
+        match, closure = self._pairs((1, 2))
         for values in itertools.product((None, 5, 7), repeat=2):
             entry = _FakeEntry(("root",) + values)
             for pinned in itertools.product((5, 7), repeat=2):
                 expected = closure(entry, pinned, pinned, _IdentityView())
-                got = match(entry, pinned, pinned, _IdentityView(), self._discharge)
+                got = match(entry, pinned, pinned, _IdentityView())
                 assert got == expected, (values, pinned)
 
     def test_match_agrees_with_closure_on_deferred_entries(self):
-        (match, _), closure = self._pairs((1,))
+        match, closure = self._pairs((1,))
         view = _IdentityView()
         for stored, pinned in (((None,), (4,)), ((None,), (5,)), ((4,), (4,))):
             entry = _FakeEntry(
@@ -554,51 +559,35 @@ class TestGeneratedMatchers:
                 unknowns=frozenset({"?w1"}),
             )
             expected = closure(entry, pinned, pinned, view)
-            got = match(entry, pinned, pinned, view, self._discharge)
+            got = match(entry, pinned, pinned, view)
             assert got == expected, (stored, pinned)
 
     def test_endgame_binds_only_unbound_names(self):
-        (_, endgame), _ = self._pairs((1,))
         entry = _FakeEntry(
             ("root", None, None), deferred=("goal",), env={"?w1": None},
             unknowns=frozenset({"?w1"}),
         )
-        final = endgame(entry, (2,), _IdentityView(), self._discharge)
+        final = kernels._endgame(
+            entry, ("?w1",), (2,), _IdentityView(), self._discharge
+        )
         assert final == {"?w1": 2}
         bound = _FakeEntry(
             ("root", 7, None), deferred=("goal",), env={"?w1": 7},
             unknowns=frozenset(),
         )
-        assert endgame(bound, (2,), _IdentityView(), self._discharge) is None
-
-    def test_source_unrolls_one_comparison_per_pin(self):
-        source = matcher_source((1, 3), ("?w1", "?w3"))
-        assert source.count("entry_values[") == 2
-        assert "for " not in source  # straight-line by construction
-        compile(source, "<test>", "exec")
+        assert (
+            kernels._endgame(bound, ("?w1",), (2,), _IdentityView(), self._discharge)
+            is None
+        )
 
 
-class TestCodegenCache:
-    def test_same_signature_is_served_from_cache(self):
-        clear_codegen_cache()
-        first = matcher_for("space-a", "p", 2, 0, (1,), ("?w1",))
-        second = matcher_for("space-a", "p", 2, 0, (1,), ("?w1",))
-        assert first[0] is second[0] and first[1] is second[1]
-        assert codegen_cache_info()["entries"] == 1
-
-    def test_registry_fingerprint_namespaces_the_cache(self):
-        clear_codegen_cache()
-        first = matcher_for("space-a", "p", 2, 0, (1,), ("?w1",))
-        other = matcher_for("space-b", "p", 2, 0, (1,), ("?w1",))
-        assert first[0] is not other[0]
-        assert codegen_cache_info()["entries"] == 2
-
-    def test_checker_space_is_the_registry_fingerprint(self):
+class TestRegistrySpace:
+    def test_registry_space_is_the_registry_fingerprint(self):
         from repro.cache.fingerprint import registry_fingerprint
 
         checker = _checker(False)
-        assert checker.codegen_space() == registry_fingerprint(_PREDICATES)
-        assert checker.codegen_space() is checker.codegen_space()
+        assert checker.registry_space() == registry_fingerprint(_PREDICATES)
+        assert checker.registry_space() is checker.registry_space()
 
 
 # ---------------------------------------------------------------------------

@@ -95,13 +95,22 @@ class TestTracedInference:
         assert total_self == pytest.approx(roots[0]["dur"], rel=0.05)
 
     def test_phase_summary_flags_aux_kinds(self, tmp_path):
+        """``stream_materialize`` is an ordinary main-track span nested in
+        the ``variant_decide`` call that first consults the stream."""
         records = traced_inference(tmp_path / "run.ndjson")
         summary = phase_summary(records)
         assert summary["function"]["count"] == 1
         assert "self_seconds" in summary["function"]
-        if "stream_materialize" in summary:
-            assert summary["stream_materialize"].get("aux") is True
-            assert "self_seconds" not in summary["stream_materialize"]
+        assert "self_seconds" in summary["stream_materialize"]
+        assert "aux" not in summary["stream_materialize"]
+        spans = {span["id"]: span for span in span_records(records)}
+        materialized = [
+            span for span in spans.values() if span["kind"] == "stream_materialize"
+        ]
+        assert materialized
+        for span in materialized:
+            assert span["track"] == "main"
+            assert spans[span["parent"]]["kind"] == "variant_decide"
 
 
 class TestSpanTaxonomy:
