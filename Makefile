@@ -9,7 +9,7 @@ PYTHONPATH := src
 # search-space guard, the fault-injection scenarios and the serve daemon
 # drills: overflow, deadline, disconnect, SIGTERM drain, restart-resume),
 # a CLI smoke test (including a cold and a resumed
-# `repro cache verify`), the micro/ablation benchmark harnesses (run once
+# `repro cache verify`, and every example script), the micro/ablation benchmark harnesses (run once
 # each, as correctness smoke) and the repo benchmark's self-test, whose
 # full jobs=2 sweep is checked against the committed oracle references --
 # one command.
@@ -28,13 +28,18 @@ test:
 
 # The cache verify pair runs on one fresh file: the first run writes it
 # (cold), the second reads it back as a restored cache would be (resumed).
+# The examples build SlingConfig and call the public API the way a user
+# would, so each of them must still run to completion.
 smoke:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro table1 --category SLL --limit 2 --json > /dev/null
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro docs --stdout > /dev/null
 	rm -f /tmp/smoke_cache.sqlite*
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro cache verify --file /tmp/smoke_cache.sqlite > /dev/null
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro cache verify --file /tmp/smoke_cache.sqlite > /dev/null
-	@echo "CLI smoke test OK"
+	for example in examples/*.py; do \
+		PYTHONPATH=$(PYTHONPATH) $(PYTHON) $$example > /dev/null || exit 1; \
+	done
+	@echo "CLI and examples smoke test OK"
 
 # Produce a real trace end to end and prove every consumer of it works:
 # a traced table1 run writes the NDJSON stream (parsed and schema-checked

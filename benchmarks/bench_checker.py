@@ -127,7 +127,7 @@ def _lseg_batch(size: int):
 
 def _decide(path, checker, models, skeleton, variants):
     if path == "kernel":
-        return checker.check_batch(models, skeleton, variants, drop_vacuous=False)
+        return checker.check_batch(models, skeleton, variants)
     return [checker.check_all(models, variant.formula) for variant in variants]
 
 

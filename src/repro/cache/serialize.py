@@ -19,14 +19,41 @@ Two invariants shape everything here:
   the identity-based fast path.  Unfolding templates contain compiled
   closures and are *never* pickled -- only their keys are persisted and the
   templates are recompiled on load (:meth:`InductivePredicate.warm_unfold_template`).
+* **Loading a payload runs no code.**  Rows can come from outside the
+  program (``repro cache import`` merges a dump into a cache file), so
+  payloads are unpickled by :func:`_loads`, which rebuilds plain data and
+  pure-formula nodes only and refuses a payload naming any other global.
 """
 
 from __future__ import annotations
 
+import io
 import pickle
 
-from repro.sl.checker import EnvStream, _StreamEntry
+from repro.sl import exprs
+from repro.sl.checker import STREAM_MAX_ENTRIES, EnvStream, _StreamEntry
 from repro.sl.model import CanonicalForm, intern_form
+
+#: The only globals a payload may name: the pure-formula node classes that
+#: deferred goals are made of.
+_PAYLOAD_CLASSES = frozenset(
+    name
+    for name, value in vars(exprs).items()
+    if isinstance(value, type) and value.__module__ == exprs.__name__
+)
+
+
+class _PayloadUnpickler(pickle.Unpickler):
+    def find_class(self, module, name):
+        if module == exprs.__name__ and name in _PAYLOAD_CLASSES:
+            return super().find_class(module, name)
+        raise pickle.UnpicklingError(f"a cache payload may not name {module}.{name}")
+
+
+def _loads(payload: bytes):
+    """Unpickle a row payload without resolving any global but an
+    expression class (see the module docstring)."""
+    return _PayloadUnpickler(io.BytesIO(payload)).load()
 
 
 def _render(value) -> str:
@@ -79,7 +106,7 @@ def encode_stream(stream: EnvStream) -> bytes:
     return pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
 
 
-def decode_stream(payload: bytes, max_entries: int) -> EnvStream:
+def decode_stream(payload: bytes) -> EnvStream:
     """Rebuild an :class:`EnvStream` from :func:`encode_stream` output.
 
     The result has no generator source and ``complete=True`` -- exactly the
@@ -88,8 +115,8 @@ def decode_stream(payload: bytes, max_entries: int) -> EnvStream:
     process, so every in-memory hit on a disk-loaded stream is, correctly, a
     canonical-keying win.
     """
-    data = pickle.loads(payload)
-    stream = EnvStream(None, tuple(data["slot_names"]), 0, max_entries)
+    data = _loads(payload)
+    stream = EnvStream(None, tuple(data["slot_names"]), 0, STREAM_MAX_ENTRIES)
     for values, avail, nconsumed, env, unknowns, deferred in data["entries"]:
         entry = _StreamEntry()
         entry.values = tuple(values)
@@ -120,7 +147,7 @@ def encode_refuter(shape, form: CanonicalForm) -> tuple[bytes, bytes]:
 
 def decode_refuter(payload: bytes):
     """``(shape, interned CanonicalForm)`` from :func:`encode_refuter` output."""
-    shape, form_key = pickle.loads(payload)
+    shape, form_key = _loads(payload)
     return tuple(shape), intern_form(form_key)
 
 
@@ -136,5 +163,5 @@ def encode_unfold_key(pred_name: str, case_index: int, key) -> tuple[bytes, byte
 
 def decode_unfold_key(payload: bytes):
     """``(predicate name, case index, argument-shape key)`` from a row payload."""
-    pred_name, case_index, key = pickle.loads(payload)
+    pred_name, case_index, key = _loads(payload)
     return pred_name, case_index, tuple(key)

@@ -31,6 +31,8 @@ one-shot CLI runs never loses warmth to whichever flush happened last.
 
 from __future__ import annotations
 
+import base64
+import binascii
 import logging
 import os
 import sqlite3
@@ -44,9 +46,9 @@ log = logging.getLogger("repro.cache")
 #: start), never a crash and never a misread.
 CACHE_SCHEMA_VERSION = 1
 
-#: Default cap on stored entries per cache file; beyond it the rows with
-#: the oldest ``last_used`` (ties: lowest ``hit_count``, then insertion
-#: order) are evicted at flush time.
+#: Cap on stored entries per cache file; beyond it the rows with the oldest
+#: ``last_used`` (ties: lowest ``hit_count``, then insertion order) are
+#: evicted at flush time.
 DEFAULT_MAX_ENTRIES = 100_000
 
 #: Connections dropped because their file was replaced under them (see
@@ -90,17 +92,17 @@ class CacheStore:
     ``load_errors`` counting how often something had to be ignored.
     """
 
-    def __init__(self, path, max_entries: int = DEFAULT_MAX_ENTRIES, fault_plan=None):
+    def __init__(self, path):
         self.path = os.fspath(path)
         self._abspath = os.path.abspath(self.path)
-        self.max_entries = max_entries
         #: Failures swallowed so far (corruption, version skew, IO errors).
         self.load_errors = 0
-        #: Optional fault-injection plan (see :mod:`repro.faults`): the
-        #: ``cache_open``/``cache_read``/``cache_write`` sites sit *inside*
-        #: the defensive try blocks below, so an injected sqlite failure
-        #: exercises exactly the absorb-and-disable path a real one would.
-        self.fault_plan = fault_plan
+        #: Optional fault-injection plan (see :mod:`repro.faults`; set by
+        #: :func:`repro.cache.tier.bind_tier`): the ``cache_open``/
+        #: ``cache_read``/``cache_write`` sites sit *inside* the defensive
+        #: try blocks below, so an injected sqlite failure exercises exactly
+        #: the absorb-and-disable path a real one would.
+        self.fault_plan = None
         self._conn: sqlite3.Connection | None = None
         self._failed = False
         #: ``(device, inode)`` of the database and of its write-ahead log
@@ -393,7 +395,7 @@ class CacheStore:
             self._fail(exc)
 
     def evict_over_cap(self) -> int:
-        """Drop the stalest rows beyond ``max_entries``; returns rows evicted.
+        """Drop the stalest rows beyond :data:`DEFAULT_MAX_ENTRIES`; returns rows evicted.
 
         Eviction order is least recently used first, ties broken by lowest
         hit count and then insertion order -- so a warmed, frequently hit
@@ -404,7 +406,7 @@ class CacheStore:
             return 0
         try:
             (count,) = conn.execute("SELECT COUNT(*) FROM entries").fetchone()
-            excess = count - self.max_entries
+            excess = count - DEFAULT_MAX_ENTRIES
             if excess <= 0:
                 return 0
             conn.execute(
@@ -452,7 +454,7 @@ class CacheStore:
             "path": os.path.abspath(self.path),
             "schema_version": _schema_version(),
             "file_bytes": self.file_bytes(),
-            "max_entries": self.max_entries,
+            "max_entries": DEFAULT_MAX_ENTRIES,
             "entries": 0,
             "kinds": {},
             "fingerprints": {},
@@ -482,7 +484,12 @@ class CacheStore:
     # -------------------------------------------------------- export/import --
 
     def export_rows(self) -> dict:
-        """A portable dump of the store (see ``repro cache export``)."""
+        """A portable, JSON-serializable dump of the store.
+
+        ``{"schema_version": int, "rows": [row, ...]}`` where each row is an
+        object with the :data:`DUMP_ROW_FIELDS` keys; ``key`` and
+        ``payload`` are base64 text (see ``repro cache export``).
+        """
         conn = self._connect()
         rows: list = []
         if conn is not None:
@@ -493,16 +500,24 @@ class CacheStore:
                 ).fetchall()
             except sqlite3.Error as exc:
                 self._fail(exc)
-        return {"schema_version": _schema_version(), "rows": rows}
+        records = [dict(zip(DUMP_ROW_FIELDS, row)) for row in rows]
+        for record in records:
+            for blob in ("key", "payload"):
+                record[blob] = base64.b64encode(record[blob]).decode("ascii")
+        return {"schema_version": _schema_version(), "rows": records}
 
-    def import_rows(self, dump: dict) -> int:
+    def import_rows(self, dump) -> int:
         """Merge a dump produced by :meth:`export_rows` into this store.
 
         Rows whose key already exists keep the *larger* hit count and the
         *newer* recency (``max`` merge), so importing a fleet member's cache
         never makes existing entries look colder.  A dump with a different
-        schema version is refused (0 rows, counted as a load error).
+        schema version is refused (0 rows, counted as a load error).  A dump
+        of any other shape raises :class:`MalformedDumpError` before a
+        single row is written.
         """
+        if not isinstance(dump, dict):
+            raise MalformedDumpError("a dump is a JSON object")
         if dump.get("schema_version") != _schema_version():
             log.warning(
                 "cache import into %s refused: dump schema version %r != %r",
@@ -512,7 +527,10 @@ class CacheStore:
             )
             self.load_errors += 1
             return 0
-        rows = dump.get("rows", [])
+        rows = dump.get("rows")
+        if not isinstance(rows, list):
+            raise MalformedDumpError('"rows" must be a list')
+        rows = [_decode_dump_row(index, row) for index, row in enumerate(rows)]
         if not rows:
             return 0
         conn = self._connect()
@@ -533,6 +551,38 @@ class CacheStore:
             self._fail(exc)
             return 0
         return len(rows)
+
+
+class MalformedDumpError(ValueError):
+    """A cache dump that is not what :meth:`CacheStore.export_rows` writes."""
+
+
+#: The keys of one dump row, in table-column order.
+DUMP_ROW_FIELDS = (
+    "fingerprint", "kind", "key", "payload", "hit_count", "last_used", "created"
+)
+
+
+def _decode_dump_row(index: int, row) -> tuple:
+    """One dump row as a table tuple; :class:`MalformedDumpError` otherwise."""
+    if not isinstance(row, dict) or set(row) != set(DUMP_ROW_FIELDS):
+        raise MalformedDumpError(f"row {index}: expected the keys {DUMP_ROW_FIELDS}")
+    values = [row[name] for name in DUMP_ROW_FIELDS]
+    if not (
+        all(type(text) is str for text in values[:4])
+        and type(values[4]) is int
+        and values[4] >= 0
+        and all(type(stamp) in (int, float) for stamp in values[5:])
+    ):
+        raise MalformedDumpError(
+            f"row {index}: fingerprint, kind, key and payload must be strings, "
+            "hit_count a non-negative integer, last_used and created numbers"
+        )
+    try:
+        values[2:4] = [base64.b64decode(blob, validate=True) for blob in values[2:4]]
+    except binascii.Error as exc:
+        raise MalformedDumpError(f"row {index}: key and payload must be base64 ({exc})") from None
+    return tuple(values)
 
 
 def _schema_version() -> int:

@@ -51,7 +51,7 @@ from repro.cache.serialize import (
     encode_unfold_key,
     stable_key_bytes,
 )
-from repro.cache.store import DEFAULT_MAX_ENTRIES, CacheStore
+from repro.cache.store import CacheStore
 from repro.sl.model import CanonicalForm
 
 log = logging.getLogger("repro.cache")
@@ -79,20 +79,11 @@ class PersistentCache:
     """
 
     def __init__(
-        self,
-        path,
-        registry,
-        max_entries: int = DEFAULT_MAX_ENTRIES,
-        fault_plan=None,
-        *,
-        store: CacheStore | None = None,
-        read_only: bool = False,
+        self, path, registry, *, store: CacheStore | None = None, read_only: bool = False
     ):
         self.registry = registry
         self.fingerprint = registry_fingerprint(registry)
-        if store is None:
-            store = CacheStore(path, max_entries=max_entries, fault_plan=fault_plan)
-        self.store = store
+        self.store = CacheStore(path) if store is None else store
         self.read_only = read_only
         #: Tier-level kill switch: any exception escaping a mid-run cache
         #: operation (the store absorbs sqlite errors itself, but decode
@@ -108,7 +99,6 @@ class PersistentCache:
         self.cache_file_bytes = 0
         self._decode_errors = 0
         self._errors_at_attach = 0
-        self._stream_max_entries = 4096
         #: Rows known to be on disk (loaded or flushed), held as the
         #: in-memory keys their row keys are rendered from -- avoids
         #: rewriting rows, which would reset their hit metadata, and
@@ -149,7 +139,6 @@ class PersistentCache:
                 "silently stay concrete (per-process addresses), which is "
                 "exactly what must never reach disk"
             )
-        self._stream_max_entries = checker.stream_max_entries
         checker.persistent = self
         self.disk_hits = self.disk_misses = self.disk_evictions = 0
         self._errors_at_attach = self._errors()
@@ -252,7 +241,7 @@ class PersistentCache:
             self.disk_misses += 1
             return None
         try:
-            stream = decode_stream(payload, self._stream_max_entries)
+            stream = decode_stream(payload)
         except Exception as exc:
             self._note_decode_error(KIND_STREAM, exc)
             self.disk_misses += 1

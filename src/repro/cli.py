@@ -165,7 +165,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "action",
         choices=("stats", "export", "import", "clear", "fingerprint", "verify"),
         help=(
-            "stats: summarize a cache file; export: dump it portably; "
+            "stats: summarize a cache file; export: dump it as JSON; "
             "import: merge a dump into a cache file; clear: drop all "
             "entries; fingerprint: print the standard predicate registry's "
             "fingerprint (the cache key); verify: write the file if it is "
@@ -372,8 +372,6 @@ def _spec_report_dict(report) -> dict:
 
 def _cmd_cache(arguments: argparse.Namespace) -> None:
     """``repro cache``: inspect and manage persistent cache files."""
-    import pickle
-
     from repro.cache import CacheStore, registry_fingerprint
     from repro.sl.stdpreds import standard_predicates
 
@@ -409,21 +407,25 @@ def _cmd_cache(arguments: argparse.Namespace) -> None:
         elif arguments.action == "export":
             dump = store.export_rows()
             if arguments.dump:
-                with open(arguments.dump, "wb") as handle:
-                    pickle.dump(dump, handle, protocol=pickle.HIGHEST_PROTOCOL)
+                with open(arguments.dump, "w", encoding="utf-8") as handle:
+                    json.dump(dump, handle)
                 print(
                     f"exported {len(dump['rows'])} entries to {arguments.dump}",
                     file=sys.stderr,
                 )
             else:
-                sys.stdout.buffer.write(pickle.dumps(dump, protocol=pickle.HIGHEST_PROTOCOL))
+                json.dump(dump, sys.stdout)
         elif arguments.action == "import":
-            if arguments.dump:
-                with open(arguments.dump, "rb") as handle:
-                    dump = pickle.load(handle)
-            else:
-                dump = pickle.loads(sys.stdin.buffer.read())
-            merged = store.import_rows(dump)
+            try:
+                if arguments.dump:
+                    with open(arguments.dump, encoding="utf-8") as handle:
+                        dump = json.load(handle)
+                else:
+                    dump = json.load(sys.stdin)
+                merged = store.import_rows(dump)
+            except ValueError as error:
+                # Undecodable text, invalid JSON and MalformedDumpError alike.
+                raise SystemExit(f"cache import: malformed dump: {error}")
             if merged == 0 and store.load_errors:
                 raise SystemExit(
                     f"cache import: dump rejected (schema mismatch or "

@@ -28,10 +28,10 @@ Design notes
   oracle references (``perfbench/golden/``) check this on every sweep.
 * Cache accounting: each report carries the checker and
   predicate-unfolding cache counters (:class:`CacheStats`) measured inside
-  the worker for exactly that job.  A Table 1 payload carries that same
-  struct (``ProgramResult.cache is report.cache``; one pickle per report
-  keeps the identity across the fork), so the healing counters the parent
-  stamps onto the report are the payload's too.
+  the worker for exactly that job.  A Table 1 or Table 2 payload carries
+  that same struct (``payload.cache is report.cache``; one pickle per
+  report keeps the identity across the fork), so the healing counters the
+  parent stamps onto the report are the payload's too.
 * Self-healing: transient failures are retried up to :data:`MAX_RETRIES`
   times with seeded exponential backoff, whichever executor ran them.  The
   pool is supervised through a claim/done protocol (a crash-proof
@@ -56,7 +56,7 @@ import signal
 import threading
 import time
 from contextlib import nullcontext
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 from repro.core.sling import SlingConfig
@@ -69,6 +69,7 @@ from repro.faults import (
 )
 from repro.sl.checker import stream_pool
 from repro.telemetry import monotime
+from repro.telemetry.counters import CacheStats
 
 log = logging.getLogger("repro.engine")
 
@@ -146,159 +147,6 @@ class EngineJob:
     #: a transiently failed job; fault rules can filter on it, which is how
     #: a chaos plan expresses "kill the first attempt, spare the retry".
     attempt: int = 0
-
-
-@dataclass
-class CacheStats:
-    """Memoization and candidate-screening counters, for one job.
-
-    The one declaration of every counter: ``merge`` and ``as_dict`` are
-    derived from these fields.  A field sums when batches merge unless its
-    metadata says ``{"merge": "max"}`` (a depth or a size, not a volume:
-    the batch value is the largest any job observed); ``{"rate": name}``
-    renders that rate property right after the field in ``as_dict``.
-
-    The screening counters (``candidates_*``, ``refuted_by_first_model``)
-    measure the fail-fast pipeline of Algorithm 2: candidates enumerated,
-    candidates rejected by the semantic pre-filter without any checker call,
-    candidates actually checked, and ``check_all`` calls settled by the
-    first model tried.  They extend -- never replace -- the original cache
-    schema, so existing consumers keep working.
-    """
-
-    #: Exact per-candidate reductions run (``ModelChecker.check`` calls).
-    checker_misses: int = 0
-    unfold_hits: int = 0
-    unfold_misses: int = field(default=0, metadata={"rate": "unfold_hit_rate"})
-    # Per-inference (variable, models) memo of the driver: Algorithm 2 runs
-    # shared among result branches (see ``Sling.infer_from_models``).
-    atom_cache_hits: int = 0
-    atom_cache_misses: int = 0
-    candidates_generated: int = 0
-    candidates_prefiltered: int = 0
-    candidates_checked: int = field(default=0, metadata={"rate": "prefilter_rate"})
-    refuted_by_first_model: int = 0
-    pruned_cases: int = 0
-    max_trail_depth: int = field(default=0, metadata={"merge": "max"})
-    # Skeleton-batching counters (``ModelChecker.check_batch``): groups
-    # formed, skeleton searches run, env-stream memo reuses, compiled
-    # pure-variant evaluations, exact-search fallbacks.
-    candidate_groups: int = 0
-    skeletons_solved: int = 0
-    env_stream_reuses: int = field(default=0, metadata={"rate": "stream_reuse_rate"})
-    pure_variant_evals: int = 0
-    batch_exact_fallbacks: int = 0
-    # Canonical-interning counters (isomorphism dedup in the driver and
-    # canonical stream keys in the checker; see ``docs/performance.md``):
-    # isomorphism classes formed, member models replayed from a class
-    # representative, stream-memo hits that only canonical keying made
-    # possible, and models that took the exact per-model path anyway
-    # (exactness guard, or a location rolled back after an order-dependent
-    # checker selection).
-    iso_classes: int = 0
-    models_deduped: int = 0
-    canonical_stream_hits: int = 0
-    iso_exact_fallbacks: int = 0
-    #: Exact-search selections that were enumeration-order dependent (see
-    #: :class:`repro.sl.screen.ScreeningStats`).
-    exact_selection_ambiguities: int = 0
-    # Columnar-kernel counters (``repro.sl.kernels``): group-kernel
-    # invocations, variants resolved via posting-list intersection over the
-    # stream slot indexes, and full entry scans actually run for pin-free
-    # variants (settle-record cache misses; at most one per invocation).
-    # All zero under ``SlingConfig.reference_search``.
-    kernel_groups: int = 0
-    stream_index_hits: int = 0
-    kernel_scan_fallbacks: int = 0
-    # Persistent-cache counters (:mod:`repro.cache`): skeleton streams
-    # served from / missed by the disk tier, rows evicted by the size cap,
-    # on-disk cache size, and failures absorbed (corruption, version skew,
-    # undecodable rows).  All zero unless ``SlingConfig.persistent_cache``
-    # is set -- the search-guard baselines pin exactly that.
-    disk_hits: int = 0
-    disk_misses: int = field(default=0, metadata={"rate": "disk_hit_rate"})
-    disk_evictions: int = 0
-    cache_file_bytes: int = field(default=0, metadata={"merge": "max"})
-    disk_load_errors: int = 0
-    # Resilience counters (see ``docs/resilience.md``): transient-failure
-    # retries consumed, pool workers respawned after a death, jobs
-    # quarantined as poison, pool-healing rounds, jobs that ran in the
-    # degraded sequential fallback, and faults fired by the injector
-    # (:mod:`repro.faults`).  All exactly zero for fault-free runs with
-    # ``SlingConfig.fault_plan`` unset -- the search-guard baselines pin
-    # that, like every prior knob.
-    jobs_retried: int = 0
-    workers_respawned: int = 0
-    jobs_poisoned: int = 0
-    pool_rebuilds: int = 0
-    degraded_sequential: int = 0
-    faults_injected: int = 0
-    # Serving-layer counters (:mod:`repro.serve`, see ``docs/serving.md``):
-    # requests admitted by the daemon, the deepest the bounded job queue
-    # ever got, requests rejected by admission control, requests whose
-    # deadline expired with partial results, requests cancelled because
-    # their client vanished, and journaled requests re-run after a daemon
-    # restart.  All exactly zero outside serve mode -- the search-guard
-    # baselines pin that, like every prior subsystem.
-    serve_requests: int = 0
-    serve_queue_high_water: int = field(default=0, metadata={"merge": "max"})
-    serve_rejections: int = 0
-    serve_deadline_expiries: int = 0
-    serve_client_disconnects: int = 0
-    serve_requests_resumed: int = 0
-    # Run-scoped stream pool (``repro.sl.checker.StreamPool``): stream-memo
-    # misses served by a finished stream an earlier job of the same engine
-    # batch published.  Like ``disk_hits``, counted in neither
-    # ``skeletons_solved`` nor ``env_stream_reuses``; zero for a ``Sling``
-    # built outside a batch -- the search-guard baselines pin that.
-    stream_pool_hits: int = 0
-
-    def merge(self, other: "CacheStats") -> None:
-        """Accumulate another job's counters into this one."""
-        for name, keep_max, _ in _COUNTERS:
-            mine, theirs = getattr(self, name), getattr(other, name)
-            setattr(self, name, max(mine, theirs) if keep_max else mine + theirs)
-
-    @property
-    def unfold_hit_rate(self) -> float:
-        total = self.unfold_hits + self.unfold_misses
-        return self.unfold_hits / total if total else 0.0
-
-    @property
-    def prefilter_rate(self) -> float:
-        """Fraction of generated candidates rejected before any check."""
-        total = self.candidates_generated
-        return self.candidates_prefiltered / total if total else 0.0
-
-    @property
-    def stream_reuse_rate(self) -> float:
-        """Fraction of skeleton-stream requests served from the memo."""
-        total = self.skeletons_solved + self.env_stream_reuses
-        return self.env_stream_reuses / total if total else 0.0
-
-    @property
-    def disk_hit_rate(self) -> float:
-        """Fraction of disk-tier stream lookups served from the cache file."""
-        total = self.disk_hits + self.disk_misses
-        return self.disk_hits / total if total else 0.0
-
-    def as_dict(self) -> dict[str, float]:
-        """Every counter in declaration order, each rate after its counters."""
-        data: dict[str, float] = {}
-        for name, _, rate in _COUNTERS:
-            data[name] = getattr(self, name)
-            if rate is not None:
-                data[rate] = round(getattr(self, rate), 4)
-        return data
-
-
-#: ``(field, merges by max, rate rendered after it)`` for every
-#: :class:`CacheStats` field in declaration order: the one table that
-#: ``merge`` and ``as_dict`` walk, derived from the field declarations.
-_COUNTERS = tuple(
-    (spec.name, spec.metadata.get("merge") == "max", spec.metadata.get("rate"))
-    for spec in fields(CacheStats)
-)
 
 
 @dataclass
@@ -469,8 +317,8 @@ def _dispatch(job: EngineJob) -> tuple[object, CacheStats]:
     if job.kind == "table2":
         from repro.evaluation.table2 import compare_benchmark
 
-        comparison, cache = compare_benchmark(benchmark, config=job.config, seed=job.seed)
-        return comparison, cache
+        comparison = compare_benchmark(benchmark, config=job.config, seed=job.seed)
+        return comparison, comparison.cache
 
     # job.kind == "spec"
     from repro.core.sling import Sling
@@ -613,16 +461,6 @@ class InferenceEngine:
 # The per-job state machine and the calling-thread executor
 # ---------------------------------------------------------------------------
 
-#: Parent-side healing counters stamped onto the guilty job's report.
-_HEAL_FIELDS = (
-    "jobs_retried",
-    "workers_respawned",
-    "jobs_poisoned",
-    "pool_rebuilds",
-    "degraded_sequential",
-)
-
-
 @dataclass
 class _JobState:
     """Parent-side bookkeeping for one job of a batch."""
@@ -630,7 +468,8 @@ class _JobState:
     job: EngineJob
     retries: int = 0
     worker_deaths: int = 0
-    heal: dict = field(default_factory=lambda: dict.fromkeys(_HEAL_FIELDS, 0))
+    #: Parent-side healing counters, merged into the job's final report.
+    heal: CacheStats = field(default_factory=CacheStats)
 
 
 class _BatchRun:
@@ -690,7 +529,7 @@ class _BatchRun:
         """
         for index in sorted(self.outstanding):
             if self.degraded:
-                self.states[index].heal["degraded_sequential"] += 1
+                self.states[index].heal.degraded_sequential += 1
             while index in self.outstanding:
                 if self._cancel_requested():
                     return
@@ -732,7 +571,7 @@ class _BatchRun:
         )
         delay = delays[state.retries]
         state.retries += 1
-        state.heal["jobs_retried"] += 1
+        state.heal.jobs_retried += 1
         self._emit_span(
             "retry",
             state.job.benchmark,
@@ -777,11 +616,7 @@ class _BatchRun:
 
     def _stamp_heal_counters(self) -> None:
         for index, state in self.states.items():
-            if not any(state.heal.values()):
-                continue
-            report = self.final[index]
-            for field_name, value in state.heal.items():
-                setattr(report.cache, field_name, getattr(report.cache, field_name) + value)
+            self.final[index].cache.merge(state.heal)
 
     def _emit_span(self, kind: str, name: str, **attrs) -> None:
         if self.tracer is None:
@@ -1029,14 +864,14 @@ class _PoolSupervisor(_BatchRun):
         self.pool_rebuilds += 1
         blame = guilty[0][0] if guilty else (min(self.outstanding) if self.outstanding else None)
         if blame is not None:
-            self.states[blame].heal["pool_rebuilds"] += 1
+            self.states[blame].heal.pool_rebuilds += 1
         for index, worker in guilty:
             state = self.states[index]
             state.worker_deaths += 1
             if state.worker_deaths >= 2:
                 # Quarantine: this job has now killed two workers; a third
                 # respawn would only feed it another one.
-                state.heal["jobs_poisoned"] += 1
+                state.heal.jobs_poisoned += 1
                 self._finalize(
                     index,
                     EngineReport(
@@ -1088,7 +923,7 @@ class _PoolSupervisor(_BatchRun):
             respawned += 1
         for count in range(respawned):
             index = guilty[count % len(guilty)][0] if guilty else blame
-            self.states[index].heal["workers_respawned"] += 1
+            self.states[index].heal.workers_respawned += 1
         self._emit_span(
             "pool_heal",
             f"rebuild-{self.pool_rebuilds}",

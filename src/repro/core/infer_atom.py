@@ -33,25 +33,15 @@ from repro.sl.screen import ModelFacts, screen_candidates
 from repro.sl.spatial import PointsTo, PredApp, SymHeap, fresh_vars
 
 
-@dataclass(frozen=True)
-class InferAtomConfig:
-    """Search-space limits for Algorithm 2."""
-
-    #: Predicates with more parameters than this are skipped (the paper notes
-    #: the search is exponential in the arity; its largest predicate has 10).
-    max_pred_arity: int = 10
-    #: Upper bound on boundary-subset size (and hence permutation length).
-    max_boundary_subset: int = 6
-    #: Hard cap on the number of candidate formulae checked per predicate.
-    max_candidates_per_pred: int = 4000
-    #: Maximum number of accepted results returned per root variable.
-    max_results: int = 4
-    #: Keep zero-coverage results (formulas whose reduction consumes nothing).
-    keep_vacuous: bool = False
-    #: Check every candidate with the exact per-candidate ``check_all``,
-    #: skipping the semantic pre-filter and skeleton batching (the reference
-    #: search; see ``SlingConfig.reference_search``).
-    reference_search: bool = False
+#: Predicates with more parameters than this are skipped (the paper notes
+#: the search is exponential in the arity; its largest predicate has 10).
+MAX_PRED_ARITY = 10
+#: Upper bound on boundary-subset size (and hence permutation length).
+MAX_BOUNDARY_SUBSET = 6
+#: Hard cap on the number of candidate formulae enumerated per predicate.
+MAX_CANDIDATES_PER_PRED = 4000
+#: Accepted atomic formulae returned per root variable.
+MAX_RESULTS = 3
 
 
 class Candidate(NamedTuple):
@@ -84,17 +74,18 @@ def infer_atoms(
     predicates: PredicateRegistry,
     checker: ModelChecker,
     structs: StructRegistry | None = None,
-    config: InferAtomConfig | None = None,
     weights: Sequence[int] | None = None,
+    reference_search: bool = False,
 ) -> list[AtomResult]:
     """Infer atomic heap predicates for ``root`` over its sub-models.
 
     ``weights`` (one per sub-model, defaulting to 1) scale the residual-cell
     ranking: the isomorphism-deduplicated driver passes each representative
     model's class size so the ranking reproduces the sums an undeduplicated
-    run would have computed.
+    run would have computed.  ``reference_search`` checks every candidate
+    with the exact per-candidate ``check_all``, skipping the semantic
+    pre-filter and skeleton batching (see ``SlingConfig.reference_search``).
     """
-    config = config or InferAtomConfig()
     if not sub_models:
         return []
 
@@ -107,23 +98,21 @@ def infer_atoms(
         # split and shared by every predicate's candidate loop.
         facts = (
             None
-            if config.reference_search
+            if reference_search
             else tuple(ModelFacts(model, root) for model in sub_models)
         )
         for predicate in predicates.candidates_for_type(root_type):
-            if predicate.arity > config.max_pred_arity:
+            if predicate.arity > MAX_PRED_ARITY:
                 continue
             results.extend(
-                _infer_inductive(
-                    root, sub_models, boundary, predicate, checker, facts, config
-                )
+                _infer_inductive(root, sub_models, boundary, predicate, checker, facts)
             )
         if all(len(model.heap) == 1 for model in sub_models):
             singleton = _infer_singleton(root, sub_models, boundary)
             if singleton is not None:
                 results.append(singleton)
 
-    results = _rank_and_prune(results, config, weights)
+    results = _rank_and_prune(results, weights)
     if not results:
         results.append(
             AtomResult(
@@ -148,7 +137,6 @@ def _infer_inductive(
     predicate: InductivePredicate,
     checker: ModelChecker,
     facts: Sequence[ModelFacts] | None,
-    config: InferAtomConfig,
 ) -> list[AtomResult]:
     """Enumerate, screen, group and batch-check one predicate's candidates.
 
@@ -169,15 +157,15 @@ def _infer_inductive(
     4. assemble accepted candidates into :class:`AtomResult`\\ s in
        enumeration order.
 
-    Under ``config.reference_search`` phase 2 is skipped (``facts`` is
-    ``None``) and phase 3 checks each candidate with ``checker.check_all``.
+    Under the reference search ``facts`` is ``None``: phase 2 is skipped and
+    phase 3 checks each candidate with ``checker.check_all``.
     """
     arity = predicate.arity
     results: list[AtomResult] = []
     candidates_seen = 0
     others = [name for name in boundary if name != root]
-    max_subset = min(arity, config.max_boundary_subset, len(boundary))
-    stats = checker.screen_stats
+    max_subset = min(arity, MAX_BOUNDARY_SUBSET, len(boundary))
+    stats = checker.stats
     models_list = list(sub_models)
 
     # -- phase 1: enumeration -------------------------------------------------
@@ -212,7 +200,7 @@ def _infer_inductive(
                 # cannot let later permutations through that the unfiltered
                 # search would have cut off.
                 candidates_seen += 1
-                if candidates_seen > config.max_candidates_per_pred:
+                if candidates_seen > MAX_CANDIDATES_PER_PRED:
                     capped = True
                     break
                 stats.candidates_generated += 1
@@ -221,12 +209,7 @@ def _infer_inductive(
     # -- phase 2: whole-group screening ---------------------------------------
     if facts is not None:
         survivors = screen_candidates(
-            predicate,
-            enumerated,
-            facts,
-            checker.registry,
-            drop_vacuous=not config.keep_vacuous,
-            stats=stats,
+            predicate, enumerated, facts, checker.registry, stats
         )
     else:
         survivors = enumerated
@@ -245,13 +228,12 @@ def _infer_inductive(
     stats.candidates_checked += len(prepared)
 
     # -- phase 3: skeleton-batched checking -----------------------------------
-    drop_vacuous = not config.keep_vacuous
-    if not config.reference_search and models_list:
+    if facts is not None and models_list:
         outcomes: list = [None] * len(prepared)
         for group in _group_by_skeleton(prepared, predicate, root):
             stats.candidate_groups += 1
             group_outcomes = checker.check_batch(
-                models_list, group.skeleton, group.variants, drop_vacuous=drop_vacuous
+                models_list, group.skeleton, group.variants
             )
             for index, outcome in zip(group.indices, group_outcomes):
                 outcomes[index] = outcome
@@ -264,7 +246,7 @@ def _infer_inductive(
     for (candidate, used_fresh, formula), check in zip(prepared, outcomes):
         if check is None or check is BATCH_VACUOUS:
             continue
-        if drop_vacuous and all(not result.consumed for result in check):
+        if all(not result.consumed for result in check):
             continue
         results.append(
             AtomResult(
@@ -442,9 +424,7 @@ def _var_type(name: str, models: Sequence[StackHeapModel]) -> str | None:
 
 
 def _rank_and_prune(
-    results: list[AtomResult],
-    config: InferAtomConfig,
-    weights: Sequence[int] | None = None,
+    results: list[AtomResult], weights: Sequence[int] | None = None
 ) -> list[AtomResult]:
     """Prefer full-coverage results with the fewest fresh existentials."""
 
@@ -470,4 +450,4 @@ def _rank_and_prune(
             continue
         seen.add(key)
         unique.append(result)
-    return unique[: config.max_results]
+    return unique[:MAX_RESULTS]

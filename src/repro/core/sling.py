@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from repro.core.boundary import split_heap
-from repro.core.infer_atom import InferAtomConfig, infer_atoms
+from repro.core.infer_atom import infer_atoms
 from repro.core.infer_pure import infer_pure_equalities
 from repro.core.results import (
     InferredResult,
@@ -33,7 +33,6 @@ from repro.core.results import (
 )
 from repro.core.validate import paired_entry_exit_models, validate_specification
 from repro.lang.ast import Program
-from repro.lang.interp import InterpreterConfig
 from repro.lang.tracer import Location, TestCase, TraceCollection, collect_models
 from repro.sl.checker import ModelChecker
 from repro.sl.exprs import conjoin
@@ -43,26 +42,25 @@ from repro.sl.pretty import pretty
 from repro.sl.spatial import SymHeap, star
 from repro.faults import FaultPlan
 from repro.telemetry import Telemetry, monotime
+from repro.telemetry.counters import CacheStats
+
+#: Upper bound on the result set ``R`` carried across Algorithm 1's
+#: iterations over the analysed variables.
+MAX_TOTAL_RESULTS = 16
+#: Invariants reported per location after deduplication.
+MAX_INVARIANTS_PER_LOCATION = 8
 
 
 @dataclass(frozen=True)
 class SlingConfig:
-    """Tuning knobs of the inference (defaults follow the paper's setup)."""
+    """Options of one inference run.
 
-    #: Accepted atomic formulae kept per analysed variable (Algorithm 2).
-    max_results_per_var: int = 3
-    #: Upper bound on the result set ``R`` carried across iterations.
-    max_total_results: int = 16
-    #: Invariants reported per location after deduplication.
-    max_invariants_per_location: int = 8
-    #: Predicates with more parameters than this are skipped.
-    max_pred_arity: int = 10
-    #: Largest boundary subset used to instantiate predicate parameters.
-    max_boundary_subset: int = 6
-    #: Hard cap on candidate formulae checked per predicate and variable.
-    max_candidates_per_pred: int = 4000
-    #: Step budget of the symbolic-heap model checker per reduction.
-    checker_max_steps: int = 50_000
+    The search budgets of the paper's setup are module constants next to
+    their readers (this module, :mod:`repro.core.infer_atom`,
+    :mod:`repro.sl.checker`, :mod:`repro.lang.interp`); see the "Fixed
+    budgets" table in ``docs/performance.md``.
+    """
+
     #: Run the reference search instead of the fast path: every candidate
     #: goes through the exact per-candidate ``ModelChecker.check_all``, with
     #: no semantic pre-filter, no skeleton batching and no isomorphism
@@ -72,10 +70,6 @@ class SlingConfig:
     #: Variable-analysis order: "reachability" (the paper's heuristic),
     #: "stack" (declaration order) or "reverse" (ablation baselines).
     variable_order: str = "reachability"
-    #: Keep zero-coverage (vacuous) atomic formulae.
-    keep_vacuous: bool = False
-    #: Step budget for the interpreter while collecting traces.
-    interpreter_max_steps: int = 200_000
     #: Drop the events of test runs that crashed (the paper's LLDB-batch
     #: workflow obtained no usable traces from crashing programs).
     discard_crashed_runs: bool = False
@@ -113,21 +107,6 @@ class SlingConfig:
     #: matching state stays process-local.
     fault_plan: FaultPlan | None = None
 
-    def atom_config(self) -> InferAtomConfig:
-        """The Algorithm 2 configuration derived from this one."""
-        return InferAtomConfig(
-            max_pred_arity=self.max_pred_arity,
-            max_boundary_subset=self.max_boundary_subset,
-            max_candidates_per_pred=self.max_candidates_per_pred,
-            max_results=self.max_results_per_var,
-            keep_vacuous=self.keep_vacuous,
-            reference_search=self.reference_search,
-        )
-
-    def interpreter_config(self) -> InterpreterConfig:
-        """The interpreter limits derived from this configuration."""
-        return InterpreterConfig(max_steps=self.interpreter_max_steps)
-
 
 class Sling:
     """Dynamic inference of separation-logic invariants for heaplang programs."""
@@ -145,11 +124,7 @@ class Sling:
         #: Process-local tracer (``None`` when tracing is off); handed down
         #: to the checker and the disk tier so their spans nest under ours.
         self.tracer = self.telemetry.tracer() if self.telemetry is not None else None
-        self.checker = ModelChecker(
-            predicates,
-            max_steps=self.config.checker_max_steps,
-            structs=program.structs,
-        )
+        self.checker = ModelChecker(predicates, structs=program.structs)
         self.checker.tracer = self.tracer
         #: Fault-injection plan handed to the checker (stream
         #: materialization site) and the disk tier (sqlite sites); ``None``
@@ -173,47 +148,25 @@ class Sling:
                 tracer=self.tracer,
                 read_only=self.config.persistent_cache_read_only,
             )
-        # Hit/miss counters of the per-inference (variable, models) memo that
-        # shares Algorithm 2 runs among result branches.
-        self.atom_cache_hits = 0
-        self.atom_cache_misses = 0
-        # Isomorphism-dedup counters (see ``infer_from_models``): classes
-        # formed, member models replayed from a representative, and models
-        # that took the exact per-model path anyway -- because their
-        # canonicalization is not provably exact, or because their location
-        # was rolled back after an order-dependent checker selection.  All
-        # three count only what actually stuck: an abandoned dedup attempt
-        # is subtracted again.
-        self.iso_classes = 0
-        self.models_deduped = 0
-        self.iso_exact_fallbacks = 0
 
-    def cache_counters(self):
-        """Counters of the memo layers, as an engine :class:`CacheStats`.
+    def cache_counters(self) -> CacheStats:
+        """A snapshot of this driver's counters.
 
-        The one source of truth for this driver's counter snapshot --
-        :meth:`cache_stats` is its dict rendering, and the engine's
-        per-job accounting consumes the struct directly.
+        The checker's :class:`CacheStats` already holds the search counters
+        and this driver's memo and isomorphism-dedup counters; the snapshot
+        is a copy of it with the registry's unfolding counters and the disk
+        tier's counters filled in.  :meth:`cache_stats` is its dict
+        rendering, and the engine's per-job accounting consumes the struct
+        directly.
         """
-        # Imported here: the engine imports SlingConfig from this module at
-        # module load, so the reverse import must stay out of load order.
-        from repro.core.engine import CacheStats
-
         unfold = self.predicates.unfold_stats()
-        screen = self.checker.screen_stats
         disk = {}
         if self.persistent_cache is not None:
             disk = self.persistent_cache.counters()
-        return CacheStats(
-            checker_misses=self.checker.check_calls,
+        return replace(
+            self.checker.stats,
             unfold_hits=unfold["hits"],
             unfold_misses=unfold["misses"],
-            atom_cache_hits=self.atom_cache_hits,
-            atom_cache_misses=self.atom_cache_misses,
-            iso_classes=self.iso_classes,
-            models_deduped=self.models_deduped,
-            iso_exact_fallbacks=self.iso_exact_fallbacks,
-            **screen.as_dict(),
             **disk,
         )
 
@@ -268,7 +221,6 @@ class Sling:
             function_name,
             test_cases,
             breakpoints=breakpoints,
-            config=self.config.interpreter_config(),
         )
         if self.config.discard_crashed_runs:
             traces = traces.without_crashed_runs()
@@ -325,10 +277,9 @@ class Sling:
             work_models, weights, expansion = self._dedupe_models(original_models)
         else:
             work_models, weights, expansion = original_models, [1] * len(original_models), None
+        stats = self.checker.stats
         ambiguities_before = (
-            self.checker.screen_stats.exact_selection_ambiguities
-            if expansion is not None
-            else 0
+            stats.exact_selection_ambiguities if expansion is not None else 0
         )
         variables = self._common_pointer_vars(work_models)
         order = self._order_variables(work_models, variables)
@@ -354,7 +305,6 @@ class Sling:
         # Algorithm 2 is deterministic in (variable, models): share one
         # split + candidate search among them.  AtomResults are immutable,
         # so reuse across branches is safe.
-        atom_config = self.config.atom_config()
         split_cache: dict[tuple, tuple] = {}
         for variable in order:
             next_results: list[InferredResult] = []
@@ -370,14 +320,14 @@ class Sling:
                         self.predicates,
                         self.checker,
                         self.program.structs,
-                        atom_config,
                         weights=weights,
+                        reference_search=self.config.reference_search,
                     )
                     split_cache[cache_key] = (split, atom_results)
-                    self.atom_cache_misses += 1
+                    stats.atom_cache_misses += 1
                 else:
                     split, atom_results = cached
-                    self.atom_cache_hits += 1
+                    stats.atom_cache_hits += 1
                 for atom_result in atom_results:
                     atoms = list(result.atoms)
                     exists = list(result.exists)
@@ -401,11 +351,10 @@ class Sling:
                 next_results.sort(
                     key=lambda r: (weighted_residual(r), -r.spatial_atom_count())
                 )
-                results = next_results[: self.config.max_total_results]
+                results = next_results[:MAX_TOTAL_RESULTS]
 
         if expansion is not None:
-            ambiguities = self.checker.screen_stats.exact_selection_ambiguities
-            if ambiguities != ambiguities_before:
+            if stats.exact_selection_ambiguities != ambiguities_before:
                 # Some selection along the way was order-dependent: the
                 # representative's choice among tied reductions need not be
                 # the one the members' own searches would have made.  Redo
@@ -414,9 +363,9 @@ class Sling:
                 # dedup bookkeeping back so the counters only ever report
                 # dedup that actually stuck.
                 deduped = len(original_models) - len(work_models)
-                self.iso_classes -= len(work_models)
-                self.models_deduped -= deduped
-                self.iso_exact_fallbacks += deduped
+                stats.iso_classes -= len(work_models)
+                stats.models_deduped -= deduped
+                stats.iso_exact_fallbacks += deduped
                 return self.infer_from_models(
                     original_models, location, free_vars, _allow_dedup=False
                 )
@@ -472,12 +421,13 @@ class Sling:
                     addr: member_from[cid] for addr, cid in rep_canon.to_id.items()
                 }
                 expansion.append((position, translation))
-        self.iso_classes += len(representatives)
-        self.iso_exact_fallbacks += opaque
+        stats = self.checker.stats
+        stats.iso_classes += len(representatives)
+        stats.iso_exact_fallbacks += opaque
         deduped = len(models) - len(representatives)
         if deduped == 0:
             return models, [1] * len(models), None
-        self.models_deduped += deduped
+        stats.models_deduped += deduped
         return representatives, weights, expansion
 
     @staticmethod
@@ -628,7 +578,7 @@ class Sling:
             invariants.append(
                 Invariant(location=location, formula=formula, from_freed_traces=from_freed)
             )
-            if len(invariants) >= self.config.max_invariants_per_location:
+            if len(invariants) >= MAX_INVARIANTS_PER_LOCATION:
                 break
         return invariants
 

@@ -45,12 +45,10 @@ class BenchmarkComparison:
     name: str
     category: str
     outcomes: list[PropertyOutcome] = field(default_factory=list)
-    #: Algorithm 2 candidates the SLING run behind this comparison checked
-    #: and the skeleton groups they collapsed into (feed the ``Cand``/``Grp``
-    #: columns; the full counter set travels on the engine report's
-    #: ``CacheStats``).
-    candidates_checked: int = 0
-    candidate_groups: int = 0
+    #: Counters of the SLING run behind this comparison: the engine report
+    #: carries this same struct, and its ``candidates_checked`` and
+    #: ``candidate_groups`` feed the ``Cand``/``Grp`` columns.
+    cache: CacheStats = field(default_factory=CacheStats)
 
 
 @dataclass
@@ -63,10 +61,18 @@ class Table2Row:
     s2_only: int = 0
     sling_only: int = 0
     neither: int = 0
-    #: Algorithm 2 candidates the SLING runs of this row actually checked,
-    #: and the skeleton groups ``check_batch`` decided them through.
-    candidates_checked: int = 0
-    candidate_groups: int = 0
+    #: Merged counters of the SLING runs of this row.
+    cache: CacheStats = field(default_factory=CacheStats)
+
+    @property
+    def candidates_checked(self) -> int:
+        """Algorithm 2 candidates the row's SLING runs actually checked."""
+        return self.cache.candidates_checked
+
+    @property
+    def candidate_groups(self) -> int:
+        """Skeleton groups ``check_batch`` decided those candidates through."""
+        return self.cache.candidate_groups
 
     def add(self, sling_found: bool, s2_found: bool) -> None:
         self.total += 1
@@ -108,8 +114,7 @@ class Table2Result:
             total.s2_only += row.s2_only
             total.sling_only += row.sling_only
             total.neither += row.neither
-            total.candidates_checked += row.candidates_checked
-            total.candidate_groups += row.candidate_groups
+            total.cache.merge(row.cache)
         return total
 
     def as_dict(self) -> dict[str, object]:
@@ -123,14 +128,14 @@ def compare_benchmark(
     benchmark: BenchmarkProgram,
     config: SlingConfig | None = None,
     seed: int = 0,
-) -> tuple[BenchmarkComparison, CacheStats]:
+) -> BenchmarkComparison:
     """Evaluate one benchmark's documented properties with SLING and S2."""
     from repro.baselines.s2 import S2Analyzer
 
     config = config or SlingConfig(discard_crashed_runs=True)
     comparison = BenchmarkComparison(name=benchmark.name, category=benchmark.category)
     if not benchmark.documented:
-        return comparison, CacheStats()
+        return comparison
 
     unfold_before = benchmark.predicates.unfold_stats()
     sling = Sling(benchmark.program, benchmark.predicates, config)
@@ -146,10 +151,8 @@ def compare_benchmark(
                 s2_found=id(documented) in s2_found,
             )
         )
-    cache = collect_cache_stats(sling, unfold_before)
-    comparison.candidates_checked = cache.candidates_checked
-    comparison.candidate_groups = cache.candidate_groups
-    return comparison, cache
+    comparison.cache = collect_cache_stats(sling, unfold_before)
+    return comparison
 
 
 def run_table2(
@@ -180,8 +183,7 @@ def run_table2(
             result.rows.append(row)
         for outcome in payload.outcomes:
             row.add(outcome.sling_found, outcome.s2_found)
-        row.candidates_checked += payload.candidates_checked
-        row.candidate_groups += payload.candidate_groups
+        row.cache.merge(payload.cache)
     return result
 
 

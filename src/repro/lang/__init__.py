@@ -36,7 +36,7 @@ from repro.lang.ast import (
     Program,
 )
 from repro.lang.heap import RuntimeHeap
-from repro.lang.interp import Interpreter, InterpreterConfig
+from repro.lang.interp import Interpreter
 from repro.lang.tracer import Tracer, TraceEvent, Location, collect_models
 from repro.lang.errors import (
     HeapLangError,
@@ -74,7 +74,6 @@ __all__ = [
     "Program",
     "RuntimeHeap",
     "Interpreter",
-    "InterpreterConfig",
     "Tracer",
     "TraceEvent",
     "Location",

@@ -91,30 +91,20 @@ class _ReturnSignal(Exception):
         self.value = value
 
 
-@dataclass
-class InterpreterConfig:
-    """Execution limits for the interpreter."""
-
-    #: Maximum number of executed statements/expressions before aborting.
-    #: Needed because some benchmark inputs (e.g. cyclic lists fed to
-    #: ``concat``) make the original C programs diverge.
-    max_steps: int = 200_000
-    #: Maximum call depth (recursion guard).
-    max_call_depth: int = 2_000
+#: Executed statements/expressions per run before aborting.  Needed because
+#: some benchmark inputs (e.g. cyclic lists fed to ``concat``) make the
+#: original C programs diverge.
+MAX_STEPS = 200_000
+#: Call depth per run (recursion guard).
+MAX_CALL_DEPTH = 2_000
 
 
 class Interpreter:
     """Executes heaplang programs with optional trace observation."""
 
-    def __init__(
-        self,
-        program: Program,
-        observer: TraceObserver | None = None,
-        config: InterpreterConfig | None = None,
-    ):
+    def __init__(self, program: Program, observer: TraceObserver | None = None):
         self.program = program
         self.observer = observer
-        self.config = config or InterpreterConfig()
         self._steps = 0
         self._depth = 0
 
@@ -130,9 +120,9 @@ class Interpreter:
 
     def _tick(self) -> None:
         self._steps += 1
-        if self._steps > self.config.max_steps:
+        if self._steps > MAX_STEPS:
             raise InterpreterTimeout(
-                f"execution exceeded {self.config.max_steps} steps (likely a divergent loop)"
+                f"execution exceeded {MAX_STEPS} steps (likely a divergent loop)"
             )
 
     def _call(self, function: Function, args: list[int], heap: RuntimeHeap) -> int | None:
@@ -141,9 +131,9 @@ class Interpreter:
                 f"{function.name} expects {len(function.params)} arguments, got {len(args)}"
             )
         self._depth += 1
-        if self._depth > self.config.max_call_depth:
+        if self._depth > MAX_CALL_DEPTH:
             self._depth -= 1
-            raise InterpreterTimeout(f"call depth exceeded {self.config.max_call_depth}")
+            raise InterpreterTimeout(f"call depth exceeded {MAX_CALL_DEPTH}")
         frame = Frame()
         for (name, type_name), value in zip(function.params, args):
             frame.bind(name, value, type_name)

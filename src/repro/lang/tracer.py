@@ -24,7 +24,7 @@ from typing import Callable, Iterable, Sequence
 from repro.lang.ast import Function, Program
 from repro.lang.errors import HeapLangError
 from repro.lang.heap import RuntimeHeap
-from repro.lang.interp import Frame, Interpreter, InterpreterConfig
+from repro.lang.interp import Frame, Interpreter
 from repro.lang.types import is_pointer_type
 from repro.sl.model import Heap, HeapCell, StackHeapModel
 
@@ -210,7 +210,6 @@ def collect_models(
     function_name: str,
     test_cases: Sequence[TestCase],
     breakpoints: Iterable[Location] | None = None,
-    config: InterpreterConfig | None = None,
 ) -> TraceCollection:
     """Run every test case under the tracer and collect stack-heap models.
 
@@ -221,7 +220,7 @@ def collect_models(
     collection = TraceCollection()
     for test_case in test_cases:
         tracer = Tracer(program.structs, breakpoints)
-        interpreter = Interpreter(program, observer=tracer, config=config)
+        interpreter = Interpreter(program, observer=tracer)
         heap = RuntimeHeap(program.structs)
         outcome = RunOutcome()
         try:

@@ -61,8 +61,9 @@ from repro.sl.exprs import (
 )
 from repro.sl.model import CanonicalForm, Heap, StackHeapModel
 from repro.sl.predicates import PredicateRegistry, canonical_unfold_key
-from repro.sl.screen import ScreeningStats, case_feasible, formula_shape
+from repro.sl.screen import case_feasible, formula_shape
 from repro.sl.spatial import Emp, PointsTo, PredApp, SepConj, Spatial, SymHeap
+from repro.telemetry.counters import CacheStats
 
 
 @dataclass(frozen=True)
@@ -107,6 +108,21 @@ class CheckBudgetExceeded(Exception):
     """Internal signal: the search exceeded its step budget."""
 
 
+#: Search steps per ``check`` call or skeleton enumeration; beyond it the
+#: best solution found so far is returned (or ``None``) and a skeleton
+#: stream stays incomplete.
+MAX_STEPS = 50_000
+
+#: Complete reductions enumerated before settling on the best one found;
+#: keeps the search cheap on heavily ambiguous formulas.  The group kernel
+#: replicates the same cap when it settles variants off a stream.
+MAX_SOLUTIONS = 64
+
+#: Entries one skeleton stream holds; a stream cut off here stays
+#: incomplete (a safety valve for combinatorial skeletons).
+STREAM_MAX_ENTRIES = 4096
+
+
 class ModelChecker:
     """Checks symbolic heaps against concrete stack-heap models.
 
@@ -114,13 +130,6 @@ class ModelChecker:
     ----------
     registry:
         The inductive predicate definitions that formulas may refer to.
-    max_steps:
-        Upper bound on the number of search steps per ``check`` call; beyond
-        it the best solution found so far is returned (or ``None``).
-    max_solutions:
-        Number of complete reductions to enumerate before settling on the
-        best one found; keeps the search cheap on heavily ambiguous
-        formulas.
     structs:
         A :class:`~repro.lang.types.StructRegistry`.  With one, skeleton
         streams and learned refuters are keyed on canonical heap forms (see
@@ -128,31 +137,25 @@ class ModelChecker:
         address-renamed models, with environments translated back through
         the witness bijection lazily.  Without one (or when a heap's
         canonicalization is not provably exact) the keys stay concrete.
+
+    The search budgets are the module constants :data:`MAX_STEPS`,
+    :data:`MAX_SOLUTIONS` and :data:`STREAM_MAX_ENTRIES`, the same for every
+    checker -- which is what lets checkers share finished streams.
     """
 
-    def __init__(
-        self,
-        registry: PredicateRegistry,
-        max_steps: int = 50_000,
-        max_solutions: int = 64,
-        stream_max_entries: int = 4096,
-        structs=None,
-    ):
+    def __init__(self, registry: PredicateRegistry, structs=None):
         self.registry = registry
         self.structs = structs
-        self.max_steps = max_steps
-        self.max_solutions = max_solutions
-        #: Exact per-candidate reductions run (:meth:`check` calls).
-        self.check_calls = 0
-        #: Screening / fail-fast counters (shared with the candidate loop).
-        self.screen_stats = ScreeningStats()
+        #: The work counters of this checker, counted in place by the
+        #: search, the screen, the candidate loop and the group kernel; the
+        #: owning driver adds its own counters to the same struct.
+        self.stats = CacheStats()
         #: Learned refuters: formula shape -> key of the model (within the
         #: last ``check_all`` batch of that shape) that refuted it.
         #: LRU-bounded: formula shapes accumulate for the life of an engine
         #: run otherwise.
         self._refuters: OrderedDict[tuple, int] = OrderedDict()
         self.refuters_limit = _REFUTERS_LIMIT
-        self.stream_max_entries = stream_max_entries
         #: Memoized skeleton streams: (skeleton structural key, model) ->
         #: :class:`EnvStream`, LRU-bounded by ``_STREAM_MEMO_LIMIT``.
         self._streams: OrderedDict[tuple, EnvStream] = OrderedDict()
@@ -160,7 +163,6 @@ class ModelChecker:
         #: in (see :func:`stream_pool`); ``None`` outside a batch keeps the
         #: stream path exactly as it is for a standalone checker.
         self.stream_pool: StreamPool | None = getattr(_POOL_SCOPE, "pool", None)
-        self._pool_space: tuple | None = None
         #: Optional disk tier beneath the canonical-keyed caches (set by
         #: :meth:`repro.cache.tier.PersistentCache.attach`; ``None`` keeps
         #: every code path byte-identical to the cache-less checker).
@@ -183,8 +185,8 @@ class ModelChecker:
     # ------------------------------------------------------------------ API --
 
     def check(self, model: StackHeapModel, formula: SymHeap) -> CheckResult | None:
-        """The reduction of Definition 2, counted in ``check_calls``."""
-        self.check_calls += 1
+        """The reduction of Definition 2, counted in ``checker_misses``."""
+        self.stats.checker_misses += 1
         return self._check_uncached(model, formula)
 
     def _check_uncached(self, model: StackHeapModel, formula: SymHeap) -> CheckResult | None:
@@ -244,15 +246,16 @@ class ModelChecker:
                 state.solutions += 1
                 if result.covers_everything():
                     break
-                if state.solutions >= self.max_solutions:
+                if state.solutions >= MAX_SOLUTIONS:
                     ambiguous = True
                     break
         except CheckBudgetExceeded:
             ambiguous = True
+        stats = self.stats
         if ambiguous:
-            self.screen_stats.exact_selection_ambiguities += 1
-        if state.max_trail > self.screen_stats.max_trail_depth:
-            self.screen_stats.max_trail_depth = state.max_trail
+            stats.exact_selection_ambiguities += 1
+        if state.max_trail > stats.max_trail_depth:
+            stats.max_trail_depth = state.max_trail
         return best
 
     def check_all(
@@ -295,7 +298,7 @@ class ModelChecker:
             if result is None:
                 self._learn_refuter_model(shape, models, index)
                 if position == 0:
-                    self.screen_stats.refuted_by_first_model += 1
+                    self.stats.refuted_by_first_model += 1
                 return None
             results[index] = result
         return results  # type: ignore[return-value]
@@ -362,7 +365,6 @@ class ModelChecker:
         models: Sequence[StackHeapModel],
         skeleton: SymHeap,
         pure_variants: Sequence["PureVariant"],
-        drop_vacuous: bool = True,
     ) -> list:
         """Decide many pure variants of one spatial skeleton in bulk.
 
@@ -386,10 +388,10 @@ class ModelChecker:
           refutation -- and refutation is enumeration-order independent;
         * a variant whose matches (on every model) consume nothing can only
           produce an all-vacuous or refuted ``check_all`` outcome, both of
-          which the candidate loop drops (only used with ``drop_vacuous``);
+          which the candidate loop drops;
         * accepted variants are settled from the stream by replicating the
           exact search's selection rule (first solution of maximal consumed
-          size, capped at ``max_solutions``) -- and whenever that selection
+          size, capped at :data:`MAX_SOLUTIONS`) -- and whenever that selection
           could depend on the per-candidate enumeration order (ties between
           distinct best reductions, too many solutions, incomplete streams)
           the variant falls back to the exact :meth:`check_all`, which
@@ -401,14 +403,14 @@ class ModelChecker:
         filter), or the list of per-model :class:`CheckResult`.
         """
         if self.tracer is None:
-            return self._check_batch(models, skeleton, pure_variants, drop_vacuous)
+            return self._check_batch(models, skeleton, pure_variants)
         with self.tracer.span(
             "candidate_group",
             name=_span_name(skeleton),
             variants=len(pure_variants),
             models=len(models),
         ) as span:
-            outcomes = self._check_batch(models, skeleton, pure_variants, drop_vacuous)
+            outcomes = self._check_batch(models, skeleton, pure_variants)
             span.set(
                 refuted=sum(1 for outcome in outcomes if outcome is None),
                 vacuous=sum(1 for outcome in outcomes if outcome is BATCH_VACUOUS),
@@ -420,7 +422,6 @@ class ModelChecker:
         models: Sequence[StackHeapModel],
         skeleton: SymHeap,
         pure_variants: Sequence["PureVariant"],
-        drop_vacuous: bool = True,
     ) -> list:
         variants = list(pure_variants)
         if not variants:
@@ -443,7 +444,7 @@ class ModelChecker:
         else:
             order = list(range(count))
 
-        stats = self.screen_stats
+        stats = self.stats
         total = len(variants)
         pending = [True] * total
         refuted = [False] * total
@@ -502,8 +503,7 @@ class ModelChecker:
                 )
             if work:
                 verdicts = self._run_kernel(
-                    atom.name, root_position, stream, view, slot_names,
-                    stack, model, domain, work,
+                    atom.name, stream, view, slot_names, stack, model, domain, work
                 )
                 for item, verdict in zip(work, verdicts):
                     index = item[0]
@@ -534,7 +534,7 @@ class ModelChecker:
             elif needs_exact[index]:
                 stats.batch_exact_fallbacks += 1
                 outcomes.append(self.check_all(models, variants[index].formula))
-            elif drop_vacuous and vacuous_ok[index]:
+            elif vacuous_ok[index]:
                 outcomes.append(BATCH_VACUOUS)
             else:
                 outcomes.append(settled[index])
@@ -543,7 +543,6 @@ class ModelChecker:
     def _run_kernel(
         self,
         predicate: str,
-        root_position: int,
         stream: "EnvStream",
         view: "_StreamView",
         slot_names: tuple[str, ...],
@@ -555,30 +554,25 @@ class ModelChecker:
         """One group-kernel invocation, wrapped in a ``variant_decide`` span.
 
         ``work`` items are ``(variant index, variant, positions, values)``;
-        the returned verdict list is aligned with it.  The untraced path is
-        a single attribute test away from calling the kernel directly.
+        the returned verdict list is aligned with it.  ``predicate`` names
+        the span.  The untraced path is a single attribute test away from
+        calling the kernel directly.
         """
         kernel = self._kernel
         if self.tracer is None:
-            return kernel(
-                self, predicate, root_position, stream, view, slot_names,
-                stack, model, domain, work,
-            )
+            return kernel(self, stream, view, slot_names, stack, model, domain, work)
         with self.tracer.span(
             "variant_decide", name=predicate, variants=len(work)
         ) as span:
-            verdicts = kernel(
-                self, predicate, root_position, stream, view, slot_names,
-                stack, model, domain, work,
-            )
+            verdicts = kernel(self, stream, view, slot_names, stack, model, domain, work)
             span.set(entries=len(stream.entries), complete=stream.complete)
         return verdicts
 
     def registry_space(self) -> str:
         """The fingerprint of this checker's predicate registry.
 
-        It keys what checkers share across instances -- the stream pool
-        (through :meth:`pool_space`) and the process-wide disk-tier table
+        It keys what checkers share across instances -- the stream pool and
+        the process-wide disk-tier table
         (:func:`repro.cache.tier.bind_tier`) -- so a predicate-definition
         change can never be served state derived from another registry.
         Computed once per checker (the registry is fixed at construction).
@@ -590,25 +584,6 @@ class ModelChecker:
             from repro.cache.fingerprint import registry_fingerprint
 
             space = self._registry_space = registry_fingerprint(self.registry)
-        return space
-
-    def pool_space(self) -> tuple:
-        """The part of a stream-pool key that pins this checker's search.
-
-        Two checkers may share a finished stream only when they enumerate
-        and settle it identically: same predicate definitions (the registry
-        fingerprint), same step budget and entry cap (which decide whether
-        an enumeration completes), and same solution cap (which shapes the
-        settle records the stream carries along).
-        """
-        space = self._pool_space
-        if space is None:
-            space = self._pool_space = (
-                self.registry_space(),
-                self.max_steps,
-                self.max_solutions,
-                self.stream_max_entries,
-            )
         return space
 
     def shareable_streams(self) -> Iterator[tuple[tuple, "EnvStream"]]:
@@ -627,7 +602,7 @@ class ModelChecker:
     def publish_streams(self) -> None:
         """Offer this checker's finished streams to its batch's pool."""
         if self.stream_pool is not None:
-            self.stream_pool.publish(self.pool_space(), self.shareable_streams())
+            self.stream_pool.publish(self.registry_space(), self.shareable_streams())
 
     def _get_stream(
         self,
@@ -669,7 +644,7 @@ class ModelChecker:
         stream = streams.get(key)
         if stream is not None:
             streams.move_to_end(key)
-            self.screen_stats.env_stream_reuses += 1
+            self.stats.env_stream_reuses += 1
             if canon is not None and (
                 stream.source_root != root_value
                 or stream.source_heap_hash != hash(model.heap)
@@ -679,7 +654,7 @@ class ModelChecker:
                 # was generated from.  Hash comparison (cached on the heap)
                 # keeps the classification O(1); a collision miscounting a
                 # hit as concrete only skews this statistic, nothing else.
-                self.screen_stats.canonical_stream_hits += 1
+                self.stats.canonical_stream_hits += 1
             return stream, view
         if self.fault_plan is not None:
             # Fault-injection site: a fresh stream is about to be
@@ -698,9 +673,9 @@ class ModelChecker:
             # was solved here) nor ``env_stream_reuses`` (nothing was in
             # this checker's memo).
             if self.stream_pool is not None:
-                shared = self.stream_pool.get((self.pool_space(), key))
+                shared = self.stream_pool.get((self.registry_space(), key))
                 if shared is not None:
-                    self.screen_stats.stream_pool_hits += 1
+                    self.stats.stream_pool_hits += 1
                     if self.persistent is not None:
                         self.persistent.note_pooled(key)
             if shared is None and self.persistent is not None:
@@ -710,13 +685,13 @@ class ModelChecker:
                 self._iter_skeleton_leaves(model, skeleton),
                 tuple(arg.name for arg in atom.args),
                 len(model.heap),
-                self.stream_max_entries,
+                STREAM_MAX_ENTRIES,
                 canon=canon,
                 source_root=root_value,
                 source_heap_hash=hash(model.heap),
                 tracer=self.tracer,
             )
-            self.screen_stats.skeletons_solved += 1
+            self.stats.skeletons_solved += 1
         streams[key] = shared
         if len(streams) > _STREAM_MEMO_LIMIT:
             streams.popitem(last=False)
@@ -743,8 +718,8 @@ class ModelChecker:
         try:
             yield from self._solve(spatials, [], env, unknowns, available, model, state, 0)
         finally:
-            if state.max_trail > self.screen_stats.max_trail_depth:
-                self.screen_stats.max_trail_depth = state.max_trail
+            if state.max_trail > self.stats.max_trail_depth:
+                self.stats.max_trail_depth = state.max_trail
 
     # ------------------------------------------------------------ search core --
 
@@ -770,7 +745,7 @@ class ModelChecker:
         iteration.
         """
         state.steps += 1
-        if state.steps > self.max_steps:
+        if state.steps > MAX_STEPS:
             raise CheckBudgetExceeded
         if depth > state.max_depth:
             return
@@ -938,7 +913,7 @@ class ModelChecker:
                 # The case's own equalities or points-to anchors are already
                 # violated (e.g. a recursive case whose root address is not
                 # available): instantiating it could only fail.
-                self.screen_stats.pruned_cases += 1
+                self.stats.pruned_cases += 1
                 continue
             if unfold_key is _KEY_UNSET:
                 unfold_key = canonical_unfold_key(goal.args)
@@ -1495,11 +1470,12 @@ class StreamPool:
     stream is a pure function of its key, so serving it changes no verdict;
     a stream cut off by the entry cap or the step budget is never published.
 
-    Keys are ``(pool space, stream key)`` where the pool space
-    (:meth:`ModelChecker.pool_space`) pins the registry and the search
-    limits.  Insertion follows each publishing memo's own LRU order, so the
-    pool is deterministic for a deterministic batch, and it is LRU-bounded
-    by ``_STREAM_POOL_LIMIT``.
+    Keys are ``(registry space, stream key)``: the registry fingerprint
+    (:meth:`ModelChecker.registry_space`) pins the predicate definitions,
+    and the search budgets are module constants every checker shares.
+    Insertion follows each publishing memo's own LRU order, so the pool is
+    deterministic for a deterministic batch, and it is LRU-bounded by
+    ``_STREAM_POOL_LIMIT``.
     """
 
     __slots__ = ("_streams",)
@@ -1513,7 +1489,7 @@ class StreamPool:
             self._streams.move_to_end(key)
         return stream
 
-    def publish(self, space: tuple, streams) -> None:
+    def publish(self, space: str, streams) -> None:
         """Add ``(key, stream)`` pairs of one checker's shareable streams."""
         pool = self._streams
         for key, stream in streams:

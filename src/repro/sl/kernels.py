@@ -33,15 +33,15 @@ Exactness: verdicts replicate the exact search's selection rule.  The posting
 intersection enumerates candidates in ascending entry order -- the stream's
 enumeration order -- so "first solution of maximal consumed size" holds, and
 whenever the selection could depend on the per-candidate enumeration order
-(incomplete stream, more than ``max_solutions`` matches, ambiguous ties) the
+(incomplete stream, more than ``MAX_SOLUTIONS`` matches, ambiguous ties) the
 verdict is ``_UNDECIDED`` and the caller runs the exact search.  The
 equivalence suite (``tests/sl/test_kernels.py``) asserts every settled
 verdict against the reference ``ModelChecker.check`` under both stream-view
 kinds.
 
-Counters (:class:`repro.sl.screen.ScreeningStats`): ``kernel_groups``
-counts kernel invocations (one per group x model), ``stream_index_hits``
-variants resolved through posting-list intersection,
+Counters (the checker's :class:`~repro.telemetry.counters.CacheStats`):
+``kernel_groups`` counts kernel invocations (one per group x model),
+``stream_index_hits`` variants resolved through posting-list intersection,
 ``kernel_scan_fallbacks`` full entry scans actually run for pin-free
 variants (settle-record misses, so at most one per invocation);
 ``pure_variant_evals`` counts entries actually examined per variant.
@@ -49,10 +49,11 @@ variants (settle-record misses, so at most one per invocation);
 
 from __future__ import annotations
 
+from repro.sl import checker as checker_module
 from repro.sl.checker import CheckResult, _UNDECIDED, _variant_instantiation
 
 #: Settle record for a pinned-value combination that matched more than
-#: ``max_solutions`` entries -- every variant sharing it is ``_UNDECIDED``.
+#: ``MAX_SOLUTIONS`` entries -- every variant sharing it is ``_UNDECIDED``.
 _OVERFLOW = object()
 
 #: Cache-miss sentinel (``None`` is a valid record: a sound refutation).
@@ -61,8 +62,6 @@ _ABSENT = object()
 
 def decide_group(
     checker,
-    predicate: str,
-    root_position: int,
     stream,
     view,
     slot_names: tuple[str, ...],
@@ -78,11 +77,10 @@ def decide_group(
     and ``values`` aligned, values in the consumer's concrete space).
     Returns one verdict per item, aligned: ``None`` for a sound refutation,
     a :class:`CheckResult` when the stream settles the pair exactly, or the
-    ``_UNDECIDED`` sentinel when only the exact search can.  ``predicate``
-    and ``root_position`` name the group; the verdicts depend only on the
-    stream, the view and the work items.
+    ``_UNDECIDED`` sentinel when only the exact search can.  The verdicts
+    depend only on the stream, the view and the work items.
     """
-    stats = checker.screen_stats
+    stats = checker.stats
     stats.kernel_groups += 1
     if not stream.ensure():
         # Every verdict off an incomplete stream depends on the unobserved
@@ -91,7 +89,7 @@ def decide_group(
         return [_UNDECIDED] * len(work)
 
     entries = stream.entries
-    max_solutions = checker.max_solutions
+    max_solutions = checker_module.MAX_SOLUTIONS
     discharge = checker._discharge_deferred
     cache = stream._settle_cache
     if cache is None:
@@ -203,7 +201,7 @@ def _settle_indexed(
     intersection, or every entry when nothing is pinned.  Slot compatibility
     is guaranteed by construction; only entries carrying deferred pure goals
     still run :func:`_endgame`.  Returns a shareable record: ``_OVERFLOW``
-    (more matches than ``max_solutions``), ``None`` (no match -- a sound
+    (more matches than ``MAX_SOLUTIONS``), ``None`` (no match -- a sound
     refutation off a complete stream) or the tie list of maximal-size
     ``(entry, final_env)`` solutions, which :func:`_verdict` finishes per
     variant.

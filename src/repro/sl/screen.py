@@ -32,74 +32,13 @@ candidates that a base case can satisfy vacuously.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from repro.sl.errors import UnknownPredicateError
 from repro.sl.exprs import And, Eq, IntConst, Ne, Nil, PureFormula, TrueF, Var
 from repro.sl.model import StackHeapModel
 from repro.sl.spatial import PointsTo, PredApp, SymHeap
-
-
-# ---------------------------------------------------------------------------
-# Screening statistics
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class ScreeningStats:
-    """Counters of the screening / fail-fast layer, owned by a checker.
-
-    ``candidates_generated`` counts Algorithm 2 candidates surviving the
-    type and signature filters; ``candidates_prefiltered`` those rejected by
-    the semantic pre-filter without a checker call; ``candidates_checked``
-    those actually handed to ``check_all``.  ``refuted_by_first_model``
-    counts ``check_all`` calls settled by the very first model tried (the
-    learned-refuter / smallest-heap heuristic working as intended);
-    ``pruned_cases`` counts predicate-case unfoldings skipped inside the
-    search; ``max_trail_depth`` is the deepest binding trail observed.
-    """
-
-    candidates_generated: int = 0
-    candidates_prefiltered: int = 0
-    candidates_checked: int = 0
-    refuted_by_first_model: int = 0
-    pruned_cases: int = 0
-    max_trail_depth: int = 0
-    #: Skeleton-batching counters (see ``ModelChecker.check_batch``):
-    #: candidate groups formed by the candidate loop, skeleton searches
-    #: actually run, stream-memo reuses, per-(variant, entry) evaluations of
-    #: compiled pure deltas, and batched variants that needed the exact
-    #: per-candidate fallback.
-    candidate_groups: int = 0
-    skeletons_solved: int = 0
-    env_stream_reuses: int = 0
-    pure_variant_evals: int = 0
-    batch_exact_fallbacks: int = 0
-    #: Stream-memo hits that only canonical keying made possible: the
-    #: consuming model's concrete (root value, heap) differs from the one
-    #: the stream was generated from (see ``ModelChecker._get_stream``).
-    canonical_stream_hits: int = 0
-    #: Exact-search selections that were enumeration-order dependent (tied
-    #: best reductions, solution-cap truncation, budget expiry).  The
-    #: isomorphism-dedup layer snapshots this around each location: such
-    #: selections must not be replayed onto address-renamed models.
-    exact_selection_ambiguities: int = 0
-    #: Columnar-kernel counters (see :mod:`repro.sl.kernels`): group-kernel
-    #: invocations (one per candidate group x model), variants resolved by
-    #: posting-list intersection over the stream's slot indexes, and full
-    #: entry scans actually run for pin-free variants (settle-record cache
-    #: misses, so at most one per invocation).
-    kernel_groups: int = 0
-    stream_index_hits: int = 0
-    kernel_scan_fallbacks: int = 0
-    #: Stream-memo misses served by the run-scoped pool of an engine batch
-    #: (see :class:`repro.sl.checker.StreamPool`).  Like a disk hit, a pool
-    #: hit counts neither ``skeletons_solved`` nor ``env_stream_reuses``.
-    stream_pool_hits: int = 0
-
-    def as_dict(self) -> dict[str, int]:
-        return asdict(self)
 
 
 # ---------------------------------------------------------------------------
@@ -515,7 +454,6 @@ def candidate_refuted(
     facts_list: Sequence[ModelFacts],
     registry,
     depth: int = 1,
-    drop_vacuous: bool = True,
 ) -> bool:
     """The semantic pre-filter of Algorithm 2's candidate loop.
 
@@ -524,10 +462,9 @@ def candidate_refuted(
 
     * some model rules out *every* case of ``p`` -- ``check_all`` would
       refute the candidate there;
-    * (with ``drop_vacuous``) *no* model admits a case that can consume a
-      cell -- then every possible outcome of ``check_all`` is either a
-      refutation or an all-vacuous reduction, and the candidate loop drops
-      both.
+    * *no* model admits a case that can consume a cell -- then every
+      possible outcome of ``check_all`` is either a refutation or an
+      all-vacuous reduction, and the candidate loop drops both.
 
     Never refutes a candidate that would have produced a kept result.
     """
@@ -546,24 +483,15 @@ def candidate_refuted(
                 break
         if not feasible:
             return True
-        if drop_vacuous and not may_consume_somewhere:
+        if not may_consume_somewhere:
             may_consume_somewhere = any(
                 case_may_consume(screen, values, heap_get, dom, registry, depth)
                 for screen in screens
             )
-    if drop_vacuous and not may_consume_somewhere:
-        return True
-    return False
+    return not may_consume_somewhere
 
 
-def screen_candidates(
-    predicate,
-    candidates,
-    facts_list: Sequence[ModelFacts],
-    registry,
-    drop_vacuous: bool = True,
-    stats: ScreeningStats | None = None,
-):
+def screen_candidates(predicate, candidates, facts_list: Sequence[ModelFacts], registry, stats):
     """Screen one predicate's enumerated candidates in bulk.
 
     ``candidates`` are ``(permutation, fresh name set)`` records in
@@ -572,24 +500,20 @@ def screen_candidates(
     decision is exactly :func:`candidate_refuted` (the pre-filter stays a
     pure optimisation); hoisting the loop here lets the per-model facts,
     case screens and registry lookups live in one place for a whole group
-    instead of being re-threaded per candidate.
+    instead of being re-threaded per candidate.  Rejections count in
+    ``stats.candidates_prefiltered`` (a
+    :class:`~repro.telemetry.counters.CacheStats`).
     """
     survivors = []
     screened = 0
     for candidate in candidates:
         if candidate_refuted(
-            predicate,
-            candidate.permutation,
-            candidate.fresh,
-            facts_list,
-            registry,
-            drop_vacuous=drop_vacuous,
+            predicate, candidate.permutation, candidate.fresh, facts_list, registry
         ):
             screened += 1
             continue
         survivors.append(candidate)
-    if stats is not None:
-        stats.candidates_prefiltered += screened
+    stats.candidates_prefiltered += screened
     return survivors
 
 

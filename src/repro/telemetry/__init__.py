@@ -11,6 +11,10 @@ The subsystem has three layers (see ``docs/observability.md``):
 * :mod:`repro.telemetry.analyze` -- per-phase summaries, Chrome trace-event
   export and trace diffs, backing the ``repro trace`` CLI.
 
+Next to them, :mod:`repro.telemetry.counters` declares every work counter
+once (``CacheStats``); the checker, the driver and the engine all count
+into instances of it.
+
 The default everywhere is ``telemetry=None``: no tracer exists, every
 instrumented call site short-circuits on an ``is None`` check, and no code
 path differs from an untraced build -- the same gating discipline as every

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 import os
+import pickle
 import sqlite3
 
 import pytest
@@ -47,6 +48,8 @@ from repro.sl.exprs import Nil, Var
 from repro.sl.model import CanonicalForm, Heap, HeapCell, StackHeapModel, intern_form
 from repro.sl.spatial import PredApp, SymHeap
 from repro.sl.stdpreds import predicates_for, standard_predicates
+
+from tests.conftest import CreatesFileOnUnpickle
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +141,7 @@ class TestStreamRoundTrip:
         ]
         assert complete, "the workload produced no complete canonical streams"
         for _, stream in complete:
-            clone = decode_stream(encode_stream(stream), checker.stream_max_entries)
+            clone = decode_stream(encode_stream(stream))
             assert clone.complete
             assert clone.slot_names == stream.slot_names
             assert len(clone.entries) == len(stream.entries)
@@ -173,7 +176,7 @@ class TestStreamRoundTrip:
         tier.attach(cold)
         cold_outcomes = cold.check_batch(models, skeleton, variants)
         tier.flush(cold)
-        assert cold.screen_stats.skeletons_solved > 0
+        assert cold.stats.skeletons_solved > 0
 
         warm = _canonical_checker(registry)
         tier2 = PersistentCache(tmp_path / "cache.sqlite", registry)
@@ -183,8 +186,8 @@ class TestStreamRoundTrip:
         assert tier2.disk_hits > 0
         # Every complete stream came from disk; only incomplete ones (never
         # persisted) may have been re-solved.
-        assert warm.screen_stats.skeletons_solved <= cold.screen_stats.skeletons_solved
-        assert warm.screen_stats.skeletons_solved == tier2.disk_misses
+        assert warm.stats.skeletons_solved <= cold.stats.skeletons_solved
+        assert warm.stats.skeletons_solved == tier2.disk_misses
 
 
 class TestRefuterRoundTrip:
@@ -255,8 +258,9 @@ class TestUnfoldRoundTrip:
 
 
 class TestEviction:
-    def test_eviction_drops_least_recent_lowest_hits_first(self, tmp_path):
-        store = CacheStore(tmp_path / "c.sqlite", max_entries=2)
+    def test_eviction_drops_least_recent_lowest_hits_first(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(store_module, "DEFAULT_MAX_ENTRIES", 2)
+        store = CacheStore(tmp_path / "c.sqlite")
         store.put_many("fp", "stream", [(b"a", b"1")], now=100.0)
         store.put_many("fp", "stream", [(b"b", b"2")], now=200.0)
         store.put_many("fp", "stream", [(b"c", b"3")], now=300.0)
@@ -268,19 +272,21 @@ class TestEviction:
         assert store.get("fp", "stream", b"a") == b"1"
         assert store.get("fp", "stream", b"c") == b"3"
 
-    def test_hit_count_breaks_recency_ties(self, tmp_path):
-        store = CacheStore(tmp_path / "c.sqlite", max_entries=1)
+    def test_hit_count_breaks_recency_ties(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(store_module, "DEFAULT_MAX_ENTRIES", 1)
+        store = CacheStore(tmp_path / "c.sqlite")
         store.put_many("fp", "stream", [(b"a", b"1"), (b"b", b"2")], now=100.0)
         store.touch_many("fp", "stream", [b"b"], now=100.0)  # same recency, +1 hit
         assert store.evict_over_cap() == 1
         assert store.get("fp", "stream", b"a") is None
         assert store.get("fp", "stream", b"b") == b"2"
 
-    def test_tier_counts_evictions(self, tmp_path):
+    def test_tier_counts_evictions(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(store_module, "DEFAULT_MAX_ENTRIES", 1)
         registry = standard_predicates()
         models, skeleton, variants = _lseg_batch(registry)
         checker = _canonical_checker(registry)
-        tier = PersistentCache(tmp_path / "c.sqlite", registry, max_entries=1)
+        tier = PersistentCache(tmp_path / "c.sqlite", registry)
         tier.attach(checker)
         checker.check_batch(models, skeleton, variants)
         tier.flush(checker)
@@ -444,6 +450,36 @@ class TestCorruptionFallback:
         )
         assert tier2.disk_hits == 0
         assert tier2.disk_load_errors > 0
+
+    def test_payload_naming_a_foreign_global_runs_no_code(self, tmp_path):
+        # The shape of a crafted row (``repro cache import`` writes rows from
+        # outside the program): unpickling it with plain ``pickle.loads``
+        # would call ``open(marker, "w")``.
+        marker = tmp_path / "unpickled"
+        crafted = pickle.dumps(CreatesFileOnUnpickle(str(marker)))
+        for decode in (decode_stream, decode_refuter, decode_unfold_key):
+            with pytest.raises(pickle.UnpicklingError):
+                decode(crafted)
+        registry = standard_predicates()
+        models, skeleton, variants = _lseg_batch(registry)
+        checker = _canonical_checker(registry)
+        tier = PersistentCache(tmp_path / "c.sqlite", registry)
+        tier.attach(checker)
+        checker.check_batch(models, skeleton, variants)
+        tier.flush(checker)
+        conn = sqlite3.connect(tier.store.path)
+        conn.execute("UPDATE entries SET payload = ? WHERE kind = 'stream'", (crafted,))
+        conn.commit()
+        conn.close()
+        tier.store.close()
+
+        warm = _canonical_checker(registry)
+        tier2 = PersistentCache(tmp_path / "c.sqlite", registry)
+        tier2.attach(warm)
+        warm.check_batch(models, skeleton, variants)
+        assert tier2.disk_hits == 0
+        assert tier2.disk_load_errors > 0
+        assert not marker.exists()
 
     def test_unwritable_path_degrades_quietly(self, tmp_path):
         path = tmp_path / "not-a-dir"

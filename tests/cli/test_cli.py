@@ -2,21 +2,31 @@
 
 import json
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+from repro.cache import CACHE_SCHEMA_VERSION, CacheStore
+
+from tests.conftest import CreatesFileOnUnpickle
+
 _ROOT = Path(__file__).resolve().parents[2]
 
 
-def _run(*args: str, timeout: float = 120.0) -> subprocess.CompletedProcess:
+def _run(
+    *args: str, timeout: float = 120.0, stdin: str | bytes | None = None
+) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     src = str(_ROOT / "src")
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
     return subprocess.run(
         [sys.executable, "-m", "repro", *args],
         capture_output=True,
-        text=True,
+        text=not isinstance(stdin, bytes),
+        input=stdin,
         timeout=timeout,
         env=env,
         cwd=_ROOT,
@@ -143,3 +153,97 @@ def test_bench_subcommand_is_gone():
     process = _run("bench")
     assert process.returncode == 2
     assert "invalid choice: 'bench'" in process.stderr
+
+
+# ---------------------------------------------------------------------------
+# cache export / import
+# ---------------------------------------------------------------------------
+
+
+def _populated_cache(path) -> None:
+    """A cache file with rows of two fingerprints and kinds, some hit."""
+    store = CacheStore(path)
+    store.put_many("fp-a", "stream", [(b"k1", b"\x00payload"), (b"k2", b"\xffz")], now=10.0)
+    store.put_many("fp-b", "refuter", [(b"k3", b"refuted")], now=20.0)
+    store.touch_many("fp-a", "stream", [b"k2"], now=30.0)
+    store.close()
+
+
+def _contents(path) -> dict:
+    store = CacheStore(path)
+    try:
+        stats = store.stats()
+        rows = sorted(
+            (fingerprint, kind, bytes(key), bytes(payload))
+            for fingerprint, kind, key, payload in store.iter_rows()
+        )
+    finally:
+        store.close()
+    return {
+        "entries": stats["entries"],
+        "kinds": stats["kinds"],
+        "fingerprints": stats["fingerprints"],
+        "rows": rows,
+    }
+
+
+def test_cache_export_import_round_trip(tmp_path):
+    source, dump, target = tmp_path / "a.sqlite", tmp_path / "dump.json", tmp_path / "b.sqlite"
+    _populated_cache(source)
+    exported = _run("cache", "export", "--file", str(source), "--dump", str(dump))
+    assert exported.returncode == 0, exported.stderr
+    data = json.loads(dump.read_text(encoding="utf-8"))
+    assert len(data["rows"]) == 3
+    imported = _run("cache", "import", "--file", str(target), "--dump", str(dump))
+    assert imported.returncode == 0, imported.stderr
+    assert _contents(target) == _contents(source)
+    assert _contents(target)["entries"] == 3
+
+
+def test_cache_export_import_round_trip_through_pipes(tmp_path):
+    source, target = tmp_path / "a.sqlite", tmp_path / "b.sqlite"
+    _populated_cache(source)
+    exported = _run("cache", "export", "--file", str(source))
+    assert exported.returncode == 0, exported.stderr
+    imported = _run("cache", "import", "--file", str(target), stdin=exported.stdout)
+    assert imported.returncode == 0, imported.stderr
+    assert _contents(target) == _contents(source)
+
+
+def _valid_row() -> dict:
+    return {
+        "fingerprint": "fp", "kind": "stream", "key": "azE=", "payload": "cA==",
+        "hit_count": 0, "last_used": 1.0, "created": 1.0,
+    }
+
+
+@pytest.mark.parametrize(
+    "dump",
+    ("pickled", "crafted-pickle", "garbage", "not-an-object", "bad-row", "bad-base64"),
+)
+def test_cache_import_refuses_malformed_dump(tmp_path, dump):
+    """A dump that is not export's JSON exits 1 and writes no row at all."""
+    marker = tmp_path / "unpickled"
+    schema = CACHE_SCHEMA_VERSION
+    bad_row = dict(_valid_row(), hit_count="many")
+    bad_base64 = dict(_valid_row(), payload="not base64!")
+    contents = {
+        "pickled": pickle.dumps({"schema_version": schema, "rows": []}),
+        "crafted-pickle": pickle.dumps(CreatesFileOnUnpickle(str(marker))),
+        "garbage": b"\x00\x01 definitely not a dump",
+        "not-an-object": json.dumps([schema]).encode(),
+        # A valid row first: validation must reject the dump before writing.
+        "bad-row": json.dumps({"schema_version": schema, "rows": [_valid_row(), bad_row]}).encode(),
+        "bad-base64": json.dumps({"schema_version": schema, "rows": [bad_base64]}).encode(),
+    }[dump]
+    path = tmp_path / "dump.bin"
+    path.write_bytes(contents)
+    target = tmp_path / "target.sqlite"
+    process = _run("cache", "import", "--file", str(target), "--dump", str(path))
+    assert process.returncode == 1
+    assert "malformed dump" in process.stderr
+    assert not marker.exists()
+    assert _contents(target)["entries"] == 0
+    piped = _run("cache", "import", "--file", str(target), stdin=contents)
+    assert piped.returncode == 1
+    assert _contents(target)["entries"] == 0

@@ -69,6 +69,16 @@ def sll_model(size: int, var: str = "x") -> StackHeapModel:
     return StackHeapModel({var: 1 if size else 0}, Heap(cells), {var: "SllNode*"})
 
 
+class CreatesFileOnUnpickle:
+    """The shape of a crafted pickle: unpickling it runs ``open(path, "w")``."""
+
+    def __init__(self, path):
+        self.path = path
+
+    def __reduce__(self):
+        return (open, (self.path, "w"))
+
+
 @pytest.fixture(scope="session")
 def concat_program(structs):
     """The paper's Figure 1 ``concat`` function as a heaplang program."""

@@ -4,7 +4,8 @@ and the Algorithm 1 driver."""
 import pytest
 
 from repro.core.boundary import split_heap
-from repro.core.infer_atom import InferAtomConfig, infer_atoms
+from repro.core import infer_atom
+from repro.core.infer_atom import infer_atoms
 from repro.core.infer_pure import infer_pure_equalities
 from repro.core.results import Invariant
 from repro.core.sling import Sling, SlingConfig
@@ -103,12 +104,12 @@ class TestInferAtom:
         assert results[0].is_emp
         assert results[0].residual_models[0].heap.domain() == {1, 2}
 
-    def test_result_cap_respected(self, dll_checker, structs):
+    def test_result_cap_respected(self, dll_checker, structs, monkeypatch):
         models = [dll_model(4, extra_stack={"tmp": 3, "res": 1})]
         split = split_heap(models, "x", structs)
-        config = InferAtomConfig(max_results=2)
+        monkeypatch.setattr(infer_atom, "MAX_RESULTS", 2)
         results = infer_atoms(
-            "x", list(split.sub_models), split.boundary, dll_checker.registry, dll_checker, structs, config
+            "x", list(split.sub_models), split.boundary, dll_checker.registry, dll_checker, structs
         )
         assert len(results) <= 2
 

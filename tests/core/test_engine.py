@@ -1,13 +1,18 @@
 """The batch-inference engine: ordering, determinism, failure handling."""
 
+from dataclasses import replace
+
 import pytest
 
+from repro.benchsuite.registry import get_benchmark
 from repro.core.engine import (
     EngineError,
     EngineJob,
     InferenceEngine,
     SpecPayload,
+    collect_cache_stats,
 )
+from repro.core.sling import Sling, SlingConfig
 from repro.evaluation.table1 import run_table1
 
 #: Three fast registry benchmarks from different categories.
@@ -63,6 +68,25 @@ class TestEngineBasics:
         [report] = engine.run(_spec_jobs(_BENCHMARKS[:1]))
         assert report.cache.checker_misses > 0
         assert report.cache.unfold_hits + report.cache.unfold_misses > 0
+
+    def test_collect_cache_stats_is_a_snapshot(self):
+        """The checker counts into its own struct in place, so a snapshot
+        must copy it: two snapshots in a row agree, and taking one (which
+        subtracts the unfolding baseline) leaves the checker's counters be."""
+        benchmark = get_benchmark("sll/insertFront")
+        unfold_before = benchmark.predicates.unfold_stats()
+        sling = Sling(
+            benchmark.program, benchmark.predicates, SlingConfig(discard_crashed_runs=True)
+        )
+        sling.infer_function(benchmark.function, benchmark.test_cases(0))
+        own = replace(sling.checker.stats)
+        first = collect_cache_stats(sling, unfold_before)
+        second = collect_cache_stats(sling, unfold_before)
+        assert first == second
+        assert first is not second
+        assert sling.checker.stats == own
+        assert first.checker_misses == own.checker_misses > 0
+        assert first.unfold_hits + first.unfold_misses > 0
 
 
 class TestEngineParallel:

@@ -14,6 +14,7 @@ import pytest
 from repro.benchsuite.registry import get_benchmark
 from repro.core.engine import warm_worker_state
 from repro.core.sling import Sling, SlingConfig
+from repro.sl import checker as checker_module
 from repro.sl.model import Heap, HeapCell, StackHeapModel
 
 
@@ -61,9 +62,9 @@ class TestIsoDedupEquivalence:
         with_dedup, sling = _infer(sll_benchmark, models, dedupe=True)
         without, _ = _infer(sll_benchmark, models, dedupe=False)
         assert with_dedup == without
-        assert sling.models_deduped == 2
-        assert sling.iso_classes == 3
-        assert sling.iso_exact_fallbacks == 0
+        assert sling.checker.stats.models_deduped == 2
+        assert sling.checker.stats.iso_classes == 3
+        assert sling.checker.stats.iso_exact_fallbacks == 0
 
     def test_full_function_inference_matches(self, sll_benchmark):
         def spec(dedupe: bool):
@@ -91,8 +92,12 @@ class TestIsoDedupEquivalence:
 class TestAmbiguityFallback:
     """Order-dependent checker selections must disable replay for the location."""
 
-    def test_truncated_enumeration_forces_per_model_path(self, sll_benchmark):
+    def test_truncated_enumeration_forces_per_model_path(self, sll_benchmark, monkeypatch):
         models = [_sll_model(1, 3), _sll_model(600, 3)]
+        # A solution cap of 1 makes every multi-solution selection
+        # enumeration-order dependent -- exactly what must not be replayed
+        # through a bijection.
+        monkeypatch.setattr(checker_module, "MAX_SOLUTIONS", 1)
 
         def infer(dedupe: bool):
             sling = Sling(
@@ -100,18 +105,14 @@ class TestAmbiguityFallback:
                 sll_benchmark.predicates,
                 SlingConfig(discard_crashed_runs=True, reference_search=not dedupe),
             )
-            # A solution cap of 1 makes every multi-solution selection
-            # enumeration-order dependent -- exactly what must not be
-            # replayed through a bijection.
-            sling.checker.max_solutions = 1
             invariants = sling.infer_from_models(models, location="entry")
             return [invariant.pretty() for invariant in invariants], sling
 
         with_dedup, sling = infer(True)
         without, _ = infer(False)
         assert with_dedup == without
-        assert sling.checker.screen_stats.exact_selection_ambiguities > 0
-        assert sling.iso_exact_fallbacks >= 1
+        assert sling.checker.stats.exact_selection_ambiguities > 0
+        assert sling.checker.stats.iso_exact_fallbacks >= 1
 
 
 class TestWarmPool:

@@ -128,15 +128,15 @@ def test_sweep_pool_holds_only_complete_streams(sweeps):
 
 
 @pytest.mark.parametrize("limit", ("max_steps", "entry_cap"))
-def test_cut_off_streams_are_never_published(limit):
+def test_cut_off_streams_are_never_published(limit, monkeypatch):
     benchmark = get_benchmark("dll/concat")
     config = SlingConfig(discard_crashed_runs=True)
     if limit == "max_steps":
-        config = SlingConfig(discard_crashed_runs=True, checker_max_steps=40)
+        monkeypatch.setattr(checker_module, "MAX_STEPS", 40)
+    else:
+        monkeypatch.setattr(checker_module, "STREAM_MAX_ENTRIES", 2)
     with checker_module.stream_pool() as pool:
         sling = Sling(benchmark.program, benchmark.predicates, config)
-        if limit == "entry_cap":
-            sling.checker.stream_max_entries = 2
         sling.infer_function(benchmark.function, benchmark.test_cases(0))
     memo = sling.checker._streams
     cut_off = [key for key, stream in memo.items() if not stream.complete]

@@ -9,7 +9,6 @@ from repro.lang import (
     Function,
     If,
     Interpreter,
-    InterpreterConfig,
     Label,
     Location,
     Program,
@@ -21,6 +20,7 @@ from repro.lang import (
     collect_models,
     standard_structs,
 )
+from repro.lang import interp as interp_module
 from repro.lang.builder import add, call, eq, field, gt, i, is_null, not_null, null, sub, v
 from repro.lang.errors import (
     DoubleFree,
@@ -180,11 +180,10 @@ class TestInterpreter:
         with pytest.raises(NullDereference):
             Interpreter(Program(structs, [crash])).run("crash", [0], RuntimeHeap(structs))
 
-    def test_divergent_loop_times_out(self, structs):
+    def test_divergent_loop_times_out(self, structs, monkeypatch):
         spin = Function("spin", [], "int", [While(eq(i(0), i(0)), []), Return(i(1))])
-        interpreter = Interpreter(
-            Program(structs, [spin]), config=InterpreterConfig(max_steps=500)
-        )
+        monkeypatch.setattr(interp_module, "MAX_STEPS", 500)
+        interpreter = Interpreter(Program(structs, [spin]))
         with pytest.raises(InterpreterTimeout):
             interpreter.run("spin", [], RuntimeHeap(structs))
 

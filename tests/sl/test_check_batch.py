@@ -125,7 +125,7 @@ def _variant_of(pred_name: str, candidate: Candidate, position: int) -> PureVari
     return _candidate_variant(candidate, formula, position)
 
 
-def _assert_batch_matches_exact(pred_name, boundary, root, models, drop_vacuous=True):
+def _assert_batch_matches_exact(pred_name, boundary, root, models):
     predicate = _PREDICATES.get(pred_name)
     batch_checker = ModelChecker(_PREDICATES)
     exact_checker = ModelChecker(_PREDICATES)
@@ -138,9 +138,7 @@ def _assert_batch_matches_exact(pred_name, boundary, root, models, drop_vacuous=
     for position, members in by_position.items():
         skeleton = build_skeleton(predicate.name, predicate.arity, root, position)
         variants = [_variant_of(predicate.name, candidate, position) for candidate in members]
-        outcomes = batch_checker.check_batch(
-            models, skeleton, variants, drop_vacuous=drop_vacuous
-        )
+        outcomes = batch_checker.check_batch(models, skeleton, variants)
         assert len(outcomes) == len(variants)
         for variant, outcome in zip(variants, outcomes):
             exact = exact_checker.check_all(models, variant.formula)
@@ -216,9 +214,8 @@ def test_dll_lattice_batch_equals_exact(sizes, y_choice, corrupt):
 @given(
     sizes=st.lists(st.integers(min_value=0, max_value=6), min_size=1, max_size=2),
     y_choice=st.integers(min_value=0, max_value=8),
-    drop_vacuous=st.booleans(),
 )
-def test_tree_lattice_batch_equals_exact(sizes, y_choice, drop_vacuous):
+def test_tree_lattice_batch_equals_exact(sizes, y_choice):
     models = [
         StackHeapModel(
             {"x": 1 if size else 0, "y": _stack_value(y_choice, size)},
@@ -228,9 +225,7 @@ def test_tree_lattice_batch_equals_exact(sizes, y_choice, drop_vacuous):
         for size in sizes
     ]
     for pred in ("tree", "treeseg"):
-        _assert_batch_matches_exact(
-            pred, ["x", "y", "nil"], "x", models, drop_vacuous=drop_vacuous
-        )
+        _assert_batch_matches_exact(pred, ["x", "y", "nil"], "x", models)
 
 
 @settings(max_examples=20, deadline=None)
@@ -280,11 +275,11 @@ class TestEnvStreamMemo:
             return [_variant_of("lseg", candidate, position) for candidate in members]
 
         checker.check_batch(models, skeleton, variants())
-        solved = checker.screen_stats.skeletons_solved
+        solved = checker.stats.skeletons_solved
         assert solved >= 1
         checker.check_batch(models, skeleton, variants())
-        assert checker.screen_stats.skeletons_solved == solved  # no re-solve
-        assert checker.screen_stats.env_stream_reuses >= 1
+        assert checker.stats.skeletons_solved == solved  # no re-solve
+        assert checker.stats.env_stream_reuses >= 1
 
     def test_streams_shared_across_aliasing_roots(self):
         # Two different root variables pointing at the same structure share
@@ -302,8 +297,8 @@ class TestEnvStreamMemo:
             skeleton = build_skeleton("lseg", 2, root, 0)
             variants = [_variant_of("lseg", candidate, 0) for candidate in members]
             checker.check_batch([model], skeleton, variants)
-        assert checker.screen_stats.skeletons_solved == 1
-        assert checker.screen_stats.env_stream_reuses >= 1
+        assert checker.stats.skeletons_solved == 1
+        assert checker.stats.env_stream_reuses >= 1
 
 
 class TestBoundedRefuters:

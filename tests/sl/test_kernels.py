@@ -16,7 +16,7 @@ The property tests drive randomized sll / dll / tree / sorted-list
 workloads through the full candidate lattice of a predicate, under both
 stream-view kinds: concretely-keyed streams (identity view) and
 canonically-keyed streams (address-translating view).  The unit tests pin
-each ``_UNDECIDED`` trigger (incomplete stream, ``max_solutions`` overflow,
+each ``_UNDECIDED`` trigger (incomplete stream, ``MAX_SOLUTIONS`` overflow,
 tie-ambiguity between distinct best reductions) deterministically and
 exercise the kernel's slot matching (posting-list resolution plus the
 deferred endgame) against a plain reference closure on synthetic entries.
@@ -35,6 +35,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.infer_atom import Candidate, _candidate_variant
 from repro.lang.types import standard_structs
+from repro.sl import checker as checker_module
 from repro.sl import kernels
 from repro.sl.checker import (
     CheckResult,
@@ -181,11 +182,9 @@ def _verdict_key(verdict):
     return (verdict.residual, dict(verdict.instantiation), set(verdict.consumed))
 
 
-def _checker(canonical: bool, **overrides) -> ModelChecker:
+def _checker(canonical: bool) -> ModelChecker:
     """A checker keying streams canonically (with structs) or concretely."""
-    return ModelChecker(
-        _PREDICATES, structs=_STRUCTS if canonical else None, **overrides
-    )
+    return ModelChecker(_PREDICATES, structs=_STRUCTS if canonical else None)
 
 
 def _scan_verdict(checker, stream, view, item, slot_names, stack, model, domain):
@@ -193,7 +192,7 @@ def _scan_verdict(checker, stream, view, item, slot_names, stack, model, domain)
 
     Applies the exact search's selection rule to the matching entries: the
     first solution of maximal consumed size wins; more than
-    ``max_solutions`` matches, an incomplete stream or tied solutions that
+    ``MAX_SOLUTIONS`` matches, an incomplete stream or tied solutions that
     disagree on residual or instantiation leave the pair ``_UNDECIDED``.
     """
     _, variant, positions, values = item
@@ -206,7 +205,7 @@ def _scan_verdict(checker, stream, view, item, slot_names, stack, model, domain)
         if not matched:
             continue
         matches += 1
-        if matches > checker.max_solutions:
+        if matches > checker_module.MAX_SOLUTIONS:
             return _UNDECIDED
         if entry.nconsumed > best_size:
             best_size, tied = entry.nconsumed, [(entry, final_env)]
@@ -242,7 +241,7 @@ def _assert_kernel_matches_scan(checker, pred_name, boundary, root, models):
     enumeration's.
     """
     predicate = _PREDICATES.get(pred_name)
-    reference = ModelChecker(_PREDICATES, max_solutions=checker.max_solutions)
+    reference = ModelChecker(_PREDICATES)
     compared = 0
     by_position: dict[int, list[Candidate]] = {}
     for candidate in _candidates(pred_name, boundary, root):
@@ -269,8 +268,7 @@ def _assert_kernel_matches_scan(checker, pred_name, boundary, root, models):
                 values = tuple(pair[1] for pair in required)
                 work.append((index, variant, positions, values))
             verdicts = kernels.decide_group(
-                checker, atom.name, position, stream, view, slot_names,
-                stack, model, domain, work,
+                checker, stream, view, slot_names, stack, model, domain, work
             )
             assert len(verdicts) == len(work)
             for item, verdict in zip(work, verdicts):
@@ -409,8 +407,7 @@ class TestUndecidedTriggers:
         variant = _variant_of("lseg", Candidate(("x", "u91"), {"u91"}), 0)
         work = [(0, variant, (), ())]
         (verdict,) = kernels.decide_group(
-            checker, atom.name, 0, stream, _IDENTITY_VIEW, slot_names,
-            stack, model, domain, work,
+            checker, stream, _IDENTITY_VIEW, slot_names, stack, model, domain, work
         )
         return verdict, model
 
@@ -435,27 +432,29 @@ class TestUndecidedTriggers:
             model.heap.restrict(frozenset({1})), {"u91": 2}, {2}
         )
 
-    def test_max_solutions_overflow_is_undecided(self):
+    def test_max_solutions_overflow_is_undecided(self, monkeypatch):
         # lseg(x, u) on a 3-node list has four solutions (hole at every
-        # suffix); max_solutions=1 forces the overflow sentinel.
-        checker = _checker(False, max_solutions=1)
+        # suffix); MAX_SOLUTIONS=1 forces the overflow sentinel.
+        monkeypatch.setattr(checker_module, "MAX_SOLUTIONS", 1)
+        checker = _checker(False)
         models = [
             StackHeapModel({"x": 1}, Heap(_sll_heap(3)), {"x": "SllNode*"})
         ]
         _assert_kernel_matches_scan(checker, "lseg", ["x", "nil"], "x", models)
         assert self._some_verdict(checker, "lseg", models) is _UNDECIDED
 
-    def test_incomplete_stream_is_undecided_without_scanning(self):
+    def test_incomplete_stream_is_undecided_without_scanning(self, monkeypatch):
         # A stream cut off by the entry cap can refute nothing; the kernel
         # must return _UNDECIDED for every variant without touching entries.
-        checker = _checker(False, stream_max_entries=1)
+        monkeypatch.setattr(checker_module, "STREAM_MAX_ENTRIES", 1)
+        checker = _checker(False)
         models = [
             StackHeapModel({"x": 1}, Heap(_sll_heap(3)), {"x": "SllNode*"})
         ]
-        before = checker.screen_stats.pure_variant_evals
+        before = checker.stats.pure_variant_evals
         verdicts = self._group_verdicts(checker, "lseg", models)
         assert verdicts and all(v is _UNDECIDED for v in verdicts)
-        assert checker.screen_stats.pure_variant_evals == before
+        assert checker.stats.pure_variant_evals == before
 
     def _group_verdicts(self, checker, pred_name, models):
         predicate = _PREDICATES.get(pred_name)
@@ -483,8 +482,7 @@ class TestUndecidedTriggers:
                 )
             )
         return kernels.decide_group(
-            checker, atom.name, 0, stream, view, slot_names, stack, model,
-            model.heap.domain(), work,
+            checker, stream, view, slot_names, stack, model, model.heap.domain(), work
         )
 
     def _some_verdict(self, checker, pred_name, models):

@@ -16,13 +16,13 @@ from repro.sl.exprs import Nil, Var
 from repro.sl.model import Heap, HeapCell, StackHeapModel
 from repro.sl.screen import (
     ModelFacts,
-    ScreeningStats,
     candidate_refuted,
     case_feasible,
     formula_shape,
 )
 from repro.sl.spatial import PredApp, SymHeap
 from repro.sl.stdpreds import standard_predicates
+from repro.telemetry.counters import CacheStats
 
 from tests.conftest import dll_model, sll_model
 
@@ -114,9 +114,7 @@ class TestPrefilterSoundness:
                         [Nil() if name == "nil" else Var(name) for name in combo],
                     ),
                 )
-                refuted = candidate_refuted(
-                    predicate, combo, fresh, facts, registry, drop_vacuous=True
-                )
+                refuted = candidate_refuted(predicate, combo, fresh, facts, registry)
                 if not refuted:
                     continue
                 tested += 1
@@ -156,10 +154,13 @@ class TestFormulaShape:
         assert formula_shape(first) != formula_shape(second)
 
 
-class TestScreeningStats:
-    def test_as_dict_keys(self):
-        stats = ScreeningStats()
-        assert set(stats.as_dict()) == {
+class TestCheckerStats:
+    def test_screen_counters_are_checker_stats_fields(self):
+        # The screening, batching and kernel counters live in the checker's
+        # CacheStats, the one struct that declares every counter.
+        stats = ModelChecker(standard_predicates()).stats
+        assert isinstance(stats, CacheStats)
+        assert set(stats.as_dict()) >= {
             "candidates_generated",
             "candidates_prefiltered",
             "candidates_checked",
@@ -208,5 +209,5 @@ class TestFailFastEquivalence:
                 assert [r.instantiation for r in actual] == [
                     r.instantiation for r in expected
                 ]
-        assert fast.screen_stats.pruned_cases > 0
-        assert slow.screen_stats.pruned_cases == 0
+        assert fast.stats.pruned_cases > 0
+        assert slow.stats.pruned_cases == 0
