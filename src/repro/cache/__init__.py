@@ -13,7 +13,6 @@ from repro.cache.store import (
     CACHE_SCHEMA_VERSION,
     DEFAULT_MAX_ENTRIES,
     CacheStore,
-    preload_cache_file,
 )
 from repro.cache.tier import (
     PersistentCache,
@@ -30,6 +29,5 @@ __all__ = [
     "PersistentCacheError",
     "bind_tier",
     "close_tiers",
-    "preload_cache_file",
     "registry_fingerprint",
 ]

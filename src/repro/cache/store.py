@@ -56,34 +56,6 @@ DEFAULT_MAX_ENTRIES = 100_000
 #: checkpoint its write-ahead log into whatever file now sits at the path.
 _ABANDONED: list[sqlite3.Connection] = []
 
-#: Process-global preloaded row tables, keyed by absolute cache-file path.
-#: Populated by :func:`preload_cache_file` in the engine parent *before*
-#: the worker pool forks, so every worker inherits the table copy-on-write
-#: (the same trick the canonical-form intern table uses) and stream
-#: lookups need no sqlite round-trip.  Lookups missing here still fall
-#: back to the database, so a stale preload is merely slower, never wrong.
-_PRELOADED: dict[str, dict[tuple[str, str, bytes], bytes]] = {}
-
-
-def preload_cache_file(path) -> int:
-    """Read every row of a cache file into process memory (fork-after-load).
-
-    Returns the number of rows preloaded; any failure logs, counts inside
-    the temporary store and preloads nothing (0).  Safe to call for a file
-    that does not exist yet.
-    """
-    abspath = os.path.abspath(os.fspath(path))
-    store = CacheStore(path)
-    rows: dict[tuple[str, str, bytes], bytes] = {}
-    try:
-        for fingerprint, kind, key, payload in store.iter_rows():
-            rows[(fingerprint, kind, bytes(key))] = payload
-    finally:
-        store.close()
-    _PRELOADED[abspath] = rows
-    return len(rows)
-
-
 class CacheStore:
     """One persistent cache file (see the module docstring).
 
@@ -94,7 +66,6 @@ class CacheStore:
 
     def __init__(self, path):
         self.path = os.fspath(path)
-        self._abspath = os.path.abspath(self.path)
         #: Failures swallowed so far (corruption, version skew, IO errors).
         self.load_errors = 0
         #: Optional fault-injection plan (see :mod:`repro.faults`; set by
@@ -265,16 +236,7 @@ class CacheStore:
     # ------------------------------------------------------------- reads --
 
     def get(self, fingerprint: str, kind: str, key: bytes) -> bytes | None:
-        """The payload stored under ``(fingerprint, kind, key)``, if any.
-
-        Consults the process-global preloaded table first (fork-after-load),
-        then the database.
-        """
-        preloaded = _PRELOADED.get(self._abspath)
-        if preloaded is not None:
-            payload = preloaded.get((fingerprint, kind, key))
-            if payload is not None:
-                return payload
+        """The payload stored under ``(fingerprint, kind, key)``, if any."""
         conn = self._connect()
         if conn is None:
             return None
@@ -305,21 +267,6 @@ class CacheStore:
                 " WHERE fingerprint = ? AND kind = ?"
                 " ORDER BY last_used ASC, rowid ASC",
                 (fingerprint, kind),
-            ).fetchall()
-        except sqlite3.Error as exc:
-            self._fail(exc)
-            return []
-
-    def iter_rows(self) -> list[tuple[str, str, bytes, bytes]]:
-        """Every row of the store (used by preload and export)."""
-        conn = self._connect()
-        if conn is None:
-            return []
-        try:
-            self._inject("cache_read")
-            return conn.execute(
-                "SELECT fingerprint, kind, key, payload FROM entries"
-                " ORDER BY last_used ASC, rowid ASC"
             ).fetchall()
         except sqlite3.Error as exc:
             self._fail(exc)

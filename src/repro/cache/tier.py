@@ -5,8 +5,8 @@ in-memory caches of one :class:`~repro.sl.checker.ModelChecker`:
 
 * the ``EnvStream`` skeleton memo -- served lazily, one stream per miss
   (:meth:`PersistentCache.load_stream`, called from ``_get_stream`` after
-  an in-memory miss that the engine batch's stream pool did not serve
-  either);
+  a miss in the checker's memo, which an engine batch shares among its
+  jobs);
 * the learned-refuter table -- loaded once per tier and replayed into
   every checker it is attached to (only canonical-form refuters persist;
   integer refuters are batch-relative);
@@ -251,16 +251,6 @@ class PersistentCache:
         self._touched.add(key_bytes)
         return stream
 
-    def note_pooled(self, key) -> None:
-        """Record a stream the engine batch's pool served instead of disk.
-
-        A key this tier already knows on disk gets the recency bump a disk
-        hit gets; any other one is written by the next :meth:`flush` like
-        a stream solved here (the upsert is idempotent).
-        """
-        if key in self._known_streams:
-            self._touched.add(stable_key_bytes(key))
-
     def _note_decode_error(self, kind: str, exc: BaseException) -> None:
         if self._decode_errors == 0:
             log.warning(
@@ -277,10 +267,10 @@ class PersistentCache:
     def flush(self, checker, final: bool = True) -> dict[str, int]:
         """Write everything learned since the last flush; returns row counts.
 
-        Persists complete canonical-keyed streams, canonical-form refuters
-        and unfolding-template keys; bumps hit metadata for streams served
-        from disk (or from the batch pool, when their row is known on
-        disk); refreshes ``cache_file_bytes``.  The known-row bookkeeping
+        Persists the checker's shareable streams (in an engine batch,
+        also those an earlier job enumerated), canonical-form refuters and
+        unfolding-template keys; bumps hit metadata for streams served
+        from disk; refreshes ``cache_file_bytes``.  The known-row bookkeeping
         makes repeated flushes naturally incremental -- only rows learned
         since the previous call are written -- so callers (the serve
         daemon, per-location incremental mode) may flush as often as they

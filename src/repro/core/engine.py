@@ -324,32 +324,16 @@ def _dispatch(job: EngineJob) -> tuple[object, CacheStats]:
     from repro.core.sling import Sling
 
     config = job.config or SlingConfig(discard_crashed_runs=True)
-    unfold_before = benchmark.predicates.unfold_stats()
     sling = Sling(benchmark.program, benchmark.predicates, config)
     specification = sling.infer_function(benchmark.function, benchmark.test_cases(job.seed))
-    cache = collect_cache_stats(sling, unfold_before)
     return (
         SpecPayload(
             benchmark=benchmark.name,
             function=benchmark.function,
             specification=specification,
         ),
-        cache,
+        sling.cache_counters(),
     )
-
-
-def collect_cache_stats(sling, unfold_before: dict[str, int] | None = None) -> CacheStats:
-    """Snapshot a :class:`~repro.core.sling.Sling`'s cache counters.
-
-    The unfolding caches live on the (shared, long-lived) predicate registry,
-    so callers that want per-run numbers pass the registry's counters from
-    before the run and get the difference.
-    """
-    stats = sling.cache_counters()
-    if unfold_before:
-        stats.unfold_hits -= unfold_before["hits"]
-        stats.unfold_misses -= unfold_before["misses"]
-    return stats
 
 
 # ---------------------------------------------------------------------------
@@ -379,10 +363,11 @@ class InferenceEngine:
         thread -- no fork, no pickling -- which is also the reference
         behaviour parallel runs must reproduce: bit-for-bit in the inferred
         invariants and the candidate search.  The counters of the skeleton
-        work a batch's stream pool saves (``skeletons_solved``,
-        ``stream_pool_hits`` and the search-depth counters of the solves)
+        work a batch's shared stream memo saves (``skeletons_solved``,
+        ``env_stream_reuses`` and the search-depth counters of the solves)
         depend on which earlier jobs shared a worker, so they are only
-        reproducible run to run with ``jobs=1``.
+        reproducible run to run with ``jobs=1``; their sum
+        ``skeletons_solved + env_stream_reuses`` is the same either way.
     job_timeout:
         Default per-job timeout in seconds (see :class:`EngineJob.timeout`).
         ``None`` waits indefinitely.  Enforced per job by an interval timer
@@ -432,11 +417,11 @@ class InferenceEngine:
         accurate for the later jobs of a batch: each one is stamped with
         only the budget remaining when it actually starts.
 
-        A batch of two or more jobs runs under a run-scoped stream pool
+        A batch of two or more jobs shares one stream memo
         (:func:`repro.sl.checker.stream_pool`): later jobs reuse the
-        finished skeleton streams earlier ones published, with identical
-        results.  Forked pool workers inherit the empty pool and each fills
-        its own; the pool is dropped when the batch returns or raises.
+        skeleton streams earlier ones enumerated, with identical results.
+        Forked pool workers inherit the empty memo and each fills its own;
+        the memo is dropped when the batch returns or raises.
         """
         # Bake the engine-wide default timeout into each job so the executing
         # process (calling thread or pool worker) enforces it locally.
@@ -719,18 +704,6 @@ class _PoolSupervisor(_BatchRun):
         # canonical forms the parent already interned are inherited
         # copy-on-write by every worker.
         warm_worker_state()
-        # Likewise each job's persistent cache file, read into the
-        # process-global preload table so stream lookups need no per-worker
-        # sqlite reads.  Preload failures are absorbed inside the store --
-        # workers then simply read the file themselves.
-        preloaded: set[str] = set()
-        for job in self.batch:
-            cache_path = job.config.persistent_cache if job.config else None
-            if cache_path is not None and str(cache_path) not in preloaded:
-                from repro.cache import preload_cache_file
-
-                preload_cache_file(cache_path)
-                preloaded.add(str(cache_path))
         self.context = multiprocessing.get_context(
             "fork" if "fork" in multiprocessing.get_all_start_methods() else None
         )

@@ -124,6 +124,10 @@ class Sling:
         #: Process-local tracer (``None`` when tracing is off); handed down
         #: to the checker and the disk tier so their spans nest under ours.
         self.tracer = self.telemetry.tracer() if self.telemetry is not None else None
+        #: The registry's unfolding counters when this driver was built:
+        #: the registry outlives it, so :meth:`cache_counters` reports the
+        #: difference.
+        self._unfold_before = predicates.unfold_stats()
         self.checker = ModelChecker(predicates, structs=program.structs)
         self.checker.tracer = self.tracer
         #: Fault-injection plan handed to the checker (stream
@@ -154,10 +158,10 @@ class Sling:
 
         The checker's :class:`CacheStats` already holds the search counters
         and this driver's memo and isomorphism-dedup counters; the snapshot
-        is a copy of it with the registry's unfolding counters and the disk
-        tier's counters filled in.  :meth:`cache_stats` is its dict
-        rendering, and the engine's per-job accounting consumes the struct
-        directly.
+        is a copy of it with the registry's unfolding counters since this
+        driver was built and the disk tier's counters filled in.
+        :meth:`cache_stats` is its dict rendering, and the engine's per-job
+        accounting consumes the struct directly.
         """
         unfold = self.predicates.unfold_stats()
         disk = {}
@@ -165,27 +169,30 @@ class Sling:
             disk = self.persistent_cache.counters()
         return replace(
             self.checker.stats,
-            unfold_hits=unfold["hits"],
-            unfold_misses=unfold["misses"],
+            unfold_hits=unfold["hits"] - self._unfold_before["hits"],
+            unfold_misses=unfold["misses"] - self._unfold_before["misses"],
             **disk,
         )
 
     def cache_stats(self) -> dict:
         """Dict rendering of :meth:`cache_counters` (JSON reports, tests).
 
-        When the persistent cache or an engine batch's stream pool is active
-        the dict additionally carries a ``counter_semantics`` note: streams
-        served from disk or from the pool count neither ``skeletons_solved``
-        nor ``env_stream_reuses``, so those counters are **not comparable**
-        with a standalone, cache-less run's (see ``docs/performance.md``).
+        When the persistent cache or an engine batch's shared stream memo
+        is active the dict additionally carries a ``counter_semantics``
+        note: disk-served streams count neither ``skeletons_solved`` nor
+        ``env_stream_reuses``, and streams an earlier job of the batch
+        solved count as ``env_stream_reuses``, so those counters are **not
+        comparable** with a standalone, cache-less run's (see
+        ``docs/performance.md``).
         """
         stats = self.cache_counters().as_dict()
-        if self.persistent_cache is not None or self.checker.stream_pool is not None:
+        if self.persistent_cache is not None or self.checker.shares_streams:
             stats["counter_semantics"] = (
-                "persistent cache or batch stream pool active: disk- and "
-                "pool-served streams count neither skeletons_solved nor "
-                "env_stream_reuses; do not compare these counters with a "
-                "standalone cache-less run"
+                "persistent cache or batch stream memo active: disk-served "
+                "streams count neither skeletons_solved nor "
+                "env_stream_reuses, and streams an earlier job of the batch "
+                "solved count as env_stream_reuses; do not compare these "
+                "counters with a standalone cache-less run"
             )
         return stats
 
@@ -475,7 +482,6 @@ class Sling:
             models, location=location_name, free_vars=free_vars
         )
         self.flush_persistent()
-        self.checker.publish_streams()
         return invariants
 
     def infer_function(
@@ -517,7 +523,6 @@ class Sling:
             location="entry",
             free_vars=self._free_vars_for(function_name, "entry"),
         )
-        self._mark_freed(specification.preconditions, entry_models)
         self._flush_incremental()
 
         for return_location in function.return_locations():
@@ -527,20 +532,17 @@ class Sling:
                 location=return_location,
                 free_vars=self._free_vars_for(function_name, return_location),
             )
-            self._mark_freed(invariants, models)
             specification.postconditions[return_location] = invariants
             self._flush_incremental()
 
         for loop_location in function.loop_locations():
             models = traces.models_at(Location(function_name, loop_location))
             invariants = self.infer_from_models(models, location=loop_location)
-            self._mark_freed(invariants, models)
             specification.loop_invariants[loop_location] = invariants
             self._flush_incremental()
 
         specification.validated = self._validate(specification, traces, function_name)
         self.flush_persistent()
-        self.checker.publish_streams()
         return specification
 
     # ------------------------------------------------------------------ internals --
@@ -653,14 +655,6 @@ class Sling:
         if location_name.startswith("ret#"):
             return params + ["res"]
         return None
-
-    @staticmethod
-    def _mark_freed(invariants: list[Invariant], models: Sequence[StackHeapModel]) -> None:
-        """Propagate the freed-cell flag onto invariants (kept for clarity)."""
-        # ``infer_from_models`` already sets the flag; this hook exists so the
-        # specification-level driver documents where the paper's "spurious
-        # because of free()" classification happens.
-        del invariants, models
 
     def _validate(
         self, specification: Specification, traces: TraceCollection, function_name: str

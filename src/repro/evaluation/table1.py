@@ -31,7 +31,7 @@ from typing import Sequence
 
 from repro.benchsuite.registry import BenchmarkProgram
 from repro.cache import close_tiers
-from repro.core.engine import CacheStats, collect_cache_stats, run_category_batch
+from repro.core.engine import CacheStats, run_category_batch
 from repro.core.results import Specification
 from repro.core.sling import Sling, SlingConfig
 from repro.telemetry import monotime
@@ -229,7 +229,6 @@ def evaluate_program(
 ) -> ProgramResult:
     """Run SLING on one benchmark and compute its Table 1 measurements."""
     config = config or SlingConfig(discard_crashed_runs=True)
-    unfold_before = benchmark.predicates.unfold_stats()
     sling = Sling(benchmark.program, benchmark.predicates, config)
     test_cases = benchmark.test_cases(seed=seed)
     function = benchmark.program.get_function(benchmark.function)
@@ -271,7 +270,7 @@ def evaluate_program(
         inductive_atoms=sum(invariant.predicate_count() for invariant in invariants),
         pure_atoms=sum(invariant.pure_count() for invariant in invariants),
         specification=specification,
-        cache=collect_cache_stats(sling, unfold_before),
+        cache=sling.cache_counters(),
     )
 
 

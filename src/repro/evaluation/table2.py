@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from repro.benchsuite.registry import BenchmarkProgram
-from repro.core.engine import CacheStats, collect_cache_stats, run_category_batch
+from repro.core.engine import CacheStats, run_category_batch
 from repro.core.sling import Sling, SlingConfig
 
 
@@ -137,7 +137,6 @@ def compare_benchmark(
     if not benchmark.documented:
         return comparison
 
-    unfold_before = benchmark.predicates.unfold_stats()
     sling = Sling(benchmark.program, benchmark.predicates, config)
     specification = sling.infer_function(benchmark.function, benchmark.test_cases(seed))
     s2_result = S2Analyzer().analyze(benchmark)
@@ -151,7 +150,7 @@ def compare_benchmark(
                 s2_found=id(documented) in s2_found,
             )
         )
-    comparison.cache = collect_cache_stats(sling, unfold_before)
+    comparison.cache = sling.cache_counters()
     return comparison
 
 

@@ -140,7 +140,10 @@ class ModelChecker:
 
     The search budgets are the module constants :data:`MAX_STEPS`,
     :data:`MAX_SOLUTIONS` and :data:`STREAM_MAX_ENTRIES`, the same for every
-    checker -- which is what lets checkers share finished streams.
+    checker -- which is what lets checkers share streams.  A checker built
+    inside :func:`stream_pool` (an engine batch) shares that block's one
+    stream memo with every other checker built there; any other checker
+    keeps a private memo.
     """
 
     def __init__(self, registry: PredicateRegistry, structs=None):
@@ -156,13 +159,15 @@ class ModelChecker:
         #: run otherwise.
         self._refuters: OrderedDict[tuple, int] = OrderedDict()
         self.refuters_limit = _REFUTERS_LIMIT
-        #: Memoized skeleton streams: (skeleton structural key, model) ->
-        #: :class:`EnvStream`, LRU-bounded by ``_STREAM_MEMO_LIMIT``.
-        self._streams: OrderedDict[tuple, EnvStream] = OrderedDict()
-        #: The run-scoped pool of the engine batch this checker was built
-        #: in (see :func:`stream_pool`); ``None`` outside a batch keeps the
-        #: stream path exactly as it is for a standalone checker.
-        self.stream_pool: StreamPool | None = getattr(_POOL_SCOPE, "pool", None)
+        #: Memoized skeleton streams: (registry space, skeleton structural
+        #: key, model) -> :class:`EnvStream`, LRU-bounded by
+        #: ``_STREAM_MEMO_LIMIT``.  The memo of the engine batch this
+        #: checker was built in (see :func:`stream_pool`), else a private one.
+        memo = getattr(_MEMO_SCOPE, "memo", None)
+        self.shares_streams = memo is not None
+        self._streams: OrderedDict[tuple, EnvStream] = (
+            OrderedDict() if memo is None else memo
+        )
         #: Optional disk tier beneath the canonical-keyed caches (set by
         #: :meth:`repro.cache.tier.PersistentCache.attach`; ``None`` keeps
         #: every code path byte-identical to the cache-less checker).
@@ -571,8 +576,8 @@ class ModelChecker:
     def registry_space(self) -> str:
         """The fingerprint of this checker's predicate registry.
 
-        It keys what checkers share across instances -- the stream pool and
-        the process-wide disk-tier table
+        It keys what checkers share across instances -- the batch stream
+        memo and the thread's disk-tier table
         (:func:`repro.cache.tier.bind_tier`) -- so a predicate-definition
         change can never be served state derived from another registry.
         Computed once per checker (the registry is fixed at construction).
@@ -587,22 +592,22 @@ class ModelChecker:
         return space
 
     def shareable_streams(self) -> Iterator[tuple[tuple, "EnvStream"]]:
-        """The ``(key, stream)`` memo entries that may leave this checker.
+        """The memo entries that may be written to disk, as ``(key, stream)``.
 
-        Only a *complete* stream under a canonical key is a pure function
-        of its key: a concrete key embeds process-local addresses, and a
-        stream cut off by the entry cap or the step budget is not a full
-        enumeration.  The batch stream pool and the disk tier both share
-        exactly these.
+        Only entries in this checker's registry space, with the space
+        prefix removed from the key.  Only a *complete* stream under a
+        canonical key is a pure function of its key: a concrete key embeds
+        process-local addresses, and a stream cut off by the entry cap or
+        the step budget is not a full enumeration.
         """
+        space = self.registry_space()
         for key, stream in self._streams.items():
-            if stream.complete and isinstance(key[-1], CanonicalForm):
-                yield key, stream
-
-    def publish_streams(self) -> None:
-        """Offer this checker's finished streams to its batch's pool."""
-        if self.stream_pool is not None:
-            self.stream_pool.publish(self.registry_space(), self.shareable_streams())
+            if (
+                key[0] == space
+                and stream.complete
+                and isinstance(key[-1], CanonicalForm)
+            ):
+                yield key[1:], stream
 
     def _get_stream(
         self,
@@ -627,6 +632,10 @@ class ModelChecker:
         one stream, whose entries are stored in canonical coordinates and
         translated per consumer by the returned :class:`_StreamView` (the
         witness bijection, applied lazily).
+
+        Every key starts with the registry space, so a memo shared by the
+        jobs of an engine batch never serves a stream across predicate
+        definitions.  A miss tries the disk tier, then solves.
         """
         atom = skeleton.spatial_atoms()[0]
         canon = None
@@ -635,11 +644,12 @@ class ModelChecker:
             if heap_canon.exact:
                 canon = heap_canon
         if canon is None:
-            key = (atom.name, len(atom.args), root_position, root_value, model.heap)
+            tail = (root_value, model.heap)
             view = _IDENTITY_VIEW
         else:
-            key = (atom.name, len(atom.args), root_position, canon.root_tag, canon.form)
+            tail = (canon.root_tag, canon.form)
             view = _StreamView(canon)
+        key = (self.registry_space(), atom.name, len(atom.args), root_position, *tail)
         streams = self._streams
         stream = streams.get(key)
         if stream is not None:
@@ -664,25 +674,15 @@ class ModelChecker:
             from repro.faults import maybe_inject
 
             maybe_inject(self.fault_plan, "stream_materialize", qualifier=atom.name)
-        shared = None
-        if canon is not None:
+        stream = None
+        if canon is not None and self.persistent is not None:
             # A finished enumeration in canonical space, directly readable
-            # through this consumer's view: first from the run-scoped pool
-            # (published by an earlier job of this engine batch), then from
-            # the disk tier.  Neither counts ``skeletons_solved`` (nothing
-            # was solved here) nor ``env_stream_reuses`` (nothing was in
-            # this checker's memo).
-            if self.stream_pool is not None:
-                shared = self.stream_pool.get((self.registry_space(), key))
-                if shared is not None:
-                    self.stats.stream_pool_hits += 1
-                    if self.persistent is not None:
-                        self.persistent.note_pooled(key)
-            if shared is None and self.persistent is not None:
-                shared = self.persistent.load_stream(key)
-        if shared is None:
-            shared = EnvStream(
-                self._iter_skeleton_leaves(model, skeleton),
+            # through this consumer's view; counted in neither
+            # ``skeletons_solved`` nor ``env_stream_reuses``.
+            stream = self.persistent.load_stream(key[1:])
+        if stream is None:
+            stream = EnvStream(
+                lambda: self._iter_skeleton_leaves(model, skeleton),
                 tuple(arg.name for arg in atom.args),
                 len(model.heap),
                 STREAM_MAX_ENTRIES,
@@ -692,10 +692,10 @@ class ModelChecker:
                 tracer=self.tracer,
             )
             self.stats.skeletons_solved += 1
-        streams[key] = shared
+        streams[key] = stream
         if len(streams) > _STREAM_MEMO_LIMIT:
             streams.popitem(last=False)
-        return shared, view
+        return stream, view
 
     def _iter_skeleton_leaves(self, model: StackHeapModel, skeleton: SymHeap):
         """Raw-leaf enumeration of the skeleton search (EnvStream source).
@@ -1093,14 +1093,10 @@ _UNDECIDED = object()
 #: Upper bound on learned refuter entries (LRU-evicted beyond it).
 _REFUTERS_LIMIT = 4096
 
-#: Upper bound on the streams one checker's memo holds (LRU-evicted beyond
-#: it).
-_STREAM_MEMO_LIMIT = 1024
-
-#: Upper bound on the streams one run-scoped :class:`StreamPool` holds
-#: (LRU-evicted beyond it).  An unbounded pool saves a few more solves but
-#: keeps every finished stream of the batch alive.
-_STREAM_POOL_LIMIT = 256
+#: Upper bound on the streams one memo holds, private or shared by an
+#: engine batch (LRU-evicted beyond it).  Above the ~350 streams of the
+#: largest benchsuite job, so a memo never evicts inside one job.
+_STREAM_MEMO_LIMIT = 512
 
 #: Prefix of the synthetic skeleton slot variables.  ``?`` cannot occur in
 #: parsed/program variable names, so slots never shadow stack variables.
@@ -1269,10 +1265,12 @@ class EnvStream:
     :meth:`ensure` enumerates the whole raw-leaf search once, snapshotting
     every leaf; the entries are then shared by every pure variant that
     consults the stream -- within one ``check_batch`` call and, through the
-    checker's stream memo, across candidate batches.  ``complete``
-    distinguishes an exhausted enumeration (refutations may be trusted) from
-    one cut off by the step budget or the entry cap (consumers must fall
-    back to exact checks).
+    checker's stream memo, across candidate batches and the jobs of an
+    engine batch.  ``complete`` distinguishes an exhausted enumeration
+    (refutations may be trusted) from one cut off by the step budget or the
+    entry cap (consumers must fall back to exact checks).  ``source`` is a
+    zero-argument factory of the raw-leaf iterator (``None`` for a stream
+    built already enumerated), so an interrupted enumeration can start over.
 
     Under canonical keying (``canon`` set) the snapshots are stored in
     canonical space -- slot values and environments through the generating
@@ -1348,13 +1346,13 @@ class EnvStream:
         The first call drains the source into ``entries`` inside one
         main-track ``stream_materialize`` span (when traced); every later
         call returns at once, and the entry list is immutable from then on.
-        A stream cut off by the step budget, the entry cap or an exception
-        stays incomplete.
+        A stream cut off by the step budget or the entry cap stays
+        incomplete.  Any other exception (a job timeout, an injected fault)
+        leaves the stream empty, and the next call enumerates it afresh.
         """
-        source = self._source
-        if source is None:
+        if self._source is None:
             return self.complete
-        self._source = None
+        source = self._source()
         tracer = self._tracer
         self._tracer = None
         span = None if tracer is None else tracer.begin("stream_materialize")
@@ -1405,10 +1403,14 @@ class EnvStream:
                 self.complete = True
         except CheckBudgetExceeded:
             pass
+        except BaseException:
+            entries.clear()
+            raise
         finally:
             if span is not None:
                 span.set(entries=len(entries), complete=self.complete)
                 tracer.end(span)
+        self._source = None
         return self.complete
 
     def position_index(self, position: int) -> tuple[dict, list[int]]:
@@ -1458,66 +1460,27 @@ class EnvStream:
         return cached
 
 
-class StreamPool:
-    """Finished skeleton streams shared by the jobs of one engine batch.
-
-    The benchmark programs of a sweep share predicate registries and heap
-    shapes, so a later job keeps asking for streams an earlier job already
-    enumerated.  At the end of a successful inference each job publishes
-    the *complete*, canonically keyed streams of its checker's memo
-    (:meth:`ModelChecker.publish_streams`); a later checker consults the
-    pool after its own memo misses and before the disk tier.  A complete
-    stream is a pure function of its key, so serving it changes no verdict;
-    a stream cut off by the entry cap or the step budget is never published.
-
-    Keys are ``(registry space, stream key)``: the registry fingerprint
-    (:meth:`ModelChecker.registry_space`) pins the predicate definitions,
-    and the search budgets are module constants every checker shares.
-    Insertion follows each publishing memo's own LRU order, so the pool is
-    deterministic for a deterministic batch, and it is LRU-bounded by
-    ``_STREAM_POOL_LIMIT``.
-    """
-
-    __slots__ = ("_streams",)
-
-    def __init__(self):
-        self._streams: OrderedDict[tuple, EnvStream] = OrderedDict()
-
-    def get(self, key: tuple) -> "EnvStream | None":
-        stream = self._streams.get(key)
-        if stream is not None:
-            self._streams.move_to_end(key)
-        return stream
-
-    def publish(self, space: str, streams) -> None:
-        """Add ``(key, stream)`` pairs of one checker's shareable streams."""
-        pool = self._streams
-        for key, stream in streams:
-            pooled = (space, key)
-            pool[pooled] = stream
-            pool.move_to_end(pooled)
-        while len(pool) > _STREAM_POOL_LIMIT:
-            pool.popitem(last=False)
-
-
-#: Per-thread home of the open pool: checkers bind to it at construction.
-#: A forked engine worker inherits its parent thread's (empty) pool.
-_POOL_SCOPE = threading.local()
+#: Per-thread home of the open batch memo: checkers bind to it at
+#: construction.  A forked engine worker inherits its parent thread's memo.
+_MEMO_SCOPE = threading.local()
 
 
 @contextmanager
 def stream_pool():
-    """Open an empty :class:`StreamPool` for the checkers built in this block.
+    """Share one stream memo among the checkers built in this block.
 
-    Scoped to the calling thread and restored on exit, also when the block
-    raises: a checker built afterwards, or on another thread, sees no pool.
+    A stream is a function of its memo key (registry space, skeleton, heap
+    region) and the module budgets, so every job of an engine batch may
+    read the streams an earlier job enumerated.  Scoped to the calling
+    thread and restored on exit, also when the block raises: a checker
+    built afterwards, or on another thread, gets a private memo.
     """
-    previous = getattr(_POOL_SCOPE, "pool", None)
-    pool = _POOL_SCOPE.pool = StreamPool()
+    previous = getattr(_MEMO_SCOPE, "memo", None)
+    memo = _MEMO_SCOPE.memo = OrderedDict()
     try:
-        yield pool
+        yield memo
     finally:
-        _POOL_SCOPE.pool = previous
+        _MEMO_SCOPE.memo = previous
 
 
 # Sentinel for the lazily computed unfold key in ``_solve_pred`` (the key

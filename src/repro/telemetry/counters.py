@@ -48,7 +48,8 @@ class CacheStats:
     pruned_cases: int = 0
     max_trail_depth: int = field(default=0, metadata={"merge": "max"})
     # Skeleton-batching counters (``ModelChecker.check_batch``): groups
-    # formed, skeleton searches run, env-stream memo reuses, compiled
+    # formed, skeleton searches run, env-stream memo reuses (including
+    # streams an earlier job of the same engine batch solved), compiled
     # pure-variant evaluations, exact-search fallbacks.
     candidate_groups: int = 0
     skeletons_solved: int = 0
@@ -115,12 +116,6 @@ class CacheStats:
     serve_deadline_expiries: int = 0
     serve_client_disconnects: int = 0
     serve_requests_resumed: int = 0
-    # Run-scoped stream pool (``repro.sl.checker.StreamPool``): stream-memo
-    # misses served by a finished stream an earlier job of the same engine
-    # batch published.  Like ``disk_hits``, counted in neither
-    # ``skeletons_solved`` nor ``env_stream_reuses``; zero for a ``Sling``
-    # built outside a batch -- the search-guard baselines pin that.
-    stream_pool_hits: int = 0
 
     def merge(self, other: "CacheStats") -> None:
         """Accumulate another job's counters into this one."""

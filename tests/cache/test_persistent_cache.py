@@ -28,7 +28,6 @@ from repro.cache import (
     CacheStore,
     PersistentCache,
     PersistentCacheError,
-    preload_cache_file,
     registry_fingerprint,
 )
 from repro.cache.serialize import (
@@ -488,29 +487,6 @@ class TestCorruptionFallback:
         invariants, stats = _run_with_cache(str(target))
         assert invariants == _run_cold()
         assert stats["disk_load_errors"] > 0
-
-
-class TestPreload:
-    def test_preloaded_rows_serve_hits_without_connection(self, tmp_path):
-        registry = standard_predicates()
-        models, skeleton, variants = _lseg_batch(registry)
-        checker = _canonical_checker(registry)
-        tier = PersistentCache(tmp_path / "c.sqlite", registry)
-        tier.attach(checker)
-        checker.check_batch(models, skeleton, variants)
-        tier.flush(checker)
-        tier.store.close()
-
-        count = preload_cache_file(tmp_path / "c.sqlite")
-        assert count > 0
-        try:
-            warm = _canonical_checker(registry)
-            tier2 = PersistentCache(tmp_path / "c.sqlite", registry)
-            tier2.attach(warm)
-            warm.check_batch(models, skeleton, variants)
-            assert tier2.disk_hits > 0
-        finally:
-            store_module._PRELOADED.clear()
 
 
 # ---------------------------------------------------------------------------

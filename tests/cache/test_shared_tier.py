@@ -206,7 +206,7 @@ def test_pool_hits_flushed_by_an_earlier_job_are_not_written_again(
         for name in ("sll/insertFront", "sll/insertBack")
     ]
     reports = InferenceEngine(jobs=1).run(jobs)
-    assert reports[1].cache.stream_pool_hits > 0
+    assert reports[1].cache.env_stream_reuses > 0
     first, second = written
     assert first
     assert first.isdisjoint(second)

@@ -1,5 +1,6 @@
 """Smoke tests for the ``repro`` CLI (``python -m repro ...``)."""
 
+import base64
 import json
 import os
 import pickle
@@ -51,12 +52,12 @@ def test_table2_json_parses():
     assert data["summary"]["total"] > 0
 
 
-#: Per-program counters of the skeleton work the batch's stream pool saves.
-#: With ``--jobs 2`` they depend on which earlier jobs shared each worker's
-#: pool, so only sequential runs reproduce them exactly.
+#: Per-program counters of the skeleton work the batch's shared stream memo
+#: saves.  With ``--jobs 2`` they depend on which earlier jobs shared each
+#: worker's memo, so only sequential runs reproduce them exactly.
 POOL_DEPENDENT = (
     "skeletons_solved",
-    "stream_pool_hits",
+    "env_stream_reuses",
     "pruned_cases",
     "max_trail_depth",
     "pure_variant_evals",
@@ -80,17 +81,17 @@ def test_table1_parallel_jobs_flag():
         json.loads(_run("table1", "--category", "SLL", "--limit", "2", "--json").stdout)
         for _ in range(2)
     )
-    # A parallel run agrees on the stream-memo misses, whether solved or
-    # served by a pool.
-    misses = [
+    # A parallel run agrees on the stream requests, which each job makes
+    # alone, whether they were solved or served by the memo.
+    requests = [
         [
-            program["skeletons_solved"] + program["stream_pool_hits"]
+            program["skeletons_solved"] + program["env_stream_reuses"]
             for row in data["rows"]
             for program in row["programs"]
         ]
         for data in (parallel, sequential)
     ]
-    assert misses[0] == misses[1]
+    assert requests[0] == requests[1]
     # Drop the timing/cache fields: two sequential runs agree on every
     # counted column, a parallel one on all but the pool-dependent ones.
     for data in (parallel, sequential, again):
@@ -174,8 +175,13 @@ def _contents(path) -> dict:
     try:
         stats = store.stats()
         rows = sorted(
-            (fingerprint, kind, bytes(key), bytes(payload))
-            for fingerprint, kind, key, payload in store.iter_rows()
+            (
+                row["fingerprint"],
+                row["kind"],
+                base64.b64decode(row["key"]),
+                base64.b64decode(row["payload"]),
+            )
+            for row in store.export_rows()["rows"]
         )
     finally:
         store.close()

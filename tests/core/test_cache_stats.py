@@ -64,7 +64,6 @@ EXPECTED_AS_DICT = {
     "serve_deadline_expiries": 116,
     "serve_client_disconnects": 119,
     "serve_requests_resumed": 122,
-    "stream_pool_hits": 125,
 }
 
 RATES = ("unfold_hit_rate", "prefilter_rate", "stream_reuse_rate", "disk_hit_rate")

@@ -10,7 +10,6 @@ from repro.core.engine import (
     EngineJob,
     InferenceEngine,
     SpecPayload,
-    collect_cache_stats,
 )
 from repro.core.sling import Sling, SlingConfig
 from repro.evaluation.table1 import run_table1
@@ -69,24 +68,36 @@ class TestEngineBasics:
         assert report.cache.checker_misses > 0
         assert report.cache.unfold_hits + report.cache.unfold_misses > 0
 
-    def test_collect_cache_stats_is_a_snapshot(self):
+    def test_cache_counters_is_a_snapshot(self):
         """The checker counts into its own struct in place, so a snapshot
         must copy it: two snapshots in a row agree, and taking one (which
         subtracts the unfolding baseline) leaves the checker's counters be."""
-        benchmark = get_benchmark("sll/insertFront")
-        unfold_before = benchmark.predicates.unfold_stats()
-        sling = Sling(
-            benchmark.program, benchmark.predicates, SlingConfig(discard_crashed_runs=True)
-        )
-        sling.infer_function(benchmark.function, benchmark.test_cases(0))
+        sling = _standalone_run("sll/insertFront")
         own = replace(sling.checker.stats)
-        first = collect_cache_stats(sling, unfold_before)
-        second = collect_cache_stats(sling, unfold_before)
+        first = sling.cache_counters()
+        second = sling.cache_counters()
         assert first == second
         assert first is not second
         assert sling.checker.stats == own
         assert first.checker_misses == own.checker_misses > 0
         assert first.unfold_hits + first.unfold_misses > 0
+
+    def test_identical_standalone_runs_report_equal_counters(self):
+        """The unfolding counters live on the shared registry; each driver
+        reports only its own share of them."""
+        first = _standalone_run("sll/insertFront").cache_stats()
+        second = _standalone_run("sll/insertFront").cache_stats()
+        assert first["unfold_hits"] > 0
+        assert first == second
+
+
+def _standalone_run(name: str) -> Sling:
+    benchmark = get_benchmark(name)
+    sling = Sling(
+        benchmark.program, benchmark.predicates, SlingConfig(discard_crashed_runs=True)
+    )
+    sling.infer_function(benchmark.function, benchmark.test_cases(0))
+    return sling
 
 
 class TestEngineParallel:

@@ -10,12 +10,14 @@ as a counter increase long before it shows up in wall time.
 """
 
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 from repro.benchsuite.registry import get_benchmark
 from repro.core.sling import Sling, SlingConfig
+from repro.telemetry.counters import CacheStats
 
 BASELINE_PATH = Path(__file__).parent.parent / "data" / "search_guard_baseline.json"
 
@@ -101,10 +103,6 @@ class TestSearchSpaceGuard:
             "serve_deadline_expiries",
             "serve_client_disconnects",
             "serve_requests_resumed",
-            # Pinned at zero: the run-scoped stream pool exists only inside
-            # an engine batch of two or more jobs, so a standalone Sling
-            # never sees one.
-            "stream_pool_hits",
         ):
             assert stats[key] == recorded[key], (
                 f"{name}: {key} changed from {recorded[key]} to {stats[key]} "
@@ -122,50 +120,8 @@ class TestSearchSpaceGuard:
 
     def test_counters_exposed_in_cache_stats(self):
         stats = run_workload("sll/insertFront")
-        for key in (
-            "checker_misses",
-            "unfold_hits",
-            "unfold_misses",
-            "atom_cache_hits",
-            "atom_cache_misses",
-            "candidates_generated",
-            "candidates_prefiltered",
-            "candidates_checked",
-            "refuted_by_first_model",
-            "pruned_cases",
-            "max_trail_depth",
-            "candidate_groups",
-            "skeletons_solved",
-            "env_stream_reuses",
-            "pure_variant_evals",
-            "batch_exact_fallbacks",
-            "kernel_groups",
-            "stream_index_hits",
-            "kernel_scan_fallbacks",
-            "iso_classes",
-            "models_deduped",
-            "canonical_stream_hits",
-            "iso_exact_fallbacks",
-            "disk_hits",
-            "disk_misses",
-            "disk_evictions",
-            "cache_file_bytes",
-            "disk_load_errors",
-            "jobs_retried",
-            "workers_respawned",
-            "jobs_poisoned",
-            "pool_rebuilds",
-            "degraded_sequential",
-            "faults_injected",
-            "serve_requests",
-            "serve_queue_high_water",
-            "serve_rejections",
-            "serve_deadline_expiries",
-            "serve_client_disconnects",
-            "serve_requests_resumed",
-            "stream_pool_hits",
-        ):
-            assert key in stats, f"cache_stats() lost the {key!r} counter"
+        for spec in fields(CacheStats):
+            assert spec.name in stats, f"cache_stats() lost the {spec.name!r} counter"
 
 
 class TestScreeningNeverChangesResults:

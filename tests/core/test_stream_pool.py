@@ -1,16 +1,20 @@
-"""The run-scoped stream pool shares finished streams across one batch.
+"""The jobs of an engine batch share one stream memo.
 
-An engine batch of two or more jobs opens a :class:`StreamPool`: every job
-publishes the complete, canonically keyed streams of its checker, and later
-jobs of the batch take them instead of solving the skeleton again.  These
-tests pin what that may and may not change:
+An engine batch of two or more jobs opens one stream memo
+(:func:`repro.sl.checker.stream_pool`): every checker built in the batch
+reads and fills it, so a later job takes the streams an earlier job
+enumerated instead of solving the skeleton again.  These tests pin what
+that may and may not change:
 
 * the invariants are those of standalone runs, for ``jobs=1``, ``jobs=2``
   and under different ``PYTHONHASHSEED``s;
-* fewer skeletons are solved, while the candidate search is unchanged;
-* only complete streams are ever pooled;
-* the pool never outlives its batch, and a cache file never gets a stream
-  row written twice because the pool served it.
+* fewer skeletons are solved, while every job makes the same stream
+  requests and runs the same candidate search;
+* a stream whose enumeration was interrupted is enumerated again by the
+  next job that asks for it;
+* the memo never outlives its batch, only complete streams reach a cache
+  file, and a cache file never gets a stream row written twice because
+  the memo served it.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ import pytest
 from repro.benchsuite.registry import get_benchmark
 from repro.cache import store as store_module
 from repro.cache.serialize import stable_key_bytes
-from repro.cache.tier import KIND_STREAM, PersistentCache
+from repro.cache.tier import KIND_STREAM
 from repro.core import engine as engine_module
 from repro.core.engine import EngineJob, InferenceEngine
 from repro.core.sling import Sling, SlingConfig
@@ -41,40 +45,35 @@ from repro.evaluation.table1 import (
     run_table1,
 )
 from repro.sl import checker as checker_module
+from repro.sl.checker import EnvStream, ModelChecker
+from repro.sl.model import CanonicalForm
 
 _ROOT = Path(__file__).resolve().parents[2]
 
-#: The pooled sweep: four programs from each of two categories, seed 0.
+#: The batch sweep: four programs from each of two categories, seed 0.
 SUBSET = {"categories": ("SLL", "DLL"), "max_programs_per_category": 4, "seed": 0}
 
 
 @contextmanager
-def _recording_pools(monkeypatch):
-    """Collect every pool the engine opens, checking each publish as it lands."""
-    pools = []
-    open_pool = checker_module.stream_pool
+def _recording_memos(monkeypatch):
+    """Collect every memo the engine opens."""
+    memos = []
+    open_memo = checker_module.stream_pool
 
     @contextmanager
     def recorded():
-        with open_pool() as pool:
-            pools.append(pool)
-            yield pool
-
-    publish = checker_module.StreamPool.publish
-
-    def checked_publish(self, space, streams):
-        publish(self, space, streams)
-        assert all(stream.complete for stream in self._streams.values())
+        with open_memo() as memo:
+            memos.append(memo)
+            yield memo
 
     monkeypatch.setattr(engine_module, "stream_pool", recorded)
-    monkeypatch.setattr(checker_module.StreamPool, "publish", checked_publish)
-    yield pools
+    yield memos
 
 
-def _standalone(pooled: Table1Result) -> Table1Result:
-    """Each program of ``pooled`` evaluated by its own ``Sling``, no engine."""
+def _standalone(batch: Table1Result) -> Table1Result:
+    """Each program of ``batch`` evaluated by its own ``Sling``, no engine."""
     rows = []
-    for row in pooled.rows:
+    for row in batch.rows:
         programs = [
             evaluate_program(get_benchmark(program.name), seed=SUBSET["seed"])
             for program in row.programs
@@ -86,9 +85,9 @@ def _standalone(pooled: Table1Result) -> Table1Result:
 @pytest.fixture(scope="module")
 def sweeps():
     with pytest.MonkeyPatch.context() as monkeypatch:
-        with _recording_pools(monkeypatch) as pools:
-            pooled = run_table1(**SUBSET)
-    return pooled, _standalone(pooled), pools
+        with _recording_memos(monkeypatch) as memos:
+            batch = run_table1(**SUBSET)
+    return batch, _standalone(batch), memos
 
 
 def _programs(result: Table1Result):
@@ -96,9 +95,9 @@ def _programs(result: Table1Result):
 
 
 def test_pooled_sweep_matches_standalone_runs(sweeps):
-    pooled, standalone, _ = sweeps
-    assert len(pooled.fingerprints()) == 8
-    assert pooled.fingerprints() == standalone.fingerprints()
+    batch, standalone, _ = sweeps
+    assert len(batch.fingerprints()) == 8
+    assert batch.fingerprints() == standalone.fingerprints()
 
 
 def test_parallel_pooled_sweep_matches_standalone_runs(sweeps):
@@ -107,100 +106,181 @@ def test_parallel_pooled_sweep_matches_standalone_runs(sweeps):
 
 
 def test_pool_saves_solves_without_changing_the_search(sweeps):
-    pooled, standalone, _ = sweeps
-    assert pooled.cache_totals().stream_pool_hits > 0
-    assert standalone.cache_totals().stream_pool_hits == 0
+    batch, standalone, _ = sweeps
     assert (
-        pooled.cache_totals().skeletons_solved
+        batch.cache_totals().skeletons_solved
         < standalone.cache_totals().skeletons_solved
     )
-    for with_pool, alone in zip(_programs(pooled), _programs(standalone)):
-        assert with_pool.name == alone.name
-        assert with_pool.cache.candidates_checked == alone.cache.candidates_checked
-        assert with_pool.cache.candidate_groups == alone.cache.candidate_groups
+    for shared, alone in zip(_programs(batch), _programs(standalone)):
+        assert shared.name == alone.name
+        assert (
+            shared.cache.skeletons_solved + shared.cache.env_stream_reuses
+            == alone.cache.skeletons_solved + alone.cache.env_stream_reuses
+        )
+        assert shared.cache.candidates_checked == alone.cache.candidates_checked
+        assert shared.cache.candidate_groups == alone.cache.candidate_groups
 
 
-def test_sweep_pool_holds_only_complete_streams(sweeps):
-    _, _, pools = sweeps
-    assert len(pools) == 1
-    assert 0 < len(pools[0]._streams) <= checker_module._STREAM_POOL_LIMIT
-    assert all(stream.complete for stream in pools[0]._streams.values())
+def test_sweep_shares_one_bounded_memo(sweeps):
+    _, _, memos = sweeps
+    assert len(memos) == 1
+    assert 0 < len(memos[0]) <= checker_module._STREAM_MEMO_LIMIT
 
 
 @pytest.mark.parametrize("limit", ("max_steps", "entry_cap"))
 def test_cut_off_streams_are_never_published(limit, monkeypatch):
+    """A stream cut off by a budget stays in the memo, where the kernel
+    treats it as incomplete, but never reaches a cache file."""
     benchmark = get_benchmark("dll/concat")
     config = SlingConfig(discard_crashed_runs=True)
     if limit == "max_steps":
         monkeypatch.setattr(checker_module, "MAX_STEPS", 40)
     else:
         monkeypatch.setattr(checker_module, "STREAM_MAX_ENTRIES", 2)
-    with checker_module.stream_pool() as pool:
+    with checker_module.stream_pool():
         sling = Sling(benchmark.program, benchmark.predicates, config)
         sling.infer_function(benchmark.function, benchmark.test_cases(0))
-    memo = sling.checker._streams
-    cut_off = [key for key, stream in memo.items() if not stream.complete]
+    cut_off = [
+        key[1:] for key, stream in sling.checker._streams.items() if not stream.complete
+    ]
     assert cut_off, f"the {limit} workload must cut some stream off"
-    assert pool._streams
-    pooled_keys = {key for _, key in pool._streams}
-    assert pooled_keys.isdisjoint(cut_off)
-    assert all(stream.complete for stream in pool._streams.values())
+    shareable = dict(sling.checker.shareable_streams())
+    assert shareable
+    assert set(shareable).isdisjoint(cut_off)
+    assert all(stream.complete for stream in shareable.values())
 
 
-def _standalone_pool_hits() -> int:
-    benchmark = get_benchmark("sll/insertFront")
+# --------------------------------------------------------- interruptions --
+
+
+def test_interrupted_enumeration_leaves_the_stream_empty_and_restartable():
+    calls = []
+
+    def leaves():
+        calls.append(len(calls))
+        yield {"x": 1}, {2}, [], set()
+        if len(calls) == 1:
+            raise engine_module._JobTimeout
+        yield {"x": 1}, set(), [], set()
+
+    stream = EnvStream(leaves, ("x",), 2, 16)
+    with pytest.raises(engine_module._JobTimeout):
+        stream.ensure()
+    assert stream.entries == []
+    assert not stream.complete
+    assert stream.ensure() is True
+    assert [entry.nconsumed for entry in stream.entries] == [1, 2]
+    assert stream.ensure() is True
+    assert len(calls) == 2
+
+
+def _entries(stream: EnvStream) -> list[tuple]:
+    fields = ("values", "avail", "nconsumed", "env", "unknowns", "deferred")
+    return [tuple(getattr(entry, name) for name in fields) for entry in stream.entries]
+
+
+def test_stream_interrupted_in_one_job_is_completed_by_the_next(monkeypatch):
+    """The first job times out while enumerating its first stream; the
+    second job of the batch asks for the same stream and gets it complete,
+    with the entries a fresh checker enumerates."""
+    first: dict = {}
+    get_stream = ModelChecker._get_stream
+
+    def recording_get(self, skeleton, model, root_position, root_value):
+        stream, view = get_stream(self, skeleton, model, root_position, root_value)
+        first.setdefault("call", (self, skeleton, model, root_position, root_value))
+        first.setdefault("stream", stream)
+        return stream, view
+
+    iter_leaves = ModelChecker._iter_skeleton_leaves
+
+    def interrupted_once(self, model, skeleton):
+        leaves = iter_leaves(self, model, skeleton)
+        if first.get("interrupted"):
+            yield from leaves
+            return
+        first["interrupted"] = True
+        yield next(leaves)
+        raise engine_module._JobTimeout
+
+    monkeypatch.setattr(ModelChecker, "_get_stream", recording_get)
+    monkeypatch.setattr(ModelChecker, "_iter_skeleton_leaves", interrupted_once)
+    jobs = [
+        EngineJob(kind="spec", benchmark="sll/insertFront", seed=0, timeout=600.0)
+        for _ in range(2)
+    ]
+    reports = InferenceEngine(jobs=1).run(jobs)
+    assert reports[0].error.startswith("timeout")
+    assert reports[1].ok, reports[1].error
+    assert reports[1].cache.skeletons_solved < _standalone_counters()[0]
+
+    stream = first["stream"]
+    assert stream.complete
+    checker, skeleton, model, root_position, root_value = first["call"]
+    fresh = ModelChecker(checker.registry, structs=checker.structs)
+    expected, _ = fresh._get_stream(skeleton, model, root_position, root_value)
+    assert expected.ensure() is True
+    assert _entries(stream) == _entries(expected)
+
+
+# ----------------------------------------------------------- batch scope --
+
+
+def _standalone_counters(name: str = "sll/insertFront") -> tuple[int, int]:
+    """``(skeletons_solved, env_stream_reuses)`` of a standalone run."""
+    benchmark = get_benchmark(name)
     config = SlingConfig(discard_crashed_runs=True)
     sling = Sling(benchmark.program, benchmark.predicates, config)
-    assert sling.checker.stream_pool is None
+    assert not sling.checker.shares_streams
     sling.infer_function(benchmark.function, benchmark.test_cases(0))
-    return sling.cache_counters().stream_pool_hits
+    counters = sling.cache_counters()
+    return counters.skeletons_solved, counters.env_stream_reuses
 
 
 def test_no_pool_outlives_its_batch():
+    alone = _standalone_counters("sll/insertBack")
     jobs = [
         EngineJob(kind="spec", benchmark=name, seed=0)
         for name in ("sll/insertFront", "sll/insertBack")
     ]
     reports = InferenceEngine(jobs=1).run(jobs)
-    assert reports[1].cache.stream_pool_hits > 0
-    assert _standalone_pool_hits() == 0
+    assert reports[1].cache.skeletons_solved < alone[0]
+    assert _standalone_counters("sll/insertBack") == alone
 
     def fail(index, report):  # noqa: ARG001 -- on_report shape
         raise RuntimeError("caller gave up")
 
     with pytest.raises(RuntimeError, match="caller gave up"):
         InferenceEngine(jobs=1).run(jobs, on_report=fail)
-    assert _standalone_pool_hits() == 0
+    assert _standalone_counters("sll/insertBack") == alone
 
 
-def _pooled_spec_jobs(monkeypatch, *configs):
-    """Run one spec job per config inline; returns the stream keys each
-    job's checker took from the pool (as stored in a cache file)."""
-    pooled_keys: list[set[bytes]] = [set() for _ in configs]
-    note_pooled = PersistentCache.note_pooled
-    tiers: list[PersistentCache] = []
+# ------------------------------------------------------------ cache files --
 
-    def record_pooled(self, key):
-        pooled_keys[tiers.index(self)].add(stable_key_bytes(key))
-        note_pooled(self, key)
 
-    attach = PersistentCache.attach
+def _two_spec_jobs(monkeypatch, *configs) -> set[bytes]:
+    """Run one spec job per config inline; returns the row keys of the
+    streams the first job left shareable in the batch memo."""
+    memos: list = []
+    left: set[bytes] = set()
 
-    def record_attach(self, checker):
-        tiers.append(self)
-        attach(self, checker)
+    def snapshot(index, report):  # noqa: ARG001 -- on_report shape
+        if index == 0:
+            left.update(
+                stable_key_bytes(key[1:])
+                for key, stream in memos[0].items()
+                if stream.complete and isinstance(key[-1], CanonicalForm)
+            )
 
-    monkeypatch.setattr(PersistentCache, "note_pooled", record_pooled)
-    monkeypatch.setattr(PersistentCache, "attach", record_attach)
-    jobs = [
-        EngineJob(kind="spec", benchmark=name, seed=0, config=config)
-        for name, config in zip(("sll/insertFront", "sll/insertBack"), configs)
-    ]
-    reports = InferenceEngine(jobs=1).run(jobs)
+    with _recording_memos(monkeypatch) as memos:
+        jobs = [
+            EngineJob(kind="spec", benchmark=name, seed=0, config=config)
+            for name, config in zip(("sll/insertFront", "sll/insertBack"), configs)
+        ]
+        reports = InferenceEngine(jobs=1).run(jobs, on_report=snapshot)
     assert all(report.ok for report in reports)
-    assert reports[0].cache.stream_pool_hits == 0
-    assert reports[1].cache.stream_pool_hits > 0
-    return pooled_keys
+    assert left
+    return left
 
 
 def _stream_rows(path) -> dict[bytes, int]:
@@ -224,13 +304,11 @@ def test_pool_hits_are_not_written_to_the_cache_file_again(tmp_path, monkeypatch
     monkeypatch.setattr(store_module.CacheStore, "put_many", record_puts)
     path = str(tmp_path / "pool.sqlite")
     config = SlingConfig(discard_crashed_runs=True, persistent_cache=path)
-    _, pooled = _pooled_spec_jobs(monkeypatch, config, config)
+    left = _two_spec_jobs(monkeypatch, config, config)
     first, second = written
-    assert pooled <= first
-    assert second.isdisjoint(pooled)
-    # Served from the pool, the rows still get a disk hit's recency bump.
-    rows = _stream_rows(path)
-    assert all(rows[key] == 1 for key in pooled)
+    assert left <= first
+    assert second.isdisjoint(left)
+    assert set(_stream_rows(path)) == first | second
 
 
 @pytest.mark.parametrize("publisher", ("other_file", "failed_flush"))
@@ -242,15 +320,14 @@ def test_pool_hits_are_written_when_the_publisher_did_not(
     if publisher == "other_file":
         first = replace(config, persistent_cache=str(tmp_path / "other.sqlite"))
     else:
-        # The first stream write fails: the publisher's tier disables
+        # The first stream write fails: the first job's tier disables
         # itself and its file gets no stream row.
         plan = FaultPlan(rules=(FaultRule("cache_write", "raise"),))
         reset_injector(plan)
         first = replace(config, fault_plan=plan)
-    _, pooled = _pooled_spec_jobs(monkeypatch, first, config)
+    left = _two_spec_jobs(monkeypatch, first, config)
     rows = _stream_rows(path)
-    assert pooled
-    assert all(rows.get(key) == 0 for key in pooled)
+    assert all(rows.get(key) == 0 for key in left)
 
 
 _SWEEP = """
@@ -259,7 +336,7 @@ from repro.evaluation.table1 import run_table1
 result = run_table1(categories=("SLL", "DLL"), max_programs_per_category=4, seed=0)
 print(json.dumps(
     {"fingerprints": result.fingerprints(),
-     "pool_hits": result.cache_totals().stream_pool_hits}
+     "solved": result.cache_totals().skeletons_solved}
 ))
 """
 
@@ -284,7 +361,7 @@ def test_pooled_sweep_is_independent_of_the_hash_seed(sweeps):
     _, standalone, _ = sweeps
     first = _sweep_in_subprocess("11")
     second = _sweep_in_subprocess("4242")
-    assert first["pool_hits"] > 0
+    assert first["solved"] < standalone.cache_totals().skeletons_solved
     assert first["fingerprints"] == second["fingerprints"]
     expected = json.loads(json.dumps(standalone.fingerprints()))
     assert first["fingerprints"] == expected

@@ -36,7 +36,7 @@ PROGRAM_KEYS = [
     "workers_respawned", "jobs_poisoned", "pool_rebuilds",
     "degraded_sequential", "faults_injected", "serve_requests",
     "serve_queue_high_water", "serve_rejections", "serve_deadline_expiries",
-    "serve_client_disconnects", "serve_requests_resumed", "stream_pool_hits",
+    "serve_client_disconnects", "serve_requests_resumed",
 ]
 
 

@@ -400,10 +400,8 @@ class TestUndecidedTriggers:
         atom = skeleton.spatial_atoms()[0]
         slot_names = tuple(arg.name for arg in atom.args)
         hole = slot_names[1]
-        source = iter(
-            [({"x": 1, hole: value}, avail, [], set()) for value, avail in entries]
-        )
-        stream = EnvStream(source, slot_names, len(model.heap), 16)
+        leaves = [({"x": 1, hole: value}, avail, [], set()) for value, avail in entries]
+        stream = EnvStream(lambda: iter(leaves), slot_names, len(model.heap), 16)
         variant = _variant_of("lseg", Candidate(("x", "u91"), {"u91"}), 0)
         work = [(0, variant, (), ())]
         (verdict,) = kernels.decide_group(

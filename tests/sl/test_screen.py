@@ -177,7 +177,6 @@ class TestCheckerStats:
             "kernel_scan_fallbacks",
             "canonical_stream_hits",
             "exact_selection_ambiguities",
-            "stream_pool_hits",
         }
 
 
