@@ -15,12 +15,13 @@ PYTHONPATH := src
 # one command.
 check: lint-timing test smoke trace-smoke bench-micro perfbench-selftest
 
-# The pytest-benchmark harnesses (checker scaling, variable-order ablation)
-# exercised as plain tests: their assertions catch API or counter drift that
-# the unit suite does not touch, long before anyone reads their timings.
+# The pytest-benchmark harnesses (checker scaling, variable-order ablation,
+# cold-start registry builds) exercised as plain tests: their assertions
+# catch API or counter drift that the unit suite does not touch, long before
+# anyone reads their timings.
 bench-micro:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest benchmarks/bench_checker.py \
-		benchmarks/bench_ablation.py -q -p no:cacheprovider
+		benchmarks/bench_ablation.py benchmarks/bench_startup.py -q -p no:cacheprovider
 	@echo "micro/ablation bench smoke OK"
 
 test:

@@ -6,28 +6,32 @@ This package persists it: a sqlite-backed :class:`CacheStore` under a
 :class:`PersistentCache` tier that warm-starts ``EnvStream`` memos, learned
 refuters and predicate unfolding templates.  Entirely inert unless
 ``SlingConfig.persistent_cache`` is set.  See ``docs/performance.md``.
+
+The sqlite-backed names load on first use (PEP 562): a sweep without a
+cache file only needs :func:`registry_fingerprint`, which keys the
+checker's stream memo, and so never imports ``sqlite3``.
 """
 
-from repro.cache.fingerprint import registry_fingerprint
-from repro.cache.store import (
-    CACHE_SCHEMA_VERSION,
-    DEFAULT_MAX_ENTRIES,
-    CacheStore,
-)
-from repro.cache.tier import (
-    PersistentCache,
-    PersistentCacheError,
-    bind_tier,
-    close_tiers,
-)
+import importlib
 
-__all__ = [
-    "CACHE_SCHEMA_VERSION",
-    "DEFAULT_MAX_ENTRIES",
-    "CacheStore",
-    "PersistentCache",
-    "PersistentCacheError",
-    "bind_tier",
-    "close_tiers",
-    "registry_fingerprint",
-]
+from repro.cache.fingerprint import registry_fingerprint
+
+_LAZY = {
+    "CACHE_SCHEMA_VERSION": "repro.cache.store",
+    "DEFAULT_MAX_ENTRIES": "repro.cache.store",
+    "CacheStore": "repro.cache.store",
+    "PersistentCache": "repro.cache.tier",
+    "PersistentCacheError": "repro.cache.tier",
+    "bind_tier": "repro.cache.tier",
+    "close_tiers": "repro.cache.tier",
+}
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(module), name)
+
+
+__all__ = [*_LAZY, "registry_fingerprint"]

@@ -39,6 +39,7 @@ from __future__ import annotations
 import logging
 import os
 import threading
+import weakref
 from collections import OrderedDict
 
 from repro.cache.fingerprint import registry_fingerprint
@@ -108,6 +109,11 @@ class PersistentCache:
         self._known_refuters: set[tuple] = set()
         self._known_unfolds: set[tuple] = set()
         self._generation: int | None = None
+        #: ``(weak reference to a stream memo, position)``: where the last
+        #: flush stopped reading that memo's ``finished`` log.  A flush from
+        #: another memo, or after the known rows were dropped, reads it
+        #: from the start.
+        self._stream_log: tuple = (None, 0)
         #: Stream keys served from disk since the last flush (recency bump).
         self._touched: set[bytes] = set()
         #: Whether the refuter and unfolding rows have been read.
@@ -148,6 +154,7 @@ class PersistentCache:
             self._known_streams.clear()
             self._known_refuters.clear()
             self._known_unfolds.clear()
+            self._stream_log = (None, 0)
         if not self._loaded:
             self._load_refuters(checker.refuters_limit)
             self._load_unfold_templates()
@@ -270,9 +277,12 @@ class PersistentCache:
         Persists the checker's shareable streams (in an engine batch,
         also those an earlier job enumerated), canonical-form refuters and
         unfolding-template keys; bumps hit metadata for streams served
-        from disk; refreshes ``cache_file_bytes``.  The known-row bookkeeping
-        makes repeated flushes naturally incremental -- only rows learned
-        since the previous call are written -- so callers (the serve
+        from disk; refreshes ``cache_file_bytes``.  Repeated flushes are
+        incremental: streams are read from the memo's ``finished`` log
+        where the previous flush stopped, so a flush visits only the
+        streams finished since then, and the known-row sets keep every row
+        from being written twice.  Refuters and unfolding keys are still
+        rescanned in full (tables of bounded size).  Callers (the serve
         daemon, per-location incremental mode) may flush as often as they
         like.  Intermediate flushes pass ``final=False`` to skip eviction
         and the file-size refresh: those are end-of-run accounting, and
@@ -304,11 +314,16 @@ class PersistentCache:
 
         stream_rows = []
         known_streams = self._known_streams
-        for key, stream in checker.shareable_streams():
+        memo = checker._streams
+        last_memo, since = self._stream_log
+        if last_memo is None or last_memo() is not memo:
+            since = 0
+        for key, stream in checker.shareable_streams(since):
             if key in known_streams:
                 continue
             stream_rows.append((stable_key_bytes(key), encode_stream(stream)))
             known_streams.add(key)
+        self._stream_log = (weakref.ref(memo), len(memo.finished))
         written[KIND_STREAM] = self.store.put_many(
             self.fingerprint, KIND_STREAM, stream_rows
         )

@@ -50,7 +50,6 @@ Design notes
 from __future__ import annotations
 
 import logging
-import multiprocessing
 import os
 import signal
 import threading
@@ -700,6 +699,9 @@ class _PoolSupervisor(_BatchRun):
         self.idle_polls = 0
 
     def execute(self) -> list[EngineReport]:
+        # Imported here: a jobs=1 process never forks and never pays for it.
+        import multiprocessing
+
         # Fork-after-load: the registry, the predicate case screens and the
         # canonical forms the parent already interned are inherited
         # copy-on-write by every worker.

@@ -30,7 +30,6 @@ from dataclasses import asdict, dataclass, field, replace
 from typing import Sequence
 
 from repro.benchsuite.registry import BenchmarkProgram
-from repro.cache import close_tiers
 from repro.core.engine import CacheStats, run_category_batch
 from repro.core.results import Specification
 from repro.core.sling import Sling, SlingConfig
@@ -337,6 +336,8 @@ def verify_cache_file(cache_file: str) -> dict:
             max_programs_per_category=VERIFY_PROGRAMS_PER_CATEGORY,
             jobs=VERIFY_JOBS,
         )
+
+    from repro.cache import close_tiers
 
     resumed = os.path.exists(cache_file)
     cached_config = SlingConfig(discard_crashed_runs=True, persistent_cache=cache_file)

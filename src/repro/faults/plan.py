@@ -65,7 +65,6 @@ from __future__ import annotations
 
 import os
 import random
-import sqlite3
 import time
 from dataclasses import dataclass
 
@@ -302,6 +301,8 @@ def _perform(rule: FaultRule) -> None:
         raise InjectedFault(
             rule.site, rule.action, transient=True, detail="downgraded: not a pool worker"
         )
+    import sqlite3  # only the sqlite actions below need it
+
     if rule.action == "operational_error":
         raise sqlite3.OperationalError(f"injected operational error at {rule.site}")
     if rule.action == "disk_full":

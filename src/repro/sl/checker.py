@@ -45,6 +45,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
+from repro.cache.fingerprint import registry_fingerprint
 from repro.sl.errors import EvaluationError, UnknownPredicateError
 from repro.sl.exprs import (
     And,
@@ -59,7 +60,7 @@ from repro.sl.exprs import (
     FalseF,
     Var,
 )
-from repro.sl.model import CanonicalForm, Heap, StackHeapModel
+from repro.sl.model import Heap, StackHeapModel
 from repro.sl.predicates import PredicateRegistry, canonical_unfold_key
 from repro.sl.screen import case_feasible, formula_shape
 from repro.sl.spatial import Emp, PointsTo, PredApp, SepConj, Spatial, SymHeap
@@ -165,9 +166,7 @@ class ModelChecker:
         #: checker was built in (see :func:`stream_pool`), else a private one.
         memo = getattr(_MEMO_SCOPE, "memo", None)
         self.shares_streams = memo is not None
-        self._streams: OrderedDict[tuple, EnvStream] = (
-            OrderedDict() if memo is None else memo
-        )
+        self._streams: StreamMemo = StreamMemo() if memo is None else memo
         #: Optional disk tier beneath the canonical-keyed caches (set by
         #: :meth:`repro.cache.tier.PersistentCache.attach`; ``None`` keeps
         #: every code path byte-identical to the cache-less checker).
@@ -584,30 +583,29 @@ class ModelChecker:
         """
         space = self._registry_space
         if space is None:
-            # Imported lazily: repro.cache's package init imports the stream
-            # serializer, which imports this module.
-            from repro.cache.fingerprint import registry_fingerprint
-
             space = self._registry_space = registry_fingerprint(self.registry)
         return space
 
-    def shareable_streams(self) -> Iterator[tuple[tuple, "EnvStream"]]:
+    def shareable_streams(self, since: int = 0) -> Iterator[tuple[tuple, "EnvStream"]]:
         """The memo entries that may be written to disk, as ``(key, stream)``.
 
-        Only entries in this checker's registry space, with the space
-        prefix removed from the key.  Only a *complete* stream under a
-        canonical key is a pure function of its key: a concrete key embeds
-        process-local addresses, and a stream cut off by the entry cap or
-        the step budget is not a full enumeration.
+        Only streams still in the memo that were logged in its ``finished``
+        list at or after position ``since`` (a flush passes where its
+        previous call stopped), in this checker's registry space, with the
+        space prefix removed from the key.  Only a *complete* stream under
+        a canonical key is a pure function of its key: a concrete key
+        embeds process-local addresses, and a stream cut off by the entry
+        cap or the step budget is not a full enumeration.  The log holds
+        canonical keys only, and the stream under a logged key is checked
+        again: it may have been evicted and re-inserted unfinished.
         """
         space = self.registry_space()
-        for key, stream in self._streams.items():
-            if (
-                key[0] == space
-                and stream.complete
-                and isinstance(key[-1], CanonicalForm)
-            ):
-                yield key[1:], stream
+        streams = self._streams
+        for key in streams.finished[since:]:
+            if key[0] == space:
+                stream = streams.get(key)
+                if stream is not None and stream.complete:
+                    yield key[1:], stream
 
     def _get_stream(
         self,
@@ -680,6 +678,8 @@ class ModelChecker:
             # through this consumer's view; counted in neither
             # ``skeletons_solved`` nor ``env_stream_reuses``.
             stream = self.persistent.load_stream(key[1:])
+            if stream is not None:
+                streams.finished.append(key)
         if stream is None:
             stream = EnvStream(
                 lambda: self._iter_skeleton_leaves(model, skeleton),
@@ -690,6 +690,7 @@ class ModelChecker:
                 source_root=root_value,
                 source_heap_hash=hash(model.heap),
                 tracer=self.tracer,
+                finished=None if canon is None else (streams.finished, key),
             )
             self.stats.skeletons_solved += 1
         streams[key] = stream
@@ -1296,6 +1297,7 @@ class EnvStream:
         "_indexes",
         "_settle_cache",
         "_has_deferred",
+        "_finished",
     )
 
     def __init__(
@@ -1308,6 +1310,7 @@ class EnvStream:
         source_root: int | None = None,
         source_heap_hash: int | None = None,
         tracer=None,
+        finished: tuple[list, tuple] | None = None,
     ):
         self.slot_names = slot_names
         self.entries: list[_StreamEntry] = []
@@ -1319,6 +1322,9 @@ class EnvStream:
         self._max_entries = max_entries
         self._canon = canon
         self._tracer = tracer
+        #: ``(log, key)``: the memo log this stream appends its key to when
+        #: its enumeration completes (see :class:`StreamMemo`).
+        self._finished = finished
         #: Columnar side-representation: slot position -> ``(postings,
         #: wildcards)`` where ``postings`` maps a stored slot value to the
         #: ascending list of entry indices holding it and ``wildcards`` is
@@ -1401,6 +1407,9 @@ class EnvStream:
                     break
             else:
                 self.complete = True
+                if self._finished is not None:
+                    log, key = self._finished
+                    log.append(key)
         except CheckBudgetExceeded:
             pass
         except BaseException:
@@ -1460,6 +1469,21 @@ class EnvStream:
         return cached
 
 
+class StreamMemo(OrderedDict):
+    """A stream memo: key -> :class:`EnvStream`, least recently used first.
+
+    ``finished`` lists, in order, the canonical key of every stream that
+    completed in this memo or was loaded into it from disk: the streams a
+    disk flush may write.  A flush reads the log from where its previous
+    call stopped, so its cost follows the streams finished since then, not
+    the memo's size (:meth:`ModelChecker.shareable_streams`).
+    """
+
+    def __init__(self):
+        super().__init__()
+        self.finished: list[tuple] = []
+
+
 #: Per-thread home of the open batch memo: checkers bind to it at
 #: construction.  A forked engine worker inherits its parent thread's memo.
 _MEMO_SCOPE = threading.local()
@@ -1476,7 +1500,7 @@ def stream_pool():
     built afterwards, or on another thread, gets a private memo.
     """
     previous = getattr(_MEMO_SCOPE, "memo", None)
-    memo = _MEMO_SCOPE.memo = OrderedDict()
+    memo = _MEMO_SCOPE.memo = StreamMemo()
     try:
         yield memo
     finally:

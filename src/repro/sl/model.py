@@ -611,8 +611,23 @@ class StackHeapModel:
     # -- heap constructions -------------------------------------------------------
 
     def with_heap(self, heap: Heap) -> "StackHeapModel":
-        """Return a copy of the model with a different heap."""
-        return StackHeapModel(self.stack, heap, self.var_types, self.freed_addresses)
+        """Return a copy of the model with a different heap.
+
+        The other fields are normalized already, so the copy skips
+        ``__init__``.  It keeps the stack and typing dict caches, but not
+        ``_hash``, ``_canonical`` or ``_pointer_vars``: they depend on the heap.
+        """
+        copy = object.__new__(StackHeapModel)
+        state = copy.__dict__
+        state["stack"] = self.stack
+        state["heap"] = heap
+        state["var_types"] = self.var_types
+        state["freed_addresses"] = self.freed_addresses
+        for cache in ("_stack_map", "_types_map"):
+            cached = self.__dict__.get(cache)
+            if cached is not None:
+                state[cache] = cached
+        return copy
 
 
 def models_union(

@@ -34,8 +34,10 @@ IterNode    next, current, list
 
 from __future__ import annotations
 
+from functools import cache
+
 from repro.sl.parser import parse_predicates
-from repro.sl.predicates import PredicateRegistry
+from repro.sl.predicates import InductivePredicate, PredicateRegistry
 
 #: Field names of every structure type, used by the pretty printer and
 #: mirrored by the heaplang struct registry.
@@ -214,15 +216,37 @@ pred iter(it: IterNode*, lst: SllNode*) :=
 """
 
 
-def standard_predicates() -> PredicateRegistry:
-    """Parse and return the full standard predicate library."""
+@cache
+def _library() -> PredicateRegistry:
+    """The library parsed once per process; only read, never handed out.
+
+    Its :class:`PredCase` bodies are immutable and shared by every registry
+    built below; its :class:`InductivePredicate` objects are templates whose
+    unfold memos and counters are never touched.
+    """
     return parse_predicates(_DEFINITIONS)
 
 
+def _fresh(registry: PredicateRegistry) -> PredicateRegistry:
+    """New predicate objects over the same cases, with empty unfold memos,
+    counters and case screens, so no two registries share any of them."""
+    return PredicateRegistry(
+        InductivePredicate(
+            predicate.name, predicate.params, predicate.cases, predicate.param_types
+        )
+        for predicate in registry
+    )
+
+
+def standard_predicates() -> PredicateRegistry:
+    """Return the full standard predicate library as a fresh registry."""
+    return _fresh(_library())
+
+
 def predicates_for(*names: str) -> PredicateRegistry:
-    """Return the registry restricted to ``names`` and their dependencies.
+    """Return a fresh registry restricted to ``names`` and their dependencies.
 
     This mirrors the paper's setup where each benchmark category supplies
     only the predicates relevant to its data structures.
     """
-    return standard_predicates().subset(names)
+    return _fresh(_library().subset(names))

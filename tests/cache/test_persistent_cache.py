@@ -252,6 +252,54 @@ class TestUnfoldRoundTrip:
 
 
 # ---------------------------------------------------------------------------
+# incremental flushes
+# ---------------------------------------------------------------------------
+
+
+class TestIncrementalFlush:
+    def test_second_flush_without_new_streams_visits_no_memo_entry(
+        self, tmp_path, monkeypatch
+    ):
+        registry = standard_predicates()
+        models, skeleton, variants = _lseg_batch(registry)
+        checker = _canonical_checker(registry)
+        tier = PersistentCache(tmp_path / "cache.sqlite", registry)
+        tier.attach(checker)
+        checker.check_batch(models, skeleton, variants)
+        assert tier.flush(checker, final=False)["stream"] > 0
+        rows = tier.store.stats()["entries"]
+
+        memo = checker._streams
+        visits = []
+        for name in ("get", "items", "keys", "values"):
+            method = getattr(memo, name)
+
+            def counted(*args, _name=name, _method=method):
+                visits.append(_name)
+                return _method(*args)
+
+            monkeypatch.setattr(memo, name, counted)
+        written = tier.flush(checker, final=False)
+        assert written == {"stream": 0, "refuter": 0, "unfold": 0}
+        assert visits == []
+        assert tier.store.stats()["entries"] == rows
+
+    def test_stream_finished_after_a_flush_is_written_by_the_next(self, tmp_path):
+        registry = standard_predicates()
+        models, skeleton, _ = _lseg_batch(registry)
+        checker = _canonical_checker(registry)
+        tier = PersistentCache(tmp_path / "cache.sqlite", registry)
+        tier.attach(checker)
+        model = models[0]
+        stream, _ = checker._get_stream(skeleton, model, 0, model.stack_map["x"])
+        # In the memo but not enumerated yet: nothing to write.
+        assert tier.flush(checker, final=False)["stream"] == 0
+        assert stream.ensure()
+        assert tier.flush(checker, final=False)["stream"] == 1
+        assert tier.flush(checker, final=False)["stream"] == 0
+
+
+# ---------------------------------------------------------------------------
 # eviction
 # ---------------------------------------------------------------------------
 

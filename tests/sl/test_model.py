@@ -96,6 +96,18 @@ class TestStackHeapModel:
         assert emptied.heap.is_empty()
         assert emptied.stack == model.stack
 
+    def test_with_heap_keeps_only_heap_independent_caches(self):
+        model = StackHeapModel({"x": 1, "y": 1}, Heap({1: _cell()}), {"x": "Node*"})
+        assert model.pointer_vars() == ("x", "y")
+        model.stack_map, model.types_map, hash(model)
+        copy = model.with_heap(Heap())
+        assert copy == StackHeapModel(model.stack, Heap(), model.var_types)
+        assert hash(copy) == hash(StackHeapModel(model.stack, Heap(), model.var_types))
+        assert copy.stack_map is model.stack_map
+        assert copy.types_map is model.types_map
+        # Untyped ``y`` held an address of the old heap, not of the new one.
+        assert copy.pointer_vars() == ("x",)
+
 
 class TestModelSequences:
     def test_union_and_difference(self):

@@ -65,6 +65,26 @@ class TestRegistry:
         merged = left.merged_with(right)
         assert "sll" in merged and "tree" in merged
 
+    def test_library_registries_share_cases_but_no_predicate(self):
+        # The library is parsed once; each registry wraps the shared,
+        # immutable cases in its own predicates, so unfold memos and
+        # counters never leak from one registry into another.
+        first = predicates_for("dll")
+        second = predicates_for("dll")
+        full = standard_predicates()
+        ids = [{id(predicate) for predicate in registry} for registry in (first, second, full)]
+        assert not ids[0] & ids[1] and not ids[0] & ids[2] and not ids[1] & ids[2]
+        pairs = zip(first.get("dll").cases, second.get("dll").cases)
+        assert all(ours is theirs for ours, theirs in pairs)
+
+        args = [Var("a"), Nil(), Var("t"), Nil()]
+        first.get("dll").unfold(args)
+        first.get("dll").unfold(args)
+        assert first.unfold_stats()["misses"] > 0 and first.unfold_stats()["hits"] > 0
+        assert second.unfold_stats() == {"hits": 0, "misses": 0}
+        assert full.unfold_stats() == {"hits": 0, "misses": 0}
+        assert second.get("dll").unfold_cache_info()["entries"] == 0
+
     def test_struct_fields_match_standard_predicates(self, predicates, structs):
         # Every structure type dereferenced by a standard predicate must
         # exist in the heaplang struct registry with the same field count.
