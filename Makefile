@@ -3,7 +3,7 @@
 PYTHON ?= python
 PYTHONPATH := src
 
-.PHONY: check test smoke trace-smoke lint-timing perfbench-selftest bench-micro bench-smoke bench-warm docs table1 table2
+.PHONY: check test smoke trace-smoke lint-timing perfbench-selftest bench-micro bench-warm docs table1 table2
 
 # Tier-1 gate: the full test suite (which includes the deterministic
 # search-space guard, the fault-injection scenarios and the serve daemon
@@ -77,12 +77,6 @@ lint-timing:
 perfbench-selftest:
 	$(PYTHON) perfbench/selftest.py
 	@echo "perfbench self-test OK"
-
-# Quick performance gate: the deterministic search-space guard (exact
-# candidate counts, no timing flakiness; the fast path must also check
-# fewer candidates than the reference search).
-bench-smoke:
-	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest tests/core/test_search_guard.py -q
 
 # Warm-start gate: `repro cache verify` writes the persistent cache file if
 # it is missing, re-reads it, and fails unless the warm disk hit rate is

@@ -13,12 +13,11 @@ Two invariants shape everything here:
   ``repr`` of its small outer tuple however often it is rendered.
 * **Payloads must not smuggle process-local state.**  Stream entries are
   stored in canonical space already (tags ``('a', cid)``, dense ids) and
-  are name-self-contained, so they pickle as plain data.  Canonical forms
-  inside refuter payloads are reduced to their raw key tuples and
-  re-interned with :func:`~repro.sl.model.intern_form` on load, restoring
-  the identity-based fast path.  Unfolding templates contain compiled
-  closures and are *never* pickled -- only their keys are persisted and the
-  templates are recompiled on load (:meth:`InductivePredicate.warm_unfold_template`).
+  are name-self-contained, so they pickle as plain data; sets of names are
+  written sorted, so a payload's bytes do not depend on the hash seed.
+  Unfolding templates contain compiled closures and are *never* pickled --
+  only their keys are persisted and the templates are recompiled on load
+  (:meth:`InductivePredicate.warm_unfold_template`).
 * **Loading a payload runs no code.**  Rows can come from outside the
   program (``repro cache import`` merges a dump into a cache file), so
   payloads are unpickled by :func:`_loads`, which rebuilds plain data and
@@ -32,7 +31,7 @@ import pickle
 
 from repro.sl import exprs
 from repro.sl.checker import STREAM_MAX_ENTRIES, EnvStream, _StreamEntry
-from repro.sl.model import CanonicalForm, intern_form
+from repro.sl.model import CanonicalForm
 
 #: The only globals a payload may name: the pure-formula node classes that
 #: deferred goals are made of.
@@ -94,7 +93,7 @@ def encode_stream(stream: EnvStream) -> bytes:
             entry.avail,
             entry.nconsumed,
             entry.env,
-            entry.unknowns,
+            None if entry.unknowns is None else tuple(sorted(entry.unknowns)),
             entry.deferred,
         )
         for entry in stream.entries
@@ -128,27 +127,6 @@ def decode_stream(payload: bytes) -> EnvStream:
         stream.entries.append(entry)
     stream.complete = True
     return stream
-
-
-# ----------------------------------------------------------------- refuters --
-
-
-def encode_refuter(shape, form: CanonicalForm) -> tuple[bytes, bytes]:
-    """``(key, payload)`` row for one learned refuter.
-
-    Only canonical-form refuter values are persistable (integer values are
-    batch-relative model indexes, meaningless across runs); callers filter.
-    """
-    payload = pickle.dumps(
-        (tuple(shape), form.key), protocol=pickle.HIGHEST_PROTOCOL
-    )
-    return stable_key_bytes(shape), payload
-
-
-def decode_refuter(payload: bytes):
-    """``(shape, interned CanonicalForm)`` from :func:`encode_refuter` output."""
-    shape, form_key = _loads(payload)
-    return tuple(shape), intern_form(form_key)
 
 
 # --------------------------------------------------------------- unfoldings --

@@ -1,8 +1,9 @@
 """SQLite-backed storage for the persistent checker cache.
 
-One cache file holds the serialized state of the three canonical-keyed
+One cache file holds the serialized state of the two canonical-keyed
 in-memory caches (see :mod:`repro.cache.tier`): skeleton ``EnvStream``
-snapshots, learned refuters and predicate-unfolding template keys.  The
+snapshots and predicate-unfolding template keys (files written before the
+learned-refuter table was removed also keep its inert ``refuter`` rows).  The
 store itself is deliberately dumb -- rows of ``(fingerprint, kind, key,
 payload)`` blobs with hit-count/recency metadata -- and deliberately
 *defensive*: any sqlite or filesystem failure (corrupted file, truncated
@@ -40,10 +41,15 @@ import time
 
 log = logging.getLogger("repro.cache")
 
-#: Version of the serialized entry formats.  Bump on ANY change to the
-#: stream/refuter/unfold encodings in :mod:`repro.cache.serialize` or to
-#: the table layout below: a mismatch wipes the file's entries (cold
-#: start), never a crash and never a misread.
+#: Version of the serialized entry formats.  Bump on any change to the
+#: stream/unfold encodings in :mod:`repro.cache.serialize` that an older
+#: or newer reader would misread, or to the table layout below: a mismatch
+#: wipes the file's entries (cold start), never a crash and never a
+#: misread.  A change that every reader decodes to the same value needs
+#: no bump -- e.g. stream ``unknowns`` are written as a sorted tuple and
+#: were once a frozenset, and ``decode_stream`` turns both into the same
+#: frozenset.  Neither does dropping a row kind: rows nobody reads are
+#: never refreshed, so eviction reaches them before the rows in use.
 CACHE_SCHEMA_VERSION = 1
 
 #: Cap on stored entries per cache file; beyond it the rows with the oldest
@@ -68,6 +74,10 @@ class CacheStore:
         self.path = os.fspath(path)
         #: Failures swallowed so far (corruption, version skew, IO errors).
         self.load_errors = 0
+        #: The :class:`~repro.telemetry.counters.CacheStats` of the job
+        #: using the store (set by :meth:`repro.cache.tier.PersistentCache.attach`):
+        #: each failure is also counted into its ``disk_load_errors``.
+        self.job_stats = None
         #: Optional fault-injection plan (see :mod:`repro.faults`; set by
         #: :func:`repro.cache.tier.bind_tier`): the ``cache_open``/
         #: ``cache_read``/``cache_write`` sites sit *inside* the defensive
@@ -102,6 +112,8 @@ class CacheStore:
             )
         self._failed = True
         self.load_errors += 1
+        if self.job_stats is not None:
+            self.job_stats.disk_load_errors += 1
         if self._conn is not None:
             try:
                 self._conn.close()

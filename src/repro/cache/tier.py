@@ -1,17 +1,18 @@
 """The persistent cache tier: glue between checker caches and the store.
 
-A :class:`PersistentCache` sits *beneath* the three canonical-keyed
+A :class:`PersistentCache` sits *beneath* the two canonical-keyed
 in-memory caches of one :class:`~repro.sl.checker.ModelChecker`:
 
 * the ``EnvStream`` skeleton memo -- served lazily, one stream per miss
   (:meth:`PersistentCache.load_stream`, called from ``_get_stream`` after
   a miss in the checker's memo, which an engine batch shares among its
   jobs);
-* the learned-refuter table -- loaded once per tier and replayed into
-  every checker it is attached to (only canonical-form refuters persist;
-  integer refuters are batch-relative);
 * the predicate unfolding caches -- template *keys* are persisted and the
   closures recompiled at attach time (they cannot be pickled).
+
+Files written before the learned-refuter table was removed still hold
+``refuter`` rows; nothing reads or refreshes them, so eviction reaches
+them before the rows in use once the file is over its cap.
 
 Only checkers whose stream keys are canonical may attach: concrete keys
 embed process-local heap addresses and hashes, so persisting them would be
@@ -28,7 +29,7 @@ A :class:`~repro.core.sling.Sling` does not build a tier: it binds to its
 thread's tier for (cache file, registry fingerprint) with :func:`bind_tier`.
 Tiers and their one shared :class:`CacheStore` per file live as long as the
 thread (the serve daemon's executor, an engine worker), so a second job on
-the same file reopens nothing, reads no refuter or unfolding rows again and
+the same file reopens nothing, reads no unfolding rows again and
 keeps the known-row sets that spare its flush from re-writing rows.  A
 tier or store that failed is dropped at the next bind, so that job reopens
 the file and counts its own failures.
@@ -40,25 +41,21 @@ import logging
 import os
 import threading
 import weakref
-from collections import OrderedDict
 
 from repro.cache.fingerprint import registry_fingerprint
 from repro.cache.serialize import (
-    decode_refuter,
     decode_stream,
     decode_unfold_key,
-    encode_refuter,
     encode_stream,
     encode_unfold_key,
     stable_key_bytes,
 )
 from repro.cache.store import CacheStore
-from repro.sl.model import CanonicalForm
+from repro.telemetry.counters import CacheStats
 
 log = logging.getLogger("repro.cache")
 
 KIND_STREAM = "stream"
-KIND_REFUTER = "refuter"
 KIND_UNFOLD = "unfold"
 
 
@@ -69,11 +66,14 @@ class PersistentCacheError(RuntimeError):
 class PersistentCache:
     """Disk tier for one cache file and registry (see the module docstring).
 
-    ``disk_hits``/``disk_misses`` count *stream* lookups served from or
-    missed by the disk tier (the per-lookup signal the warm-start hit rate
-    is computed from); bulk refuter/unfold loads are one-shot and appear in
-    the store stats instead.  Every counter but the ``cache_file_bytes``
-    gauge counts since the last :meth:`attach`, i.e. per job.
+    The tier counts into :attr:`stats`, the :class:`CacheStats` of the
+    checker it was last attached to (its own until then), so every counter
+    but the ``cache_file_bytes`` gauge is per job.  ``disk_hits``/
+    ``disk_misses`` count *stream* lookups served from or missed by the
+    disk tier (the per-lookup signal the warm-start hit rate is computed
+    from); the one-shot unfold load appears in the store stats instead.
+    ``disk_load_errors`` counts failures absorbed: store failures,
+    undecodable rows, and operations that had to disable the tier.
 
     A ``read_only`` tier loads but never flushes: ``repro cache verify``
     measures a file with it without its warm jobs serving each other.
@@ -91,22 +91,18 @@ class PersistentCache:
         #: and filesystem surprises -- or an injected fault -- can escape)
         #: disables the tier for the rest of the run instead of raising
         #: out of a checker call.  Warned once, counted in
-        #: :attr:`disk_load_errors`.
+        #: ``disk_load_errors``.
         self._disabled = False
-        self._tier_errors = 0
-        self.disk_hits = 0
-        self.disk_misses = 0
-        self.disk_evictions = 0
-        self.cache_file_bytes = 0
+        #: Undecodable rows seen by this tier (only the first one warns).
         self._decode_errors = 0
-        self._errors_at_attach = 0
+        #: Where the disk counters go (see the class docstring).
+        self.stats = CacheStats()
         #: Rows known to be on disk (loaded or flushed), held as the
         #: in-memory keys their row keys are rendered from -- avoids
         #: rewriting rows, which would reset their hit metadata, and
         #: rendering the keys of rows that need no write.  Dropped whenever
         #: the store's generation moves.
         self._known_streams: set[tuple] = set()
-        self._known_refuters: set[tuple] = set()
         self._known_unfolds: set[tuple] = set()
         self._generation: int | None = None
         #: ``(weak reference to a stream memo, position)``: where the last
@@ -116,11 +112,8 @@ class PersistentCache:
         self._stream_log: tuple = (None, 0)
         #: Stream keys served from disk since the last flush (recency bump).
         self._touched: set[bytes] = set()
-        #: Whether the refuter and unfolding rows have been read.
+        #: Whether the unfolding rows have been read.
         self._loaded = False
-        #: The refuters to replay into each attached checker, least
-        #: recently written first, bounded by the checker's LRU limit.
-        self._refuters: OrderedDict[tuple, CanonicalForm] = OrderedDict()
         #: Rows written since the last eviction (see :meth:`flush`).
         self._unevicted = False
         #: Optional span tracer (set by the owning :class:`Sling`; ``None``
@@ -130,13 +123,14 @@ class PersistentCache:
     # ------------------------------------------------------------- attach --
 
     def attach(self, checker) -> None:
-        """Hook this tier into a checker and warm its bulk-loadable caches.
+        """Hook this tier into a checker and warm its unfolding caches.
 
-        The first attach reads the refuter and unfolding rows; later ones
-        replay them from memory.  Refuses (:class:`PersistentCacheError`)
-        when the checker's stream keys cannot be canonical -- concrete keys
-        embed per-process addresses and salted hashes, so persisting them
-        would corrupt the cache.
+        The first attach reads the unfolding rows; later ones compile the
+        known templates into a new registry object only.  From here on the
+        tier and its store count into ``checker.stats``.  Refuses
+        (:class:`PersistentCacheError`) when the checker's stream keys
+        cannot be canonical -- concrete keys embed per-process addresses
+        and salted hashes, so persisting them would corrupt the cache.
         """
         if getattr(checker, "structs", None) is None:
             raise PersistentCacheError(
@@ -146,17 +140,14 @@ class PersistentCache:
                 "exactly what must never reach disk"
             )
         checker.persistent = self
-        self.disk_hits = self.disk_misses = self.disk_evictions = 0
-        self._errors_at_attach = self._errors()
+        self.stats = self.store.job_stats = checker.stats
         generation = self.store.generation()
         if generation != self._generation:
             self._generation = generation
             self._known_streams.clear()
-            self._known_refuters.clear()
             self._known_unfolds.clear()
             self._stream_log = (None, 0)
         if not self._loaded:
-            self._load_refuters(checker.refuters_limit)
             self._load_unfold_templates()
             self._loaded = True
         elif checker.registry is not self.registry:
@@ -166,35 +157,7 @@ class PersistentCache:
             for pred_name, case_index, key in self._known_unfolds:
                 if pred_name in self.registry:
                     self.registry.get(pred_name).warm_unfold_template(case_index, key)
-        for shape, form in self._refuters.items():
-            checker._learn_refuter(shape, form)
-        self.cache_file_bytes = self.store.file_bytes()
-
-    def _load_refuters(self, limit: int) -> None:
-        """Read the persisted refuters, to be replayed into each checker.
-
-        Rows arrive least recently used first, so replaying in order leaves
-        the most recently useful refuters freshest in the LRU.  Only the
-        last ``limit`` rows are kept for replay (the checker's table would
-        evict the rest immediately anyway).  Refuters only steer which
-        model a batch tries first -- a wrong or stale one costs a few extra
-        checks, never a wrong verdict -- so this preload cannot affect
-        results.
-        """
-        for _, payload in self.store.iter_kind(self.fingerprint, KIND_REFUTER):
-            try:
-                shape, form = decode_refuter(payload)
-            except Exception as exc:
-                self._note_decode_error(KIND_REFUTER, exc)
-                continue
-            self._remember_refuter(shape, form, limit)
-
-    def _remember_refuter(self, shape: tuple, form: CanonicalForm, limit: int) -> None:
-        self._known_refuters.add(shape)
-        self._refuters[shape] = form
-        self._refuters.move_to_end(shape)
-        if len(self._refuters) > limit:
-            self._refuters.popitem(last=False)
+        self.stats.cache_file_bytes = self.store.file_bytes()
 
     def _load_unfold_templates(self) -> None:
         """Recompile persisted unfolding-template keys into the registry.
@@ -245,15 +208,15 @@ class PersistentCache:
         key_bytes = stable_key_bytes(key)
         payload = self.store.get(self.fingerprint, KIND_STREAM, key_bytes)
         if payload is None:
-            self.disk_misses += 1
+            self.stats.disk_misses += 1
             return None
         try:
             stream = decode_stream(payload)
         except Exception as exc:
             self._note_decode_error(KIND_STREAM, exc)
-            self.disk_misses += 1
+            self.stats.disk_misses += 1
             return None
-        self.disk_hits += 1
+        self.stats.disk_hits += 1
         self._known_streams.add(key)
         self._touched.add(key_bytes)
         return stream
@@ -268,6 +231,7 @@ class PersistentCache:
                 exc,
             )
         self._decode_errors += 1
+        self.stats.disk_load_errors += 1
 
     # ------------------------------------------------------------- flush --
 
@@ -275,16 +239,15 @@ class PersistentCache:
         """Write everything learned since the last flush; returns row counts.
 
         Persists the checker's shareable streams (in an engine batch,
-        also those an earlier job enumerated), canonical-form refuters and
-        unfolding-template keys; bumps hit metadata for streams served
-        from disk; refreshes ``cache_file_bytes``.  Repeated flushes are
-        incremental: streams are read from the memo's ``finished`` log
-        where the previous flush stopped, so a flush visits only the
-        streams finished since then, and the known-row sets keep every row
-        from being written twice.  Refuters and unfolding keys are still
-        rescanned in full (tables of bounded size).  Callers (the serve
-        daemon, per-location incremental mode) may flush as often as they
-        like.  Intermediate flushes pass ``final=False`` to skip eviction
+        also those an earlier job enumerated) and unfolding-template keys;
+        bumps hit metadata for streams served from disk; refreshes
+        ``cache_file_bytes``.  Repeated flushes are incremental: streams
+        are read from the memo's ``finished`` log where the previous flush
+        stopped, so a flush visits only the streams finished since then,
+        and the known-row sets keep every row from being written twice.
+        Unfolding keys are still rescanned in full (a table of bounded
+        size).  Callers (the serve daemon, per-location incremental mode)
+        may flush as often as they like.  Intermediate flushes pass ``final=False`` to skip eviction
         and the file-size refresh: those are end-of-run accounting, and
         running eviction mid-inference could drop rows a concurrent sharer
         just wrote.  A final flush evicts over the size cap only when this
@@ -295,7 +258,7 @@ class PersistentCache:
         made read-only mid-run) disables the tier and writes nothing --
         the in-memory results of the run are unaffected.
         """
-        empty = {KIND_STREAM: 0, KIND_REFUTER: 0, KIND_UNFOLD: 0}
+        empty = {KIND_STREAM: 0, KIND_UNFOLD: 0}
         if self._disabled or self.read_only:
             return empty
         try:
@@ -328,16 +291,6 @@ class PersistentCache:
             self.fingerprint, KIND_STREAM, stream_rows
         )
 
-        refuter_rows = []
-        for shape, value in checker._refuters.items():
-            if not isinstance(value, CanonicalForm) or shape in self._known_refuters:
-                continue
-            refuter_rows.append(encode_refuter(shape, value))
-            self._remember_refuter(shape, value, checker.refuters_limit)
-        written[KIND_REFUTER] = self.store.put_many(
-            self.fingerprint, KIND_REFUTER, refuter_rows
-        )
-
         unfold_rows = []
         for predicate in self.registry:
             for case_index, key in predicate.unfold_cache_keys():
@@ -359,9 +312,9 @@ class PersistentCache:
         self._unevicted = self._unevicted or any(written.values())
         if final:
             if self._unevicted:
-                self.disk_evictions += self.store.evict_over_cap()
+                self.stats.disk_evictions += self.store.evict_over_cap()
                 self._unevicted = False
-            self.cache_file_bytes = self.store.file_bytes()
+            self.stats.cache_file_bytes = self.store.file_bytes()
         return written
 
     # ----------------------------------------------------------- counters --
@@ -378,27 +331,7 @@ class PersistentCache:
                 exc,
             )
         self._disabled = True
-        self._tier_errors += 1
-
-    def _errors(self) -> int:
-        return self.store.load_errors + self._decode_errors + self._tier_errors
-
-    @property
-    def disk_load_errors(self) -> int:
-        """Failures absorbed since the last attach (store failures,
-        undecodable rows, and tier-level operations that had to disable the
-        tier mid-run)."""
-        return self._errors() - self._errors_at_attach
-
-    def counters(self) -> dict[str, int]:
-        """The tier's contribution to ``cache_stats()``."""
-        return {
-            "disk_hits": self.disk_hits,
-            "disk_misses": self.disk_misses,
-            "disk_evictions": self.disk_evictions,
-            "cache_file_bytes": self.cache_file_bytes,
-            "disk_load_errors": self.disk_load_errors,
-        }
+        self.stats.disk_load_errors += 1
 
     def close(self) -> None:
         """Close the underlying store connection."""

@@ -156,22 +156,18 @@ class Sling:
     def cache_counters(self) -> CacheStats:
         """A snapshot of this driver's counters.
 
-        The checker's :class:`CacheStats` already holds the search counters
-        and this driver's memo and isomorphism-dedup counters; the snapshot
-        is a copy of it with the registry's unfolding counters since this
-        driver was built and the disk tier's counters filled in.
+        The checker's :class:`CacheStats` already holds the search counters,
+        this driver's memo and isomorphism-dedup counters and the disk
+        tier's counters; the snapshot is a copy of it with the registry's
+        unfolding counters since this driver was built filled in.
         :meth:`cache_stats` is its dict rendering, and the engine's per-job
         accounting consumes the struct directly.
         """
         unfold = self.predicates.unfold_stats()
-        disk = {}
-        if self.persistent_cache is not None:
-            disk = self.persistent_cache.counters()
         return replace(
             self.checker.stats,
             unfold_hits=unfold["hits"] - self._unfold_before["hits"],
             unfold_misses=unfold["misses"] - self._unfold_before["misses"],
-            **disk,
         )
 
     def cache_stats(self) -> dict:

@@ -32,9 +32,8 @@ enumeration order.  Both always share (see ``docs/performance.md``):
 * predicate cases are screened (:mod:`repro.sl.screen`) before they are
   instantiated: a recursive case whose root address is not available, or a
   base case whose equalities are already violated, is skipped outright;
-* models are tried in ascending heap-size order and the last refuting model
-  per formula shape is remembered, so the likeliest refuter runs first and
-  most wrong candidates die after a single check.
+* models are tried in ascending heap-size order, so most wrong candidates
+  die on the first, cheapest model.
 """
 
 from __future__ import annotations
@@ -62,7 +61,7 @@ from repro.sl.exprs import (
 )
 from repro.sl.model import Heap, StackHeapModel
 from repro.sl.predicates import PredicateRegistry, canonical_unfold_key
-from repro.sl.screen import case_feasible, formula_shape
+from repro.sl.screen import case_feasible
 from repro.sl.spatial import Emp, PointsTo, PredApp, SepConj, Spatial, SymHeap
 from repro.telemetry.counters import CacheStats
 
@@ -86,6 +85,11 @@ def _span_name(formula: SymHeap) -> str:
     if not atoms:
         return "<pure>"
     return getattr(atoms[0], "name", type(atoms[0]).__name__)
+
+
+def _try_order(models: Sequence[StackHeapModel]) -> list[int]:
+    """Indexes of ``models``, smallest heap first: the fail-fast try order."""
+    return sorted(range(len(models)), key=lambda index: len(models[index].heap))
 
 
 @dataclass
@@ -133,8 +137,8 @@ class ModelChecker:
         The inductive predicate definitions that formulas may refer to.
     structs:
         A :class:`~repro.lang.types.StructRegistry`.  With one, skeleton
-        streams and learned refuters are keyed on canonical heap forms (see
-        :mod:`repro.sl.model`): streams are then shared across
+        streams are keyed on canonical heap forms (see
+        :mod:`repro.sl.model`): they are then shared across
         address-renamed models, with environments translated back through
         the witness bijection lazily.  Without one (or when a heap's
         canonicalization is not provably exact) the keys stay concrete.
@@ -154,12 +158,6 @@ class ModelChecker:
         #: search, the screen, the candidate loop and the group kernel; the
         #: owning driver adds its own counters to the same struct.
         self.stats = CacheStats()
-        #: Learned refuters: formula shape -> key of the model (within the
-        #: last ``check_all`` batch of that shape) that refuted it.
-        #: LRU-bounded: formula shapes accumulate for the life of an engine
-        #: run otherwise.
-        self._refuters: OrderedDict[tuple, int] = OrderedDict()
-        self.refuters_limit = _REFUTERS_LIMIT
         #: Memoized skeleton streams: (registry space, skeleton structural
         #: key, model) -> :class:`EnvStream`, LRU-bounded by
         #: ``_STREAM_MEMO_LIMIT``.  The memo of the engine batch this
@@ -267,10 +265,9 @@ class ModelChecker:
     ) -> list[CheckResult] | None:
         """Check a formula against every model; ``None`` unless all succeed.
 
-        The models are *tried* in ascending heap-size order, preceded by the
-        model that most recently refuted a formula of the same shape -- most
-        wrong candidates are then settled by the first check.  The returned
-        list is always in input order.
+        The models are *tried* in :func:`_try_order`, smallest heap first,
+        so most wrong candidates are settled by the first, cheapest check.
+        The returned list is always in input order.
         """
         if self.tracer is None:
             return self._check_all(models, formula)
@@ -284,78 +281,15 @@ class ModelChecker:
     def _check_all(
         self, models: Sequence[StackHeapModel], formula: SymHeap
     ) -> list[CheckResult] | None:
-        count = len(models)
-        if count <= 1:
-            results = []
-            for model in models:
-                result = self.check(model, formula)
-                if result is None:
-                    return None
-                results.append(result)
-            return results
-
-        shape = formula_shape(formula)
-        order = self._model_order(models, shape)
-        results: list[CheckResult | None] = [None] * count
-        for position, index in enumerate(order):
+        results: list[CheckResult | None] = [None] * len(models)
+        for position, index in enumerate(_try_order(models)):
             result = self.check(models[index], formula)
             if result is None:
-                self._learn_refuter_model(shape, models, index)
                 if position == 0:
                     self.stats.refuted_by_first_model += 1
                 return None
             results[index] = result
         return results  # type: ignore[return-value]
-
-    def _refuter_key(self, model: StackHeapModel) -> object | None:
-        """Canonical identity a learned refuter is remembered under.
-
-        With a struct registry available this is the model's canonical form:
-        a model that refuted a shape keeps steering the try order even when
-        later batches contain only address-renamed copies of it.  ``None``
-        when no exact form is available -- the caller then falls back to the
-        positional index (storing the model itself would put whole heaps in
-        the LRU and deep-compare them on every lookup).
-        """
-        if self.structs is not None:
-            canon = model.canonical(self.structs)
-            if canon.exact:
-                return canon.form
-        return None
-
-    def _model_order(self, models: Sequence[StackHeapModel], shape: tuple) -> list[int]:
-        """Fail-fast try order: smallest heap first, learned refuter in front."""
-        count = len(models)
-        order = sorted(range(count), key=lambda index: len(models[index].heap))
-        hint = self._refuters.get(shape)
-        if hint is not None:
-            self._refuters.move_to_end(shape)
-            if type(hint) is int:
-                if 0 <= hint < count and order[0] != hint:
-                    order.remove(hint)
-                    order.insert(0, hint)
-            else:
-                for index in order:
-                    if self._refuter_key(models[index]) == hint:
-                        if order[0] != index:
-                            order.remove(index)
-                            order.insert(0, index)
-                        break
-        return order
-
-    def _learn_refuter_model(
-        self, shape: tuple, models: Sequence[StackHeapModel], index: int
-    ) -> None:
-        """Remember the refuting model, canonically when possible."""
-        key = self._refuter_key(models[index])
-        self._learn_refuter(shape, index if key is None else key)
-
-    def _learn_refuter(self, shape: tuple, key: object) -> None:
-        """Record the refuting model's key for a shape (LRU-bounded)."""
-        self._refuters[shape] = key
-        self._refuters.move_to_end(shape)
-        if len(self._refuters) > self.refuters_limit:
-            self._refuters.popitem(last=False)
 
     def satisfies(self, model: StackHeapModel, formula: SymHeap) -> bool:
         """Exact satisfaction ``s,h |= F`` (the residual heap must be empty)."""
@@ -442,11 +376,6 @@ class ModelChecker:
             if not name.startswith(_SLOT_PREFIX)
         )
         root_name = slot_names[root_position]
-        shape = formula_shape(skeleton)
-        if count > 1:
-            order = self._model_order(models, shape)
-        else:
-            order = list(range(count))
 
         stats = self.stats
         total = len(variants)
@@ -461,9 +390,8 @@ class ModelChecker:
         needs_exact = [False] * total
         #: Per-variant, per-model reductions settled from the streams.
         settled: list[list[CheckResult | None]] = [[None] * count for _ in range(total)]
-        refuted_per_model: dict[int, int] = {}
 
-        for position, model_index in enumerate(order):
+        for position, model_index in enumerate(_try_order(models)):
             live = [index for index in range(total) if pending[index]]
             if not live:
                 break
@@ -477,7 +405,6 @@ class ModelChecker:
                 for index in live:
                     pending[index] = False
                     refuted[index] = True
-                refuted_per_model[model_index] = len(live)
                 if position == 0:
                     stats.refuted_by_first_model += len(live)
                 continue
@@ -521,15 +448,8 @@ class ModelChecker:
                         settled[index][model_index] = verdict
                         if verdict.consumed:
                             vacuous_ok[index] = False
-            if refuted_here:
-                refuted_per_model[model_index] = refuted_here
-                if position == 0:
-                    stats.refuted_by_first_model += refuted_here
-        if refuted_per_model:
-            # Group-granularity refuter learning: remember the model that
-            # settled the most variants of this skeleton shape.
-            best = max(refuted_per_model, key=refuted_per_model.__getitem__)
-            self._learn_refuter_model(shape, models, best)
+            if position == 0:
+                stats.refuted_by_first_model += refuted_here
 
         outcomes: list = []
         for index in range(total):
@@ -1090,9 +1010,6 @@ BATCH_VACUOUS = object()
 #: Internal verdict of the group kernel: the stream cannot settle this
 #: (variant, model) pair exactly; the caller must run the exact search.
 _UNDECIDED = object()
-
-#: Upper bound on learned refuter entries (LRU-evicted beyond it).
-_REFUTERS_LIMIT = 4096
 
 #: Upper bound on the streams one memo holds, private or shared by an
 #: engine batch (LRU-evicted beyond it).  Above the ~350 streams of the

@@ -476,7 +476,7 @@ class StackHeapModel:
         object.__setattr__(self, "freed_addresses", frozenset(freed_addresses))
 
     def __hash__(self) -> int:
-        # Models key memo tables (split sharing, refuters); cache the
+        # Models key memo tables (split sharing); cache the
         # (immutable) hash.
         cached = self.__dict__.get("_hash")
         if cached is None:

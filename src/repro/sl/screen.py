@@ -515,21 +515,3 @@ def screen_candidates(predicate, candidates, facts_list: Sequence[ModelFacts], r
         survivors.append(candidate)
     stats.candidates_prefiltered += screened
     return survivors
-
-
-def formula_shape(formula: SymHeap) -> tuple:
-    """Coarse shape of a formula: atom kinds, names/types and arities.
-
-    Used to index the learned-refuter table: candidates with the same shape
-    (e.g. every ``dll`` application with four arguments) tend to be refuted
-    by the same model, so ``check_all`` tries that model first.
-    """
-    shape = []
-    for atom in formula.spatial_atoms():
-        if isinstance(atom, PredApp):
-            shape.append(("app", atom.name, len(atom.args)))
-        elif isinstance(atom, PointsTo):
-            shape.append(("pt", atom.type_name, len(atom.args)))
-        else:
-            shape.append(("other", type(atom).__name__, 0))
-    return tuple(shape)

@@ -83,8 +83,9 @@ class CacheStats:
     # Persistent-cache counters (:mod:`repro.cache`): skeleton streams
     # served from / missed by the disk tier, rows evicted by the size cap,
     # on-disk cache size, and failures absorbed (corruption, version skew,
-    # undecodable rows).  All zero unless ``SlingConfig.persistent_cache``
-    # is set -- the search-guard baselines pin exactly that.
+    # undecodable rows), counted in place by the disk tier and its store.
+    # All zero unless ``SlingConfig.persistent_cache`` is set -- the
+    # search-guard baselines pin exactly that.
     disk_hits: int = 0
     disk_misses: int = field(default=0, metadata={"rate": "disk_hit_rate"})
     disk_evictions: int = 0

@@ -7,12 +7,17 @@ it down to the SLL category so each verify run takes about a second.
 from __future__ import annotations
 
 import json
+import pickle
 
 import pytest
 
 from repro import cli
 from repro.cache import CacheStore
+from repro.cache.serialize import stable_key_bytes
 from repro.evaluation import table1
+from repro.lang import standard_structs
+
+from tests.conftest import sll_model
 
 
 @pytest.fixture(autouse=True)
@@ -74,4 +79,27 @@ def test_warm_sweep_writes_nothing(tmp_path):
         cli.main(["cache", "verify", "--file", str(cache_file)])
     store = CacheStore(cache_file)
     assert store.stats()["entries"] == 0
+    store.close()
+
+
+def test_file_with_old_refuter_rows_still_verifies(tmp_path, capsys):
+    # Files written while the checker kept a learned-refuter table hold
+    # ``refuter`` rows: (shape, canonical model form key) pairs.  Nothing
+    # reads them any more, and they must not get in the way of a resume.
+    cache_file = tmp_path / "old.sqlite"
+    assert _verify(cache_file, capsys)["passed"]
+    shape = (("app", "sll", 1),)
+    form_key = sll_model(2).canonical(standard_structs()).form.key
+    row = (stable_key_bytes(shape), pickle.dumps((shape, form_key), protocol=5))
+    store = CacheStore(cache_file)
+    fingerprints = list(store.stats()["fingerprints"])
+    for fingerprint in fingerprints:
+        assert store.put_many(fingerprint, "refuter", [row]) == 1
+    store.close()
+
+    resumed = _verify(cache_file, capsys)
+    assert resumed["resumed"] is True
+    assert resumed["passed"] is True
+    store = CacheStore(cache_file)
+    assert store.stats()["kinds"]["refuter"]["entries"] == len(fingerprints)
     store.close()

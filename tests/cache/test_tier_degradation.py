@@ -30,7 +30,7 @@ class TestTierDisablesItself:
         with caplog.at_level(logging.WARNING, logger="repro.cache"):
             assert cache.load_stream(("k",)) is None
         assert cache._disabled
-        assert cache.disk_load_errors >= 1
+        assert cache.stats.disk_load_errors >= 1
         assert any("disabling the disk tier" in rec.message for rec in caplog.records)
         # Disabled means inert: no further store calls, misses forever.
         assert cache.load_stream(("k2",)) is None
@@ -44,7 +44,7 @@ class TestTierDisablesItself:
         written = cache.flush(sling.checker)
         assert set(written.values()) == {0}
         assert cache._disabled
-        assert cache.disk_load_errors >= 1
+        assert cache.stats.disk_load_errors >= 1
         cache.close()
 
     def test_warns_exactly_once(self, tmp_path, caplog):

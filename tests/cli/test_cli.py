@@ -165,7 +165,7 @@ def _populated_cache(path) -> None:
     """A cache file with rows of two fingerprints and kinds, some hit."""
     store = CacheStore(path)
     store.put_many("fp-a", "stream", [(b"k1", b"\x00payload"), (b"k2", b"\xffz")], now=10.0)
-    store.put_many("fp-b", "refuter", [(b"k3", b"refuted")], now=20.0)
+    store.put_many("fp-b", "unfold", [(b"k3", b"template")], now=20.0)
     store.touch_many("fp-a", "stream", [b"k2"], now=30.0)
     store.close()
 

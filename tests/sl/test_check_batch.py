@@ -8,7 +8,9 @@ The contract under test is the exactness guarantee of
   all-vacuous -- either way the candidate loop drops it;
 * a results outcome carries *bit-identical* reductions -- same residual
   heaps, same consumed sets, same existential instantiations -- as the
-  per-candidate search.
+  per-candidate search;
+* the order the models come in (and so the order they are tried in)
+  changes no outcome: a permuted model list, mapped back, decides alike.
 
 The property tests drive randomized sll / dll / tree workloads (heap shapes,
 stack aliasing, dangling and nil pointers) through the full candidate
@@ -125,10 +127,18 @@ def _variant_of(pred_name: str, candidate: Candidate, position: int) -> PureVari
     return _candidate_variant(candidate, formula, position)
 
 
-def _assert_batch_matches_exact(pred_name, boundary, root, models):
+def _outcome_key(outcome):
+    return outcome if outcome is BATCH_VACUOUS else _result_key(outcome)
+
+
+def _assert_batch_matches_exact(pred_name, boundary, root, models, order):
+    """``order`` is a permutation of ``range(len(models))``: the batch is
+    decided a second time on the models in that order, on a fresh checker."""
     predicate = _PREDICATES.get(pred_name)
     batch_checker = ModelChecker(_PREDICATES)
+    permuted_checker = ModelChecker(_PREDICATES)
     exact_checker = ModelChecker(_PREDICATES)
+    permuted_models = [models[index] for index in order]
 
     by_position: dict[int, list[Candidate]] = {}
     for candidate in _candidates(pred_name, boundary, root):
@@ -140,6 +150,17 @@ def _assert_batch_matches_exact(pred_name, boundary, root, models):
         variants = [_variant_of(predicate.name, candidate, position) for candidate in members]
         outcomes = batch_checker.check_batch(models, skeleton, variants)
         assert len(outcomes) == len(variants)
+        for outcome, permuted in zip(
+            outcomes, permuted_checker.check_batch(permuted_models, skeleton, variants)
+        ):
+            if isinstance(permuted, list):
+                unpermuted = [None] * len(models)
+                for position, index in enumerate(order):
+                    unpermuted[index] = permuted[position]
+                permuted = unpermuted
+            assert _outcome_key(permuted) == _outcome_key(outcome), (
+                f"model order {order} changed a check_batch outcome"
+            )
         for variant, outcome in zip(variants, outcomes):
             exact = exact_checker.check_all(models, variant.formula)
             compared += 1
@@ -172,8 +193,9 @@ def _assert_batch_matches_exact(pred_name, boundary, root, models):
 @given(
     sizes=st.lists(st.integers(min_value=0, max_value=5), min_size=1, max_size=3),
     y_choice=st.integers(min_value=0, max_value=7),
+    data=st.data(),
 )
-def test_sll_lattice_batch_equals_exact(sizes, y_choice):
+def test_sll_lattice_batch_equals_exact(sizes, y_choice, data):
     models = [
         StackHeapModel(
             {"x": 1 if size else 0, "y": _stack_value(y_choice, size)},
@@ -182,8 +204,9 @@ def test_sll_lattice_batch_equals_exact(sizes, y_choice):
         )
         for size in sizes
     ]
+    order = data.draw(st.permutations(range(len(models))))
     for pred in ("sll", "lseg"):
-        _assert_batch_matches_exact(pred, ["x", "y", "nil"], "x", models)
+        _assert_batch_matches_exact(pred, ["x", "y", "nil"], "x", models, order)
 
 
 @settings(max_examples=20, deadline=None)
@@ -191,8 +214,9 @@ def test_sll_lattice_batch_equals_exact(sizes, y_choice):
     sizes=st.lists(st.integers(min_value=0, max_value=4), min_size=1, max_size=2),
     y_choice=st.integers(min_value=0, max_value=6),
     corrupt=st.booleans(),
+    data=st.data(),
 )
-def test_dll_lattice_batch_equals_exact(sizes, y_choice, corrupt):
+def test_dll_lattice_batch_equals_exact(sizes, y_choice, corrupt, data):
     models = []
     for size in sizes:
         cells = _dll_heap(size)
@@ -207,15 +231,17 @@ def test_dll_lattice_batch_equals_exact(sizes, y_choice, corrupt):
                 {"x": "DllNode*", "y": "DllNode*"},
             )
         )
-    _assert_batch_matches_exact("dll", ["x", "y", "nil"], "x", models)
+    order = data.draw(st.permutations(range(len(models))))
+    _assert_batch_matches_exact("dll", ["x", "y", "nil"], "x", models, order)
 
 
 @settings(max_examples=20, deadline=None)
 @given(
     sizes=st.lists(st.integers(min_value=0, max_value=6), min_size=1, max_size=2),
     y_choice=st.integers(min_value=0, max_value=8),
+    data=st.data(),
 )
-def test_tree_lattice_batch_equals_exact(sizes, y_choice):
+def test_tree_lattice_batch_equals_exact(sizes, y_choice, data):
     models = [
         StackHeapModel(
             {"x": 1 if size else 0, "y": _stack_value(y_choice, size)},
@@ -224,8 +250,9 @@ def test_tree_lattice_batch_equals_exact(sizes, y_choice):
         )
         for size in sizes
     ]
+    order = data.draw(st.permutations(range(len(models))))
     for pred in ("tree", "treeseg"):
-        _assert_batch_matches_exact(pred, ["x", "y", "nil"], "x", models)
+        _assert_batch_matches_exact(pred, ["x", "y", "nil"], "x", models, order)
 
 
 @settings(max_examples=20, deadline=None)
@@ -252,11 +279,11 @@ def test_sorted_list_bounds_batch_equals_exact(values, y_choice):
         )
     ]
     for pred in ("sls", "slseg"):
-        _assert_batch_matches_exact(pred, ["x", "y", "nil"], "x", models)
+        _assert_batch_matches_exact(pred, ["x", "y", "nil"], "x", models, [0])
 
 
 # ---------------------------------------------------------------------------
-# unit tests: stream memo, bounded refuters
+# unit tests: stream memo
 # ---------------------------------------------------------------------------
 
 
@@ -299,14 +326,3 @@ class TestEnvStreamMemo:
             checker.check_batch([model], skeleton, variants)
         assert checker.stats.skeletons_solved == 1
         assert checker.stats.env_stream_reuses >= 1
-
-
-class TestBoundedRefuters:
-    def test_refuter_table_is_lru_bounded(self):
-        checker = ModelChecker(_PREDICATES)
-        checker.refuters_limit = 4
-        for index in range(10):
-            checker._learn_refuter(("shape", index), 0)
-        assert len(checker._refuters) == 4
-        assert ("shape", 9) in checker._refuters
-        assert ("shape", 0) not in checker._refuters

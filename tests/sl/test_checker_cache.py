@@ -1,8 +1,8 @@
 """Checker state isolation, formula keys and the predicate unfolding cache.
 
-The contract under test: state a checker keeps across calls (learned
-refuters, the predicate unfolding cache) never changes any result -- for
-every (formula, model) pair, including alpha-variants of the same formula.
+The contract under test: state a checker keeps across calls (the
+predicate unfolding cache) never changes any result -- for every
+(formula, model) pair, including alpha-variants of the same formula.
 """
 
 from repro.sl.checker import ModelChecker, canonical_formula_key

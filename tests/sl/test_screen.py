@@ -14,12 +14,7 @@ from repro.sl import checker as checker_module
 from repro.sl.checker import ModelChecker
 from repro.sl.exprs import Nil, Var
 from repro.sl.model import Heap, HeapCell, StackHeapModel
-from repro.sl.screen import (
-    ModelFacts,
-    candidate_refuted,
-    case_feasible,
-    formula_shape,
-)
+from repro.sl.screen import ModelFacts, candidate_refuted, case_feasible
 from repro.sl.spatial import PredApp, SymHeap
 from repro.sl.stdpreds import standard_predicates
 from repro.telemetry.counters import CacheStats
@@ -140,18 +135,6 @@ class TestModelFacts:
         assert facts.argument_values(("x", "nil", "u1"), {"u1"}) == (1, 0, None)
         # A non-fresh name missing from the stack refutes outright.
         assert facts.argument_values(("ghost",), set()) is None
-
-
-class TestFormulaShape:
-    def test_shape_abstracts_argument_names(self):
-        first = SymHeap(spatial=PredApp("sll", [Var("x")]))
-        second = SymHeap(spatial=PredApp("sll", [Var("y")]))
-        assert formula_shape(first) == formula_shape(second)
-
-    def test_shape_distinguishes_predicates(self):
-        first = SymHeap(spatial=PredApp("sll", [Var("x")]))
-        second = SymHeap(spatial=PredApp("lseg", [Var("x"), Var("y")]))
-        assert formula_shape(first) != formula_shape(second)
 
 
 class TestCheckerStats:
