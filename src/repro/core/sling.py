@@ -17,6 +17,7 @@ equalities and quantify out-of-scope variables existentially.
 
 from __future__ import annotations
 
+import hashlib
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -176,19 +177,22 @@ class Sling:
         When the persistent cache or an engine batch's shared stream memo
         is active the dict additionally carries a ``counter_semantics``
         note: disk-served streams count neither ``skeletons_solved`` nor
-        ``env_stream_reuses``, and streams an earlier job of the batch
-        solved count as ``env_stream_reuses``, so those counters are **not
-        comparable** with a standalone, cache-less run's (see
-        ``docs/performance.md``).
+        ``env_stream_reuses``, streams an earlier job of the batch solved
+        count as ``env_stream_reuses``, and a location an earlier job
+        inferred counts one ``location_memo_hits`` and no search work, so
+        those counters are **not comparable** with a standalone, cache-less
+        run's (see ``docs/performance.md``).
         """
         stats = self.cache_counters().as_dict()
         if self.persistent_cache is not None or self.checker.shares_streams:
             stats["counter_semantics"] = (
                 "persistent cache or batch stream memo active: disk-served "
                 "streams count neither skeletons_solved nor "
-                "env_stream_reuses, and streams an earlier job of the batch "
-                "solved count as env_stream_reuses; do not compare these "
-                "counters with a standalone cache-less run"
+                "env_stream_reuses, streams an earlier job of the batch "
+                "solved count as env_stream_reuses, and a location an "
+                "earlier job inferred counts location_memo_hits and no "
+                "search work; do not compare these counters with a "
+                "standalone cache-less run"
             )
         return stats
 
@@ -238,15 +242,89 @@ class Sling:
         free_vars: Sequence[str] | None = None,
         _allow_dedup: bool = True,
     ) -> list[Invariant]:
-        """Algorithm 1 at one location (see :meth:`_infer_from_models`)."""
+        """Algorithm 1 at one location (see :meth:`_infer_from_models`).
+
+        On the fast path the result is a function of the models' content,
+        the registry, the struct definitions, ``free_vars`` and the
+        variable order, so under an engine batch the outer call looks it
+        up in the batch's stream memo first (``StreamMemo.locations``): an
+        earlier job may have inferred the same models.  A hit returns new
+        :class:`Invariant` objects at ``location``.  The key holds a digest
+        of the models, never the models.  The ``reference_search`` oracle
+        is never memoized.
+        """
         if self.tracer is None:
-            return self._infer_from_models(models, location, free_vars, _allow_dedup)
+            return self._memoized_location(models, location, free_vars, _allow_dedup)
+        stats = self.checker.stats
+        hits = stats.location_memo_hits
         with self.tracer.span(
             "location", name=location, models=len(models), dedup=_allow_dedup
         ) as span:
-            invariants = self._infer_from_models(models, location, free_vars, _allow_dedup)
-            span.set(invariants=len(invariants))
+            invariants = self._memoized_location(models, location, free_vars, _allow_dedup)
+            span.set(invariants=len(invariants), memo_hit=stats.location_memo_hits > hits)
         return invariants
+
+    def _memoized_location(
+        self,
+        models: Sequence[StackHeapModel],
+        location: str,
+        free_vars: Sequence[str] | None,
+        allow_dedup: bool,
+    ) -> list[Invariant]:
+        """:meth:`_infer_from_models` behind the location memo.
+
+        Only a memo shared by an engine batch is consulted: no job repeats
+        one of its own locations, so in a private memo the key digest
+        would be pure cost.
+        """
+        if (
+            not allow_dedup
+            or not models
+            or self.config.reference_search
+            or not self.checker.shares_streams
+        ):
+            return self._infer_from_models(models, location, free_vars, allow_dedup)
+        key = self._location_key(models, free_vars)
+        cached = self.checker.locations.get(key)
+        if cached is None:
+            invariants = self._infer_from_models(models, location, free_vars)
+            self.checker.locations[key] = tuple(
+                (invariant.formula, invariant.from_freed_traces) for invariant in invariants
+            )
+            return invariants
+        self.checker.stats.location_memo_hits += 1
+        return [
+            Invariant(location=location, formula=formula, from_freed_traces=freed)
+            for formula, freed in cached
+        ]
+
+    def _location_key(
+        self, models: Sequence[StackHeapModel], free_vars: Sequence[str] | None
+    ) -> tuple:
+        """The content key of one location's inference (see above).
+
+        The models enter as a 20-byte digest of their four fields, in list
+        and heap-insertion order: equal digests mean the runs see the very
+        same input, so the memo keeps no model alive.
+        """
+        digest = hashlib.blake2b(digest_size=20)
+        for model in models:
+            cells = tuple(
+                (address, cell.type_name, cell.fields) for address, cell in model.heap.items()
+            )
+            digest.update(
+                repr(
+                    (model.stack, cells, model.var_types, sorted(model.freed_addresses))
+                ).encode()
+            )
+        structs = tuple((struct.name, struct.fields) for struct in self.program.structs)
+        return (
+            self.checker.registry_space(),
+            structs,
+            digest.digest(),
+            None if free_vars is None else tuple(free_vars),
+            self.config.variable_order,
+        )
 
     def _infer_from_models(
         self,

@@ -33,6 +33,7 @@ from repro.benchsuite.registry import BenchmarkProgram
 from repro.core.engine import CacheStats, run_category_batch
 from repro.core.results import Specification
 from repro.core.sling import Sling, SlingConfig
+from repro.lang.tracer import count_models
 from repro.telemetry import monotime
 
 @dataclass
@@ -233,13 +234,18 @@ def evaluate_program(
     function = benchmark.program.get_function(benchmark.function)
 
     start = monotime()
-    # NOTE: the trace collection is intentionally NOT passed to
-    # ``infer_function``.  The test-case closures share one seeded RNG, so
-    # the first collection (measured here for the Traces column) and the
-    # second one (collected inside ``infer_function``) see different random
-    # heaps; inference has always run on the second draw and reusing the
-    # first would change every downstream invariant.
-    traces = sling.collect(benchmark.function, test_cases)
+    # NOTE: the Traces column comes from a suite run of its own, before the
+    # one inside ``infer_function``.  The test-case closures share one
+    # seeded RNG, so the two runs see different random heaps; inference has
+    # always run on the second draw.  The first run only counts its
+    # breakpoint hits, but it still builds every input, so the second draw
+    # is unchanged.
+    traces = count_models(
+        benchmark.program,
+        benchmark.function,
+        test_cases,
+        discard_crashed_runs=config.discard_crashed_runs,
+    )
     specification = sling.infer_function(benchmark.function, test_cases)
     seconds = monotime() - start
 
@@ -249,7 +255,7 @@ def evaluate_program(
     # illustration aids), matching how the specification driver works.
     target_locations = 1 + len(function.loop_locations()) + len(function.return_locations())
 
-    if not invariants and traces.total_models() == 0:
+    if not invariants and traces == 0:
         classification = "X"
     elif specification.unreached_locations or spurious or not specification.validated:
         classification = "S"
@@ -260,7 +266,7 @@ def evaluate_program(
         name=benchmark.name,
         loc=benchmark.loc(),
         locations=target_locations,
-        traces=traces.total_models(),
+        traces=traces,
         invariants=len(invariants),
         spurious=spurious,
         classification=classification,

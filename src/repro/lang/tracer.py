@@ -19,7 +19,7 @@ A snapshot contains
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from repro.lang.ast import Function, Program
 from repro.lang.errors import HeapLangError
@@ -76,10 +76,15 @@ class Tracer:
         structs,
         breakpoints: Iterable[Location] | None = None,
         max_events: int = 10_000,
+        snapshots: bool = True,
     ):
         self.structs = structs
         self.breakpoints = set(breakpoints) if breakpoints is not None else None
         self.max_events = max_events
+        #: ``False`` only counts the hits (see :func:`count_models`).
+        self.snapshots = snapshots
+        #: Breakpoint hits that passed the filter and the event cap.
+        self.hits = 0
         self.events: list[TraceEvent] = []
 
     # -- observer interface -----------------------------------------------------
@@ -92,13 +97,16 @@ class Tracer:
         heap: RuntimeHeap,
         result: int | None = None,
     ) -> None:
-        """Interpreter callback: snapshot the state if a breakpoint matches."""
+        """Interpreter callback: count a matching breakpoint hit and, unless
+        this tracer only counts, snapshot the state."""
         where = Location(function.name, location)
         if self.breakpoints is not None and where not in self.breakpoints:
             return
-        if len(self.events) >= self.max_events:
+        if self.hits >= self.max_events:
             return
-        self.events.append(TraceEvent(where, self.snapshot(frame, heap, result)))
+        self.hits += 1
+        if self.snapshots:
+            self.events.append(TraceEvent(where, self.snapshot(frame, heap, result)))
 
     # -- snapshotting --------------------------------------------------------------
 
@@ -205,21 +213,21 @@ class TraceCollection:
         return any(model.has_freed_cells() for model in self.models_at(location))
 
 
-def collect_models(
+def _run_suite(
     program: Program,
     function_name: str,
     test_cases: Sequence[TestCase],
-    breakpoints: Iterable[Location] | None = None,
-) -> TraceCollection:
-    """Run every test case under the tracer and collect stack-heap models.
+    breakpoints: Iterable[Location] | None,
+    snapshots: bool,
+) -> Iterator[tuple[Tracer, RunOutcome]]:
+    """Run every test case under a fresh tracer; yield ``(tracer, outcome)``.
 
-    This is the ``CollectModels`` step of Algorithm 1.  Each test case gets a
-    fresh heap; crashes and timeouts are recorded (the events captured before
-    the crash are kept, mirroring what a debugger session would have seen).
+    Each test case gets a fresh heap; crashes and timeouts are recorded
+    (the events captured before the crash are kept, mirroring what a
+    debugger session would have seen).
     """
-    collection = TraceCollection()
     for test_case in test_cases:
-        tracer = Tracer(program.structs, breakpoints)
+        tracer = Tracer(program.structs, breakpoints, snapshots=snapshots)
         interpreter = Interpreter(program, observer=tracer)
         heap = RuntimeHeap(program.structs)
         outcome = RunOutcome()
@@ -230,7 +238,49 @@ def collect_models(
             outcome.crashed = True
             outcome.timed_out = "steps" in str(error) or "depth" in str(error)
             outcome.error = f"{type(error).__name__}: {error}"
+        yield tracer, outcome
+
+
+def collect_models(
+    program: Program,
+    function_name: str,
+    test_cases: Sequence[TestCase],
+    breakpoints: Iterable[Location] | None = None,
+) -> TraceCollection:
+    """Run every test case under the tracer and collect stack-heap models.
+
+    This is the ``CollectModels`` step of Algorithm 1 (see
+    :func:`_run_suite` for how each test case runs).
+    """
+    collection = TraceCollection()
+    for tracer, outcome in _run_suite(
+        program, function_name, test_cases, breakpoints, snapshots=True
+    ):
         collection.events.extend(tracer.events)
         collection.runs.append(list(tracer.events))
         collection.outcomes.append(outcome)
     return collection
+
+
+def count_models(
+    program: Program,
+    function_name: str,
+    test_cases: Sequence[TestCase],
+    breakpoints: Iterable[Location] | None = None,
+    discard_crashed_runs: bool = False,
+) -> int:
+    """How many models :func:`collect_models` would capture, without them.
+
+    The same suite runs the same way -- same breakpoint filter, same
+    per-run event cap, and every test case still builds its inputs, so a
+    random generator the cases share advances exactly as under
+    :func:`collect_models` -- but a breakpoint hit is only counted, never
+    snapshotted.  ``discard_crashed_runs`` drops the hits of crashed runs,
+    as :meth:`TraceCollection.without_crashed_runs` does.
+    """
+    suite = _run_suite(program, function_name, test_cases, breakpoints, snapshots=False)
+    return sum(
+        tracer.hits
+        for tracer, outcome in suite
+        if not (discard_crashed_runs and outcome.crashed)
+    )

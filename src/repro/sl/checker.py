@@ -165,6 +165,8 @@ class ModelChecker:
         memo = getattr(_MEMO_SCOPE, "memo", None)
         self.shares_streams = memo is not None
         self._streams: StreamMemo = StreamMemo() if memo is None else memo
+        #: The driver's whole-location results, held by the same memo.
+        self.locations = self._streams.locations
         #: Optional disk tier beneath the canonical-keyed caches (set by
         #: :meth:`repro.cache.tier.PersistentCache.attach`; ``None`` keeps
         #: every code path byte-identical to the cache-less checker).
@@ -1394,11 +1396,17 @@ class StreamMemo(OrderedDict):
     disk flush may write.  A flush reads the log from where its previous
     call stopped, so its cost follows the streams finished since then, not
     the memo's size (:meth:`ModelChecker.shareable_streams`).
+
+    ``locations`` holds whole-location results of the driver, keyed by
+    content (see :meth:`repro.core.sling.Sling.infer_from_models`): they
+    share the streams' scope, so an engine batch infers each distinct
+    location once.  It keeps formulas only, never models.
     """
 
     def __init__(self):
         super().__init__()
         self.finished: list[tuple] = []
+        self.locations: dict[tuple, tuple] = {}
 
 
 #: Per-thread home of the open batch memo: checkers bind to it at
@@ -1412,9 +1420,10 @@ def stream_pool():
 
     A stream is a function of its memo key (registry space, skeleton, heap
     region) and the module budgets, so every job of an engine batch may
-    read the streams an earlier job enumerated.  Scoped to the calling
-    thread and restored on exit, also when the block raises: a checker
-    built afterwards, or on another thread, gets a private memo.
+    read the streams an earlier job enumerated, and the location results
+    an earlier job inferred (``StreamMemo.locations``).  Scoped to the
+    calling thread and restored on exit, also when the block raises: a
+    checker built afterwards, or on another thread, gets a private memo.
     """
     previous = getattr(_MEMO_SCOPE, "memo", None)
     memo = _MEMO_SCOPE.memo = StreamMemo()

@@ -117,6 +117,12 @@ class CacheStats:
     serve_deadline_expiries: int = 0
     serve_client_disconnects: int = 0
     serve_requests_resumed: int = 0
+    #: Locations served whole from the stream memo's location results: an
+    #: earlier job of the engine batch inferred the same models (see
+    #: ``Sling.infer_from_models``).  A hit runs no search, so no work
+    #: counter above counts it.  Declared last so that the JSON key order
+    #: of every earlier counter stays as it was.
+    location_memo_hits: int = 0
 
     def merge(self, other: "CacheStats") -> None:
         """Accumulate another job's counters into this one."""

@@ -82,7 +82,14 @@ def test_table1_parallel_jobs_flag():
         for _ in range(2)
     )
     # A parallel run agrees on the stream requests, which each job makes
-    # alone, whether they were solved or served by the memo.
+    # alone, whether they were solved or served by the memo -- as long as
+    # no job was served a whole location an earlier job inferred.
+    assert not any(
+        program["location_memo_hits"]
+        for data in (parallel, sequential)
+        for row in data["rows"]
+        for program in row["programs"]
+    )
     requests = [
         [
             program["skeletons_solved"] + program["env_stream_reuses"]

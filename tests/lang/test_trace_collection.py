@@ -1,6 +1,17 @@
-"""``TraceCollection.without_crashed_runs``: filtering without mutation."""
+"""``TraceCollection.without_crashed_runs``: filtering without mutation;
+``count_models``: the collection's count without its snapshots."""
 
-from repro.lang.tracer import Location, RunOutcome, TraceCollection, TraceEvent
+import pytest
+
+from repro.lang.tracer import (
+    Location,
+    RunOutcome,
+    TraceCollection,
+    TraceEvent,
+    Tracer,
+    collect_models,
+    count_models,
+)
 from repro.sl.model import Heap, StackHeapModel
 
 
@@ -52,3 +63,72 @@ class TestWithoutCrashedRuns:
         filtered = collection.without_crashed_runs()
         assert filtered.events == collection.events
         assert filtered.runs == collection.runs
+
+
+class TestCountModels:
+    """``count_models`` counts what ``collect_models`` would capture, and
+    runs the suite the same way, so a shared input generator advances
+    exactly as before."""
+
+    @staticmethod
+    def _suite(name: str):
+        from repro.benchsuite.registry import get_benchmark
+
+        benchmark = get_benchmark(name)
+        return benchmark, benchmark.test_cases(0)
+
+    @pytest.mark.parametrize("name", ("sll/reverse", "bst/rmRoot"))
+    @pytest.mark.parametrize("entry_only", (False, True))
+    @pytest.mark.parametrize("discard", (False, True))
+    def test_count_equals_the_collected_models(self, name, entry_only, discard):
+        benchmark, cases = self._suite(name)
+        breakpoints = [Location(benchmark.function, "entry")] if entry_only else None
+        collected = collect_models(benchmark.program, benchmark.function, cases, breakpoints)
+        if discard:
+            collected = collected.without_crashed_runs()
+        benchmark, cases = self._suite(name)
+        counted = count_models(
+            benchmark.program, benchmark.function, cases, breakpoints,
+            discard_crashed_runs=discard,
+        )
+        assert counted == collected.total_models()
+
+    def test_crashed_runs_are_dropped(self):
+        benchmark, cases = self._suite("bst/rmRoot")
+        collected = collect_models(benchmark.program, benchmark.function, cases)
+        assert collected.crashed_runs() > 0
+        assert any(
+            run for run, outcome in zip(collected.runs, collected.outcomes) if outcome.crashed
+        )
+        benchmark, cases = self._suite("bst/rmRoot")
+        kept = count_models(
+            benchmark.program, benchmark.function, cases, discard_crashed_runs=True
+        )
+        assert kept < collected.total_models()
+
+    @pytest.mark.parametrize("name", ("sll/reverse", "bst/rmRoot"))
+    def test_the_next_run_draws_the_same_inputs(self, name):
+        benchmark, cases = self._suite(name)
+        collect_models(benchmark.program, benchmark.function, cases)
+        after_collect = collect_models(benchmark.program, benchmark.function, cases)
+        benchmark, cases = self._suite(name)
+        count_models(benchmark.program, benchmark.function, cases)
+        after_count = collect_models(benchmark.program, benchmark.function, cases)
+        assert after_count.events == after_collect.events
+        assert after_count.total_models() > 0
+
+    def test_the_event_cap_applies_to_counted_hits(self):
+        from repro.lang.heap import RuntimeHeap
+        from repro.lang.interp import Interpreter
+
+        benchmark, cases = self._suite("sll/reverse")
+        observed = []
+        for snapshots in (True, False):
+            tracer = Tracer(benchmark.program.structs, max_events=2, snapshots=snapshots)
+            heap = RuntimeHeap(benchmark.program.structs)
+            args = list(cases[0](heap))
+            Interpreter(benchmark.program, observer=tracer).run(
+                benchmark.function, args, heap
+            )
+            observed.append((tracer.hits, len(tracer.events)))
+        assert observed == [(2, 2), (2, 0)]
