@@ -74,17 +74,13 @@ def infer_atoms(
     predicates: PredicateRegistry,
     checker: ModelChecker,
     structs: StructRegistry | None = None,
-    weights: Sequence[int] | None = None,
     reference_search: bool = False,
 ) -> list[AtomResult]:
     """Infer atomic heap predicates for ``root`` over its sub-models.
 
-    ``weights`` (one per sub-model, defaulting to 1) scale the residual-cell
-    ranking: the isomorphism-deduplicated driver passes each representative
-    model's class size so the ranking reproduces the sums an undeduplicated
-    run would have computed.  ``reference_search`` checks every candidate
-    with the exact per-candidate ``check_all``, skipping the semantic
-    pre-filter and skeleton batching (see ``SlingConfig.reference_search``).
+    ``reference_search`` checks every candidate with the exact per-candidate
+    ``check_all``, skipping the semantic pre-filter and skeleton batching
+    (see ``SlingConfig.reference_search``).
     """
     if not sub_models:
         return []
@@ -112,7 +108,7 @@ def infer_atoms(
             if singleton is not None:
                 results.append(singleton)
 
-    results = _rank_and_prune(results, weights)
+    results = _rank_and_prune(results)
     if not results:
         results.append(
             AtomResult(
@@ -423,22 +419,13 @@ def _var_type(name: str, models: Sequence[StackHeapModel]) -> str | None:
     return None
 
 
-def _rank_and_prune(
-    results: list[AtomResult], weights: Sequence[int] | None = None
-) -> list[AtomResult]:
+def _rank_and_prune(results: list[AtomResult]) -> list[AtomResult]:
     """Prefer full-coverage results with the fewest fresh existentials."""
 
     def rank(result: AtomResult) -> tuple:
-        if weights is None:
-            residual = sum(len(model.heap) for model in result.residual_models)
-        else:
-            residual = sum(
-                weight * len(model.heap)
-                for weight, model in zip(weights, result.residual_models)
-            )
         return (
             0 if result.covers_everything() else 1,
-            residual,
+            sum(len(model.heap) for model in result.residual_models),
             len(result.exists),
         )
 

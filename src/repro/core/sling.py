@@ -64,9 +64,10 @@ class SlingConfig:
 
     #: Run the reference search instead of the fast path: every candidate
     #: goes through the exact per-candidate ``ModelChecker.check_all``, with
-    #: no semantic pre-filter, no skeleton batching and no isomorphism
-    #: dedup.  It is the oracle the fast path is checked against (see
-    #: ``docs/performance.md``); both infer the same invariants.
+    #: no semantic pre-filter, no skeleton batching and so no stream memo
+    #: (canonical or concrete keys) and no location memo.  It is the oracle
+    #: the fast path is checked against (see ``docs/performance.md``); both
+    #: infer the same invariants.
     reference_search: bool = False
     #: Variable-analysis order: "reachability" (the paper's heuristic),
     #: "stack" (declaration order) or "reverse" (ablation baselines).
@@ -158,9 +159,9 @@ class Sling:
         """A snapshot of this driver's counters.
 
         The checker's :class:`CacheStats` already holds the search counters,
-        this driver's memo and isomorphism-dedup counters and the disk
-        tier's counters; the snapshot is a copy of it with the registry's
-        unfolding counters since this driver was built filled in.
+        this driver's memo counters and the disk tier's counters; the
+        snapshot is a copy of it with the registry's unfolding counters
+        since this driver was built filled in.
         :meth:`cache_stats` is its dict rendering, and the engine's per-job
         accounting consumes the struct directly.
         """
@@ -240,7 +241,6 @@ class Sling:
         models: Sequence[StackHeapModel],
         location: str = "<location>",
         free_vars: Sequence[str] | None = None,
-        _allow_dedup: bool = True,
     ) -> list[Invariant]:
         """Algorithm 1 at one location (see :meth:`_infer_from_models`).
 
@@ -254,13 +254,11 @@ class Sling:
         is never memoized.
         """
         if self.tracer is None:
-            return self._memoized_location(models, location, free_vars, _allow_dedup)
+            return self._memoized_location(models, location, free_vars)
         stats = self.checker.stats
         hits = stats.location_memo_hits
-        with self.tracer.span(
-            "location", name=location, models=len(models), dedup=_allow_dedup
-        ) as span:
-            invariants = self._memoized_location(models, location, free_vars, _allow_dedup)
+        with self.tracer.span("location", name=location, models=len(models)) as span:
+            invariants = self._memoized_location(models, location, free_vars)
             span.set(invariants=len(invariants), memo_hit=stats.location_memo_hits > hits)
         return invariants
 
@@ -269,7 +267,6 @@ class Sling:
         models: Sequence[StackHeapModel],
         location: str,
         free_vars: Sequence[str] | None,
-        allow_dedup: bool,
     ) -> list[Invariant]:
         """:meth:`_infer_from_models` behind the location memo.
 
@@ -277,13 +274,8 @@ class Sling:
         one of its own locations, so in a private memo the key digest
         would be pure cost.
         """
-        if (
-            not allow_dedup
-            or not models
-            or self.config.reference_search
-            or not self.checker.shares_streams
-        ):
-            return self._infer_from_models(models, location, free_vars, allow_dedup)
+        if not models or self.config.reference_search or not self.checker.shares_streams:
+            return self._infer_from_models(models, location, free_vars)
         key = self._location_key(models, free_vars)
         cached = self.checker.locations.get(key)
         if cached is None:
@@ -331,55 +323,25 @@ class Sling:
         models: Sequence[StackHeapModel],
         location: str = "<location>",
         free_vars: Sequence[str] | None = None,
-        _allow_dedup: bool = True,
     ) -> list[Invariant]:
         """Algorithm 1 over already-collected stack-heap models.
 
-        On the fast path (not ``reference_search``) the model list is first
-        collapsed into isomorphism classes (equal exact canonical forms, see
-        :mod:`repro.sl.model`): the whole iteration then runs on one
-        representative per class, weighted by class size wherever the
-        original algorithm summed over models, and the per-representative
-        instantiations are replayed onto the other class members through the
-        witness bijection before pure inference.  Satisfaction is invariant
-        under the witnessed address bijections, so the inferred invariants
-        are bit-identical to the undeduplicated run -- with one caveat: a
-        checker selection that was *enumeration-order dependent* (tied best
-        reductions, truncated enumerations) is not replayable, because the
-        order itself is not renaming-invariant.  The checker counts such
-        selections; if any occurred while this location was deduplicated,
-        the whole location falls back to the exact per-model path
-        (``iso_exact_fallbacks``).
+        Every model takes the exact per-model path; address-renamed copies
+        share their skeleton searches through the checker's canonical stream
+        keys (see :mod:`repro.sl.model`).
         """
         if not models:
             return []
-        original_models = list(models)
-        if _allow_dedup:
-            work_models, weights, expansion = self._dedupe_models(original_models)
-        else:
-            work_models, weights, expansion = original_models, [1] * len(original_models), None
         stats = self.checker.stats
-        ambiguities_before = (
-            stats.exact_selection_ambiguities if expansion is not None else 0
-        )
-        variables = self._common_pointer_vars(work_models)
-        order = self._order_variables(work_models, variables)
+        variables = self._common_pointer_vars(models)
+        order = self._order_variables(models, variables)
 
         results = [
             InferredResult(
-                models=list(work_models),
-                instantiations=[dict() for _ in work_models],
+                models=list(models),
+                instantiations=[dict() for _ in models],
             )
         ]
-
-        def weighted_residual(result: InferredResult) -> int:
-            # Class members have equal heap sizes at every iteration stage,
-            # so weighting the representatives reproduces the sum the
-            # undeduplicated run would have ranked by.
-            return sum(
-                weight * len(model.heap)
-                for weight, model in zip(weights, result.models)
-            )
 
         # Result branches frequently reach a variable with identical residual
         # models (different atoms earlier in the chain, same coverage), and
@@ -401,7 +363,6 @@ class Sling:
                         self.predicates,
                         self.checker,
                         self.program.structs,
-                        weights=weights,
                         reference_search=self.config.reference_search,
                     )
                     split_cache[cache_key] = (split, atom_results)
@@ -430,117 +391,11 @@ class Sling:
                     )
             if next_results:
                 next_results.sort(
-                    key=lambda r: (weighted_residual(r), -r.spatial_atom_count())
+                    key=lambda r: (r.residual_cells(), -r.spatial_atom_count())
                 )
                 results = next_results[:MAX_TOTAL_RESULTS]
 
-        if expansion is not None:
-            if stats.exact_selection_ambiguities != ambiguities_before:
-                # Some selection along the way was order-dependent: the
-                # representative's choice among tied reductions need not be
-                # the one the members' own searches would have made.  Redo
-                # the location exactly (rare: requires an ambiguous tie
-                # inside a location that actually collapsed), and roll the
-                # dedup bookkeeping back so the counters only ever report
-                # dedup that actually stuck.
-                deduped = len(original_models) - len(work_models)
-                stats.iso_classes -= len(work_models)
-                stats.models_deduped -= deduped
-                stats.iso_exact_fallbacks += deduped
-                return self.infer_from_models(
-                    original_models, location, free_vars, _allow_dedup=False
-                )
-            results = [self._expand_result(result, expansion) for result in results]
-        return self._finalize(results, original_models, location, free_vars)
-
-    def _dedupe_models(
-        self, models: list[StackHeapModel]
-    ) -> tuple[list[StackHeapModel], list[int], list[tuple[int, dict | None]] | None]:
-        """Collapse a model list into one representative per isomorphism class.
-
-        Returns ``(representatives, weights, expansion)`` where ``weights``
-        holds each representative's class size and ``expansion`` maps every
-        original model index to ``(representative position, translation)``
-        -- the translation being a representative-address to member-address
-        map (``None`` for the representatives themselves).  When nothing
-        collapses (or under ``reference_search``) the original list is
-        returned with unit weights and ``expansion=None``, so the caller
-        takes the exact original code path.
-        """
-        if self.config.reference_search or len(models) <= 1:
-            return models, [1] * len(models), None
-        structs = self.program.structs
-        representatives: list[StackHeapModel] = []
-        rep_canons: list = []
-        weights: list[int] = []
-        expansion: list[tuple[int, dict | None]] = []
-        by_form: dict[object, int] = {}
-        opaque = 0
-        for index, model in enumerate(models):
-            canon = model.canonical(structs)
-            if not canon.exact:
-                # Canonicalization could not prove the renaming harmless
-                # (integer data aliasing an address, unknown struct types):
-                # the model keeps its own per-model path.
-                opaque += 1
-                key: object = ("opaque", index)
-            else:
-                key = canon.form
-            position = by_form.get(key)
-            if position is None:
-                position = len(representatives)
-                by_form[key] = position
-                representatives.append(model)
-                rep_canons.append(canon)
-                weights.append(1)
-                expansion.append((position, None))
-            else:
-                weights[position] += 1
-                rep_canon = rep_canons[position]
-                member_from = canon.from_addr
-                translation = {
-                    addr: member_from[cid] for addr, cid in rep_canon.to_id.items()
-                }
-                expansion.append((position, translation))
-        stats = self.checker.stats
-        stats.iso_classes += len(representatives)
-        stats.iso_exact_fallbacks += opaque
-        deduped = len(models) - len(representatives)
-        if deduped == 0:
-            return models, [1] * len(models), None
-        stats.models_deduped += deduped
-        return representatives, weights, expansion
-
-    @staticmethod
-    def _expand_result(
-        result: InferredResult, expansion: list[tuple[int, dict | None]]
-    ) -> InferredResult:
-        """Replay a per-representative result onto every original model.
-
-        Only the instantiations need translating -- they are what pure
-        inference reads per model; an instantiation value that is an address
-        of the representative's heap maps through the witness bijection,
-        anything else (integer data, nil) transfers unchanged.
-        """
-        instantiations = []
-        for position, translation in expansion:
-            instantiation = result.instantiations[position]
-            if translation is None:
-                instantiations.append(dict(instantiation))
-            else:
-                instantiations.append(
-                    {
-                        name: translation.get(value, value)
-                        for name, value in instantiation.items()
-                    }
-                )
-        return InferredResult(
-            atoms=result.atoms,
-            exists=result.exists,
-            pure=result.pure,
-            models=result.models,
-            instantiations=instantiations,
-        )
+        return self._finalize(results, models, location, free_vars)
 
     def infer_at(
         self,

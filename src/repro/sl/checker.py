@@ -189,25 +189,15 @@ class ModelChecker:
     # ------------------------------------------------------------------ API --
 
     def check(self, model: StackHeapModel, formula: SymHeap) -> CheckResult | None:
-        """The reduction of Definition 2, counted in ``checker_misses``."""
-        self.stats.checker_misses += 1
-        return self._check_uncached(model, formula)
-
-    def _check_uncached(self, model: StackHeapModel, formula: SymHeap) -> CheckResult | None:
         """Run the reduction of Definition 2; ``None`` when no reduction exists.
 
-        Counts ``exact_selection_ambiguities`` when the *selection* among
-        valid reductions was enumeration-order dependent: distinct
-        reductions tied at the selected coverage, the solution cap truncated
-        the enumeration, or the step budget expired.  The isomorphism-dedup
-        layer consults that counter because only order-independent
-        selections may be replayed onto address-renamed models -- the
-        enumeration order itself is not renaming-invariant.  (A second
-        full-coverage reduction *after* the early-exit on the first one is
-        necessarily unobserved; full-coverage ties across alpha-equivalent
-        reductions do not occur for the skeleton-shaped candidates
-        Algorithm 2 generates, which pin every argument slot per entry.)
+        Counted in ``checker_misses``.  The selected reduction is the first
+        of maximal coverage in enumeration order; the enumeration stops at
+        the first full-coverage reduction, after ``MAX_SOLUTIONS``
+        reductions, or when the step budget expires.
         """
+        stats = self.stats
+        stats.checker_misses += 1
         env = dict(model.stack)
         unknowns = set(formula.exists)
         # Free variables of the formula must be interpretable by the stack.
@@ -223,7 +213,6 @@ class ModelChecker:
         domain = model.heap.domain()
         available = set(domain)
         best: CheckResult | None = None
-        ambiguous = False
         try:
             for solution_env, avail in self._solve(spatials, pures, env, unknowns, available, model, state, 0):
                 consumed = domain - avail
@@ -239,25 +228,11 @@ class ModelChecker:
                 )
                 if best is None or len(result.consumed) > len(best.consumed):
                     best = result
-                    ambiguous = False
-                elif len(result.consumed) == len(best.consumed) and (
-                    result.residual != best.residual
-                    or result.instantiation != best.instantiation
-                ):
-                    # A distinct reduction tied at the current best size:
-                    # "first of maximal size" now depends on the order.
-                    ambiguous = True
                 state.solutions += 1
-                if result.covers_everything():
-                    break
-                if state.solutions >= MAX_SOLUTIONS:
-                    ambiguous = True
+                if result.covers_everything() or state.solutions >= MAX_SOLUTIONS:
                     break
         except CheckBudgetExceeded:
-            ambiguous = True
-        stats = self.stats
-        if ambiguous:
-            stats.exact_selection_ambiguities += 1
+            pass
         if state.max_trail > stats.max_trail_depth:
             stats.max_trail_depth = state.max_trail
         return best
@@ -623,7 +598,7 @@ class ModelChecker:
     def _iter_skeleton_leaves(self, model: StackHeapModel, skeleton: SymHeap):
         """Raw-leaf enumeration of the skeleton search (EnvStream source).
 
-        Mirrors ``_check_uncached`` exactly -- same free-variable guard,
+        Mirrors :meth:`check` exactly -- same free-variable guard,
         same depth budget -- but yields every leaf ``(env, available,
         deferred pures, unknowns)`` instead of discharging deferred goals
         and selecting a best solution.
@@ -1151,10 +1126,11 @@ def _variant_instantiation(
 ) -> dict[str, int]:
     """The candidate's existential instantiation at one stream entry.
 
-    Mirrors ``_check_uncached``: a fresh argument is bound to whatever the
-    search (or the deferred endgame) pinned its slot to; a fresh name that
-    collides with a stack variable resolves to the stack value (the search
-    seeds its environment from the stack); unconstrained names are omitted.
+    Mirrors :meth:`ModelChecker.check`: a fresh argument is bound to
+    whatever the search (or the deferred endgame) pinned its slot to; a
+    fresh name that collides with a stack variable resolves to the stack
+    value (the search seeds its environment from the stack); unconstrained
+    names are omitted.
     Values read from the entry are decoded into the consumer's addresses
     (``final_env`` is already concrete).
     """

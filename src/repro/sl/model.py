@@ -43,9 +43,11 @@ from repro.sl.exprs import NIL_VALUE
 # the field types decide that exactly; a model where an *integer-typed*
 # field (or integer-typed stack variable) coincidentally holds an allocated
 # address is marked ``exact=False`` and excluded from any sharing, as is
-# every canonicalization performed without struct information.  Consumers
-# (the isomorphism dedup in the driver, the canonical stream keys in the
-# checker) only ever share work between ``exact`` forms.
+# every canonicalization performed without struct information.  The one
+# consumer in the pipeline, the checker's canonical stream keys (built from
+# :meth:`Heap.canonical`), only ever shares work between ``exact`` forms.
+# :meth:`StackHeapModel.canonical` labels a whole model; no pipeline stage
+# calls it, but ``perfbench/layers.py`` times it as the ``sl.model`` layer.
 
 
 class CanonicalForm:

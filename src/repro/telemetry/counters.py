@@ -15,9 +15,9 @@ class CacheStats:
     """Memoization and candidate-screening counters, for one job.
 
     A :class:`~repro.sl.checker.ModelChecker` counts into its own instance
-    (``checker.stats``), the driver adds its memo and dedup counters to that
-    same instance, and ``Sling.cache_counters`` snapshots it together with
-    the unfolding and disk-tier counters kept elsewhere.
+    (``checker.stats``), the driver adds its memo counters and the disk tier
+    its lookups to that same instance, and ``Sling.cache_counters``
+    snapshots it with the registry's unfolding counters filled in.
 
     The one declaration of every counter: ``merge`` and ``as_dict`` are
     derived from these fields.  A field sums when batches merge unless its
@@ -56,22 +56,10 @@ class CacheStats:
     env_stream_reuses: int = field(default=0, metadata={"rate": "stream_reuse_rate"})
     pure_variant_evals: int = 0
     batch_exact_fallbacks: int = 0
-    # Canonical-interning counters (isomorphism dedup in the driver and
-    # canonical stream keys in the checker; see ``docs/performance.md``):
-    # isomorphism classes formed, member models replayed from a class
-    # representative, stream-memo hits that only canonical keying made
-    # possible, and models that took the exact per-model path anyway
-    # (exactness guard, or a location rolled back after an order-dependent
-    # checker selection).
-    iso_classes: int = 0
-    models_deduped: int = 0
+    #: Stream-memo hits that only canonical keying made possible: the
+    #: consumer's heap is an address-renamed copy of the one the stream was
+    #: solved on (see ``docs/performance.md``).
     canonical_stream_hits: int = 0
-    iso_exact_fallbacks: int = 0
-    #: Exact-search selections that were enumeration-order dependent (tied
-    #: best reductions, solution-cap truncation, budget expiry).  The
-    #: isomorphism-dedup layer snapshots this around each location: such
-    #: selections must not be replayed onto address-renamed models.
-    exact_selection_ambiguities: int = 0
     # Columnar-kernel counters (``repro.sl.kernels``): group-kernel
     # invocations, variants resolved via posting-list intersection over the
     # stream slot indexes, and full entry scans actually run for pin-free

@@ -38,33 +38,29 @@ EXPECTED_AS_DICT = {
     "stream_reuse_rate": 0.519,
     "pure_variant_evals": 44,
     "batch_exact_fallbacks": 47,
-    "iso_classes": 50,
-    "models_deduped": 53,
-    "canonical_stream_hits": 56,
-    "iso_exact_fallbacks": 59,
-    "exact_selection_ambiguities": 62,
-    "kernel_groups": 65,
-    "stream_index_hits": 68,
-    "kernel_scan_fallbacks": 71,
-    "disk_hits": 74,
-    "disk_misses": 77,
-    "disk_hit_rate": 0.4901,
-    "disk_evictions": 80,
-    "cache_file_bytes": 83,
-    "disk_load_errors": 86,
-    "jobs_retried": 89,
-    "workers_respawned": 92,
-    "jobs_poisoned": 95,
-    "pool_rebuilds": 98,
-    "degraded_sequential": 101,
-    "faults_injected": 104,
-    "serve_requests": 107,
-    "serve_queue_high_water": 110,
-    "serve_rejections": 113,
-    "serve_deadline_expiries": 116,
-    "serve_client_disconnects": 119,
-    "serve_requests_resumed": 122,
-    "location_memo_hits": 125,
+    "canonical_stream_hits": 50,
+    "kernel_groups": 53,
+    "stream_index_hits": 56,
+    "kernel_scan_fallbacks": 59,
+    "disk_hits": 62,
+    "disk_misses": 65,
+    "disk_hit_rate": 0.4882,
+    "disk_evictions": 68,
+    "cache_file_bytes": 71,
+    "disk_load_errors": 74,
+    "jobs_retried": 77,
+    "workers_respawned": 80,
+    "jobs_poisoned": 83,
+    "pool_rebuilds": 86,
+    "degraded_sequential": 89,
+    "faults_injected": 92,
+    "serve_requests": 95,
+    "serve_queue_high_water": 98,
+    "serve_rejections": 101,
+    "serve_deadline_expiries": 104,
+    "serve_client_disconnects": 107,
+    "serve_requests_resumed": 110,
+    "location_memo_hits": 113,
 }
 
 RATES = ("unfold_hit_rate", "prefilter_rate", "stream_reuse_rate", "disk_hit_rate")

@@ -10,6 +10,7 @@ from repro.core.engine import (
     EngineJob,
     InferenceEngine,
     SpecPayload,
+    warm_worker_state,
 )
 from repro.core.sling import Sling, SlingConfig
 from repro.evaluation.table1 import run_table1
@@ -89,6 +90,13 @@ class TestEngineBasics:
         second = _standalone_run("sll/insertFront").cache_stats()
         assert first["unfold_hits"] > 0
         assert first == second
+
+    def test_warm_worker_state_reports_inherited_state(self):
+        report = warm_worker_state()
+        assert report["predicate_case_screens"] > 0
+        # The intern table's size depends on what this process canonicalized
+        # before (test order is not fixed), so only the key is asserted.
+        assert "interned_canonical_forms" in report
 
 
 def _standalone_run(name: str) -> Sling:

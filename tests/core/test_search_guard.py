@@ -69,10 +69,7 @@ class TestSearchSpaceGuard:
             "candidate_groups",
             "skeletons_solved",
             "env_stream_reuses",
-            "iso_classes",
-            "models_deduped",
             "canonical_stream_hits",
-            "iso_exact_fallbacks",
             # The columnar-kernel shape is deterministic too: invocations,
             # index-resolved variants and full scans run for pin-free
             # variants per workload only move when the grouping or the
@@ -127,7 +124,7 @@ class TestSearchSpaceGuard:
 class TestScreeningNeverChangesResults:
     """The whole fast path is a pure optimisation of the reference search."""
 
-    @pytest.mark.parametrize("name", ("sll/reverse", "dll/append"))
+    @pytest.mark.parametrize("name", WORKLOAD)
     def test_invariants_identical_with_screening_off(self, name):
         benchmark = get_benchmark(name)
 

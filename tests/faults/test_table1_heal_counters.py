@@ -28,10 +28,9 @@ PROGRAM_KEYS = [
     "candidates_generated", "candidates_prefiltered", "candidates_checked",
     "refuted_by_first_model", "pruned_cases", "max_trail_depth",
     "candidate_groups", "skeletons_solved", "env_stream_reuses",
-    "pure_variant_evals", "batch_exact_fallbacks", "iso_classes",
-    "models_deduped", "canonical_stream_hits", "iso_exact_fallbacks",
-    "exact_selection_ambiguities", "kernel_groups", "stream_index_hits",
-    "kernel_scan_fallbacks", "disk_hits", "disk_misses", "disk_evictions",
+    "pure_variant_evals", "batch_exact_fallbacks", "canonical_stream_hits",
+    "kernel_groups", "stream_index_hits", "kernel_scan_fallbacks",
+    "disk_hits", "disk_misses", "disk_evictions",
     "cache_file_bytes", "disk_load_errors", "jobs_retried",
     "workers_respawned", "jobs_poisoned", "pool_rebuilds",
     "degraded_sequential", "faults_injected", "serve_requests",

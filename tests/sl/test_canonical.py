@@ -13,7 +13,8 @@ The contract of :mod:`repro.sl.model`'s canonical layer is twofold:
   renaming.  This holds both for the per-candidate search (trivially: it
   never sees the other model) and, crucially, for the canonical stream
   memo, which *shares* one skeleton search between the original and the
-  permuted copy.
+  permuted copy.  End to end, a location whose models include renamed
+  copies infers on the fast path exactly what ``reference_search`` infers.
 
 The permutations deliberately move addresses into a disjoint high range so
 no renamed address collides with integer data (the exactness guard would
@@ -25,9 +26,13 @@ from __future__ import annotations
 
 import itertools
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.benchsuite.registry import get_benchmark
 from repro.core.infer_atom import Candidate, _candidate_variant
+from repro.core.sling import Sling, SlingConfig
+from repro.sl import checker as checker_module
 from repro.lang.types import standard_structs
 from repro.sl.checker import BATCH_VACUOUS, ModelChecker, build_skeleton
 from repro.sl.model import Heap, HeapCell, StackHeapModel
@@ -257,6 +262,73 @@ def test_shared_canonical_streams_match_exact_checker(size, y_choice, order):
     if size:
         # The permuted copy must have been served from the original's stream.
         assert shared.stats.canonical_stream_hits >= 1
+
+
+def _sll_model(base: int, size: int) -> StackHeapModel:
+    """An sll of ``size`` cells at addresses ``base``, ``base + 1``, ..."""
+    cells = {
+        base + index: HeapCell(
+            "SllNode", {"next": base + index + 1 if index + 1 < size else 0}
+        )
+        for index in range(size)
+    }
+    return StackHeapModel(
+        {"x": base if size else 0, "y": 0},
+        Heap(cells),
+        {"x": "SllNode*", "y": "SllNode*"},
+    )
+
+
+@pytest.mark.parametrize(
+    "models, max_solutions",
+    [
+        pytest.param(
+            # Three shapes presented as five models: sizes 2, 3 and 3 again
+            # under another address layout, a renamed copy of the size-2
+            # model, and size 4.
+            [
+                _sll_model(1, 2),
+                _sll_model(1, 3),
+                _sll_model(700, 3),
+                _sll_model(40, 2),
+                _sll_model(1, 4),
+            ],
+            None,
+            id="renamed-copies",
+        ),
+        pytest.param(
+            # A solution cap of 1 truncates every multi-solution search, so
+            # the selected reduction depends on the enumeration order, which
+            # address renaming does not preserve.
+            [_sll_model(1, 3), _sll_model(600, 3)],
+            1,
+            id="truncated-enumeration",
+        ),
+    ],
+)
+def test_renamed_models_infer_like_reference_search(models, max_solutions, monkeypatch):
+    """Address-renamed copies share canonical streams on the fast path and
+    still infer exactly the invariants of ``reference_search``, which checks
+    every model on its own."""
+    if max_solutions is not None:
+        monkeypatch.setattr(checker_module, "MAX_SOLUTIONS", max_solutions)
+    benchmark = get_benchmark("sll/insertFront")
+
+    def infer(reference_search: bool):
+        sling = Sling(
+            benchmark.program,
+            benchmark.predicates,
+            SlingConfig(discard_crashed_runs=True, reference_search=reference_search),
+        )
+        invariants = sling.infer_from_models(models, location="entry")
+        return [invariant.pretty() for invariant in invariants], sling.checker.stats
+
+    fast, fast_stats = infer(False)
+    reference, _ = infer(True)
+    assert fast
+    assert fast == reference
+    # The renamed copies were served from streams solved on the originals.
+    assert fast_stats.canonical_stream_hits > 0
 
 
 class TestInternTable:

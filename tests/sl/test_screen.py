@@ -159,7 +159,6 @@ class TestCheckerStats:
             "stream_index_hits",
             "kernel_scan_fallbacks",
             "canonical_stream_hits",
-            "exact_selection_ambiguities",
         }
 
 
