@@ -264,8 +264,10 @@ def test_shared_canonical_streams_match_exact_checker(size, y_choice, order):
         assert shared.stats.canonical_stream_hits >= 1
 
 
-def _sll_model(base: int, size: int) -> StackHeapModel:
-    """An sll of ``size`` cells at addresses ``base``, ``base + 1``, ..."""
+def _sll_model(base: int, size: int, y_index: int | None = None) -> StackHeapModel:
+    """An sll of ``size`` cells at addresses ``base``, ``base + 1``, ...
+
+    ``y`` is nil, or points at the cell ``y_index`` steps from the head."""
     cells = {
         base + index: HeapCell(
             "SllNode", {"next": base + index + 1 if index + 1 < size else 0}
@@ -273,7 +275,7 @@ def _sll_model(base: int, size: int) -> StackHeapModel:
         for index in range(size)
     }
     return StackHeapModel(
-        {"x": base if size else 0, "y": 0},
+        {"x": base if size else 0, "y": 0 if y_index is None else base + y_index},
         Heap(cells),
         {"x": "SllNode*", "y": "SllNode*"},
     )
@@ -304,6 +306,24 @@ def _sll_model(base: int, size: int) -> StackHeapModel:
             1,
             id="truncated-enumeration",
         ),
+        pytest.param(
+            # ``y`` aliases a cell inside the list; the renamed copies move
+            # the aliased cell along with the rest of the heap.
+            [
+                _sll_model(1, 3, y_index=1),
+                _sll_model(500, 3, y_index=1),
+                _sll_model(1, 4, y_index=2),
+                _sll_model(90, 4, y_index=2),
+            ],
+            None,
+            id="aliased-stack-var",
+        ),
+        pytest.param(
+            # The empty list next to two layouts of a one-cell list.
+            [_sll_model(1, 0), _sll_model(1, 1), _sll_model(300, 1)],
+            None,
+            id="empty-and-singleton",
+        ),
     ],
 )
 def test_renamed_models_infer_like_reference_search(models, max_solutions, monkeypatch):
@@ -329,6 +349,48 @@ def test_renamed_models_infer_like_reference_search(models, max_solutions, monke
     assert fast == reference
     # The renamed copies were served from streams solved on the originals.
     assert fast_stats.canonical_stream_hits > 0
+
+
+def _fast_path_stats(models: list[StackHeapModel]):
+    benchmark = get_benchmark("sll/insertFront")
+    sling = Sling(
+        benchmark.program,
+        benchmark.predicates,
+        SlingConfig(discard_crashed_runs=True),
+    )
+    invariants = sling.infer_from_models(models, location="entry")
+    return [invariant.pretty() for invariant in invariants], sling.checker.stats
+
+
+@pytest.mark.parametrize(
+    "originals",
+    [
+        pytest.param([_sll_model(1, 2), _sll_model(1, 3)], id="two-lists"),
+        pytest.param(
+            [_sll_model(1, 0), _sll_model(1, 1), _sll_model(1, 5)],
+            id="with-empty-list",
+        ),
+    ],
+)
+def test_renamed_copies_add_no_skeleton_search(originals):
+    """Each model of a location runs Algorithm 2 on its own, but a renamed
+    copy of a nil-terminated list already seen solves no skeleton search of
+    its own: its streams are served, through the canonical stream key, from
+    the ones solved on the original.
+
+    (A residual heap whose cells point outside it keeps those pointers as
+    concrete values in its canonical form, so the copies of an aliased
+    list do search some residuals again.)"""
+    copies = [
+        _permute(model, {addr: 2000 + addr for addr in model.heap})
+        for model in originals
+    ]
+    alone, alone_stats = _fast_path_stats(originals)
+    doubled, doubled_stats = _fast_path_stats(originals + copies)
+    assert alone
+    assert doubled == alone
+    assert doubled_stats.skeletons_solved == alone_stats.skeletons_solved
+    assert doubled_stats.canonical_stream_hits > alone_stats.canonical_stream_hits
 
 
 class TestInternTable:
