@@ -10,8 +10,9 @@ from typing import Callable, Iterable, Sequence
 from repro.core.results import Invariant, Specification
 from repro.lang.ast import Program
 from repro.lang.tracer import TestCase
+from repro.sl.exprs import Eq, pure_conjuncts
 from repro.sl.predicates import PredicateRegistry
-from repro.sl.spatial import PredApp
+from repro.sl.spatial import PointsTo, PredApp
 
 #: Category modules loaded by :func:`load_all`, in Table 1 order.
 _CATEGORY_MODULES = [
@@ -163,16 +164,12 @@ def _describes_variable(invariant: Invariant, var: str | None) -> bool:
     """
     if var is None:
         return True
-    from repro.sl.checker import _pure_conjuncts
-    from repro.sl.exprs import Eq
-    from repro.sl.spatial import PointsTo
-
     for atom in invariant.formula.spatial_atoms():
         if isinstance(atom, PredApp) and atom.args and getattr(atom.args[0], "name", None) == var:
             return True
         if isinstance(atom, PointsTo) and getattr(atom.source, "name", None) == var:
             return True
-    for conjunct in _pure_conjuncts(invariant.formula.pure):
+    for conjunct in pure_conjuncts(invariant.formula.pure):
         if isinstance(conjunct, Eq):
             names = {getattr(conjunct.left, "name", None), getattr(conjunct.right, "name", None)}
             if var in names:
@@ -276,15 +273,13 @@ def loop_with_pred(
 
 def pure_post_equality(left: str, right: str, description: str | None = None) -> DocumentedProperty:
     """Documented post property: a pure equality (e.g. ``res = x``) holds at exit."""
-    from repro.sl.checker import _pure_conjuncts
-    from repro.sl.exprs import Eq
 
     def check(spec: Specification) -> bool:
         for invariants in spec.postconditions.values():
             for invariant in invariants:
                 if invariant.spurious:
                     continue
-                for conjunct in _pure_conjuncts(invariant.formula.pure):
+                for conjunct in pure_conjuncts(invariant.formula.pure):
                     if isinstance(conjunct, Eq):
                         names = {
                             getattr(conjunct.left, "name", "nil"),

@@ -30,7 +30,7 @@ import io
 import pickle
 
 from repro.sl import exprs
-from repro.sl.checker import STREAM_MAX_ENTRIES, EnvStream, _StreamEntry
+from repro.sl.stream import EnvStream, _StreamEntry
 from repro.sl.model import CanonicalForm
 
 #: The only globals a payload may name: the pure-formula node classes that
@@ -115,7 +115,7 @@ def decode_stream(payload: bytes) -> EnvStream:
     canonical-keying win.
     """
     data = _loads(payload)
-    stream = EnvStream(None, tuple(data["slot_names"]), 0, STREAM_MAX_ENTRIES)
+    stream = EnvStream(None, tuple(data["slot_names"]), 0)
     for values, avail, nconsumed, env, unknowns, deferred in data["entries"]:
         entry = _StreamEntry()
         entry.values = tuple(values)

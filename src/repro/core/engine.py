@@ -66,7 +66,7 @@ from repro.faults import (
     maybe_inject,
     set_current_attempt,
 )
-from repro.sl.checker import stream_pool
+from repro.sl.stream import stream_pool
 from repro.telemetry import monotime
 from repro.telemetry.counters import CacheStats
 
@@ -417,7 +417,7 @@ class InferenceEngine:
         only the budget remaining when it actually starts.
 
         A batch of two or more jobs shares one stream memo
-        (:func:`repro.sl.checker.stream_pool`): later jobs reuse the
+        (:func:`repro.sl.stream.stream_pool`): later jobs reuse the
         skeleton streams earlier ones enumerated, with identical results.
         Forked pool workers inherit the empty memo and each fills its own;
         the memo is dropped when the batch returns or raises.

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-from repro.sl.exprs import PureFormula
+from repro.sl.exprs import PureFormula, pure_conjuncts
 from repro.sl.model import StackHeapModel
 from repro.sl.pretty import pretty
 from repro.sl.spatial import PointsTo, PredApp, Spatial, SymHeap
@@ -85,9 +85,7 @@ class Invariant:
 
     def pure_count(self) -> int:
         """Number of pure conjuncts (equalities) in the invariant."""
-        from repro.sl.checker import _pure_conjuncts
-
-        return len(_pure_conjuncts(self.formula.pure))
+        return len(pure_conjuncts(self.formula.pure))
 
     def is_useful(self) -> bool:
         """True when the invariant says something beyond ``emp``/``true``."""

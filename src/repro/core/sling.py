@@ -58,8 +58,8 @@ class SlingConfig:
 
     The search budgets of the paper's setup are module constants next to
     their readers (this module, :mod:`repro.core.infer_atom`,
-    :mod:`repro.sl.checker`, :mod:`repro.lang.interp`); see the "Fixed
-    budgets" table in ``docs/performance.md``.
+    :mod:`repro.sl.search`, :mod:`repro.sl.stream`, :mod:`repro.lang.interp`);
+    see the "Fixed budgets" table in ``docs/performance.md``.
     """
 
     #: Run the reference search instead of the fast path: every candidate

@@ -470,6 +470,18 @@ class And(PureFormula):
         return ("and", *[part.skey(ren) for part in self.parts])
 
 
+def pure_conjuncts(pure: PureFormula) -> list[PureFormula]:
+    """Flatten a pure formula into a list of conjuncts (``true`` has none)."""
+    if isinstance(pure, TrueF):
+        return []
+    if isinstance(pure, And):
+        result: list[PureFormula] = []
+        for part in pure.parts:
+            result.extend(pure_conjuncts(part))
+        return result
+    return [pure]
+
+
 @dataclass(frozen=True)
 class Or(PureFormula):
     """Disjunction of pure formulae."""

@@ -2,7 +2,7 @@
 
 ``ModelChecker._check_batch`` settles every
 :class:`~repro.sl.checker.PureVariant` of a candidate group against one model
-in a single pass over the shared :class:`~repro.sl.checker.EnvStream`'s
+in a single pass over the shared :class:`~repro.sl.stream.EnvStream`'s
 columnar side-representation, instead of one scan of the stream per variant.
 
 The kernel works in two steps:
@@ -16,6 +16,11 @@ The kernel works in two steps:
    candidate entries are examined (entries carrying deferred pure goals
    still re-run :func:`_endgame` per variant).
 
+Every stream stores its entries in canonical space, and the consumer's
+:class:`~repro.sl.model.HeapCanon` is the ``view`` that translates: query
+values are encoded into canonical space, environments, availability sets and
+instantiation values are decoded back into the consumer's addresses.
+
 On top of the indexes sits a *settle-record memo* (``EnvStream._settle_cache``):
 the match/best-size/tie computation depends only on ``(pinned positions,
 encoded values)`` -- every variant pinning the same values shares one record,
@@ -23,21 +28,20 @@ and only the final per-variant instantiation step (:func:`_finish`) runs
 separately.  Because streams are memoized across groups and batches, the
 record for the ubiquitous pin-free (all-fresh-argument) variant is computed
 once per stream instead of once per consulting group.  Records from a stream
-without deferred goals are view-independent (matching happens in the stream's
-own coordinate space) and shared across all consumers; a stream with deferred
-goals re-runs the endgame under each consumer's decoded environment, so its
-records are additionally keyed by the consumer's canonical labeling (a stable,
-per-(heap, root) memoized object).
+without deferred goals are view-independent (matching happens in canonical
+space) and shared across all consumers; a stream with deferred goals re-runs
+the endgame under each consumer's decoded environment, so its records are
+additionally keyed by the consumer's labeling (``from_addr``).
 
 Exactness: verdicts replicate the exact search's selection rule.  The posting
 intersection enumerates candidates in ascending entry order -- the stream's
 enumeration order -- so "first solution of maximal consumed size" holds, and
 whenever the selection could depend on the per-candidate enumeration order
 (incomplete stream, more than ``MAX_SOLUTIONS`` matches, ambiguous ties) the
-verdict is ``_UNDECIDED`` and the caller runs the exact search.  The
+verdict is :data:`UNDECIDED` and the caller runs the exact search.  The
 equivalence suite (``tests/sl/test_kernels.py``) asserts every settled
-verdict against the reference ``ModelChecker.check`` under both stream-view
-kinds.
+verdict against the reference :func:`repro.sl.search.reduce`, for streams
+under canonical and under concrete keys.
 
 Counters (the checker's :class:`~repro.telemetry.counters.CacheStats`):
 ``kernel_groups`` counts kernel invocations (one per group x model),
@@ -49,11 +53,15 @@ variants (settle-record misses, so at most one per invocation);
 
 from __future__ import annotations
 
-from repro.sl import checker as checker_module
-from repro.sl.checker import CheckResult, _UNDECIDED, _variant_instantiation
+from repro.sl import search
+from repro.sl.search import CheckResult, discharge_deferred
+
+#: Verdict of the group kernel: the stream cannot settle this (variant,
+#: model) pair exactly; the caller must run the exact search.
+UNDECIDED = object()
 
 #: Settle record for a pinned-value combination that matched more than
-#: ``MAX_SOLUTIONS`` entries -- every variant sharing it is ``_UNDECIDED``.
+#: ``MAX_SOLUTIONS`` entries -- every variant sharing it is ``UNDECIDED``.
 _OVERFLOW = object()
 
 #: Cache-miss sentinel (``None`` is a valid record: a sound refutation).
@@ -76,21 +84,20 @@ def decide_group(
     the resolved slot requirements of each still-live variant (``positions``
     and ``values`` aligned, values in the consumer's concrete space).
     Returns one verdict per item, aligned: ``None`` for a sound refutation,
-    a :class:`CheckResult` when the stream settles the pair exactly, or the
-    ``_UNDECIDED`` sentinel when only the exact search can.  The verdicts
+    a :class:`CheckResult` when the stream settles the pair exactly, or
+    :data:`UNDECIDED` when only the exact search can.  The verdicts
     depend only on the stream, the view and the work items.
     """
     stats = checker.stats
     stats.kernel_groups += 1
     if not stream.ensure():
         # Every verdict off an incomplete stream depends on the unobserved
-        # tail, so all of them are ``_UNDECIDED`` and the kernel skips the
+        # tail, so all of them are ``UNDECIDED`` and the kernel skips the
         # per-entry work entirely.
-        return [_UNDECIDED] * len(work)
+        return [UNDECIDED] * len(work)
 
     entries = stream.entries
-    max_solutions = checker_module.MAX_SOLUTIONS
-    discharge = checker._discharge_deferred
+    max_solutions = search.MAX_SOLUTIONS
     cache = stream._settle_cache
     if cache is None:
         cache = stream._settle_cache = {}
@@ -103,15 +110,12 @@ def decide_group(
     # structural on purpose: consumer heaps are ephemeral (phase-3 models
     # chain through freshly built residuals), but address-identical
     # consumers of one canonical form keep producing the same ``from_addr``
-    # and so keep hitting the same records.  The identity view decodes
-    # nothing, so its records need no consumer component either.
-    consumer = None
-    if stream.has_deferred() and view.canon is not None:
-        consumer = view.canon.from_addr
+    # and so keep hitting the same records.
+    consumer = view.from_addr if stream.has_deferred() else None
 
     verdicts: list = []
     for _, variant, positions, values in work:
-        encoded = view.encode_values(values)
+        encoded = view.encode(values)
         if positions:
             stats.stream_index_hits += 1
         key = (positions, encoded, consumer)
@@ -131,8 +135,7 @@ def decide_group(
                 candidates = range(len(entries))
             names = tuple(slot_names[position] for position in positions)
             record = cache[key] = _settle_indexed(
-                stats, entries, candidates, names, discharge,
-                max_solutions, values, view,
+                stats, entries, candidates, names, max_solutions, values, view
             )
         verdicts.append(
             _verdict(record, variant, slot_names, stack, model, domain, view)
@@ -192,9 +195,7 @@ def _merge(left: list[int], right: list[int]) -> list[int]:
     return merged
 
 
-def _settle_indexed(
-    stats, entries, candidates, names, discharge, max_solutions, values, view,
-):
+def _settle_indexed(stats, entries, candidates, names, max_solutions, values, view):
     """Settle one pinned-value combination from its candidate entry indices.
 
     ``candidates`` are ascending entry indices: a pinned combination's index
@@ -216,7 +217,7 @@ def _settle_indexed(
         if entry.deferred is None:
             final_env = None
         else:
-            final_env = _endgame(entry, names, values, view, discharge)
+            final_env = _endgame(entry, names, values, view)
             if final_env is None:
                 continue
         matches += 1
@@ -235,19 +236,19 @@ def _settle_indexed(
     return tied
 
 
-def _endgame(entry, names, concrete, view, discharge):
+def _endgame(entry, names, concrete, view):
     """Re-run one entry's deferred pure goals under a variant's pins.
 
     Decodes the entry's environment into the consumer's addresses, binds
     each pinned slot name the leaf left unbound to the variant's concrete
-    value, and runs ``discharge`` (``ModelChecker._discharge_deferred``).
-    Returns the witness environment or ``None``.
+    value, and runs :func:`repro.sl.search.discharge_deferred`.  Returns
+    the witness environment or ``None``.
     """
     env = view.decode_env(entry.env)
     for name, value in zip(names, concrete):
         if env.get(name) is None:
             env[name] = value
-    return discharge(list(entry.deferred), env, entry.unknowns)
+    return discharge_deferred(list(entry.deferred), env, entry.unknowns)
 
 
 def _verdict(record, variant, slot_names, stack, model, domain, view):
@@ -255,7 +256,7 @@ def _verdict(record, variant, slot_names, stack, model, domain, view):
     if record is None:
         return None
     if record is _OVERFLOW:
-        return _UNDECIDED
+        return UNDECIDED
     return _finish(record, variant, slot_names, stack, model, domain, view)
 
 
@@ -272,15 +273,40 @@ def _finish(tied, variant, slot_names, stack, model, domain, view):
     )
     for entry, final_env in tied[1:]:
         if entry.avail != chosen_entry.avail:
-            return _UNDECIDED
+            return UNDECIDED
         if (
             _variant_instantiation(variant, entry, final_env, stack, slot_names, view)
             != instantiation
         ):
-            return _UNDECIDED
+            return UNDECIDED
     avail = view.decode_avail(chosen_entry.avail)
     return CheckResult(
         residual=model.heap.restrict(avail),
         instantiation=instantiation,
         consumed=domain - avail,
     )
+
+
+def _variant_instantiation(variant, entry, final_env, stack, slot_names, view):
+    """The candidate's existential instantiation at one stream entry.
+
+    Mirrors :func:`repro.sl.search.reduce`: a fresh argument is bound to
+    whatever the search (or the deferred endgame) pinned its slot to; a
+    fresh name that collides with a stack variable resolves to the stack
+    value (the search seeds its environment from the stack); unconstrained
+    names are omitted.  Values read from the entry are decoded into the
+    consumer's addresses (``final_env`` is already concrete).
+    """
+    instantiation: dict[str, int] = {}
+    for position, name in variant.free_slots:
+        stack_value = stack.get(name)
+        if stack_value is not None:
+            instantiation[name] = stack_value
+            continue
+        if final_env is not None:
+            value = final_env.get(slot_names[position])
+        else:
+            value = view.decode(entry.values[position])
+        if value is not None:
+            instantiation[name] = value
+    return instantiation

@@ -110,6 +110,10 @@ class HeapCanon:
     canonical forms; ``from_addr`` is the inverse (index 0 unused).  ``exact``
     is the exactness guard described in the module notes; ``root_tag`` is the
     encoded seed value (``('a', 1)`` whenever the seed is allocated).
+
+    The labeling is also the *view* through which one consumer reads a
+    skeleton stream (:mod:`repro.sl.stream`): the methods below translate
+    between this heap's concrete values and the stream's canonical space.
     """
 
     __slots__ = ("form", "exact", "to_id", "to_tag", "from_addr", "root_tag")
@@ -122,15 +126,30 @@ class HeapCanon:
         self.from_addr = from_addr
         self.root_tag = root_tag
 
-    def encode(self, value: int):
-        """Canonical-space image of a concrete value (tag or raw)."""
-        return self.to_tag.get(value, value)
+    def encode(self, values: tuple) -> tuple:
+        """Canonical-space images of concrete values (tags or raw)."""
+        to_tag = self.to_tag
+        return tuple(to_tag.get(value, value) for value in values)
 
     def decode(self, value):
         """Concrete image of a canonical-space value (tag or raw)."""
         if type(value) is tuple:
             return self.from_addr[value[1]]
         return value
+
+    def decode_avail(self, ids: frozenset) -> frozenset:
+        """Concrete addresses of a set of canonical ids."""
+        from_addr = self.from_addr
+        return frozenset(from_addr[cid] for cid in ids)
+
+    def decode_env(self, env: dict) -> dict:
+        """A fresh, concrete copy of a canonical-space environment (always a
+        copy: the kernel's endgame extends it in place)."""
+        from_addr = self.from_addr
+        return {
+            name: from_addr[value[1]] if type(value) is tuple else value
+            for name, value in env.items()
+        }
 
 
 class ModelCanon:

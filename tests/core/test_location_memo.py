@@ -1,6 +1,6 @@
 """Whole-location results shared through the stream memo.
 
-Inside an engine batch (:func:`repro.sl.checker.stream_pool`) a location
+Inside an engine batch (:func:`repro.sl.stream.stream_pool`) a location
 whose models, registry, struct definitions, free variables and variable
 order equal those of an earlier job is served from the memo's
 ``locations`` table instead of running Algorithm 1 again.  These tests pin
@@ -29,7 +29,7 @@ from repro.core.sling import Sling, SlingConfig
 from repro.lang.ast import Program
 from repro.lang.tracer import Location
 from repro.lang.types import StructDef, StructRegistry
-from repro.sl.checker import stream_pool
+from repro.sl.stream import stream_pool
 from repro.sl.model import Heap, StackHeapModel
 from repro.sl.pretty import pretty
 from repro.sl.stdpreds import standard_predicates

@@ -1,7 +1,7 @@
 """The jobs of an engine batch share one stream memo.
 
 An engine batch of two or more jobs opens one stream memo
-(:func:`repro.sl.checker.stream_pool`): every checker built in the batch
+(:func:`repro.sl.stream.stream_pool`): every checker built in the batch
 reads and fills it, so a later job takes the streams an earlier job
 enumerated instead of solving the skeleton again.  These tests pin what
 that may and may not change:
@@ -45,9 +45,11 @@ from repro.evaluation.table1 import (
     evaluate_program,
     run_table1,
 )
-from repro.sl import checker as checker_module
-from repro.sl.checker import EnvStream, ModelChecker
-from repro.sl.model import CanonicalForm
+from repro.sl import search as search_module
+from repro.sl import stream as stream_module
+from repro.sl.checker import ModelChecker
+from repro.sl.model import CanonicalForm, Heap, HeapCell
+from repro.sl.stream import EnvStream
 
 _ROOT = Path(__file__).resolve().parents[2]
 
@@ -59,7 +61,7 @@ SUBSET = {"categories": ("SLL", "DLL"), "max_programs_per_category": 4, "seed": 
 def _recording_memos(monkeypatch):
     """Collect every memo the engine opens."""
     memos = []
-    open_memo = checker_module.stream_pool
+    open_memo = stream_module.stream_pool
 
     @contextmanager
     def recorded():
@@ -137,7 +139,7 @@ def test_pool_saves_solves_without_changing_the_search(sweeps):
 def test_sweep_shares_one_bounded_memo(sweeps):
     _, _, memos = sweeps
     assert len(memos) == 1
-    assert 0 < len(memos[0]) <= checker_module._STREAM_MEMO_LIMIT
+    assert 0 < len(memos[0]) <= stream_module._STREAM_MEMO_LIMIT
 
 
 @pytest.mark.parametrize("limit", ("max_steps", "entry_cap"))
@@ -147,10 +149,10 @@ def test_cut_off_streams_are_never_published(limit, monkeypatch):
     benchmark = get_benchmark("dll/concat")
     config = SlingConfig(discard_crashed_runs=True)
     if limit == "max_steps":
-        monkeypatch.setattr(checker_module, "MAX_STEPS", 40)
+        monkeypatch.setattr(search_module, "MAX_STEPS", 40)
     else:
-        monkeypatch.setattr(checker_module, "STREAM_MAX_ENTRIES", 2)
-    with checker_module.stream_pool():
+        monkeypatch.setattr(stream_module, "STREAM_MAX_ENTRIES", 2)
+    with stream_module.stream_pool():
         sling = Sling(benchmark.program, benchmark.predicates, config)
         sling.infer_function(benchmark.function, benchmark.test_cases(0))
     cut_off = [
@@ -176,7 +178,8 @@ def test_interrupted_enumeration_leaves_the_stream_empty_and_restartable():
             raise engine_module._JobTimeout
         yield {"x": 1}, set(), [], set()
 
-    stream = EnvStream(leaves, ("x",), 2, 16)
+    cells = {addr: HeapCell("SllNode", {"next": 0}) for addr in (1, 2)}
+    stream = EnvStream(leaves, ("x",), 2, Heap(cells).canonical(1))
     with pytest.raises(engine_module._JobTimeout):
         stream.ensure()
     assert stream.entries == []
@@ -205,10 +208,10 @@ def test_stream_interrupted_in_one_job_is_completed_by_the_next(monkeypatch):
         first.setdefault("stream", stream)
         return stream, view
 
-    iter_leaves = ModelChecker._iter_skeleton_leaves
+    iter_leaves = search_module.skeleton_leaves
 
-    def interrupted_once(self, model, skeleton):
-        leaves = iter_leaves(self, model, skeleton)
+    def interrupted_once(registry, stats, model, skeleton):
+        leaves = iter_leaves(registry, stats, model, skeleton)
         if first.get("interrupted"):
             yield from leaves
             return
@@ -217,7 +220,7 @@ def test_stream_interrupted_in_one_job_is_completed_by_the_next(monkeypatch):
         raise engine_module._JobTimeout
 
     monkeypatch.setattr(ModelChecker, "_get_stream", recording_get)
-    monkeypatch.setattr(ModelChecker, "_iter_skeleton_leaves", interrupted_once)
+    monkeypatch.setattr(search_module, "skeleton_leaves", interrupted_once)
     jobs = [
         EngineJob(kind="spec", benchmark="sll/insertFront", seed=0, timeout=600.0)
         for _ in range(2)

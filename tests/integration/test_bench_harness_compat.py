@@ -37,3 +37,36 @@ def test_layer_entry_resolves(layer, owner_spec, names):
         owner = getattr(owner, class_name)
     for name in names:
         assert callable(getattr(owner, name)), f"{layer}: {owner_spec}.{name}"
+
+
+def test_wrappers_installed_after_a_checker_is_built_still_count(monkeypatch):
+    """The ``sl.kernels`` and ``sl.checker.stream`` layers wrap
+    ``decide_group`` on its module and ``EnvStream.ensure`` on its class.
+    A checker built before the wrappers were installed must still call
+    them, or those layers would silently read 0."""
+    from repro.lang.types import standard_structs
+    from repro.sl import kernels
+    from repro.sl.checker import EnvStream, ModelChecker, PureVariant, build_skeleton
+    from repro.sl.model import Heap, HeapCell, StackHeapModel
+    from repro.sl.parser import parse_formula
+    from repro.sl.stdpreds import standard_predicates
+
+    checker = ModelChecker(standard_predicates(), structs=standard_structs())
+    calls = {"decide_group": 0, "ensure": 0}
+
+    def counting(name, function):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return function(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(kernels, "decide_group", counting("decide_group", kernels.decide_group))
+    monkeypatch.setattr(EnvStream, "ensure", counting("ensure", EnvStream.ensure))
+    cells = {1: HeapCell("SllNode", {"next": 2}), 2: HeapCell("SllNode", {"next": 0})}
+    model = StackHeapModel({"x": 1}, Heap(cells), {"x": "SllNode*"})
+    variant = PureVariant(parse_formula("lseg(x, nil)"), var_slots=(), nil_slots=(1,))
+    (outcome,) = checker.check_batch([model], build_skeleton("lseg", 2, "x", 0), [variant])
+    assert outcome is not None
+    assert calls["decide_group"] > 0
+    assert calls["ensure"] > 0

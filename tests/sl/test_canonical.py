@@ -32,10 +32,10 @@ from hypothesis import given, settings, strategies as st
 from repro.benchsuite.registry import get_benchmark
 from repro.core.infer_atom import Candidate, _candidate_variant
 from repro.core.sling import Sling, SlingConfig
-from repro.sl import checker as checker_module
 from repro.lang.types import standard_structs
+from repro.sl import search as search_module
 from repro.sl.checker import BATCH_VACUOUS, ModelChecker, build_skeleton
-from repro.sl.model import Heap, HeapCell, StackHeapModel
+from repro.sl.model import CanonicalForm, Heap, HeapCell, StackHeapModel
 from repro.sl.parser import parse_formula
 from repro.sl.spatial import PredApp, SymHeap
 from repro.sl.stdpreds import standard_predicates
@@ -281,8 +281,22 @@ def _sll_model(base: int, size: int, y_index: int | None = None) -> StackHeapMod
     )
 
 
+def _snode_model(base: int, data: list[int]) -> StackHeapModel:
+    """A sorted-list node chain at ``base``, ``base + 1``, ... holding
+    ``data``; a datum equal to an allocated address makes the heap's
+    canonical labeling non-exact."""
+    cells = {
+        base + index: HeapCell(
+            "SNode",
+            {"next": base + index + 1 if index + 1 < len(data) else 0, "data": value},
+        )
+        for index, value in enumerate(data)
+    }
+    return StackHeapModel({"x": base if data else 0}, Heap(cells), {"x": "SNode*"})
+
+
 @pytest.mark.parametrize(
-    "models, max_solutions",
+    "models, max_solutions, keys, name",
     [
         pytest.param(
             # Three shapes presented as five models: sizes 2, 3 and 3 again
@@ -296,6 +310,8 @@ def _sll_model(base: int, size: int, y_index: int | None = None) -> StackHeapMod
                 _sll_model(1, 4),
             ],
             None,
+            "canonical",
+            "sll/insertFront",
             id="renamed-copies",
         ),
         pytest.param(
@@ -304,6 +320,8 @@ def _sll_model(base: int, size: int, y_index: int | None = None) -> StackHeapMod
             # address renaming does not preserve.
             [_sll_model(1, 3), _sll_model(600, 3)],
             1,
+            "canonical",
+            "sll/insertFront",
             id="truncated-enumeration",
         ),
         pytest.param(
@@ -316,23 +334,50 @@ def _sll_model(base: int, size: int, y_index: int | None = None) -> StackHeapMod
                 _sll_model(90, 4, y_index=2),
             ],
             None,
+            "canonical",
+            "sll/insertFront",
             id="aliased-stack-var",
         ),
         pytest.param(
             # The empty list next to two layouts of a one-cell list.
             [_sll_model(1, 0), _sll_model(1, 1), _sll_model(300, 1)],
             None,
+            "canonical",
+            "sll/insertFront",
             id="empty-and-singleton",
+        ),
+        pytest.param(
+            # Without structs no labeling is exact: every stream is keyed
+            # on its concrete (root value, heap), renamed copies included.
+            [_sll_model(1, 2), _sll_model(1, 3), _sll_model(700, 3)],
+            None,
+            "concrete",
+            "sll/insertFront",
+            id="checker-without-structs",
+        ),
+        pytest.param(
+            # An int field holding an allocated address (data 2 at address
+            # 2, data 21 at address 21): those heaps keep concrete keys.
+            [_snode_model(1, [4, 2]), _snode_model(20, [21, 5, 9]), _snode_model(40, [3, 7])],
+            None,
+            "mixed",
+            "sorted/insert",
+            id="non-exact-heap",
         ),
     ],
 )
-def test_renamed_models_infer_like_reference_search(models, max_solutions, monkeypatch):
+def test_renamed_models_infer_like_reference_search(
+    models, max_solutions, keys, name, monkeypatch
+):
     """Address-renamed copies share canonical streams on the fast path and
     still infer exactly the invariants of ``reference_search``, which checks
-    every model on its own."""
+    every model on its own.  ``keys`` says which stream keys the fast path
+    uses: a heap without an exact labeling keeps a concrete key, shares
+    nothing, and its stream never enters the memo's ``finished`` log, which
+    is what a disk flush writes."""
     if max_solutions is not None:
-        monkeypatch.setattr(checker_module, "MAX_SOLUTIONS", max_solutions)
-    benchmark = get_benchmark("sll/insertFront")
+        monkeypatch.setattr(search_module, "MAX_SOLUTIONS", max_solutions)
+    benchmark = get_benchmark(name)
 
     def infer(reference_search: bool):
         sling = Sling(
@@ -340,15 +385,28 @@ def test_renamed_models_infer_like_reference_search(models, max_solutions, monke
             benchmark.predicates,
             SlingConfig(discard_crashed_runs=True, reference_search=reference_search),
         )
+        if keys == "concrete":
+            sling.checker.structs = None
         invariants = sling.infer_from_models(models, location="entry")
-        return [invariant.pretty() for invariant in invariants], sling.checker.stats
+        return [invariant.pretty() for invariant in invariants], sling.checker
 
-    fast, fast_stats = infer(False)
+    fast, checker = infer(False)
     reference, _ = infer(True)
     assert fast
     assert fast == reference
-    # The renamed copies were served from streams solved on the originals.
-    assert fast_stats.canonical_stream_hits > 0
+    memo = checker._streams
+    concrete = [key for key in memo if not isinstance(key[-1], CanonicalForm)]
+    assert all(isinstance(key[-1], CanonicalForm) for key in memo.finished)
+    if keys == "canonical":
+        assert not concrete
+        # The renamed copies were served from streams solved on the originals.
+        assert checker.stats.canonical_stream_hits > 0
+    elif keys == "concrete":
+        assert len(concrete) == len(memo) > 0
+        assert checker.stats.canonical_stream_hits == 0
+        assert not memo.finished
+    else:
+        assert 0 < len(concrete) < len(memo)
 
 
 def _fast_path_stats(models: list[StackHeapModel]):

@@ -5,7 +5,7 @@ predicate unfolding cache) never changes any result -- for every
 (formula, model) pair, including alpha-variants of the same formula.
 """
 
-from repro.sl.checker import ModelChecker, canonical_formula_key
+from repro.sl.checker import ModelChecker
 from repro.sl.model import Heap, HeapCell, StackHeapModel
 from repro.sl.parser import parse_formula
 from repro.sl.stdpreds import standard_predicates
@@ -62,21 +62,21 @@ class TestCheckerCacheCorrectness:
         assert bad is None
 
 
-class TestCanonicalFormulaKey:
+class TestStructuralKey:
     def test_alpha_variants_collide(self):
         first = parse_formula("exists n. x -> SllNode{next: n} * sll(n)")
         second = parse_formula("exists q. x -> SllNode{next: q} * sll(q)")
-        assert canonical_formula_key(first) == canonical_formula_key(second)
+        assert first.structural_key() == second.structural_key()
 
     def test_argument_order_distinguishes(self):
         first = parse_formula("exists a, b. lseg(a, b)")
         second = parse_formula("exists a, b. lseg(b, a)")
-        assert canonical_formula_key(first) != canonical_formula_key(second)
+        assert first.structural_key() != second.structural_key()
 
     def test_free_variables_are_preserved(self):
         first = parse_formula("sll(x)")
         second = parse_formula("sll(y)")
-        assert canonical_formula_key(first) != canonical_formula_key(second)
+        assert first.structural_key() != second.structural_key()
 
 
 class TestUnfoldCache:
@@ -90,7 +90,7 @@ class TestUnfoldCache:
             plain = dll.cases[index].instantiate(dll.params, args)
             for _ in range(3):  # first call fills, later calls hit
                 cached = dll.instantiate_case(index, args)
-                assert canonical_formula_key(cached) == canonical_formula_key(plain)
+                assert cached.structural_key() == plain.structural_key()
         info = dll.unfold_cache_info()
         assert info["hits"] >= 4
         assert info["entries"] >= 2

@@ -6,17 +6,18 @@ The contract under test is the exactness guarantee of
 
 * a plain per-variant *scan* of the stream applying the exact search's
   selection rule -- the kernel's verdict (``None`` refutation,
-  ``_UNDECIDED`` sentinel or settled :class:`CheckResult`) must be the same
+  ``UNDECIDED`` sentinel or settled :class:`CheckResult`) must be the same
   object kind and value;
 * the reference ``ModelChecker.check`` of the variant's own formula --
-  every verdict other than ``_UNDECIDED`` (which makes the caller run the
+  every verdict other than ``UNDECIDED`` (which makes the caller run the
   exact search) must be exactly its result.
 
 The property tests drive randomized sll / dll / tree / sorted-list
 workloads through the full candidate lattice of a predicate, under both
-stream-view kinds: concretely-keyed streams (identity view) and
-canonically-keyed streams (address-translating view).  The unit tests pin
-each ``_UNDECIDED`` trigger (incomplete stream, ``MAX_SOLUTIONS`` overflow,
+stream keys: concrete keys (a checker without structs) and canonical keys.
+Either way the stream is stored in canonical space and read through the
+model heap's :class:`~repro.sl.model.HeapCanon`.  The unit tests pin
+each ``UNDECIDED`` trigger (incomplete stream, ``MAX_SOLUTIONS`` overflow,
 tie-ambiguity between distinct best reductions) deterministically and
 exercise the kernel's slot matching (posting-list resolution plus the
 deferred endgame) against a plain reference closure on synthetic entries.
@@ -35,17 +36,13 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.infer_atom import Candidate, _candidate_variant
 from repro.lang.types import standard_structs
-from repro.sl import checker as checker_module
 from repro.sl import kernels
-from repro.sl.checker import (
-    CheckResult,
-    EnvStream,
-    ModelChecker,
-    _IDENTITY_VIEW,
-    _UNDECIDED,
-    _variant_instantiation,
-    build_skeleton,
-)
+from repro.sl import search as search_module
+from repro.sl import stream as stream_module
+from repro.sl.checker import CheckResult, ModelChecker, build_skeleton
+from repro.sl.kernels import UNDECIDED, _variant_instantiation
+from repro.sl.search import discharge_deferred
+from repro.sl.stream import EnvStream
 from repro.sl.exprs import Nil, Var
 from repro.sl.model import Heap, HeapCell, StackHeapModel
 from repro.sl.spatial import PredApp, SymHeap
@@ -89,11 +86,13 @@ def _tree_heap(size: int) -> dict[int, HeapCell]:
     return cells
 
 
-def _sorted_heap(values: list[int]) -> dict[int, HeapCell]:
+def _sorted_heap(values: list[int], descending: bool = False) -> dict[int, HeapCell]:
+    """A list holding ``values`` at addresses 1..n, in list order or (with
+    ``descending``) in reverse, where canonical ids differ from addresses."""
     cells = {}
     next_addr = 0
     for index in range(len(values) - 1, -1, -1):
-        addr = index + 1
+        addr = len(values) - index if descending else index + 1
         cells[addr] = HeapCell("SNode", {"next": next_addr, "data": values[index]})
         next_addr = addr
     return cells
@@ -177,7 +176,7 @@ def _reference_matcher(positions, slot_names, discharge):
 def _verdict_key(verdict):
     if verdict is None:
         return "refuted"
-    if verdict is _UNDECIDED:
+    if verdict is UNDECIDED:
         return "undecided"
     return (verdict.residual, dict(verdict.instantiation), set(verdict.consumed))
 
@@ -193,11 +192,11 @@ def _scan_verdict(checker, stream, view, item, slot_names, stack, model, domain)
     Applies the exact search's selection rule to the matching entries: the
     first solution of maximal consumed size wins; more than
     ``MAX_SOLUTIONS`` matches, an incomplete stream or tied solutions that
-    disagree on residual or instantiation leave the pair ``_UNDECIDED``.
+    disagree on residual or instantiation leave the pair ``UNDECIDED``.
     """
     _, variant, positions, values = item
-    match = _reference_matcher(positions, slot_names, checker._discharge_deferred)
-    encoded = view.encode_values(values)
+    match = _reference_matcher(positions, slot_names, discharge_deferred)
+    encoded = view.encode(values)
     matches, best_size, tied = 0, -1, []
     stream.ensure()
     for entry in stream.entries:
@@ -205,14 +204,14 @@ def _scan_verdict(checker, stream, view, item, slot_names, stack, model, domain)
         if not matched:
             continue
         matches += 1
-        if matches > checker_module.MAX_SOLUTIONS:
-            return _UNDECIDED
+        if matches > search_module.MAX_SOLUTIONS:
+            return UNDECIDED
         if entry.nconsumed > best_size:
             best_size, tied = entry.nconsumed, [(entry, final_env)]
         elif entry.nconsumed == best_size:
             tied.append((entry, final_env))
     if not stream.complete:
-        return _UNDECIDED
+        return UNDECIDED
     if matches == 0:
         return None
 
@@ -223,7 +222,7 @@ def _scan_verdict(checker, stream, view, item, slot_names, stack, model, domain)
     chosen_instantiation = instantiation(chosen, chosen_env)
     for entry, final_env in tied[1:]:
         if entry.avail != chosen.avail or instantiation(entry, final_env) != chosen_instantiation:
-            return _UNDECIDED
+            return UNDECIDED
     avail = view.decode_avail(chosen.avail)
     return CheckResult(
         residual=model.heap.restrict(avail),
@@ -280,7 +279,7 @@ def _assert_kernel_matches_scan(checker, pred_name, boundary, root, models):
                     f"kernel verdict for {item[1].formula!r} diverges from "
                     f"the oracle scan on model {model!r}"
                 )
-                if verdict is _UNDECIDED:
+                if verdict is UNDECIDED:
                     continue
                 expected = reference.check(model, item[1].formula)
                 assert _verdict_key(verdict) == _verdict_key(expected), (
@@ -291,7 +290,7 @@ def _assert_kernel_matches_scan(checker, pred_name, boundary, root, models):
 
 
 # ---------------------------------------------------------------------------
-# property tests, under both stream-view kinds
+# property tests, under both stream keys
 # ---------------------------------------------------------------------------
 
 
@@ -366,17 +365,20 @@ def test_tree_kernel_equals_scan(sizes, y_choice, canonical):
     values=st.lists(st.integers(min_value=0, max_value=9), min_size=0, max_size=5),
     y_choice=st.integers(min_value=0, max_value=7),
     canonical=st.booleans(),
+    descending=st.booleans(),
 )
-def test_sorted_list_kernel_equals_scan(values, y_choice, canonical):
+def test_sorted_list_kernel_equals_scan(values, y_choice, canonical, descending):
     """`sls`/`slseg` leave bound parameters to the deferred endgame: the
     generated ``endgame`` must bind the pinned slots and reproduce the
-    ``_discharge_deferred`` bounds-fixpoint witness selection."""
+    ``discharge_deferred`` bounds-fixpoint witness selection, on
+    environments decoded from canonical space."""
     checker = _checker(canonical)
     size = len(values)
+    head = (size if descending else 1) if size else 0
     models = [
         StackHeapModel(
-            {"x": 1 if size else 0, "y": _stack_value(y_choice, size)},
-            Heap(_sorted_heap(values)),
+            {"x": head, "y": _stack_value(y_choice, size)},
+            Heap(_sorted_heap(values, descending)),
             {"x": "SNode*", "y": "SNode*"},
         )
     ]
@@ -385,7 +387,7 @@ def test_sorted_list_kernel_equals_scan(values, y_choice, canonical):
 
 
 # ---------------------------------------------------------------------------
-# deterministic _UNDECIDED triggers
+# deterministic UNDECIDED triggers
 # ---------------------------------------------------------------------------
 
 
@@ -401,11 +403,12 @@ class TestUndecidedTriggers:
         slot_names = tuple(arg.name for arg in atom.args)
         hole = slot_names[1]
         leaves = [({"x": 1, hole: value}, avail, [], set()) for value, avail in entries]
-        stream = EnvStream(lambda: iter(leaves), slot_names, len(model.heap), 16)
+        view = model.heap.canonical(1)
+        stream = EnvStream(lambda: iter(leaves), slot_names, len(model.heap), view)
         variant = _variant_of("lseg", Candidate(("x", "u91"), {"u91"}), 0)
         work = [(0, variant, (), ())]
         (verdict,) = kernels.decide_group(
-            checker, stream, _IDENTITY_VIEW, slot_names, stack, model, domain, work
+            checker, stream, view, slot_names, stack, model, domain, work
         )
         return verdict, model
 
@@ -413,19 +416,19 @@ class TestUndecidedTriggers:
         # Two solutions of equal consumed size but different availability
         # sets: the "first of maximal size" rule cannot break the tie.
         verdict, _ = self._tie_verdict([(2, [1]), (2, [2])])
-        assert verdict is _UNDECIDED
+        assert verdict is UNDECIDED
 
     def test_instantiation_tie_ambiguity_is_undecided(self):
         # Same residual, but the tied solutions pin the candidate's fresh
         # argument to different values.
         verdict, _ = self._tie_verdict([(2, [1]), (997, [1])])
-        assert verdict is _UNDECIDED
+        assert verdict is UNDECIDED
 
     def test_agreeing_ties_settle(self):
         # Ties that agree on residual and instantiation are not ambiguous:
         # the first solution settles the pair.
         verdict, model = self._tie_verdict([(2, [1]), (2, [1])])
-        assert verdict is not _UNDECIDED
+        assert verdict is not UNDECIDED
         assert _verdict_key(verdict) == (
             model.heap.restrict(frozenset({1})), {"u91": 2}, {2}
         )
@@ -433,25 +436,25 @@ class TestUndecidedTriggers:
     def test_max_solutions_overflow_is_undecided(self, monkeypatch):
         # lseg(x, u) on a 3-node list has four solutions (hole at every
         # suffix); MAX_SOLUTIONS=1 forces the overflow sentinel.
-        monkeypatch.setattr(checker_module, "MAX_SOLUTIONS", 1)
+        monkeypatch.setattr(search_module, "MAX_SOLUTIONS", 1)
         checker = _checker(False)
         models = [
             StackHeapModel({"x": 1}, Heap(_sll_heap(3)), {"x": "SllNode*"})
         ]
         _assert_kernel_matches_scan(checker, "lseg", ["x", "nil"], "x", models)
-        assert self._some_verdict(checker, "lseg", models) is _UNDECIDED
+        assert self._some_verdict(checker, "lseg", models) is UNDECIDED
 
     def test_incomplete_stream_is_undecided_without_scanning(self, monkeypatch):
         # A stream cut off by the entry cap can refute nothing; the kernel
-        # must return _UNDECIDED for every variant without touching entries.
-        monkeypatch.setattr(checker_module, "STREAM_MAX_ENTRIES", 1)
+        # must return UNDECIDED for every variant without touching entries.
+        monkeypatch.setattr(stream_module, "STREAM_MAX_ENTRIES", 1)
         checker = _checker(False)
         models = [
             StackHeapModel({"x": 1}, Heap(_sll_heap(3)), {"x": "SllNode*"})
         ]
         before = checker.stats.pure_variant_evals
         verdicts = self._group_verdicts(checker, "lseg", models)
-        assert verdicts and all(v is _UNDECIDED for v in verdicts)
+        assert verdicts and all(v is UNDECIDED for v in verdicts)
         assert checker.stats.pure_variant_evals == before
 
     def _group_verdicts(self, checker, pred_name, models):
@@ -486,7 +489,7 @@ class TestUndecidedTriggers:
     def _some_verdict(self, checker, pred_name, models):
         verdicts = self._group_verdicts(checker, pred_name, models)
         for verdict in verdicts:
-            if verdict is _UNDECIDED:
+            if verdict is UNDECIDED:
                 return verdict
         return None
 
@@ -504,9 +507,8 @@ class _FakeEntry:
         self.unknowns = unknowns
 
 
-class _IdentityView:
-    def decode_env(self, env):
-        return dict(env)
+#: A model heap's labeling: the view of entries that hold no addresses.
+_VIEW = Heap(_sll_heap(2)).canonical(1, _STRUCTS)
 
 
 class TestGeneratedMatchers:
@@ -515,18 +517,22 @@ class TestGeneratedMatchers:
 
     SLOTS = ("x", "?w1", "?w2")
 
+    @pytest.fixture(autouse=True)
+    def _stand_in_endgame(self, monkeypatch):
+        monkeypatch.setattr(kernels, "discharge_deferred", self._discharge)
+
     def _pairs(self, positions):
         names = tuple(self.SLOTS[p] for p in positions)
 
         def match(entry, values, concrete, view):
-            stream = EnvStream(None, self.SLOTS, 0, 16)
+            stream = EnvStream(None, self.SLOTS, 0)
             stream.entries = [entry]
             indexes = [stream.position_index(p) for p in positions]
             if not kernels._candidate_entries(indexes, values):
                 return False, None
             if entry.deferred is None:
                 return True, None
-            final_env = kernels._endgame(entry, names, concrete, view, self._discharge)
+            final_env = kernels._endgame(entry, names, concrete, view)
             return final_env is not None, final_env
 
         return match, _reference_matcher(positions, self.SLOTS, self._discharge)
@@ -542,13 +548,13 @@ class TestGeneratedMatchers:
         for values in itertools.product((None, 5, 7), repeat=2):
             entry = _FakeEntry(("root",) + values)
             for pinned in itertools.product((5, 7), repeat=2):
-                expected = closure(entry, pinned, pinned, _IdentityView())
-                got = match(entry, pinned, pinned, _IdentityView())
+                expected = closure(entry, pinned, pinned, _VIEW)
+                got = match(entry, pinned, pinned, _VIEW)
                 assert got == expected, (values, pinned)
 
     def test_match_agrees_with_closure_on_deferred_entries(self):
         match, closure = self._pairs((1,))
-        view = _IdentityView()
+        view = _VIEW
         for stored, pinned in (((None,), (4,)), ((None,), (5,)), ((4,), (4,))):
             entry = _FakeEntry(
                 ("root",) + stored, deferred=("goal",), env={"?w1": stored[0]},
@@ -563,18 +569,13 @@ class TestGeneratedMatchers:
             ("root", None, None), deferred=("goal",), env={"?w1": None},
             unknowns=frozenset({"?w1"}),
         )
-        final = kernels._endgame(
-            entry, ("?w1",), (2,), _IdentityView(), self._discharge
-        )
+        final = kernels._endgame(entry, ("?w1",), (2,), _VIEW)
         assert final == {"?w1": 2}
         bound = _FakeEntry(
             ("root", 7, None), deferred=("goal",), env={"?w1": 7},
             unknowns=frozenset(),
         )
-        assert (
-            kernels._endgame(bound, ("?w1",), (2,), _IdentityView(), self._discharge)
-            is None
-        )
+        assert kernels._endgame(bound, ("?w1",), (2,), _VIEW) is None
 
 
 class TestRegistrySpace:

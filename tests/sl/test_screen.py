@@ -10,7 +10,7 @@ import itertools
 
 import pytest
 
-from repro.sl import checker as checker_module
+from repro.sl import search as search_module
 from repro.sl.checker import ModelChecker
 from repro.sl.exprs import Nil, Var
 from repro.sl.model import Heap, HeapCell, StackHeapModel
@@ -178,7 +178,7 @@ class TestFailFastEquivalence:
         actuals = [fast.check_all(models, formula) for formula in formulas]
         # The reference checks every model on its own, in input order, with
         # case screening switched off.
-        monkeypatch.setattr(checker_module, "case_feasible", lambda *args: True)
+        monkeypatch.setattr(search_module, "case_feasible", lambda *args: True)
         slow = ModelChecker(registry)
         for formula, actual in zip(formulas, actuals):
             expected = [slow.check(model, formula) for model in models]
