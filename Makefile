@@ -29,6 +29,7 @@ test:
 
 # The cache verify pair runs on one fresh file: the first run writes it
 # (cold), the second reads it back as a restored cache would be (resumed).
+# The file must then hold stream rows only: the one row kind written.
 # The examples build SlingConfig and call the public API the way a user
 # would, so each of them must still run to completion.
 smoke:
@@ -37,6 +38,9 @@ smoke:
 	rm -f /tmp/smoke_cache.sqlite*
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro cache verify --file /tmp/smoke_cache.sqlite > /dev/null
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro cache verify --file /tmp/smoke_cache.sqlite > /dev/null
+	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro cache stats --file /tmp/smoke_cache.sqlite \
+		| $(PYTHON) -c "import json, sys; kinds = set(json.load(sys.stdin)['kinds']); \
+		assert kinds == {'stream'}, f'cache file row kinds {sorted(kinds)}, want stream only'"
 	for example in examples/*.py; do \
 		PYTHONPATH=$(PYTHONPATH) $(PYTHON) $$example > /dev/null || exit 1; \
 	done

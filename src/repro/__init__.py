@@ -25,8 +25,8 @@ The package is organised as follows:
 
 The hot path is memoized at two levels: the symbolic-heap model checker
 caches reductions per (alpha-normalized formula, model) and the inductive
-predicates cache their case unfoldings per argument shape; both expose
-hit/miss counters that the engine reports per job.
+predicates cache their case unfoldings per argument shape; both count hits
+and misses into the job's ``CacheStats``, which the engine reports per job.
 """
 
 from repro.core.engine import EngineJob, EngineReport, InferenceEngine

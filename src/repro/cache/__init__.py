@@ -3,9 +3,9 @@
 PR 4 made every hot memo key address-independent (canonical heap forms),
 which makes the checker's expensive state valid across processes and runs.
 This package persists it: a sqlite-backed :class:`CacheStore` under a
-:class:`PersistentCache` tier that warm-starts ``EnvStream`` memos and
-predicate unfolding templates.  Entirely inert unless
-``SlingConfig.persistent_cache`` is set.  See ``docs/performance.md``.
+:class:`PersistentCache` tier that warm-starts the ``EnvStream`` memo.
+Entirely inert unless ``SlingConfig.persistent_cache`` is set.  See
+``docs/performance.md``.
 
 The sqlite-backed names load on first use (PEP 562): a sweep without a
 cache file only needs :func:`registry_fingerprint`, which keys the

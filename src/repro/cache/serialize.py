@@ -1,6 +1,6 @@
-"""Serialization between the checker's in-memory caches and cache rows.
+"""Serialization between the checker's stream memo and cache rows.
 
-Two invariants shape everything here:
+Three invariants shape everything here:
 
 * **Keys must be byte-stable across processes.**  The in-memory cache keys
   contain :class:`~repro.sl.model.CanonicalForm` objects whose hashes are
@@ -15,9 +15,6 @@ Two invariants shape everything here:
   stored in canonical space already (tags ``('a', cid)``, dense ids) and
   are name-self-contained, so they pickle as plain data; sets of names are
   written sorted, so a payload's bytes do not depend on the hash seed.
-  Unfolding templates contain compiled closures and are *never* pickled --
-  only their keys are persisted and the templates are recompiled on load
-  (:meth:`InductivePredicate.warm_unfold_template`).
 * **Loading a payload runs no code.**  Rows can come from outside the
   program (``repro cache import`` merges a dump into a cache file), so
   payloads are unpickled by :func:`_loads`, which rebuilds plain data and
@@ -128,18 +125,3 @@ def decode_stream(payload: bytes) -> EnvStream:
     stream.complete = True
     return stream
 
-
-# --------------------------------------------------------------- unfoldings --
-
-
-def encode_unfold_key(pred_name: str, case_index: int, key) -> tuple[bytes, bytes]:
-    """``(key, payload)`` row for one unfolding-template cache key."""
-    record = (pred_name, case_index, tuple(key))
-    payload = pickle.dumps(record, protocol=pickle.HIGHEST_PROTOCOL)
-    return stable_key_bytes(record), payload
-
-
-def decode_unfold_key(payload: bytes):
-    """``(predicate name, case index, argument-shape key)`` from a row payload."""
-    pred_name, case_index, key = _loads(payload)
-    return pred_name, case_index, tuple(key)

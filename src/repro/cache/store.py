@@ -1,16 +1,16 @@
 """SQLite-backed storage for the persistent checker cache.
 
-One cache file holds the serialized state of the two canonical-keyed
-in-memory caches (see :mod:`repro.cache.tier`): skeleton ``EnvStream``
-snapshots and predicate-unfolding template keys (files written before the
-learned-refuter table was removed also keep its inert ``refuter`` rows).  The
-store itself is deliberately dumb -- rows of ``(fingerprint, kind, key,
-payload)`` blobs with hit-count/recency metadata -- and deliberately
-*defensive*: any sqlite or filesystem failure (corrupted file, truncated
-write, permission error) disables the store for the rest of the process,
-logs one warning, bumps :attr:`CacheStore.load_errors` and makes every
-operation a no-op.  A broken cache file must never be able to crash or
-slow down an inference run beyond running it cold.
+One cache file holds the serialized skeleton ``EnvStream`` snapshots of the
+checker's canonical-keyed stream memo (see :mod:`repro.cache.tier`); older
+files also keep inert ``refuter`` and ``unfold`` rows, which nothing reads
+any more.  The store itself is deliberately dumb -- rows of
+``(fingerprint, kind, key, payload)`` blobs with hit-count/recency
+metadata -- and deliberately *defensive*: any sqlite or filesystem
+failure (corrupted file, truncated write, permission error) disables the
+store for the rest of the process, logs one warning, bumps
+:attr:`CacheStore.load_errors` and makes every operation a no-op.  A
+broken cache file must never be able to crash or slow down an inference
+run beyond running it cold.
 
 Invalidation is two-layered:
 
@@ -42,7 +42,7 @@ import time
 log = logging.getLogger("repro.cache")
 
 #: Version of the serialized entry formats.  Bump on any change to the
-#: stream/unfold encodings in :mod:`repro.cache.serialize` that an older
+#: stream encoding in :mod:`repro.cache.serialize` that an older
 #: or newer reader would misread, or to the table layout below: a mismatch
 #: wipes the file's entries (cold start), never a crash and never a
 #: misread.  A change that every reader decodes to the same value needs
@@ -262,27 +262,6 @@ class CacheStore:
             self._fail(exc)
             return None
         return row[0] if row is not None else None
-
-    def iter_kind(self, fingerprint: str, kind: str) -> list[tuple[bytes, bytes]]:
-        """All ``(key, payload)`` rows of one kind, least recently used first.
-
-        The LRU-friendly order lets callers replay rows into an in-memory
-        LRU structure so the most recently used entries end up freshest.
-        """
-        conn = self._connect()
-        if conn is None:
-            return []
-        try:
-            self._inject("cache_read")
-            return conn.execute(
-                "SELECT key, payload FROM entries"
-                " WHERE fingerprint = ? AND kind = ?"
-                " ORDER BY last_used ASC, rowid ASC",
-                (fingerprint, kind),
-            ).fetchall()
-        except sqlite3.Error as exc:
-            self._fail(exc)
-            return []
 
     # ------------------------------------------------------------- writes --
 

@@ -1,18 +1,16 @@
 """The persistent cache tier: glue between checker caches and the store.
 
-A :class:`PersistentCache` sits *beneath* the two canonical-keyed
-in-memory caches of one :class:`~repro.sl.checker.ModelChecker`:
+A :class:`PersistentCache` sits *beneath* the canonical-keyed
+``EnvStream`` skeleton memo of one :class:`~repro.sl.checker.ModelChecker`.
+It serves streams lazily, one per miss (:meth:`PersistentCache.load_stream`,
+called from ``_get_stream`` after a miss in the checker's memo, which an
+engine batch shares among its jobs).  Stream rows are the only kind it
+reads or writes.
 
-* the ``EnvStream`` skeleton memo -- served lazily, one stream per miss
-  (:meth:`PersistentCache.load_stream`, called from ``_get_stream`` after
-  a miss in the checker's memo, which an engine batch shares among its
-  jobs);
-* the predicate unfolding caches -- template *keys* are persisted and the
-  closures recompiled at attach time (they cannot be pickled).
-
-Files written before the learned-refuter table was removed still hold
-``refuter`` rows; nothing reads or refreshes them, so eviction reaches
-them before the rows in use once the file is over its cap.
+Older files also hold ``refuter`` rows (the learned-refuter table's) and
+``unfold`` rows (predicate unfolding-template keys).  Nothing reads or
+refreshes them, so eviction reaches them before the rows in use once the
+file is over its cap.
 
 Only checkers whose stream keys are canonical may attach: concrete keys
 embed process-local heap addresses and hashes, so persisting them would be
@@ -29,10 +27,9 @@ A :class:`~repro.core.sling.Sling` does not build a tier: it binds to its
 thread's tier for (cache file, registry fingerprint) with :func:`bind_tier`.
 Tiers and their one shared :class:`CacheStore` per file live as long as the
 thread (the serve daemon's executor, an engine worker), so a second job on
-the same file reopens nothing, reads no unfolding rows again and
-keeps the known-row sets that spare its flush from re-writing rows.  A
-tier or store that failed is dropped at the next bind, so that job reopens
-the file and counts its own failures.
+the same file reopens nothing and keeps the known-row set that spares its
+flush from re-writing rows.  A tier or store that failed is dropped at the
+next bind, so that job reopens the file and counts its own failures.
 """
 
 from __future__ import annotations
@@ -43,20 +40,13 @@ import threading
 import weakref
 
 from repro.cache.fingerprint import registry_fingerprint
-from repro.cache.serialize import (
-    decode_stream,
-    decode_unfold_key,
-    encode_stream,
-    encode_unfold_key,
-    stable_key_bytes,
-)
+from repro.cache.serialize import decode_stream, encode_stream, stable_key_bytes
 from repro.cache.store import CacheStore
 from repro.telemetry.counters import CacheStats
 
 log = logging.getLogger("repro.cache")
 
 KIND_STREAM = "stream"
-KIND_UNFOLD = "unfold"
 
 
 class PersistentCacheError(RuntimeError):
@@ -71,8 +61,7 @@ class PersistentCache:
     but the ``cache_file_bytes`` gauge is per job.  ``disk_hits``/
     ``disk_misses`` count *stream* lookups served from or missed by the
     disk tier (the per-lookup signal the warm-start hit rate is computed
-    from); the one-shot unfold load appears in the store stats instead.
-    ``disk_load_errors`` counts failures absorbed: store failures,
+    from).  ``disk_load_errors`` counts failures absorbed: store failures,
     undecodable rows, and operations that had to disable the tier.
 
     A ``read_only`` tier loads but never flushes: ``repro cache verify``
@@ -82,7 +71,6 @@ class PersistentCache:
     def __init__(
         self, path, registry, *, store: CacheStore | None = None, read_only: bool = False
     ):
-        self.registry = registry
         self.fingerprint = registry_fingerprint(registry)
         self.store = CacheStore(path) if store is None else store
         self.read_only = read_only
@@ -97,13 +85,12 @@ class PersistentCache:
         self._decode_errors = 0
         #: Where the disk counters go (see the class docstring).
         self.stats = CacheStats()
-        #: Rows known to be on disk (loaded or flushed), held as the
+        #: Stream rows known to be on disk (loaded or flushed), held as the
         #: in-memory keys their row keys are rendered from -- avoids
         #: rewriting rows, which would reset their hit metadata, and
         #: rendering the keys of rows that need no write.  Dropped whenever
         #: the store's generation moves.
         self._known_streams: set[tuple] = set()
-        self._known_unfolds: set[tuple] = set()
         self._generation: int | None = None
         #: ``(weak reference to a stream memo, position)``: where the last
         #: flush stopped reading that memo's ``finished`` log.  A flush from
@@ -112,8 +99,6 @@ class PersistentCache:
         self._stream_log: tuple = (None, 0)
         #: Stream keys served from disk since the last flush (recency bump).
         self._touched: set[bytes] = set()
-        #: Whether the unfolding rows have been read.
-        self._loaded = False
         #: Rows written since the last eviction (see :meth:`flush`).
         self._unevicted = False
         #: Optional span tracer (set by the owning :class:`Sling`; ``None``
@@ -123,14 +108,13 @@ class PersistentCache:
     # ------------------------------------------------------------- attach --
 
     def attach(self, checker) -> None:
-        """Hook this tier into a checker and warm its unfolding caches.
+        """Hook this tier into a checker; reads no row.
 
-        The first attach reads the unfolding rows; later ones compile the
-        known templates into a new registry object only.  From here on the
-        tier and its store count into ``checker.stats``.  Refuses
-        (:class:`PersistentCacheError`) when the checker's stream keys
-        cannot be canonical -- concrete keys embed per-process addresses
-        and salted hashes, so persisting them would corrupt the cache.
+        From here on the tier and its store count into ``checker.stats``.
+        Refuses (:class:`PersistentCacheError`) when the checker's stream
+        keys cannot be canonical -- concrete keys embed per-process
+        addresses and salted hashes, so persisting them would corrupt the
+        cache.
         """
         if getattr(checker, "structs", None) is None:
             raise PersistentCacheError(
@@ -145,40 +129,8 @@ class PersistentCache:
         if generation != self._generation:
             self._generation = generation
             self._known_streams.clear()
-            self._known_unfolds.clear()
             self._stream_log = (None, 0)
-        if not self._loaded:
-            self._load_unfold_templates()
-            self._loaded = True
-        elif checker.registry is not self.registry:
-            # Another registry object with the same definitions: compile
-            # the known templates into it too.
-            self.registry = checker.registry
-            for pred_name, case_index, key in self._known_unfolds:
-                if pred_name in self.registry:
-                    self.registry.get(pred_name).warm_unfold_template(case_index, key)
         self.stats.cache_file_bytes = self.store.file_bytes()
-
-    def _load_unfold_templates(self) -> None:
-        """Recompile persisted unfolding-template keys into the registry.
-
-        Payloads carry only ``(predicate, case index, argument shape)`` --
-        the compiled closures are rebuilt locally, with the predicate's
-        hit/miss counters snapshotted around the compile so warming is
-        invisible to ``unfold_stats()``.
-        """
-        for _, payload in self.store.iter_kind(self.fingerprint, KIND_UNFOLD):
-            try:
-                record = decode_unfold_key(payload)
-            except Exception as exc:
-                self._note_decode_error(KIND_UNFOLD, exc)
-                continue
-            pred_name, case_index, key = record
-            if pred_name not in self.registry:
-                continue
-            predicate = self.registry.get(pred_name)
-            if predicate.warm_unfold_template(case_index, key):
-                self._known_unfolds.add(record)
 
     # -------------------------------------------------------------- loads --
 
@@ -239,15 +191,14 @@ class PersistentCache:
         """Write everything learned since the last flush; returns row counts.
 
         Persists the checker's shareable streams (in an engine batch,
-        also those an earlier job enumerated) and unfolding-template keys;
-        bumps hit metadata for streams served from disk; refreshes
-        ``cache_file_bytes``.  Repeated flushes are incremental: streams
-        are read from the memo's ``finished`` log where the previous flush
-        stopped, so a flush visits only the streams finished since then,
-        and the known-row sets keep every row from being written twice.
-        Unfolding keys are still rescanned in full (a table of bounded
-        size).  Callers (the serve daemon, per-location incremental mode)
-        may flush as often as they like.  Intermediate flushes pass ``final=False`` to skip eviction
+        also those an earlier job enumerated); bumps hit metadata for
+        streams served from disk; refreshes ``cache_file_bytes``.  Repeated
+        flushes are incremental: streams are read from the memo's
+        ``finished`` log where the previous flush stopped, so a flush
+        visits only the streams finished since then, and the known-row set
+        keeps every row from being written twice.  Callers (the serve
+        daemon, per-location incremental mode) may flush as often as they
+        like.  Intermediate flushes pass ``final=False`` to skip eviction
         and the file-size refresh: those are end-of-run accounting, and
         running eviction mid-inference could drop rows a concurrent sharer
         just wrote.  A final flush evicts over the size cap only when this
@@ -258,7 +209,7 @@ class PersistentCache:
         made read-only mid-run) disables the tier and writes nothing --
         the in-memory results of the run are unaffected.
         """
-        empty = {KIND_STREAM: 0, KIND_UNFOLD: 0}
+        empty = {KIND_STREAM: 0}
         if self._disabled or self.read_only:
             return empty
         try:
@@ -273,8 +224,6 @@ class PersistentCache:
             return empty
 
     def _flush(self, checker, final: bool = True) -> dict[str, int]:
-        written = {}
-
         stream_rows = []
         known_streams = self._known_streams
         memo = checker._streams
@@ -287,21 +236,7 @@ class PersistentCache:
             stream_rows.append((stable_key_bytes(key), encode_stream(stream)))
             known_streams.add(key)
         self._stream_log = (weakref.ref(memo), len(memo.finished))
-        written[KIND_STREAM] = self.store.put_many(
-            self.fingerprint, KIND_STREAM, stream_rows
-        )
-
-        unfold_rows = []
-        for predicate in self.registry:
-            for case_index, key in predicate.unfold_cache_keys():
-                record = (predicate.name, case_index, tuple(key))
-                if record in self._known_unfolds:
-                    continue
-                unfold_rows.append(encode_unfold_key(*record))
-                self._known_unfolds.add(record)
-        written[KIND_UNFOLD] = self.store.put_many(
-            self.fingerprint, KIND_UNFOLD, unfold_rows
-        )
+        written = self.store.put_many(self.fingerprint, KIND_STREAM, stream_rows)
 
         if self._touched:
             self.store.touch_many(
@@ -309,13 +244,13 @@ class PersistentCache:
             )
             self._touched.clear()
 
-        self._unevicted = self._unevicted or any(written.values())
+        self._unevicted = self._unevicted or written > 0
         if final:
             if self._unevicted:
                 self.stats.disk_evictions += self.store.evict_over_cap()
                 self._unevicted = False
             self.stats.cache_file_bytes = self.store.file_bytes()
-        return written
+        return {KIND_STREAM: written}
 
     # ----------------------------------------------------------- counters --
 

@@ -126,10 +126,6 @@ class Sling:
         #: Process-local tracer (``None`` when tracing is off); handed down
         #: to the checker and the disk tier so their spans nest under ours.
         self.tracer = self.telemetry.tracer() if self.telemetry is not None else None
-        #: The registry's unfolding counters when this driver was built:
-        #: the registry outlives it, so :meth:`cache_counters` reports the
-        #: difference.
-        self._unfold_before = predicates.unfold_stats()
         self.checker = ModelChecker(predicates, structs=program.structs)
         self.checker.tracer = self.tracer
         #: Fault-injection plan handed to the checker (stream
@@ -158,19 +154,13 @@ class Sling:
     def cache_counters(self) -> CacheStats:
         """A snapshot of this driver's counters.
 
-        The checker's :class:`CacheStats` already holds the search counters,
-        this driver's memo counters and the disk tier's counters; the
-        snapshot is a copy of it with the registry's unfolding counters
-        since this driver was built filled in.
-        :meth:`cache_stats` is its dict rendering, and the engine's per-job
-        accounting consumes the struct directly.
+        The checker's :class:`CacheStats` holds every counter: the search's
+        (unfoldings included), this driver's memo counters and the disk
+        tier's; the snapshot is a copy of it.  :meth:`cache_stats` is its
+        dict rendering, and the engine's per-job accounting consumes the
+        struct directly.
         """
-        unfold = self.predicates.unfold_stats()
-        return replace(
-            self.checker.stats,
-            unfold_hits=unfold["hits"] - self._unfold_before["hits"],
-            unfold_misses=unfold["misses"] - self._unfold_before["misses"],
-        )
+        return replace(self.checker.stats)
 
     def cache_stats(self) -> dict:
         """Dict rendering of :meth:`cache_counters` (JSON reports, tests).

@@ -4,12 +4,13 @@ One Unix-domain socket, NDJSON in and out (:mod:`repro.serve.protocol`),
 one warm :class:`~repro.core.engine.InferenceEngine` shared by every
 request.  What stays hot across requests instead of being rebuilt per CLI
 invocation: the interned canonical forms (with their rendered cache
-keys), the compiled predicate screens and unfolding templates, and the
-persistent cache tier of the thread running the jobs -- one open sqlite
-connection per cache file and the set of rows already on disk, so a warm
-request neither reopens nor re-reads the file and flushes only what it
-newly learned (see :func:`repro.cache.bind_tier`).  Each request still gets a fresh
-checker, so its results and counters are its own.  Teardown closes the
+keys), the predicate screens and unfolding templates compiled on demand
+into the benchmarks' registries, and the persistent cache tier of the
+thread running the jobs -- one open sqlite connection per cache file and
+the set of stream rows already on disk, so a warm request never reopens
+the file and flushes only what it newly learned (see
+:func:`repro.cache.bind_tier`).  Each request still gets a fresh checker,
+so its results and counters are its own.  Teardown closes the
 tiers.  The robustness contract:
 
 * **Bounded admission.**  A fixed-capacity FIFO queue; a submission that

@@ -77,8 +77,8 @@ class CanonicalForm:
 
 
 #: Process-wide intern table: canonical key -> shared :class:`CanonicalForm`.
-#: Populating it before forking engine workers lets the children inherit
-#: every known form copy-on-write (see ``InferenceEngine`` warm-pool mode).
+#: Forked engine workers inherit every form the parent interned before the
+#: fork, copy-on-write (see ``repro.core.engine.warm_worker_state``).
 _INTERN_FORMS: dict[tuple, CanonicalForm] = {}
 _INTERN_LIMIT = 65_536
 
@@ -273,13 +273,7 @@ class HeapCell:
     @property
     def values(self) -> tuple[int, ...]:
         """Field values in declaration order (precomputed in ``__init__``)."""
-        try:
-            return self._values
-        except AttributeError:
-            # Unpickled from an older payload without the eager tuple.
-            cached = tuple(value for _, value in self.fields)
-            object.__setattr__(self, "_values", cached)
-            return cached
+        return self._values
 
     @property
     def field_names(self) -> tuple[str, ...]:

@@ -19,7 +19,8 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 from repro.sl.errors import SLError, UnknownPredicateError
 from repro.sl.exprs import Expr, IntConst, Nil, Var
-from repro.sl.spatial import PointsTo, PredApp, SepConj, Spatial, SymHeap, fresh_var
+from repro.sl.spatial import PointsTo, PredApp, Spatial, SymHeap, fresh_var
+from repro.telemetry.counters import CacheStats
 
 #: Upper bound on memoized case templates per predicate (the key space is
 #: tiny in practice: one entry per case and argument *shape*).
@@ -74,11 +75,10 @@ class InductivePredicate:
                 f"predicate {name!r}: {len(self.params)} parameters but {len(types)} types"
             )
         object.__setattr__(self, "param_types", types)
-        # Unfolding memo: (case index, canonical argument shape) -> template
-        # body.  Lists (not dataclass fields) so the instance stays frozen,
+        # Unfolding memo: (case index, canonical argument shape) -> compiled
+        # template.  Not a dataclass field, so the instance stays frozen,
         # hashable and comparable on its definition alone.
         object.__setattr__(self, "_unfold_cache", {})
-        object.__setattr__(self, "_unfold_stats", [0, 0])  # [hits, misses]
         # Per-case screening metadata (built lazily; see repro.sl.screen).
         object.__setattr__(self, "_case_screens", None)
 
@@ -87,79 +87,50 @@ class InductivePredicate:
         """Number of parameters."""
         return len(self.params)
 
-    def unfold(self, args: Sequence[Expr]) -> list[SymHeap]:
-        """Return the case bodies instantiated with ``args`` (one per disjunct)."""
-        return [self.instantiate_case(index, args) for index in range(len(self.cases))]
-
-    def instantiate_case(self, index: int, args: Sequence[Expr]) -> SymHeap:
-        """Instantiate one case, memoizing the instantiation per argument shape.
-
-        The model checker unfolds the same predicates with the same argument
-        *shapes* (e.g. ``sll(?)`` with a single variable argument) thousands
-        of times per inference run; only the variable names differ because
-        they are generated fresh.  This caches the case body instantiated
-        with positional placeholder arguments *compiled into closure
-        builders* (:func:`_compile_spatial` / :func:`_compile_pure`), and
-        specializes it per call: the builders construct the instantiated
-        body directly from a placeholder -> argument mapping, skipping the
-        generic ``substitute`` tree walk and the dataclass normalization
-        passes entirely.  Case-local existentials are alpha-renamed to
-        globally fresh names on every call.
-
-        The per-call freshening is what keeps reuse sound: two unfoldings of
-        the same case inside one search never share existential names, so a
-        binding made for one can never constrain the other.
-        """
-        key = _canonical_args(args)
-        if key is None:
-            self._unfold_stats[1] += 1
-            return self.cases[index].instantiate(self.params, args)
-        entry = self._template_entry(index, key)
-        template, spatial_builder, pure_builder = entry[0], entry[1], entry[2]
-        # Placeholder -> actual argument mapping.  ``zip`` may also pair the
-        # "nil"/"int:k" tokens with their (constant) arguments; the compiled
-        # builders never look those up, so no filtering is needed.
-        mapping: dict[str, Expr] = dict(zip(key, args))
-        new_exists = []
-        for name in template.exists:
-            fresh = Var(fresh_var())
-            mapping[name] = fresh
-            new_exists.append(fresh.name)
-        result = object.__new__(SymHeap)
-        object.__setattr__(result, "exists", tuple(new_exists))
-        object.__setattr__(
-            result,
-            "spatial",
-            spatial_builder(mapping) if spatial_builder is not None else template.spatial,
-        )
-        object.__setattr__(
-            result,
-            "pure",
-            pure_builder(mapping) if pure_builder is not None else template.pure,
-        )
-        return result
-
     def instantiate_case_goals(
-        self, index: int, args: Sequence[Expr], key: tuple[str, ...] | None
+        self,
+        index: int,
+        args: Sequence[Expr],
+        key: tuple[str, ...] | None,
+        stats: CacheStats,
     ) -> tuple[tuple[str, ...], list[Spatial], list]:
         """Instantiate one case directly as search goals.
 
         Returns ``(existentials, spatial atoms, pure conjuncts)`` -- the
-        exact inputs of the checker's ``_solve`` -- without materializing a
-        :class:`SymHeap` (or re-flattening it into atoms/conjuncts on every
-        unfolding).  ``key`` is the caller-computed
-        :func:`canonical_unfold_key` of ``args`` (callers unfolding several
-        cases share one key computation); ``None`` falls back to the
-        uncached instantiation.
+        exact inputs of the search's ``_solve`` -- equal, up to the names of
+        the existentials, to the flattened :meth:`PredCase.instantiate`.
+        The search unfolds the same predicates with the same argument
+        *shapes* (e.g. ``sll(?)`` with one variable argument) thousands of
+        times per inference run; only the variable names differ.  So each
+        (case, shape) is compiled once into closure builders
+        (:func:`_compile_spatial` / :func:`_compile_pure`) that build the
+        instantiated goals straight from a placeholder -> argument mapping,
+        skipping the generic ``substitute`` tree walk.  Case-local
+        existentials are renamed to globally fresh names on every call, so
+        two unfoldings of one case inside one search never share a binding.
+
+        ``key`` is the caller-computed :func:`canonical_unfold_key` of
+        ``args`` (callers unfolding several cases share one key
+        computation); ``None`` falls back to the uncached instantiation.
+        Each call counts one ``unfold_hits`` or ``unfold_misses`` in
+        ``stats``: a miss compiles the template (or, for ``key=None``,
+        instantiates uncached).
         """
         if key is None:
-            self._unfold_stats[1] += 1
+            stats.unfold_misses += 1
             body = self.cases[index].instantiate(self.params, args)
             return body.exists, list(body.spatial_atoms()), _flatten_pure(body.pure)
-        entry = self._template_entry(index, key)
-        template, atom_slots, conj_slots = entry[0], entry[3], entry[4]
+        entry = self._unfold_cache.get((index, key))
+        if entry is None:
+            stats.unfold_misses += 1
+            entry = self._compile_template(index, key)
+        else:
+            stats.unfold_hits += 1
+        template_exists, atom_slots, conj_slots = entry
+        # Placeholder -> actual argument mapping.  ``zip`` may also pair the
+        # "nil"/"int:k" tokens with their (constant) arguments; the compiled
+        # builders never look those up, so no filtering is needed.
         mapping: dict[str, Expr] = dict(zip(key, args))
-        template_exists = template.exists
         if template_exists:
             new_exists = []
             for name in template_exists:
@@ -177,39 +148,30 @@ class InductivePredicate:
         ]
         return exists, atoms, conjuncts
 
-    def _template_entry(self, index: int, key: tuple[str, ...]) -> tuple:
-        """The compiled unfolding template for one (case, argument shape).
+    def _compile_template(self, index: int, key: tuple[str, ...]) -> tuple:
+        """Compile (and memoize) the unfolding template of one (case, shape).
 
-        Entries are ``(template, spatial builder, pure builder, atom slots,
-        conjunct slots)``; slots pair an optional builder closure with the
-        constant node it falls back to.
+        Entries are ``(existentials, atom slots, conjunct slots)``; slots
+        pair an optional builder closure with the constant node it falls
+        back to.
         """
-        entry = self._unfold_cache.get((index, key))
-        if entry is None:
-            self._unfold_stats[1] += 1
-            placeholders = [_placeholder_expr(token) for token in key]
-            template = self.cases[index].instantiate(self.params, placeholders)
-            known = {token for token in key if token.startswith("?a")}
-            known.update(template.exists)
-            atom_slots = tuple(
+        placeholders = [_placeholder_expr(token) for token in key]
+        template = self.cases[index].instantiate(self.params, placeholders)
+        known = {token for token in key if token.startswith("?a")}
+        known.update(template.exists)
+        entry = (
+            template.exists,
+            tuple(
                 (_compile_spatial(atom, known), atom)
                 for atom in template.spatial.atoms()
-            )
-            conj_slots = tuple(
+            ),
+            tuple(
                 (_compile_pure(conjunct, known), conjunct)
                 for conjunct in _flatten_pure(template.pure)
-            )
-            entry = (
-                template,
-                _compile_spatial(template.spatial, known),
-                _compile_pure(template.pure, known),
-                atom_slots,
-                conj_slots,
-            )
-            if len(self._unfold_cache) < _UNFOLD_CACHE_LIMIT:
-                self._unfold_cache[(index, key)] = entry
-        else:
-            self._unfold_stats[0] += 1
+            ),
+        )
+        if len(self._unfold_cache) < _UNFOLD_CACHE_LIMIT:
+            self._unfold_cache[(index, key)] = entry
         return entry
 
     def case_screens(self):
@@ -225,41 +187,6 @@ class InductivePredicate:
             screens = build_case_screens(self.params, [case.body for case in self.cases])
             object.__setattr__(self, "_case_screens", screens)
         return screens
-
-    def unfold_cache_keys(self) -> list[tuple[int, tuple[str, ...]]]:
-        """The ``(case index, argument shape)`` keys memoized so far.
-
-        The compiled templates themselves contain closures and cannot be
-        serialized; the persistent cache stores these keys and recompiles
-        via :meth:`warm_unfold_template` on load.
-        """
-        return list(self._unfold_cache)
-
-    def warm_unfold_template(self, index: int, key: tuple[str, ...]) -> bool:
-        """Precompile one unfolding template (persistent-cache warm start).
-
-        Returns ``False`` for an out-of-range case index (a stale cache row
-        for a since-edited predicate; harmless to skip).  The hit/miss
-        counters are snapshotted around the compile so warming is invisible
-        to ``unfold_stats()`` and the pinned counter baselines.
-        """
-        if index < 0 or index >= len(self.cases):
-            return False
-        stats = self._unfold_stats
-        snapshot = (stats[0], stats[1])
-        try:
-            self._template_entry(index, key)
-        finally:
-            stats[0], stats[1] = snapshot
-        return True
-
-    def unfold_cache_info(self) -> dict[str, int]:
-        """Hit/miss counters of this predicate's unfolding memo."""
-        return {
-            "hits": self._unfold_stats[0],
-            "misses": self._unfold_stats[1],
-            "entries": len(self._unfold_cache),
-        }
 
     def root_types(self) -> frozenset[str]:
         """Structure types that may anchor this predicate.
@@ -379,12 +306,6 @@ class PredicateRegistry:
         for predicate in other:
             merged.add(predicate)
         return merged
-
-    def unfold_stats(self) -> dict[str, int]:
-        """Aggregated unfolding-cache counters across all predicates."""
-        hits = sum(predicate._unfold_stats[0] for predicate in self)
-        misses = sum(predicate._unfold_stats[1] for predicate in self)
-        return {"hits": hits, "misses": misses}
 
 
 def _canonical_args(args: Sequence[Expr]) -> tuple[str, ...] | None:
@@ -527,7 +448,7 @@ def _compile_args(args: Sequence[Expr], known: set[str]):
 
 
 def _compile_spatial(spatial: Spatial, known: set[str]):
-    """Compile a spatial formula into ``fn(mapping) -> Spatial`` (``None`` = constant)."""
+    """Compile a spatial atom into ``fn(mapping) -> Spatial`` (``None`` = constant)."""
     cls = spatial.__class__
     if cls is PointsTo:
         source = _compile_expr(spatial.source, known)
@@ -558,23 +479,6 @@ def _compile_spatial(spatial: Spatial, known: set[str]):
             return atom
 
         return build_app
-    if isinstance(spatial, SepConj):
-        parts = [_compile_spatial(part, known) for part in spatial.parts]
-        if not any(fn is not None for fn in parts):
-            return None
-        slots = tuple(
-            fn if fn is not None else (lambda m, _c=part: _c)
-            for fn, part in zip(parts, spatial.parts)
-        )
-
-        def build_sep(m):
-            # The template's parts are already flat and Emp-free, so the
-            # dataclass flattening pass is safely bypassed.
-            conj = object.__new__(SepConj)
-            object.__setattr__(conj, "parts", tuple(fn(m) for fn in slots))
-            return conj
-
-        return build_sep
     # Emp (and any unknown leaf) is constant.
     return None
 

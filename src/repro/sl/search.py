@@ -85,7 +85,8 @@ class _SearchState:
     """Mutable bookkeeping shared across one top-level search."""
 
     registry: PredicateRegistry
-    #: The owning checker's counters (``pruned_cases``, ``max_trail_depth``).
+    #: The owning checker's counters (``pruned_cases``, ``unfold_hits``,
+    #: ``unfold_misses``, ``max_trail_depth``).
     stats: CacheStats
     model: StackHeapModel
     max_depth: int
@@ -384,7 +385,7 @@ def _solve_pred(
         if unfold_key is _KEY_UNSET:
             unfold_key = canonical_unfold_key(goal.args)
         case_exists, case_atoms, case_conjs = definition.instantiate_case_goals(
-            case_index, goal.args, unfold_key
+            case_index, goal.args, unfold_key, state.stats
         )
         unknowns.update(case_exists)
         case_spatials = case_atoms + rest

@@ -222,14 +222,14 @@ def _library() -> PredicateRegistry:
 
     Its :class:`PredCase` bodies are immutable and shared by every registry
     built below; its :class:`InductivePredicate` objects are templates whose
-    unfold memos and counters are never touched.
+    unfold memos are never touched.
     """
     return parse_predicates(_DEFINITIONS)
 
 
 def _fresh(registry: PredicateRegistry) -> PredicateRegistry:
-    """New predicate objects over the same cases, with empty unfold memos,
-    counters and case screens, so no two registries share any of them."""
+    """New predicate objects over the same cases, with empty unfold memos
+    and case screens, so no two registries share any of them."""
     return PredicateRegistry(
         InductivePredicate(
             predicate.name, predicate.params, predicate.cases, predicate.param_types

@@ -17,7 +17,7 @@ class CacheStats:
     A :class:`~repro.sl.checker.ModelChecker` counts into its own instance
     (``checker.stats``), the driver adds its memo counters and the disk tier
     its lookups to that same instance, and ``Sling.cache_counters``
-    snapshots it with the registry's unfolding counters filled in.
+    snapshots it.
 
     The one declaration of every counter: ``merge`` and ``as_dict`` are
     derived from these fields.  A field sums when batches merge unless its
@@ -35,6 +35,9 @@ class CacheStats:
 
     #: Exact per-candidate reductions run (``ModelChecker.check`` calls).
     checker_misses: int = 0
+    # Predicate unfoldings the search instantiated from a compiled template
+    # (hits) or had to compile, or instantiate uncached (misses); see
+    # ``InductivePredicate.instantiate_case_goals``.
     unfold_hits: int = 0
     unfold_misses: int = field(default=0, metadata={"rate": "unfold_hit_rate"})
     # Per-inference (variable, models) memo of the driver: Algorithm 2 runs

@@ -13,6 +13,7 @@ import pytest
 
 from repro import cli
 from repro.cache import CacheStore
+from repro.cache import serialize
 from repro.cache.serialize import stable_key_bytes
 from repro.evaluation import table1
 from repro.lang import standard_structs
@@ -82,24 +83,61 @@ def test_warm_sweep_writes_nothing(tmp_path):
     store.close()
 
 
-def test_file_with_old_refuter_rows_still_verifies(tmp_path, capsys):
-    # Files written while the checker kept a learned-refuter table hold
-    # ``refuter`` rows: (shape, canonical model form key) pairs.  Nothing
-    # reads them any more, and they must not get in the way of a resume.
+def test_file_with_old_refuter_rows_still_verifies(tmp_path, capsys, monkeypatch):
+    # Older files hold row kinds nothing reads any more: ``refuter`` rows,
+    # (shape, canonical model form key) pairs from the learned-refuter
+    # table, and ``unfold`` rows, (predicate, case index, argument shape)
+    # triples from when unfolding templates were persisted.  They must not
+    # get in the way of a resume, and a resume must not touch them.
     cache_file = tmp_path / "old.sqlite"
     assert _verify(cache_file, capsys)["passed"]
     shape = (("app", "sll", 1),)
     form_key = sll_model(2).canonical(standard_structs()).form.key
-    row = (stable_key_bytes(shape), pickle.dumps((shape, form_key), protocol=5))
+    refuter_row = (stable_key_bytes(shape), pickle.dumps((shape, form_key), protocol=5))
+    unfold_rows = [
+        (stable_key_bytes(record), pickle.dumps(record, protocol=5))
+        for record in (("sll", 0, ("?a0",)), ("sll", 1, ("?a0",)), ("lseg", 1, ("?a0", "nil")))
+    ]
     store = CacheStore(cache_file)
     fingerprints = list(store.stats()["fingerprints"])
     for fingerprint in fingerprints:
-        assert store.put_many(fingerprint, "refuter", [row]) == 1
+        assert store.put_many(fingerprint, "refuter", [refuter_row]) == 1
+        assert store.put_many(fingerprint, "unfold", unfold_rows) == len(unfold_rows)
+    before = store.stats()["kinds"]
     store.close()
+    assert before["refuter"]["entries"] == len(fingerprints)
+    assert before["unfold"]["entries"] == len(fingerprints) * len(unfold_rows)
+
+    # Any process of the sweep that looks up an unfold row or decodes an
+    # unfold payload leaves a mark; the pool's forked workers inherit these
+    # wrappers.
+    marks = tmp_path / "unfold_reads"
+    unfold_payloads = {payload for _, payload in unfold_rows}
+    loads, get = serialize._loads, CacheStore.get
+
+    def mark(what: str) -> None:
+        with open(marks, "a") as handle:
+            handle.write(what + "\n")
+
+    def watched_loads(payload):
+        if bytes(payload) in unfold_payloads:
+            mark("decoded")
+        return loads(payload)
+
+    def watched_get(self, fingerprint, kind, key):
+        if kind == "unfold":
+            mark("looked up")
+        return get(self, fingerprint, kind, key)
+
+    monkeypatch.setattr(serialize, "_loads", watched_loads)
+    monkeypatch.setattr(CacheStore, "get", watched_get)
 
     resumed = _verify(cache_file, capsys)
     assert resumed["resumed"] is True
-    assert resumed["passed"] is True
+    assert resumed["identical"] and resumed["passed"]
+    assert not marks.exists(), marks.read_text()
     store = CacheStore(cache_file)
-    assert store.stats()["kinds"]["refuter"]["entries"] == len(fingerprints)
+    after = store.stats()["kinds"]
     store.close()
+    for kind in ("refuter", "unfold"):
+        assert after[kind]["entries"] == before[kind]["entries"]

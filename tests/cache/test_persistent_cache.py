@@ -2,9 +2,10 @@
 
 Covers, per the cache's contract (``docs/performance.md``):
 
-* round-trip serialization of the two persisted cache kinds -- EnvStream
-  snapshots and unfolding-template keys -- with stream payload bytes that
-  do not depend on the hash seed;
+* round-trip serialization of the one persisted cache kind, EnvStream
+  snapshots, with payload bytes that do not depend on the hash seed;
+* unfolding counters: templates are never loaded from the file, so cold
+  and warm runs count every template compile as a miss;
 * hit-count/recency eviction order of the size-capped store;
 * fingerprint invalidation (rows written under other predicate definitions
   are invisible, never misread);
@@ -33,13 +34,7 @@ from repro.cache import (
     PersistentCacheError,
     registry_fingerprint,
 )
-from repro.cache.serialize import (
-    decode_stream,
-    decode_unfold_key,
-    encode_stream,
-    encode_unfold_key,
-    stable_key_bytes,
-)
+from repro.cache.serialize import decode_stream, encode_stream, stable_key_bytes
 from repro.core.infer_atom import Candidate, _candidate_variant
 from repro.core.sling import Sling, SlingConfig
 from repro.lang import standard_structs
@@ -253,32 +248,45 @@ print(digest.hexdigest())
 """
 
 
-class TestUnfoldRoundTrip:
-    def test_template_keys_recompile_without_counter_drift(self):
-        # predicates_for() builds fresh registries: independent unfold caches.
-        source = predicates_for("sll")
-        target = predicates_for("sll")
-        predicate = source.get("sll")
-        predicate.instantiate_case(1, [Var("a")])
-        keys = predicate.unfold_cache_keys()
-        assert keys
+# ---------------------------------------------------------------------------
+# unfolding counters
+# ---------------------------------------------------------------------------
 
-        rows = [encode_unfold_key("sll", index, key) for index, key in keys]
-        fresh = target.get("sll")
-        before = dict(fresh.unfold_cache_info())
-        for _, payload in rows:
-            name, index, key = decode_unfold_key(payload)
-            assert name == "sll"
-            assert fresh.warm_unfold_template(index, key)
-        info = fresh.unfold_cache_info()
-        assert sorted(fresh.unfold_cache_keys()) == sorted(keys)
-        # Warming is invisible to the hit/miss counters (pinned baselines).
-        assert info["hits"] == before["hits"]
-        assert info["misses"] == before["misses"]
 
-    def test_stale_case_index_is_skipped(self):
-        predicate = predicates_for("sll").get("sll")
-        assert predicate.warm_unfold_template(99, ("?a0",)) is False
+class TestUnfoldCounters:
+    def test_cold_and_warm_runs_count_every_template_compile(self, tmp_path):
+        # Unfolding templates are compiled on demand, never loaded from the
+        # cache file, so every run on a fresh registry counts one miss per
+        # template it compiles -- warm or cold.  Warm runs count fewer hits:
+        # the streams served from disk run no search.
+        from repro.benchsuite.registry import get_benchmark
+        from repro.cache import close_tiers
+
+        benchmark = get_benchmark("sll/insertFront")
+        names = [predicate.name for predicate in benchmark.predicates]
+        config = SlingConfig(
+            discard_crashed_runs=True, persistent_cache=str(tmp_path / "c.sqlite")
+        )
+
+        def run():
+            registry = predicates_for(*names)
+            sling = Sling(benchmark.program, registry, config)
+            sling.infer_function(benchmark.function, benchmark.test_cases(0))
+            compiled = sum(len(predicate._unfold_cache) for predicate in registry)
+            return sling.cache_counters(), compiled
+
+        try:
+            cold, cold_compiled = run()
+            warm, warm_compiled = run()  # the same thread's tier
+            close_tiers()
+            reopened, reopened_compiled = run()  # a tier built afresh
+        finally:
+            close_tiers()
+        assert cold.disk_hits == 0 and warm.disk_hits > 0 and reopened.disk_hits > 0
+        assert cold.unfold_misses == cold_compiled > 0
+        assert warm.unfold_misses == warm_compiled == cold.unfold_misses
+        assert reopened.unfold_misses == reopened_compiled == cold.unfold_misses
+        assert 0 < warm.unfold_hits == reopened.unfold_hits < cold.unfold_hits
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +318,7 @@ class TestIncrementalFlush:
 
             monkeypatch.setattr(memo, name, counted)
         written = tier.flush(checker, final=False)
-        assert written == {"stream": 0, "unfold": 0}
+        assert written == {"stream": 0}
         assert visits == []
         assert tier.store.stats()["entries"] == rows
 
@@ -533,9 +541,8 @@ class TestCorruptionFallback:
         # would call ``open(marker, "w")``.
         marker = tmp_path / "unpickled"
         crafted = pickle.dumps(CreatesFileOnUnpickle(str(marker)))
-        for decode in (decode_stream, decode_unfold_key):
-            with pytest.raises(pickle.UnpicklingError):
-                decode(crafted)
+        with pytest.raises(pickle.UnpicklingError):
+            decode_stream(crafted)
         registry = standard_predicates()
         models, skeleton, variants = _lseg_batch(registry)
         checker = _canonical_checker(registry)

@@ -6,9 +6,12 @@ predicate unfolding cache) never changes any result -- for every
 """
 
 from repro.sl.checker import ModelChecker
+from repro.sl.exprs import Add, IntConst, Nil, Var, pure_conjuncts
 from repro.sl.model import Heap, HeapCell, StackHeapModel
 from repro.sl.parser import parse_formula
+from repro.sl.predicates import canonical_unfold_key
 from repro.sl.stdpreds import standard_predicates
+from repro.telemetry.counters import CacheStats
 
 from tests.conftest import dll_model, sll_model
 
@@ -79,38 +82,82 @@ class TestStructuralKey:
         assert first.structural_key() != second.structural_key()
 
 
-class TestUnfoldCache:
-    def test_instantiate_case_is_alpha_equivalent_to_plain_instantiate(self):
-        registry = standard_predicates()
-        dll = registry.get("dll")
-        from repro.sl.exprs import Nil, Var
+def _argument_shapes(arity: int) -> dict[str, list]:
+    """Argument tuples of every shape the unfolding key distinguishes."""
+    distinct = [Var(f"v{index}") for index in range(arity)]
+    return {
+        "distinct": distinct,
+        "repeated": [Var("r")] * arity,
+        "nil": [Nil()] + distinct[1:],
+        "int": distinct[:-1] + [IntConst(7)],
+        # A compound argument has no shape key: the uncached path.
+        "compound": [Add(Var("c"), IntConst(1))] + distinct[1:],
+    }
 
-        args = [Var("hd"), Var("pr"), Var("tl"), Nil()]
-        for index in range(len(dll.cases)):
-            plain = dll.cases[index].instantiate(dll.params, args)
-            for _ in range(3):  # first call fills, later calls hit
-                cached = dll.instantiate_case(index, args)
-                assert cached.structural_key() == plain.structural_key()
-        info = dll.unfold_cache_info()
-        assert info["hits"] >= 4
-        assert info["entries"] >= 2
+
+def _plain_goals(predicate, index, args):
+    """The reference unfolding: ``PredCase.instantiate``, flattened."""
+    body = predicate.cases[index].instantiate(predicate.params, args)
+    return body.exists, list(body.spatial_atoms()), pure_conjuncts(body.pure)
+
+
+def _renamed(goals, names):
+    """Goals with their existentials renamed to ``names`` (same order)."""
+    exists, atoms, conjuncts = goals
+    mapping = {old: Var(new) for old, new in zip(exists, names)}
+    return (
+        tuple(names),
+        [atom.substitute(mapping) for atom in atoms],
+        [conjunct.substitute(mapping) for conjunct in conjuncts],
+    )
+
+
+class TestUnfoldCache:
+    def test_instantiate_case_goals_matches_plain_instantiate(self):
+        registry = standard_predicates()
+        stats = CacheStats()
+        compiled: set[tuple] = set()
+        calls = uncached = 0
+        for predicate in registry:
+            for shape, args in _argument_shapes(predicate.arity).items():
+                key = canonical_unfold_key(args)
+                assert (key is None) == (shape == "compound")
+                for index in range(len(predicate.cases)):
+                    plain = _plain_goals(predicate, index, args)
+                    for _ in range(2):  # the first call compiles, the second hits
+                        goals = predicate.instantiate_case_goals(index, args, key, stats)
+                        assert len(goals[0]) == len(plain[0])
+                        assert _renamed(goals, plain[0]) == plain, (predicate.name, shape)
+                        calls += 1
+                    if key is None:
+                        uncached += 2
+                    else:
+                        # Unary "distinct" and "repeated" share one shape.
+                        compiled.add((predicate.name, index, key))
+        # Every call is one lookup: one miss per compiled (case, shape) and
+        # per uncached call, a hit otherwise.
+        assert stats.unfold_misses == len(compiled) + uncached
+        assert stats.unfold_hits == calls - stats.unfold_misses
 
     def test_two_unfoldings_never_share_existentials(self):
-        registry = standard_predicates()
-        sll = registry.get("sll")
-        from repro.sl.exprs import Var
-
-        first = sll.instantiate_case(1, [Var("x")])
-        second = sll.instantiate_case(1, [Var("x")])
-        assert set(first.exists).isdisjoint(second.exists)
+        sll = standard_predicates().get("sll")
+        args = [Var("x")]
+        key = canonical_unfold_key(args)
+        first = sll.instantiate_case_goals(1, args, key, CacheStats())
+        second = sll.instantiate_case_goals(1, args, key, CacheStats())
+        assert first[0] and set(first[0]).isdisjoint(second[0])
 
     def test_registry_aggregates_stats(self):
+        # Unfoldings of different predicates count into the one CacheStats
+        # the caller passes; the registry keeps no counter of its own.
         registry = standard_predicates()
-        from repro.sl.exprs import Var
-
-        registry.get("sll").instantiate_case(0, [Var("x")])
-        stats = registry.unfold_stats()
-        assert stats["misses"] >= 1
+        stats = CacheStats()
+        args = [Var("x")]
+        key = canonical_unfold_key(args)
+        registry.get("sll").instantiate_case_goals(0, args, key, stats)
+        registry.get("sll").instantiate_case_goals(0, args, key, stats)
+        registry.get("tree").instantiate_case_goals(0, args, key, stats)
+        assert (stats.unfold_misses, stats.unfold_hits) == (2, 1)
 
     def test_checker_results_unchanged_with_unfold_cache_warm(self, checker):
         # The session-scoped checker shares a registry whose unfold caches

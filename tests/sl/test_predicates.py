@@ -4,15 +4,23 @@ import pytest
 
 from repro.sl.errors import SLError, UnknownPredicateError
 from repro.sl.exprs import Nil, Var
-from repro.sl.predicates import InductivePredicate, PredCase, PredicateRegistry, predicate_complexity
+from repro.sl.predicates import (
+    InductivePredicate,
+    PredCase,
+    PredicateRegistry,
+    canonical_unfold_key,
+    predicate_complexity,
+)
 from repro.sl.spatial import PredApp, SymHeap
 from repro.sl.stdpreds import STRUCT_FIELDS, predicates_for, standard_predicates
+from repro.telemetry.counters import CacheStats
 
 
 class TestInductivePredicate:
     def test_unfold_substitutes_arguments(self, predicates):
         dll = predicates.get("dll")
-        cases = dll.unfold([Var("a"), Nil(), Var("t"), Nil()])
+        args = [Var("a"), Nil(), Var("t"), Nil()]
+        cases = [case.instantiate(dll.params, args) for case in dll.cases]
         assert len(cases) == 2
         # The recursive case mentions the actual argument a as the source.
         recursive = cases[1]
@@ -78,12 +86,20 @@ class TestRegistry:
         assert all(ours is theirs for ours, theirs in pairs)
 
         args = [Var("a"), Nil(), Var("t"), Nil()]
-        first.get("dll").unfold(args)
-        first.get("dll").unfold(args)
-        assert first.unfold_stats()["misses"] > 0 and first.unfold_stats()["hits"] > 0
-        assert second.unfold_stats() == {"hits": 0, "misses": 0}
-        assert full.unfold_stats() == {"hits": 0, "misses": 0}
-        assert second.get("dll").unfold_cache_info()["entries"] == 0
+        key = canonical_unfold_key(args)
+
+        def unfold_twice(registry) -> CacheStats:
+            stats = CacheStats()
+            dll = registry.get("dll")
+            for _ in range(2):
+                for index in range(len(dll.cases)):
+                    dll.instantiate_case_goals(index, args, key, stats)
+            return stats
+
+        # Each registry compiles its own templates once, then hits them.
+        for registry in (first, second, full):
+            stats = unfold_twice(registry)
+            assert (stats.unfold_misses, stats.unfold_hits) == (2, 2)
 
     def test_struct_fields_match_standard_predicates(self, predicates, structs):
         # Every structure type dereferenced by a standard predicate must
