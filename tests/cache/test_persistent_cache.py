@@ -5,7 +5,8 @@ Covers, per the cache's contract (``docs/performance.md``):
 * round-trip serialization of the one persisted cache kind, EnvStream
   snapshots, with payload bytes that do not depend on the hash seed;
 * unfolding counters: templates are never loaded from the file, so cold
-  and warm runs count every template compile as a miss;
+  and warm runs count every template compile as a miss, attaching compiles
+  none, and a run writes stream rows only;
 * hit-count/recency eviction order of the size-capped store;
 * fingerprint invalidation (rows written under other predicate definitions
   are invisible, never misread);
@@ -253,33 +254,40 @@ print(digest.hexdigest())
 # ---------------------------------------------------------------------------
 
 
+def _compiled_templates(registry) -> int:
+    return sum(len(predicate._unfold_cache) for predicate in registry)
+
+
+def _infer_insert_front(path):
+    """Infer ``sll/insertFront`` on a fresh registry with cache file ``path``.
+
+    Returns the run's :class:`CacheStats` copy, the number of unfolding
+    templates its registry compiled, and the registry.
+    """
+    from repro.benchsuite.registry import get_benchmark
+
+    benchmark = get_benchmark("sll/insertFront")
+    registry = predicates_for(*(predicate.name for predicate in benchmark.predicates))
+    config = SlingConfig(discard_crashed_runs=True, persistent_cache=str(path))
+    sling = Sling(benchmark.program, registry, config)
+    sling.infer_function(benchmark.function, benchmark.test_cases(0))
+    return sling.cache_counters(), _compiled_templates(registry), registry
+
+
 class TestUnfoldCounters:
     def test_cold_and_warm_runs_count_every_template_compile(self, tmp_path):
         # Unfolding templates are compiled on demand, never loaded from the
         # cache file, so every run on a fresh registry counts one miss per
         # template it compiles -- warm or cold.  Warm runs count fewer hits:
         # the streams served from disk run no search.
-        from repro.benchsuite.registry import get_benchmark
         from repro.cache import close_tiers
 
-        benchmark = get_benchmark("sll/insertFront")
-        names = [predicate.name for predicate in benchmark.predicates]
-        config = SlingConfig(
-            discard_crashed_runs=True, persistent_cache=str(tmp_path / "c.sqlite")
-        )
-
-        def run():
-            registry = predicates_for(*names)
-            sling = Sling(benchmark.program, registry, config)
-            sling.infer_function(benchmark.function, benchmark.test_cases(0))
-            compiled = sum(len(predicate._unfold_cache) for predicate in registry)
-            return sling.cache_counters(), compiled
-
+        path = tmp_path / "c.sqlite"
         try:
-            cold, cold_compiled = run()
-            warm, warm_compiled = run()  # the same thread's tier
+            cold, cold_compiled, _ = _infer_insert_front(path)
+            warm, warm_compiled, _ = _infer_insert_front(path)  # the same tier
             close_tiers()
-            reopened, reopened_compiled = run()  # a tier built afresh
+            reopened, reopened_compiled, _ = _infer_insert_front(path)  # afresh
         finally:
             close_tiers()
         assert cold.disk_hits == 0 and warm.disk_hits > 0 and reopened.disk_hits > 0
@@ -287,6 +295,49 @@ class TestUnfoldCounters:
         assert warm.unfold_misses == warm_compiled == cold.unfold_misses
         assert reopened.unfold_misses == reopened_compiled == cold.unfold_misses
         assert 0 < warm.unfold_hits == reopened.unfold_hits < cold.unfold_hits
+
+    def test_attach_to_a_written_file_compiles_no_template(self, tmp_path, monkeypatch):
+        # Attaching reads no row and instantiates nothing: the first
+        # unfolding the search asks for compiles its template.
+        from repro.cache import close_tiers
+
+        path = tmp_path / "c.sqlite"
+        try:
+            _, cold_compiled, registry = _infer_insert_front(path)
+        finally:
+            close_tiers()
+        assert cold_compiled > 0
+        assert CacheStore(path).stats()["entries"] > 0
+
+        fresh = predicates_for(*(predicate.name for predicate in registry))
+        tier = PersistentCache(path, fresh)
+        reads = []
+        original_get = tier.store.get
+
+        def counted_get(*args):
+            reads.append(args)
+            return original_get(*args)
+
+        monkeypatch.setattr(tier.store, "get", counted_get)
+        checker = _canonical_checker(fresh)
+        tier.attach(checker)
+        assert reads == []
+        assert _compiled_templates(fresh) == 0
+        assert checker.stats.unfold_hits == checker.stats.unfold_misses == 0
+        tier.close()
+
+    def test_a_run_writes_stream_rows_only(self, tmp_path):
+        from repro.cache import close_tiers
+
+        path = tmp_path / "c.sqlite"
+        try:
+            counters, compiled, _ = _infer_insert_front(path)
+        finally:
+            close_tiers()
+        assert counters.unfold_misses == compiled > 0
+        kinds = CacheStore(path).stats()["kinds"]
+        assert set(kinds) == {"stream"}
+        assert kinds["stream"]["entries"] > 0
 
 
 # ---------------------------------------------------------------------------
