@@ -4,7 +4,7 @@ A :class:`PersistentCache` sits *beneath* the canonical-keyed
 ``EnvStream`` skeleton memo of one :class:`~repro.sl.checker.ModelChecker`.
 It serves streams lazily, one per miss (:meth:`PersistentCache.load_stream`,
 called from ``_get_stream`` after a miss in the checker's memo, which an
-engine batch shares among its jobs).  Stream rows are the only kind it
+engine batch shares among its jobs and a serve daemon among its requests).  Stream rows are the only kind it
 reads or writes.
 
 Older files also hold ``refuter`` rows (the learned-refuter table's) and
@@ -92,10 +92,11 @@ class PersistentCache:
         #: the store's generation moves.
         self._known_streams: set[tuple] = set()
         self._generation: int | None = None
-        #: ``(weak reference to a stream memo, position)``: where the last
-        #: flush stopped reading that memo's ``finished`` log.  A flush from
-        #: another memo, or after the known rows were dropped, reads it
-        #: from the start.
+        #: ``(weak reference to a stream memo, absolute position)``: where
+        #: the last flush stopped reading that memo's ``finished`` log.  A
+        #: flush from another memo, or after the known rows were dropped,
+        #: reads it from the start; one whose position the log has trimmed
+        #: away visits the whole memo (see ``shareable_streams``).
         self._stream_log: tuple = (None, 0)
         #: Stream keys served from disk since the last flush (recency bump).
         self._touched: set[bytes] = set()
@@ -235,7 +236,7 @@ class PersistentCache:
                 continue
             stream_rows.append((stable_key_bytes(key), encode_stream(stream)))
             known_streams.add(key)
-        self._stream_log = (weakref.ref(memo), len(memo.finished))
+        self._stream_log = (weakref.ref(memo), memo.log_end())
         written = self.store.put_many(self.fingerprint, KIND_STREAM, stream_rows)
 
         if self._touched:

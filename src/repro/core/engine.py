@@ -419,8 +419,11 @@ class InferenceEngine:
         A batch of two or more jobs shares one stream memo
         (:func:`repro.sl.stream.stream_pool`): later jobs reuse the
         skeleton streams earlier ones enumerated, with identical results.
-        Forked pool workers inherit the empty memo and each fills its own;
-        the memo is dropped when the batch returns or raises.
+        The memo is dropped when the batch returns or raises, unless it is
+        one already open on the calling thread (a serve daemon's), which
+        the batch fills and leaves in place.  Forked pool workers inherit a
+        copy of the memo as it was at the fork, fill their own copies and
+        feed nothing back.
         """
         # Bake the engine-wide default timeout into each job so the executing
         # process (calling thread or pool worker) enforces it locally.

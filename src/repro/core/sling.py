@@ -165,25 +165,26 @@ class Sling:
     def cache_stats(self) -> dict:
         """Dict rendering of :meth:`cache_counters` (JSON reports, tests).
 
-        When the persistent cache or an engine batch's shared stream memo
-        is active the dict additionally carries a ``counter_semantics``
-        note: disk-served streams count neither ``skeletons_solved`` nor
-        ``env_stream_reuses``, streams an earlier job of the batch solved
-        count as ``env_stream_reuses``, and a location an earlier job
-        inferred counts one ``location_memo_hits`` and no search work, so
-        those counters are **not comparable** with a standalone, cache-less
-        run's (see ``docs/performance.md``).
+        When the persistent cache or a shared stream memo (an engine
+        batch's or a serve daemon's) is active the dict additionally
+        carries a ``counter_semantics`` note: disk-served streams count
+        neither ``skeletons_solved`` nor ``env_stream_reuses``, streams an
+        earlier job of the batch or an earlier request of the daemon solved
+        count as ``env_stream_reuses``, and a location one of them inferred
+        counts one ``location_memo_hits`` and no search work, so those
+        counters are **not comparable** with a standalone, cache-less run's
+        (see ``docs/performance.md``).
         """
         stats = self.cache_counters().as_dict()
         if self.persistent_cache is not None or self.checker.shares_streams:
             stats["counter_semantics"] = (
-                "persistent cache or batch stream memo active: disk-served "
+                "persistent cache or shared stream memo active: disk-served "
                 "streams count neither skeletons_solved nor "
-                "env_stream_reuses, streams an earlier job of the batch "
-                "solved count as env_stream_reuses, and a location an "
-                "earlier job inferred counts location_memo_hits and no "
-                "search work; do not compare these counters with a "
-                "standalone cache-less run"
+                "env_stream_reuses, streams an earlier job of the batch or "
+                "an earlier request of the daemon solved count as "
+                "env_stream_reuses, and a location one of them inferred "
+                "counts location_memo_hits and no search work; do not "
+                "compare these counters with a standalone cache-less run"
             )
         return stats
 
@@ -236,9 +237,10 @@ class Sling:
 
         On the fast path the result is a function of the models' content,
         the registry, the struct definitions, ``free_vars`` and the
-        variable order, so under an engine batch the outer call looks it
-        up in the batch's stream memo first (``StreamMemo.locations``): an
-        earlier job may have inferred the same models.  A hit returns new
+        variable order, so under a shared memo (an engine batch's or a
+        serve daemon's) the outer call looks it up in that memo first
+        (``StreamMemo.locations``): an earlier job or request may have
+        inferred the same models.  A hit returns new
         :class:`Invariant` objects at ``location``.  The key holds a digest
         of the models, never the models.  The ``reference_search`` oracle
         is never memoized.
@@ -260,18 +262,21 @@ class Sling:
     ) -> list[Invariant]:
         """:meth:`_infer_from_models` behind the location memo.
 
-        Only a memo shared by an engine batch is consulted: no job repeats
-        one of its own locations, so in a private memo the key digest
-        would be pure cost.
+        Only a shared memo is consulted: no job repeats one of its own
+        locations, so in a private memo the key digest would be pure cost.
         """
         if not models or self.config.reference_search or not self.checker.shares_streams:
             return self._infer_from_models(models, location, free_vars)
         key = self._location_key(models, free_vars)
-        cached = self.checker.locations.get(key)
+        cached = self.checker.locations.recall(key)
         if cached is None:
             invariants = self._infer_from_models(models, location, free_vars)
-            self.checker.locations[key] = tuple(
-                (invariant.formula, invariant.from_freed_traces) for invariant in invariants
+            self.checker.locations.add(
+                key,
+                tuple(
+                    (invariant.formula, invariant.from_freed_traces)
+                    for invariant in invariants
+                ),
             )
             return invariants
         self.checker.stats.location_memo_hits += 1

@@ -9,9 +9,13 @@ into the benchmarks' registries, and the persistent cache tier of the
 thread running the jobs -- one open sqlite connection per cache file and
 the set of stream rows already on disk, so a warm request never reopens
 the file and flushes only what it newly learned (see
-:func:`repro.cache.bind_tier`).  Each request still gets a fresh checker,
-so its results and counters are its own.  Teardown closes the
-tiers.  The robustness contract:
+:func:`repro.cache.bind_tier`) -- and one stream memo
+(:func:`repro.sl.stream.stream_pool`) open on that thread for the daemon's
+whole life, so a request is served the skeleton streams and whole-location
+results an earlier request left there.  Each request still gets a fresh
+checker: its records are its own, bit-identical to an in-process run, but
+its work counters depend on what earlier requests left in the memo.
+Teardown closes the tiers.  The robustness contract:
 
 * **Bounded admission.**  A fixed-capacity FIFO queue; a submission that
   would overflow it is rejected immediately with a structured ``rejected``
@@ -70,6 +74,7 @@ from repro.serve.protocol import (
     rejected_record,
     remaining_budget,
 )
+from repro.sl.stream import stream_pool
 from repro.telemetry import monotime
 
 log = logging.getLogger("repro.serve")
@@ -278,14 +283,20 @@ class ServeDaemon:
             # the exclusivity check, so a second daemon pointed at a live
             # socket fails here without replaying the live daemon's journal.
             self._listen()
-            self._resume_journaled()
-            accept_thread = threading.Thread(
-                target=self._accept_loop, name="repro-serve-accept", daemon=True
-            )
-            accept_thread.start()
-            log.info("serving on %s (queue limit %d)", self.socket_path, self.queue.limit)
-            self._executor_loop()
-            self._drain()
+            # Every request runs on this thread, so they all share one
+            # stream memo (and every engine batch fills it; see the module
+            # docstring).
+            with stream_pool():
+                self._resume_journaled()
+                accept_thread = threading.Thread(
+                    target=self._accept_loop, name="repro-serve-accept", daemon=True
+                )
+                accept_thread.start()
+                log.info(
+                    "serving on %s (queue limit %d)", self.socket_path, self.queue.limit
+                )
+                self._executor_loop()
+                self._drain()
             accept_thread.join(timeout=2 * ACCEPT_POLL_SECONDS)
             return 0
         finally:
@@ -411,6 +422,12 @@ class ServeDaemon:
                     continue
                 pending = self._admit(connection, line)
                 if pending is not None:
+                    # Keep only what a hang-up may still cancel: a finished
+                    # request held here would live as long as the
+                    # connection.
+                    submitted = [
+                        earlier for earlier in submitted if not earlier.done.is_set()
+                    ]
                     submitted.append(pending)
         except (OSError, ValueError):
             pass

@@ -22,7 +22,7 @@ from typing import Iterator, Sequence
 from repro.cache.fingerprint import registry_fingerprint
 from repro.sl import kernels, search
 from repro.sl.exprs import Var
-from repro.sl.model import HeapCanon, StackHeapModel
+from repro.sl.model import CanonicalForm, HeapCanon, StackHeapModel
 from repro.sl.predicates import PredicateRegistry
 from repro.sl.search import CheckResult
 from repro.sl.spatial import PredApp, SymHeap
@@ -61,9 +61,9 @@ class ModelChecker:
     ``MAX_SOLUTIONS`` of :mod:`repro.sl.search` and ``STREAM_MAX_ENTRIES`` of
     :mod:`repro.sl.stream`, the same for every checker -- which is what lets
     checkers share streams.  A checker built inside
-    :func:`~repro.sl.stream.stream_pool` (an engine batch) shares that
-    block's one stream memo with every other checker built there; any other
-    checker keeps a private memo.
+    :func:`~repro.sl.stream.stream_pool` (an engine batch, a serve daemon's
+    executor) shares that block's one stream memo with every other checker
+    built there; any other checker keeps a private memo.
     """
 
     def __init__(self, registry: PredicateRegistry, structs=None):
@@ -75,7 +75,7 @@ class ModelChecker:
         self.stats = CacheStats()
         #: Memoized skeleton streams: (registry space, skeleton structural
         #: key, model) -> :class:`EnvStream`, LRU-bounded.  The memo of the
-        #: engine batch this checker was built in (see
+        #: engine batch or serve daemon this checker was built in (see
         #: :func:`~repro.sl.stream.stream_pool`), else a private one.
         memo = batch_memo()
         self.shares_streams = memo is not None
@@ -358,18 +358,26 @@ class ModelChecker:
         """The memo entries that may be written to disk, as ``(key, stream)``.
 
         Only streams still in the memo that were logged in its ``finished``
-        list at or after position ``since`` (a flush passes where its
-        previous call stopped), in this checker's registry space, with the
-        space prefix removed from the key.  Only a *complete* stream under
-        a canonical key is a pure function of its key: a concrete key
+        list at or after absolute position ``since`` (a flush passes where
+        its previous call stopped), in this checker's registry space, with
+        the space prefix removed from the key.  Only a *complete* stream
+        under a canonical key is a pure function of its key: a concrete key
         embeds process-local addresses, and a stream cut off by the entry
         cap or the step budget is not a full enumeration.  The log holds
         canonical keys only, and the stream under a logged key is checked
-        again: it may have been evicted and re-inserted unfinished.
+        again: it may have been evicted and re-inserted unfinished.  When
+        ``since`` falls before the log's trimmed prefix, every canonical
+        key in the memo is visited instead: the streams logged there that
+        the memo still holds are among them.
         """
         space = self.registry_space()
         streams = self._streams
-        for key in streams.finished[since:]:
+        start = since - streams.finished_dropped
+        if start < 0:
+            keys = [key for key in streams if isinstance(key[-1], CanonicalForm)]
+        else:
+            keys = streams.finished[start:]
+        for key in keys:
             if key[0] == space:
                 stream = streams.get(key)
                 if stream is not None and stream.complete:
@@ -444,7 +452,7 @@ class ModelChecker:
             # ``skeletons_solved`` nor ``env_stream_reuses``.
             stream = self.persistent.load_stream(key[1:])
             if stream is not None:
-                streams.finished.append(key)
+                streams.log_finished(key)
         if stream is None:
             stream = EnvStream(
                 lambda: search.skeleton_leaves(self.registry, self.stats, model, skeleton),
@@ -454,7 +462,7 @@ class ModelChecker:
                 source_root=root_value,
                 source_heap_hash=hash(model.heap),
                 tracer=self.tracer,
-                finished=(streams.finished, key) if exact else None,
+                finished=(streams, key) if exact else None,
             )
             self.stats.skeletons_solved += 1
         streams.add(key, stream)

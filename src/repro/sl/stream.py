@@ -3,8 +3,8 @@
 A stream holds every raw leaf of one (spatial skeleton, model) search
 (:func:`repro.sl.search.skeleton_leaves`), enumerated once and then shared
 by every pure variant that consults it -- within one ``check_batch`` call
-and, through a :class:`StreamMemo`, across candidate batches and the jobs of
-an engine batch (:func:`stream_pool`).
+and, through a :class:`StreamMemo`, across candidate batches, the jobs of
+an engine batch and the requests of a serve daemon (:func:`stream_pool`).
 
 Every stream stores its entries in one coordinate space: the canonical
 labeling (:class:`~repro.sl.model.HeapCanon`) of the heap it was generated
@@ -34,6 +34,15 @@ STREAM_MAX_ENTRIES = 4096
 #: engine batch (LRU-evicted beyond it).  Above the ~350 streams of the
 #: largest benchsuite job, so a memo never evicts inside one job.
 _STREAM_MEMO_LIMIT = 512
+
+#: Upper bound on the whole-location results one memo holds (LRU-evicted
+#: beyond it).  One seed's 150 benchsuite programs leave 376.
+_LOCATION_MEMO_LIMIT = 1024
+
+#: Upper bound on the keys a memo's ``finished`` log holds; beyond it the
+#: oldest half is dropped (see :meth:`StreamMemo.log_finished`).  Above
+#: the ~4,600 keys one 150-job Table 1 pass logs, so a sweep never trims.
+_FINISHED_LOG_LIMIT = 8192
 
 
 class _StreamEntry:
@@ -83,7 +92,7 @@ class EnvStream:
         source_root: int | None = None,
         source_heap_hash: int | None = None,
         tracer=None,
-        finished: tuple[list, tuple] | None = None,
+        finished: tuple[StreamMemo, tuple] | None = None,
     ):
         self.slot_names = slot_names
         self.entries: list[_StreamEntry] = []
@@ -94,8 +103,8 @@ class EnvStream:
         self._heap_size = heap_size
         self._canon = canon
         self._tracer = tracer
-        #: ``(log, key)``: the memo log this stream appends its key to when
-        #: its enumeration completes (see :class:`StreamMemo`).
+        #: ``(memo, key)``: the memo whose ``finished`` log this stream
+        #: appends its key to when its enumeration completes.
         self._finished = finished
         #: Columnar side-representation: slot position -> ``(postings,
         #: wildcards)`` where ``postings`` maps a stored slot value to the
@@ -168,8 +177,8 @@ class EnvStream:
             else:
                 self.complete = True
                 if self._finished is not None:
-                    log, key = self._finished
-                    log.append(key)
+                    memo, key = self._finished
+                    memo.log_finished(key)
         except CheckBudgetExceeded:
             pass
         except BaseException:
@@ -236,18 +245,23 @@ class StreamMemo(OrderedDict):
     completed in this memo or was loaded into it from disk: the streams a
     disk flush may write.  A flush reads the log from where its previous
     call stopped, so its cost follows the streams finished since then, not
-    the memo's size (:meth:`ModelChecker.shareable_streams`).
+    the memo's size (:meth:`ModelChecker.shareable_streams`).  Positions in
+    the log are absolute: ``finished_dropped`` counts the keys trimmed off
+    its front, so a memo that lives as long as a serve daemon keeps the
+    log bounded.
 
     ``locations`` holds whole-location results of the driver, keyed by
     content (see :meth:`repro.core.sling.Sling.infer_from_models`): they
-    share the streams' scope, so an engine batch infers each distinct
-    location once.  It keeps formulas only, never models.
+    share the streams' scope, so an engine batch, or a serve daemon,
+    infers each distinct location once.  It keeps formulas only, never
+    models.
     """
 
     def __init__(self):
         super().__init__()
         self.finished: list[tuple] = []
-        self.locations: dict[tuple, tuple] = {}
+        self.finished_dropped = 0
+        self.locations = LocationMemo()
 
     def add(self, key: tuple, stream: EnvStream) -> None:
         """Insert ``stream`` as the most recently used entry, evicting the
@@ -256,9 +270,43 @@ class StreamMemo(OrderedDict):
         if len(self) > _STREAM_MEMO_LIMIT:
             self.popitem(last=False)
 
+    def log_finished(self, key: tuple) -> None:
+        """Append ``key`` to the ``finished`` log; past
+        ``_FINISHED_LOG_LIMIT`` keys, drop the oldest half of the log."""
+        finished = self.finished
+        finished.append(key)
+        if len(finished) > _FINISHED_LOG_LIMIT:
+            dropped = len(finished) - _FINISHED_LOG_LIMIT // 2
+            del finished[:dropped]
+            self.finished_dropped += dropped
 
-#: Per-thread home of the open batch memo: checkers bind to it at
-#: construction.  A forked engine worker inherits its parent thread's memo.
+    def log_end(self) -> int:
+        """The absolute position just past the last logged key."""
+        return self.finished_dropped + len(self.finished)
+
+
+class LocationMemo(OrderedDict):
+    """Whole-location results: content key -> ``(formula, from freed
+    traces)`` pairs, least recently used first, at most
+    ``_LOCATION_MEMO_LIMIT`` of them."""
+
+    def recall(self, key: tuple) -> tuple | None:
+        """The result under ``key`` (now the most recently used), or ``None``."""
+        value = self.get(key)
+        if value is not None:
+            self.move_to_end(key)
+        return value
+
+    def add(self, key: tuple, value: tuple) -> None:
+        """Insert ``value`` as the most recently used entry, evicting the
+        least recently used one beyond ``_LOCATION_MEMO_LIMIT``."""
+        self[key] = value
+        if len(self) > _LOCATION_MEMO_LIMIT:
+            self.popitem(last=False)
+
+
+#: Per-thread home of the open memo: checkers bind to it at construction.
+#: A forked engine worker inherits its parent thread's memo.
 _MEMO_SCOPE = threading.local()
 
 
@@ -274,13 +322,19 @@ def stream_pool():
     A stream is a function of its memo key (registry space, skeleton, heap
     region) and the module budgets, so every job of an engine batch may
     read the streams an earlier job enumerated, and the location results
-    an earlier job inferred (``StreamMemo.locations``).  Scoped to the
-    calling thread and restored on exit, also when the block raises: a
-    checker built afterwards, or on another thread, gets a private memo.
+    an earlier job inferred (``StreamMemo.locations``).  A block opened
+    while a memo is already open on this thread (an engine batch inside a
+    serve daemon's lifetime memo) uses that memo instead of shadowing it.
+    Scoped to the calling thread and restored on exit, also when the block
+    raises: a checker built afterwards, or on another thread, gets a
+    private memo.
     """
-    previous = batch_memo()
+    memo = batch_memo()
+    if memo is not None:
+        yield memo
+        return
     memo = _MEMO_SCOPE.memo = StreamMemo()
     try:
         yield memo
     finally:
-        _MEMO_SCOPE.memo = previous
+        _MEMO_SCOPE.memo = None

@@ -43,6 +43,7 @@ from repro.sl.checker import ModelChecker, build_skeleton
 from repro.sl.exprs import Nil, Var
 from repro.sl.model import CanonicalForm, Heap, HeapCell, StackHeapModel
 from repro.sl.spatial import PredApp, SymHeap
+from repro.sl import stream as stream_module
 from repro.sl.stdpreds import predicates_for, standard_predicates
 
 from tests.conftest import CreatesFileOnUnpickle
@@ -386,6 +387,39 @@ class TestIncrementalFlush:
         assert stream.ensure()
         assert tier.flush(checker, final=False)["stream"] == 1
         assert tier.flush(checker, final=False)["stream"] == 0
+
+    def test_a_flush_behind_the_trimmed_log_visits_the_whole_memo(
+        self, tmp_path, monkeypatch
+    ):
+        """A stream whose log entry was trimmed away before any flush read
+        it is still written, and the rows the tier knows are skipped."""
+        registry = standard_predicates()
+        models, skeleton, _ = _lseg_batch(registry)
+        checker = _canonical_checker(registry)
+        tier = PersistentCache(tmp_path / "cache.sqlite", registry)
+        tier.attach(checker)
+        written = []
+        put_many = tier.store.put_many
+
+        def recorded(fingerprint, kind, rows):
+            written.append([key for key, _ in rows])
+            return put_many(fingerprint, kind, rows)
+
+        monkeypatch.setattr(tier.store, "put_many", recorded)
+        first, second = models
+        stream, _ = checker._get_stream(skeleton, first, 0, first.stack_map["x"])
+        assert stream.ensure()
+        assert tier.flush(checker, final=False)["stream"] == 1
+        memo = checker._streams
+        monkeypatch.setattr(stream_module, "_FINISHED_LOG_LIMIT", 1)
+        late, _ = checker._get_stream(skeleton, second, 0, second.stack_map["x"])
+        assert late.ensure()
+        assert memo.finished == [] and memo.finished_dropped == 2
+        assert tier.flush(checker, final=False)["stream"] == 1
+        late_key = next(key for key, value in memo.items() if value is late)
+        assert written[-1] == [stable_key_bytes(late_key[1:])]
+        assert tier.flush(checker, final=False)["stream"] == 0
+        assert written[-1] == []
 
 
 # ---------------------------------------------------------------------------

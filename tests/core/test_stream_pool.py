@@ -13,9 +13,12 @@ that may and may not change:
   same candidate search, and a job that was served one does no more;
 * a stream whose enumeration was interrupted is enumerated again by the
   next job that asks for it;
-* the memo never outlives its batch, only complete streams reach a cache
-  file, and a cache file never gets a stream row written twice because
-  the memo served it.
+* the memo never outlives its batch, and a batch inside an open pool
+  fills that pool's memo and leaves it open;
+* a memo that serves many jobs keeps its streams, locations and
+  finished-stream log within their bounds;
+* only complete streams reach a cache file, and a cache file never gets a
+  stream row written twice because the memo served it.
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ from repro.evaluation.table1 import (
     evaluate_program,
     run_table1,
 )
+from repro.serve.protocol import records_for_report
 from repro.sl import search as search_module
 from repro.sl import stream as stream_module
 from repro.sl.checker import ModelChecker
@@ -269,6 +273,73 @@ def test_no_pool_outlives_its_batch():
     with pytest.raises(RuntimeError, match="caller gave up"):
         InferenceEngine(jobs=1).run(jobs, on_report=fail)
     assert _standalone_counters("sll/insertBack") == alone
+
+
+# ----------------------------------------------------------- nested pools --
+
+
+def test_a_batch_inside_an_open_pool_fills_the_outer_memo():
+    """An engine batch (and a one-job run, which opens no pool) inside an
+    open pool uses that memo instead of shadowing it, and leaves it open
+    when the batch returns or raises."""
+    jobs = [
+        EngineJob(kind="spec", benchmark=name, seed=0)
+        for name in ("sll/insertFront", "sll/insertBack")
+    ]
+    with stream_module.stream_pool() as outer:
+        reports = InferenceEngine(jobs=1).run(jobs)
+        assert all(report.ok for report in reports)
+        assert stream_module.batch_memo() is outer
+        assert len(outer) > 0 and outer.locations
+        locations = dict(outer.locations)
+        again = InferenceEngine(jobs=1).run(jobs[1:])[0]
+        assert again.ok and again.cache.location_memo_hits > 0
+        assert again.cache.skeletons_solved == 0
+        assert dict(outer.locations) == locations
+
+        def fail(index, report):  # noqa: ARG001 -- on_report shape
+            raise RuntimeError("caller gave up")
+
+        with pytest.raises(RuntimeError, match="caller gave up"):
+            InferenceEngine(jobs=1).run(jobs, on_report=fail)
+        assert stream_module.batch_memo() is outer
+    assert stream_module.batch_memo() is None
+
+
+def test_a_long_lived_memo_stays_within_its_bounds(monkeypatch):
+    """Streams, locations and the finished log are bounded however many
+    distinct jobs one pool serves; the results are a standalone run's."""
+    limits = {
+        "_STREAM_MEMO_LIMIT": 24,
+        "_LOCATION_MEMO_LIMIT": 4,
+        "_FINISHED_LOG_LIMIT": 16,
+    }
+    for name, limit in limits.items():
+        monkeypatch.setattr(stream_module, name, limit)
+    names = [
+        "sll/insertFront",
+        "sll/insertBack",
+        "sll/append",
+        "sll/reverse",
+        "dll/append",
+        "dll/concat",
+        "dll/midDelMid",
+        "dll/insertBack",
+    ]
+    job = EngineJob(kind="spec", benchmark=names[-1], seed=0)
+    with stream_module.stream_pool() as memo:
+        for name in names:
+            report = InferenceEngine(jobs=1).run([replace(job, benchmark=name)])[0]
+            assert report.ok, report.error
+            assert len(memo) <= limits["_STREAM_MEMO_LIMIT"]
+            assert len(memo.locations) <= limits["_LOCATION_MEMO_LIMIT"]
+            assert len(memo.finished) <= limits["_FINISHED_LOG_LIMIT"]
+        served = InferenceEngine(jobs=1).run([job])[0]
+    assert memo.finished_dropped > 0
+    assert len(memo.locations) == limits["_LOCATION_MEMO_LIMIT"]
+    assert served.cache.location_memo_hits > 0
+    alone = InferenceEngine(jobs=1).run([job])[0]
+    assert records_for_report("r", served) == records_for_report("r", alone)
 
 
 # ------------------------------------------------------------ cache files --

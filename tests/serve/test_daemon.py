@@ -6,11 +6,13 @@ in-process fallback, a pooled daemon against an inline one, a
 kill-and-resume restart against a fresh run, and the request after an
 abused one (queue overflow, deadline expiry, client disconnect) against a
 fresh run.  A subprocess test closes the loop against the one-shot CLI
-(``repro infer --json``).  Every thread-hosted daemon must drain with exit 0.
+(``repro infer --json``).  Every thread-hosted daemon must drain with exit 0,
+and a persistent connection must not keep the requests it finished alive.
 """
 
 from __future__ import annotations
 
+import gc
 import io
 import json
 import os
@@ -22,7 +24,7 @@ import time
 import pytest
 
 from repro.serve.client import submit
-from repro.serve.daemon import ServeDaemon
+from repro.serve.daemon import ServeDaemon, _PendingRequest
 from repro.serve.journal import RequestJournal
 from repro.serve.protocol import ServeRequest, encode
 from tests.conftest import SERVE_WAIT, reference_payload, served_payload
@@ -63,14 +65,19 @@ class TestServedEquivalence:
         )
 
     def test_request_isolation_keeps_streams_identical(self, serve_daemon):
-        """A warm daemon serves the same request identically every time."""
+        """A warm daemon serves the same request identically every time,
+        the second time from the locations the first one left in the
+        daemon's memo."""
         host = serve_daemon(jobs=1)
         request = ServeRequest(id="warm", benchmarks=WORKLOAD)
         streams = []
+        hits = []
         for _ in range(2):
             out = io.StringIO()
             submit(host.socket_path, request, out)
             streams.append(served_payload(out.getvalue().splitlines()))
+            hits.append(host.counters()["location_memo_hits"])
+        assert hits[1] > hits[0]
         assert streams[0] == streams[1] == reference_payload(request)
 
 
@@ -204,6 +211,11 @@ class TestDaemonUnderAbuse:
         ]
         assert expired, "no job was cut off by the deadline"
         assert host.counters()["serve_deadline_expiries"] >= 1
+        # Whatever the deadline cut off left nothing wrong in the memo.
+        request = ServeRequest(id="after-deadline", benchmarks=LONG_WORKLOAD)
+        out = io.StringIO()
+        assert submit(host.socket_path, request, out)["status"] == "complete"
+        assert served_payload(out.getvalue().splitlines()) == reference_payload(request)
         _assert_followup_identical(host)
 
     def test_client_disconnect_cancels_the_abandoned_request(self, serve_daemon):
@@ -221,6 +233,28 @@ class TestDaemonUnderAbuse:
             assert time.monotonic() < deadline, "the hangup was never counted"
             time.sleep(0.05)
         _assert_followup_identical(host)
+
+
+class TestConnectionMemory:
+    def test_a_connection_keeps_no_finished_request(self, serve_daemon):
+        """Sequential requests on one connection leave at most the last
+        one reachable, not every request the connection ever sent."""
+        host = serve_daemon(jobs=1)
+        conn, reader = _connect(host.socket_path)
+        try:
+            for number in range(40):
+                _send(conn, ServeRequest(id=f"seq-{number}", benchmarks=WORKLOAD[:1]))
+                assert _read_until(reader, "done")[-1]["status"] == "complete"
+            gc.collect()
+            alive = [
+                obj
+                for obj in gc.get_objects()
+                if isinstance(obj, _PendingRequest) and obj.request.id.startswith("seq-")
+            ]
+            assert len(alive) <= 1
+        finally:
+            reader.close()
+            conn.close()
 
 
 class _RecordingSink:
