@@ -2,20 +2,27 @@
 
 The daemon appends one NDJSON event per lifecycle transition -- ``accepted``
 when a request passes admission control (before the client is told), and
-``done`` when its terminal record has been written -- each line flushed and
-fsynced, so the set of accepted-without-done requests survives any crash.
-A restarted daemon replays :meth:`RequestJournal.unfinished` before
-accepting new work; inference is deterministic per (benchmark, seed,
-config), so the re-run produces bit-identical results to what the crashed
-run would have delivered.
+``done`` when its terminal record has been written.  An ``accepted`` line
+is flushed and fsynced, so no request a client saw accepted is lost to any
+crash.  A ``done`` line is only flushed: it survives the daemon's own
+crash, and a power cut can lose it only until the next ``accepted`` fsync
+(or checkpoint) makes the file durable.  A lost ``done`` makes a restart
+re-run a finished request, which is harmless: a restarted daemon replays
+:meth:`RequestJournal.unfinished` before accepting new work, and inference
+is deterministic per (benchmark, seed, config), so the re-run produces
+bit-identical results to what the crashed run would have delivered.
+Keeping the fsync off the ``done`` path, and outside the lock ``done``
+takes, keeps the disk's latency, which other processes on the host move,
+out of the executor's request loop.
 
 Periodically the journal is *checkpointed*: compacted down to just the
 still-unfinished ``accepted`` events, written to a sibling temp file and
-atomically ``os.replace``d over the journal.  A failed checkpoint (disk
-full, or the ``serve_checkpoint`` fault site firing) leaves the
-uncompacted journal in place -- larger, never less correct.  A torn final
-line (the crash happened mid-append) is ignored on load; everything before
-it is intact by the flush-then-fsync ordering.
+atomically ``os.replace``d over the journal.  The journal keeps those
+events in memory, so a checkpoint writes them without reading the file
+back.  A failed checkpoint (disk full, or the ``serve_checkpoint`` fault
+site firing) leaves the uncompacted journal in place -- larger, never less
+correct.  A torn final line (the crash happened mid-append) is ignored on
+load; everything before it is intact by the flush-then-fsync ordering.
 """
 
 from __future__ import annotations
@@ -35,8 +42,9 @@ class RequestJournal:
 
     Appends come from the daemon's reader threads while checkpoints (which
     close and reopen the file) run on the executor thread, so every file
-    operation holds one reentrant lock -- reentrant because ``checkpoint``
-    reads the pending set through :meth:`unfinished`.
+    operation but the admission fsync, and the in-memory pending set, holds
+    one reentrant lock -- reentrant because the ``record_*`` methods hold it
+    around ``_append``.
     """
 
     def __init__(self, path, fault_plan=None):
@@ -48,6 +56,10 @@ class RequestJournal:
         directory = os.path.dirname(os.path.abspath(self.path))
         if directory:
             os.makedirs(directory, exist_ok=True)
+        #: Accepted-without-done requests by id, in admission order: what
+        #: the file says, kept in step by every append (a checkpoint's
+        #: content).
+        self._pending = {request.id: request for request in self.unfinished()}
         self._file = open(self.path, "a", encoding="utf-8")
 
     # ------------------------------------------------------------- append --
@@ -56,16 +68,34 @@ class RequestJournal:
         with self._lock:
             self._file.write(json.dumps(event, sort_keys=True) + "\n")
             self._file.flush()
-            os.fsync(self._file.fileno())
             self.events_since_checkpoint += 1
 
     def record_accepted(self, request: ServeRequest) -> None:
-        """Journal an admission; durable before the client sees 'accepted'."""
-        self._append({"event": "accepted", "request": request.as_dict()})
+        """Journal an admission; durable before the client sees 'accepted'.
+
+        The fsync runs outside the lock, on a duplicate of the file's
+        descriptor, so the executor's ``record_done`` never waits for the
+        disk.  A checkpoint that replaces the file meanwhile writes this
+        request into the new file and fsyncs that itself.
+        """
+        with self._lock:
+            self._append({"event": "accepted", "request": request.as_dict()})
+            self._pending[request.id] = request
+            descriptor = os.dup(self._file.fileno())
+        try:
+            os.fsync(descriptor)
+        finally:
+            os.close(descriptor)
 
     def record_done(self, request_id: str) -> None:
-        """Journal a terminal record; the request will not be resumed."""
-        self._append({"event": "done", "id": request_id})
+        """Journal a terminal record; the request will not be resumed.
+
+        Flushed, not fsynced (see the module docstring): losing it to a
+        power cut only re-runs a finished request.
+        """
+        with self._lock:
+            self._append({"event": "done", "id": request_id})
+            self._pending.pop(request_id, None)
 
     # --------------------------------------------------------- checkpoint --
 
@@ -77,7 +107,7 @@ class RequestJournal:
         journal keeps every event, so resume stays correct either way.
         """
         with self._lock:
-            pending = self.unfinished()
+            pending = list(self._pending.values())
             temp_path = self.path + ".tmp"
             try:
                 if self.fault_plan is not None:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 
 from repro.faults import FaultPlan, FaultRule, reset_injector
+from repro.serve import journal as journal_module
 from repro.serve.journal import RequestJournal
 from repro.serve.protocol import ServeRequest
 
@@ -42,6 +43,23 @@ class TestJournalLifecycle:
     def test_missing_file_is_empty(self, tmp_path):
         journal = RequestJournal(tmp_path / "nested" / "j.ndjson")
         assert journal.unfinished() == []
+        journal.close()
+
+
+class TestDurability:
+    def test_only_admissions_are_fsynced(self, tmp_path, monkeypatch):
+        # An 'accepted' line is durable before the client is told; a 'done'
+        # line is flushed only, so a power cut can at most re-run a finished
+        # request.  A daemon crash loses neither.
+        synced = []
+        monkeypatch.setattr(journal_module.os, "fsync", synced.append)
+        path = tmp_path / "j.ndjson"
+        journal = RequestJournal(path)
+        journal.record_accepted(_request("a"))
+        assert len(synced) == 1
+        journal.record_done("a")
+        assert len(synced) == 1
+        assert len(path.read_text().splitlines()) == 2
         journal.close()
 
 
@@ -87,6 +105,21 @@ class TestCheckpoint:
         journal.record_done("b")
         assert journal.unfinished() == []
         journal.close()
+
+    def test_reopened_journal_compacts_to_the_previous_lifes_backlog(self, tmp_path):
+        path = tmp_path / "j.ndjson"
+        journal = RequestJournal(path)
+        for request_id in ("a", "b"):
+            journal.record_accepted(_request(request_id))
+        journal.record_done("a")
+        journal.close()
+        # A restarted daemon's journal starts from what the file holds.
+        reopened = RequestJournal(path)
+        reopened.record_accepted(_request("c"))
+        assert reopened.checkpoint() is True
+        assert [r.id for r in reopened.unfinished()] == ["b", "c"]
+        assert len(path.read_text().splitlines()) == 2
+        reopened.close()
 
     def test_injected_checkpoint_fault_keeps_uncompacted_journal(self, tmp_path):
         path = tmp_path / "j.ndjson"
