@@ -170,8 +170,10 @@ class Sling:
         carries a ``counter_semantics`` note: disk-served streams count
         neither ``skeletons_solved`` nor ``env_stream_reuses``, streams an
         earlier job of the batch or an earlier request of the daemon solved
-        count as ``env_stream_reuses``, and a location one of them inferred
-        counts one ``location_memo_hits`` and no search work, so those
+        count as ``env_stream_reuses``, a location one of them inferred
+        counts one ``location_memo_hits`` and no search work, and a
+        frame-rule verdict one of them reached counts one
+        ``validation_memo_hits`` and no ``checker_misses``, so those
         counters are **not comparable** with a standalone, cache-less run's
         (see ``docs/performance.md``).
         """
@@ -182,8 +184,10 @@ class Sling:
                 "streams count neither skeletons_solved nor "
                 "env_stream_reuses, streams an earlier job of the batch or "
                 "an earlier request of the daemon solved count as "
-                "env_stream_reuses, and a location one of them inferred "
-                "counts location_memo_hits and no search work; do not "
+                "env_stream_reuses, a location one of them inferred "
+                "counts location_memo_hits and no search work, and a "
+                "frame-rule verdict one of them reached counts "
+                "validation_memo_hits and no checker_misses; do not "
                 "compare these counters with a standalone cache-less run"
             )
         return stats
@@ -290,28 +294,26 @@ class Sling:
     ) -> tuple:
         """The content key of one location's inference (see above).
 
-        The models enter as a 20-byte digest of their four fields, in list
-        and heap-insertion order: equal digests mean the runs see the very
-        same input, so the memo keeps no model alive.
+        The models enter as one 20-byte digest folded from their
+        :meth:`~repro.sl.model.StackHeapModel.digest` values, in list order:
+        equal digests mean the runs see the very same input, so the memo
+        keeps no model alive.
         """
-        digest = hashlib.blake2b(digest_size=20)
-        for model in models:
-            cells = tuple(
-                (address, cell.type_name, cell.fields) for address, cell in model.heap.items()
-            )
-            digest.update(
-                repr(
-                    (model.stack, cells, model.var_types, sorted(model.freed_addresses))
-                ).encode()
-            )
-        structs = tuple((struct.name, struct.fields) for struct in self.program.structs)
         return (
             self.checker.registry_space(),
-            structs,
-            digest.digest(),
+            self._struct_key(),
+            _fold_digests(model.digest() for model in models),
             None if free_vars is None else tuple(free_vars),
             self.config.variable_order,
         )
+
+    def _struct_key(self) -> tuple:
+        """The program's struct definitions as a memo key component.
+
+        ``StructDef`` compares and hashes by name and fields, and a key
+        holds the program's own (shared) definitions, not copies of them.
+        """
+        return tuple(self.program.structs)
 
     def _infer_from_models(
         self,
@@ -594,13 +596,51 @@ class Sling:
             pairs = paired_entry_exit_models(traces, function_name, return_location)
             if not pairs:
                 continue
-            valid = validate_specification(precondition, invariants[0], pairs, self.checker)
+            valid = self._memoized_verdict(precondition, invariants[0], pairs)
             if not valid:
                 all_valid = False
                 specification.postconditions[return_location] = [
                     replace(invariant, spurious=True) for invariant in invariants
                 ]
         return all_valid
+
+    def _memoized_verdict(
+        self,
+        precondition: Invariant,
+        postcondition: Invariant,
+        pairs: Sequence[tuple[StackHeapModel, StackHeapModel]],
+    ) -> bool:
+        """:func:`validate_specification` behind the shared memo.
+
+        The verdict is a function of the registry, the two formulas and the
+        paired models' content, so it is memoized where the location
+        results are (``StreamMemo.locations``, under the same LRU bound),
+        on the same terms: a shared memo only, never the
+        ``reference_search`` oracle.  The key's leading tag keeps it apart
+        from every location key.
+        """
+        if self.config.reference_search or not self.checker.shares_streams:
+            return validate_specification(precondition, postcondition, pairs, self.checker)
+        key = (
+            "validation",
+            self.checker.registry_space(),
+            self._struct_key(),
+            precondition.formula,
+            postcondition.formula,
+            _fold_digests(entry.digest() + exit.digest() for entry, exit in pairs),
+        )
+        cached = self.checker.locations.recall(key)
+        if cached is not None:
+            self.checker.stats.validation_memo_hits += 1
+            return cached
+        valid = validate_specification(precondition, postcondition, pairs, self.checker)
+        self.checker.locations.add(key, valid)
+        return valid
+
+
+def _fold_digests(digests: Iterable[bytes]) -> bytes:
+    """One 20-byte digest of a sequence of fixed-width model digests."""
+    return hashlib.blake2b(b"".join(digests), digest_size=20).digest()
 
 
 def _normalize_existentials(formula: SymHeap, free: set[str]) -> SymHeap:

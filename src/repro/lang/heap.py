@@ -5,7 +5,7 @@ cell as deallocated but keeps its contents observable, mirroring the
 behaviour the paper reports for LLDB on real C programs ("a ``free(x)``
 statement does not immediately free the pointer ``x`` so LLDB still observes
 (now invalid) heap values", Section 5.3).  The tracer uses
-:meth:`RuntimeHeap.is_freed` to tag models built from such cells so the
+:meth:`RuntimeHeap.freed_among` to tag models built from such cells so the
 evaluation can classify the resulting invariants as spurious, exactly as
 Table 1 does.
 """
@@ -111,6 +111,19 @@ class RuntimeHeap:
         """A copy of the field values of the cell at ``address``."""
         self._check_address(address, "cell query")
         return dict(self._cells[address])
+
+    def peek(self, address: int) -> tuple[str, dict[str, int]]:
+        """The struct type and the *live* field values of an allocated cell.
+
+        Neither copied nor checked: for a reader that got ``address`` from
+        this heap (e.g. from :meth:`reachable`) and neither keeps nor
+        mutates the dict, as the tracer's snapshot does.
+        """
+        return self._types[address], self._cells[address]
+
+    def freed_among(self, addresses: Iterable[int]) -> set[int]:
+        """The given addresses that were allocated and later freed."""
+        return self._freed.intersection(addresses)
 
     def addresses(self) -> frozenset[int]:
         """All addresses ever allocated (live and freed)."""

@@ -19,13 +19,14 @@ A snapshot contains
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
 from repro.lang.ast import Function, Program
 from repro.lang.errors import HeapLangError
 from repro.lang.heap import RuntimeHeap
 from repro.lang.interp import Frame, Interpreter
-from repro.lang.types import is_pointer_type
+from repro.lang.types import StructDef, is_pointer_type
 from repro.sl.model import Heap, HeapCell, StackHeapModel
 
 #: A test case builds its input data structures inside a fresh runtime heap
@@ -86,6 +87,8 @@ class Tracer:
         #: Breakpoint hits that passed the filter and the event cap.
         self.hits = 0
         self.events: list[TraceEvent] = []
+        #: Struct name -> :func:`_layout`, built once per type.
+        self._layouts: dict[str, tuple] = {}
 
     # -- observer interface -----------------------------------------------------
 
@@ -130,16 +133,19 @@ class Tracer:
                 or is_pointer_type(var_types.get(name, ""))
             )
         ]
+        # The heap keeps the iteration order of ``reachable``: location keys
+        # digest cells in insertion order.
         reachable = heap.reachable(roots, include_freed=True)
+        layouts = self._layouts
         cells: dict[int, HeapCell] = {}
-        freed: set[int] = set()
         for address in reachable:
-            struct = self.structs.get(heap.type_of(address))
-            values = heap.cell(address)
-            ordered = [(name, values[name]) for name in struct.field_names]
-            cells[address] = HeapCell(struct.name, ordered)
-            if heap.is_freed(address):
-                freed.add(address)
+            type_name, values = heap.peek(address)
+            layout = layouts.get(type_name)
+            if layout is None:
+                layout = layouts[type_name] = _layout(self.structs.get(type_name))
+            names, read = layout
+            cells[address] = HeapCell.from_layout(type_name, names, read(values))
+        freed = heap.freed_among(reachable)
         return StackHeapModel(stack, Heap(cells), var_types, freed)
 
     # -- grouping -------------------------------------------------------------------
@@ -155,6 +161,18 @@ class Tracer:
             if event.location not in seen:
                 seen.append(event.location)
         return seen
+
+
+def _layout(struct: StructDef) -> tuple[tuple[str, ...], Callable[[dict], tuple]]:
+    """A struct's field names and a reader of a runtime cell's values in
+    that order."""
+    names = struct.field_names
+    if len(names) > 1:
+        return names, itemgetter(*names)
+    if names:
+        (name,) = names
+        return names, lambda values: (values[name],)
+    return names, lambda values: ()
 
 
 @dataclass

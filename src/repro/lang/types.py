@@ -14,6 +14,7 @@ traces line up with the predicate definitions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator
 
 from repro.lang.errors import TypeMismatch
@@ -33,7 +34,12 @@ def pointee(type_name: str) -> str:
 
 @dataclass(frozen=True)
 class StructDef:
-    """A structure type: an ordered list of ``(field name, field type)`` pairs."""
+    """A structure type: an ordered list of ``(field name, field type)`` pairs.
+
+    The layout views (:attr:`field_names`, :meth:`pointer_fields`) are
+    computed once per struct, on first use; equality, hashing and pickling
+    see only ``name`` and ``fields``.
+    """
 
     name: str
     fields: tuple[tuple[str, str], ...]
@@ -42,7 +48,10 @@ class StructDef:
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "fields", tuple(fields))
 
-    @property
+    def __getstate__(self) -> dict:
+        return {"name": self.name, "fields": self.fields}
+
+    @cached_property
     def field_names(self) -> tuple[str, ...]:
         """Field names in declaration order."""
         return tuple(name for name, _ in self.fields)
@@ -60,6 +69,10 @@ class StructDef:
 
     def pointer_fields(self) -> tuple[str, ...]:
         """Names of the pointer-typed fields."""
+        return self._pointer_fields
+
+    @cached_property
+    def _pointer_fields(self) -> tuple[str, ...]:
         return tuple(name for name, type_name in self.fields if is_pointer_type(type_name))
 
     def default_values(self) -> dict[str, int]:

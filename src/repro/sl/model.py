@@ -12,6 +12,7 @@ to thread residual heaps through the iterative inference.
 
 from __future__ import annotations
 
+import hashlib
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 
@@ -265,6 +266,20 @@ class HeapCell:
         # attempt; materialize it once, eagerly.
         object.__setattr__(self, "_values", tuple(value for _, value in items))
 
+    @classmethod
+    def from_layout(
+        cls, type_name: str, names: tuple[str, ...], values: tuple[int, ...]
+    ) -> "HeapCell":
+        """The cell with field ``names`` holding ``values`` (same order).
+
+        Equal to ``HeapCell(type_name, zip(names, values))``, without
+        ``__init__``'s normalization: the tracer builds every snapshot cell
+        this way from its struct's field names.
+        """
+        cell = object.__new__(cls)
+        cell.__dict__.update(type_name=type_name, fields=tuple(zip(names, values)), _values=values)
+        return cell
+
     @property
     def field_dict(self) -> dict[str, int]:
         """Field values as a dictionary (field name -> value)."""
@@ -501,11 +516,31 @@ class StackHeapModel:
 
     def __getstate__(self) -> dict:
         # Drop the per-process caches (salted hashes, derived dicts) so a
-        # pickled model re-derives them in the receiving interpreter.
+        # pickled model re-derives them in the receiving interpreter.  The
+        # digest is not salted, so it travels with the model.
         state = dict(self.__dict__)
         for cache in ("_hash", "_stack_map", "_types_map", "_canonical", "_pointer_vars"):
             state.pop(cache, None)
         return state
+
+    def digest(self) -> bytes:
+        """A 20-byte ``blake2b`` digest of the model's four fields.
+
+        It covers the stack, the heap cells in insertion order, the typing
+        and the sorted freed addresses, so equal digests mean equal models
+        with equal heap order.  Computed once per model: the location and
+        validation memo keys of :mod:`repro.core.sling` fold it instead of
+        the model itself.
+        """
+        cached = self.__dict__.get("_digest")
+        if cached is None:
+            cells = tuple(
+                (address, cell.type_name, cell.fields) for address, cell in self.heap.items()
+            )
+            text = repr((self.stack, cells, self.var_types, sorted(self.freed_addresses)))
+            cached = hashlib.blake2b(text.encode(), digest_size=20).digest()
+            object.__setattr__(self, "_digest", cached)
+        return cached
 
     # -- stack access -----------------------------------------------------------
 
@@ -630,7 +665,8 @@ class StackHeapModel:
 
         The other fields are normalized already, so the copy skips
         ``__init__``.  It keeps the stack and typing dict caches, but not
-        ``_hash``, ``_canonical`` or ``_pointer_vars``: they depend on the heap.
+        ``_hash``, ``_canonical``, ``_pointer_vars`` or ``_digest``: they
+        depend on the heap.
         """
         copy = object.__new__(StackHeapModel)
         state = copy.__dict__

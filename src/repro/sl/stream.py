@@ -35,8 +35,9 @@ STREAM_MAX_ENTRIES = 4096
 #: largest benchsuite job, so a memo never evicts inside one job.
 _STREAM_MEMO_LIMIT = 512
 
-#: Upper bound on the whole-location results one memo holds (LRU-evicted
-#: beyond it).  One seed's 150 benchsuite programs leave 376.
+#: Upper bound on the whole-location results and frame-rule verdicts one
+#: memo holds together (LRU-evicted beyond it).  One seed's 150 benchsuite
+#: programs leave 376 locations and 230 verdicts.
 _LOCATION_MEMO_LIMIT = 1024
 
 #: Upper bound on the keys a memo's ``finished`` log holds; beyond it the
@@ -251,10 +252,11 @@ class StreamMemo(OrderedDict):
     log bounded.
 
     ``locations`` holds whole-location results of the driver, keyed by
-    content (see :meth:`repro.core.sling.Sling.infer_from_models`): they
-    share the streams' scope, so an engine batch, or a serve daemon,
-    infers each distinct location once.  It keeps formulas only, never
-    models.
+    content (see :meth:`repro.core.sling.Sling.infer_from_models`), and
+    its frame-rule verdicts (``Sling._validate``): they share the streams'
+    scope, so an engine batch, or a serve daemon, infers and validates
+    each distinct location once.  It keeps formulas and verdicts only,
+    never models.
     """
 
     def __init__(self):
@@ -286,18 +288,19 @@ class StreamMemo(OrderedDict):
 
 
 class LocationMemo(OrderedDict):
-    """Whole-location results: content key -> ``(formula, from freed
-    traces)`` pairs, least recently used first, at most
-    ``_LOCATION_MEMO_LIMIT`` of them."""
+    """Whole-location results (content key -> ``(formula, from freed
+    traces)`` pairs) and frame-rule verdicts (tagged content key -> bool),
+    least recently used first, at most ``_LOCATION_MEMO_LIMIT`` of them
+    together."""
 
-    def recall(self, key: tuple) -> tuple | None:
+    def recall(self, key: tuple) -> tuple | bool | None:
         """The result under ``key`` (now the most recently used), or ``None``."""
         value = self.get(key)
         if value is not None:
             self.move_to_end(key)
         return value
 
-    def add(self, key: tuple, value: tuple) -> None:
+    def add(self, key: tuple, value: tuple | bool) -> None:
         """Insert ``value`` as the most recently used entry, evicting the
         least recently used one beyond ``_LOCATION_MEMO_LIMIT``."""
         self[key] = value

@@ -114,6 +114,11 @@ class CacheStats:
     #: counter above counts it.  Declared last so that the JSON key order
     #: of every earlier counter stays as it was.
     location_memo_hits: int = 0
+    #: Frame-rule verdicts (Section 4.4) served from the same memo: an
+    #: earlier job validated the same pre/post formulas on the same
+    #: entry/exit models (see ``Sling._validate``), so no
+    #: ``ModelChecker.check`` ran for them.
+    validation_memo_hits: int = 0
 
     def merge(self, other: "CacheStats") -> None:
         """Accumulate another job's counters into this one."""

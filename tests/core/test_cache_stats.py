@@ -61,6 +61,7 @@ EXPECTED_AS_DICT = {
     "serve_client_disconnects": 107,
     "serve_requests_resumed": 110,
     "location_memo_hits": 113,
+    "validation_memo_hits": 116,
 }
 
 RATES = ("unfold_hit_rate", "prefilter_rate", "stream_reuse_rate", "disk_hit_rate")

@@ -7,7 +7,9 @@ order equal those of an earlier job is served from the memo's
 what that may and may not do:
 
 * a hit returns exactly what a standalone run infers, as new
-  :class:`~repro.core.results.Invariant` objects at the caller's location;
+  :class:`~repro.core.results.Invariant` objects at the caller's location,
+  and a job served whole runs no exact check (its frame-rule verdicts are
+  served as well);
 * the key tells apart free variables, registries and struct definitions;
 * the memo keeps formulas, never models;
 * only a batch's shared memo is consulted, and the ``reference_search``
@@ -76,9 +78,13 @@ def test_a_hit_equals_a_standalone_recomputation():
     hits = second.cache_counters()
     locations = 1 + len(served.postconditions) + len(served.loop_invariants)
     assert hits.location_memo_hits == locations
-    # A hit runs no search at all.
+    # A hit runs no search at all, and the frame-rule verdict of every
+    # validated return location is served too, so no exact check runs.
     assert hits.candidates_checked == 0
     assert hits.skeletons_solved + hits.env_stream_reuses == 0
+    assert hits.checker_misses == 0
+    validated = sum(1 for invariants in served.postconditions.values() if invariants)
+    assert validated and hits.validation_memo_hits == validated
     assert _rendered(served.all_invariants()) == _rendered(expected.all_invariants())
     assert served.validated == expected.validated
 

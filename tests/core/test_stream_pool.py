@@ -308,10 +308,13 @@ def test_a_batch_inside_an_open_pool_fills_the_outer_memo():
 
 def test_a_long_lived_memo_stays_within_its_bounds(monkeypatch):
     """Streams, locations and the finished log are bounded however many
-    distinct jobs one pool serves; the results are a standalone run's."""
+    distinct jobs one pool serves; the results are a standalone run's.
+
+    The location bound holds the last job's four locations and two
+    frame-rule verdicts, so the repeated job is served from the memo."""
     limits = {
         "_STREAM_MEMO_LIMIT": 24,
-        "_LOCATION_MEMO_LIMIT": 4,
+        "_LOCATION_MEMO_LIMIT": 6,
         "_FINISHED_LOG_LIMIT": 16,
     }
     for name, limit in limits.items():
