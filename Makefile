@@ -16,13 +16,15 @@ PYTHONPATH := src
 check: lint-timing test smoke trace-smoke bench-micro perfbench-selftest
 
 # The pytest-benchmark harnesses (checker scaling, variable-order ablation,
-# cold-start registry builds, a daemon's warm request) exercised as plain
-# tests: their assertions catch API or counter drift that the unit suite
-# does not touch, long before anyone reads their timings.
+# cold-start registry builds, a daemon's warm request, trace collection
+# over the benchsuite) exercised as plain tests: their assertions catch API
+# or counter drift that the unit suite does not touch, long before anyone
+# reads their timings.
 bench-micro:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest benchmarks/bench_checker.py \
 		benchmarks/bench_ablation.py benchmarks/bench_startup.py \
-		benchmarks/bench_warm_request.py -q -p no:cacheprovider
+		benchmarks/bench_warm_request.py benchmarks/bench_trace.py \
+		-q -p no:cacheprovider
 	@echo "micro/ablation bench smoke OK"
 
 test:

@@ -21,7 +21,17 @@ from repro.sl.predicates import PredicateRegistry
 
 
 def registry_fingerprint(registry: PredicateRegistry) -> str:
-    """A 16-hex-digit digest of the registry's definitions (see module doc)."""
+    """A 16-hex-digit digest of the registry's definitions (see module doc).
+
+    Cached on the registry (``PredicateRegistry.fingerprint``) until its
+    next ``add``: every checker built over the registry asks for it.
+    """
+    if registry.fingerprint is None:
+        registry.fingerprint = _digest(registry)
+    return registry.fingerprint
+
+
+def _digest(registry: PredicateRegistry) -> str:
     parts = []
     for predicate in registry:
         parts.append(

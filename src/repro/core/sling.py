@@ -37,7 +37,7 @@ from repro.lang.ast import Program
 from repro.lang.tracer import Location, TestCase, TraceCollection, collect_models
 from repro.sl.checker import ModelChecker
 from repro.sl.exprs import conjoin
-from repro.sl.model import StackHeapModel, models_union
+from repro.sl.model import HashedKey, StackHeapModel, models_union
 from repro.sl.predicates import PredicateRegistry
 from repro.sl.pretty import pretty
 from repro.sl.spatial import SymHeap, star
@@ -291,7 +291,7 @@ class Sling:
 
     def _location_key(
         self, models: Sequence[StackHeapModel], free_vars: Sequence[str] | None
-    ) -> tuple:
+    ) -> HashedKey:
         """The content key of one location's inference (see above).
 
         The models enter as one 20-byte digest folded from their
@@ -299,12 +299,14 @@ class Sling:
         equal digests mean the runs see the very same input, so the memo
         keeps no model alive.
         """
-        return (
-            self.checker.registry_space(),
-            self._struct_key(),
-            _fold_digests(model.digest() for model in models),
-            None if free_vars is None else tuple(free_vars),
-            self.config.variable_order,
+        return HashedKey(
+            (
+                self.checker.registry_space(),
+                self._struct_key(),
+                _fold_digests(model.digest() for model in models),
+                None if free_vars is None else tuple(free_vars),
+                self.config.variable_order,
+            )
         )
 
     def _struct_key(self) -> tuple:
@@ -621,13 +623,15 @@ class Sling:
         """
         if self.config.reference_search or not self.checker.shares_streams:
             return validate_specification(precondition, postcondition, pairs, self.checker)
-        key = (
-            "validation",
-            self.checker.registry_space(),
-            self._struct_key(),
-            precondition.formula,
-            postcondition.formula,
-            _fold_digests(entry.digest() + exit.digest() for entry, exit in pairs),
+        key = HashedKey(
+            (
+                "validation",
+                self.checker.registry_space(),
+                self._struct_key(),
+                precondition.formula,
+                postcondition.formula,
+                _fold_digests(entry.digest() + exit.digest() for entry, exit in pairs),
+            )
         )
         cached = self.checker.locations.recall(key)
         if cached is not None:

@@ -7,7 +7,8 @@ This package provides the equivalent substrate for the reproduction:
 * :mod:`repro.lang.ast` -- the abstract syntax of heaplang programs,
 * :mod:`repro.lang.builder` -- concise constructors used by the benchmarks,
 * :mod:`repro.lang.heap` -- the runtime heap / allocator,
-* :mod:`repro.lang.interp` -- a big-step interpreter,
+* :mod:`repro.lang.interp` -- the interpreter (function bodies compiled
+  once into closures),
 * :mod:`repro.lang.tracer` -- breakpoints and stack-heap snapshot collection
   (the ``CollectModels`` phase of Algorithm 1).
 """

@@ -8,6 +8,10 @@ statement does not immediately free the pointer ``x`` so LLDB still observes
 :meth:`RuntimeHeap.freed_among` to tag models built from such cells so the
 evaluation can classify the resulting invariants as spurious, exactly as
 Table 1 does.
+
+The heap also keeps, per address, the last snapshot cell the tracer built
+from it (:attr:`RuntimeHeap.snapshot_cells`); :meth:`RuntimeHeap.write`
+drops it, so the next snapshot rebuilds only the cells written since.
 """
 
 from __future__ import annotations
@@ -29,8 +33,14 @@ class RuntimeHeap:
         self.structs = structs
         self._cells: dict[int, dict[str, int]] = {}
         self._types: dict[int, str] = {}
+        #: Address -> its struct's pointer fields (what :meth:`reachable` follows).
+        self._pointers: dict[int, tuple[str, ...]] = {}
         self._freed: set[int] = set()
         self._next = self._BASE_ADDRESS
+        #: Address -> the last snapshot cell built from its current contents
+        #: (owned by :meth:`repro.lang.tracer.Tracer.snapshot`).  A write
+        #: drops the entry; freeing keeps it (the contents stay readable).
+        self.snapshot_cells: dict[int, object] = {}
 
     # -- allocation -------------------------------------------------------------
 
@@ -49,6 +59,7 @@ class RuntimeHeap:
         self._next += self._ADDRESS_STRIDE
         self._cells[address] = values
         self._types[address] = type_name
+        self._pointers[address] = struct.pointer_fields()
         return address
 
     def free(self, address: int) -> None:
@@ -87,6 +98,7 @@ class RuntimeHeap:
                 f"cell {address:#x} of type {self._types[address]} has no field {field_name!r}"
             )
         cell[field_name] = value
+        self.snapshot_cells.pop(address, None)
 
     # -- queries -----------------------------------------------------------------
 
@@ -143,19 +155,20 @@ class RuntimeHeap:
         ``include_freed`` keeps freed-but-referenced cells in the result,
         matching what a debugger would observe.
         """
+        cells, pointers = self._cells, self._pointers
+        freed = None if include_freed else self._freed
         seen: set[int] = set()
-        stack = [addr for addr in roots if addr in self._cells]
+        stack = [addr for addr in roots if addr in cells]
         while stack:
             address = stack.pop()
             if address in seen:
                 continue
-            if not include_freed and address in self._freed:
+            if freed is not None and address in freed:
                 continue
             seen.add(address)
-            struct = self.structs.get(self._types[address])
-            cell = self._cells[address]
-            for field_name in struct.pointer_fields():
-                value = cell.get(field_name, 0)
-                if value != 0 and value in self._cells and value not in seen:
+            cell = cells[address]
+            for field_name in pointers[address]:
+                value = cell[field_name]
+                if value in cells and value not in seen:
                     stack.append(value)
         return frozenset(seen)

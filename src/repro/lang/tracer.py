@@ -26,7 +26,7 @@ from repro.lang.ast import Function, Program
 from repro.lang.errors import HeapLangError
 from repro.lang.heap import RuntimeHeap
 from repro.lang.interp import Frame, Interpreter
-from repro.lang.types import StructDef, is_pointer_type
+from repro.lang.types import StructDef
 from repro.sl.model import Heap, HeapCell, StackHeapModel
 
 #: A test case builds its input data structures inside a fresh runtime heap
@@ -67,6 +67,8 @@ class RunOutcome:
     timed_out: bool = False
     error: str | None = None
     result: int | None = None
+    #: The interpreter's step count when the run ended.
+    steps: int = 0
 
 
 class Tracer:
@@ -89,6 +91,8 @@ class Tracer:
         self.events: list[TraceEvent] = []
         #: Struct name -> :func:`_layout`, built once per type.
         self._layouts: dict[str, tuple] = {}
+        #: ``(function name, location name)`` -> its :class:`Location`.
+        self._places: dict[tuple[str, str], Location] = {}
 
     # -- observer interface -----------------------------------------------------
 
@@ -102,7 +106,10 @@ class Tracer:
     ) -> None:
         """Interpreter callback: count a matching breakpoint hit and, unless
         this tracer only counts, snapshot the state."""
-        where = Location(function.name, location)
+        place = (function.name, location)
+        where = self._places.get(place)
+        if where is None:
+            where = self._places[place] = Location(*place)
         if self.breakpoints is not None and where not in self.breakpoints:
             return
         if self.hits >= self.max_events:
@@ -123,28 +130,29 @@ class Tracer:
             stack["res"] = result
             # The result type is unknown here; leave it untyped so the model
             # treats it as a pointer when it holds an address.
+        # Untyped variables count as pointers.
         roots = [
             value
             for name, value in stack.items()
-            if value != 0
-            and (
-                name == "res"
-                or var_types.get(name) is None
-                or is_pointer_type(var_types.get(name, ""))
-            )
+            if value != 0 and (name == "res" or var_types.get(name, "*").endswith("*"))
         ]
         # The heap keeps the iteration order of ``reachable``: location keys
-        # digest cells in insertion order.
+        # digest cells in insertion order.  A cell unwritten since an earlier
+        # snapshot of this run is that snapshot's (immutable) cell.
         reachable = heap.reachable(roots, include_freed=True)
+        kept = heap.snapshot_cells
         layouts = self._layouts
         cells: dict[int, HeapCell] = {}
         for address in reachable:
-            type_name, values = heap.peek(address)
-            layout = layouts.get(type_name)
-            if layout is None:
-                layout = layouts[type_name] = _layout(self.structs.get(type_name))
-            names, read = layout
-            cells[address] = HeapCell.from_layout(type_name, names, read(values))
+            cell = kept.get(address)
+            if cell is None:
+                type_name, values = heap.peek(address)
+                layout = layouts.get(type_name)
+                if layout is None:
+                    layout = layouts[type_name] = _layout(self.structs.get(type_name))
+                names, read = layout
+                cell = kept[address] = HeapCell.from_layout(type_name, names, read(values))
+            cells[address] = cell
         freed = heap.freed_among(reachable)
         return StackHeapModel(stack, Heap(cells), var_types, freed)
 
@@ -256,6 +264,7 @@ def _run_suite(
             outcome.crashed = True
             outcome.timed_out = "steps" in str(error) or "depth" in str(error)
             outcome.error = f"{type(error).__name__}: {error}"
+        outcome.steps = interpreter.steps
         yield tracer, outcome
 
 

@@ -36,9 +36,9 @@ def pointee(type_name: str) -> str:
 class StructDef:
     """A structure type: an ordered list of ``(field name, field type)`` pairs.
 
-    The layout views (:attr:`field_names`, :meth:`pointer_fields`) are
-    computed once per struct, on first use; equality, hashing and pickling
-    see only ``name`` and ``fields``.
+    The layout views (:attr:`field_names`, :meth:`pointer_fields`) and the
+    hash are computed once per struct, on first use; equality, hashing and
+    pickling see only ``name`` and ``fields``.
     """
 
     name: str
@@ -50,6 +50,14 @@ class StructDef:
 
     def __getstate__(self) -> dict:
         return {"name": self.name, "fields": self.fields}
+
+    def __hash__(self) -> int:
+        # Memo keys hold a program's struct definitions; the hash is salted
+        # per process, so ``__getstate__`` leaves it behind.
+        cached = self.__dict__.get("_hash")
+        if cached is None:
+            cached = self.__dict__["_hash"] = hash((self.name, self.fields))
+        return cached
 
     @cached_property
     def field_names(self) -> tuple[str, ...]:

@@ -38,6 +38,10 @@ from repro.sl.exprs import NIL_VALUE
 # tagged pair ``('a', cid)``; every other value is kept raw.  The tag keeps
 # renamed addresses from colliding with untouched integer data, so equal
 # forms really do mean "same structure, same data, addresses renamed".
+# :meth:`Heap.canonical` also tags a non-nil pointer to an address outside
+# the heap (a residual heap's cells may point into the part split off),
+# with ids after the in-heap ones in encoding order: such an address is only
+# ever compared for equality, so renamed residuals share one form too.
 #
 # Exactness guard.  The invariance argument needs every renamed value to be
 # used only as a pointer.  With a :class:`~repro.lang.types.StructRegistry`
@@ -51,17 +55,15 @@ from repro.sl.exprs import NIL_VALUE
 # calls it, but ``perfbench/layers.py`` times it as the ``sl.model`` layer.
 
 
-class CanonicalForm:
-    """An interned canonical form: value identity with a precomputed hash."""
+class HashedKey:
+    """A tuple key hashed once: dict lookups, LRU moves and equality tests
+    reuse the hash instead of walking the tuple again."""
 
-    __slots__ = ("key", "_hash", "stable_repr")
+    __slots__ = ("key", "_hash")
 
     def __init__(self, key: tuple):
         self.key = key
         self._hash = hash(key)
-        #: The form's rendering inside persistent-cache keys, filled on
-        #: first use by :func:`repro.cache.serialize.stable_key_bytes`.
-        self.stable_repr: str | None = None
 
     def __hash__(self) -> int:
         return self._hash
@@ -69,9 +71,21 @@ class CanonicalForm:
     def __eq__(self, other: object) -> bool:
         if self is other:
             return True
-        if not isinstance(other, CanonicalForm):
+        if type(other) is not type(self):
             return NotImplemented
         return self._hash == other._hash and self.key == other.key
+
+
+class CanonicalForm(HashedKey):
+    """An interned canonical form: value identity with a precomputed hash."""
+
+    __slots__ = ("stable_repr",)
+
+    def __init__(self, key: tuple):
+        super().__init__(key)
+        #: The form's rendering inside persistent-cache keys, filled on
+        #: first use by :func:`repro.cache.serialize.stable_key_bytes`.
+        self.stable_repr: str | None = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"CanonicalForm({self._hash:#x})"
@@ -107,7 +121,8 @@ class HeapCanon:
     """The canonical labeling of one heap (relative to a DFS seed order).
 
     ``to_id`` maps each allocated address to its dense canonical id (1-based,
-    in DFS-visit order); ``to_tag`` maps it to the tagged pair used inside
+    in DFS-visit order); ``to_tag`` maps it, and every non-nil pointer out
+    of the heap (ids after the in-heap ones), to the tagged pair used inside
     canonical forms; ``from_addr`` is the inverse (index 0 unused).  ``exact``
     is the exactness guard described in the module notes; ``root_tag`` is the
     encoded seed value (``('a', 1)`` whenever the seed is allocated).
@@ -201,9 +216,11 @@ def _label_addresses(cells: Mapping[int, "HeapCell"], seeds: Iterable[int]) -> l
     return order
 
 
-def _build_labeling(cells, seeds, structs):
+def _build_labeling(cells, seeds, structs, label_outside=False):
     """The full canonical labeling of one cell map: DFS order, both address
     maps, the inverse, the encoded cell tuple and the exactness verdict.
+    ``label_outside`` also labels pointers out of the map (see
+    :func:`_encode_cells`).
 
     Shared by :meth:`Heap.canonical` and :meth:`StackHeapModel.canonical` so
     the tag encoding and id base can never drift apart between the two --
@@ -212,14 +229,21 @@ def _build_labeling(cells, seeds, structs):
     order = _label_addresses(cells, seeds)
     to_id = {addr: position + 1 for position, addr in enumerate(order)}
     to_tag = {addr: ("a", cid) for addr, cid in to_id.items()}
-    from_addr = (0, *order)
-    encoded, exact = _encode_cells(cells, order, to_tag, structs)
+    outside = [] if label_outside else None
+    encoded, exact = _encode_cells(cells, order, to_tag, structs, outside)
+    from_addr = (0, *order, *(outside or ()))
     return to_id, to_tag, from_addr, encoded, exact
 
 
-def _encode_cells(cells, order, to_tag, structs) -> tuple[tuple, bool]:
-    """Canonical cell tuple (in id order) plus the exactness verdict."""
+def _encode_cells(cells, order, to_tag, structs, outside=None) -> tuple[tuple, bool]:
+    """Canonical cell tuple (in id order) plus the exactness verdict.
+
+    With an ``outside`` list, a pointer field holding a non-nil address
+    outside ``cells`` labels that address too: it gets the next id after
+    the in-heap ones, in encoding order, and is appended to ``outside``.
+    """
     exact = structs is not None
+    data = []
     encoded = []
     for addr in order:
         cell = cells[addr]
@@ -236,15 +260,19 @@ def _encode_cells(cells, order, to_tag, structs) -> tuple[tuple, bool]:
             fields = []
             for name, value in cell.fields:
                 if struct.field_type(name).endswith("*"):
+                    if outside is not None and value != NIL_VALUE and value not in to_tag:
+                        outside.append(value)
+                        to_tag[value] = ("a", len(order) + len(outside))
                     fields.append((name, to_tag.get(value, value)))
                 else:
-                    if value in to_tag:
-                        # An integer field holding an allocated address: the
-                        # renaming could change arithmetic over this value.
-                        exact = False
+                    data.append(value)
                     fields.append((name, value))
             fields = tuple(fields)
         encoded.append((cell.type_name, fields))
+    if exact and any(value in to_tag for value in data):
+        # An integer field holding a labeled address: the renaming could
+        # change arithmetic over this value.
+        exact = False
     return tuple(encoded), exact
 
 
@@ -279,6 +307,21 @@ class HeapCell:
         cell = object.__new__(cls)
         cell.__dict__.update(type_name=type_name, fields=tuple(zip(names, values)), _values=values)
         return cell
+
+    def digest(self) -> bytes:
+        """A 16-byte ``blake2b`` digest of the cell's type and fields.
+
+        Computed once per cell: the tracer shares one cell among every
+        snapshot taken while it stays unwritten, and
+        :meth:`StackHeapModel.digest` folds these.
+        """
+        cached = self.__dict__.get("_digest")
+        if cached is None:
+            text = repr((self.type_name, self.fields))
+            cached = self.__dict__["_digest"] = hashlib.blake2b(
+                text.encode(), digest_size=16
+            ).digest()
+        return cached
 
     @property
     def field_dict(self) -> dict[str, int]:
@@ -456,7 +499,9 @@ class Heap:
         if cached is not None:
             return cached
         cells = self._cells
-        to_id, to_tag, from_addr, encoded, exact = _build_labeling(cells, (root,), structs)
+        to_id, to_tag, from_addr, encoded, exact = _build_labeling(
+            cells, (root,), structs, label_outside=True
+        )
         canon = HeapCanon(
             form=intern_form(("h", encoded)),
             exact=exact,
@@ -526,19 +571,19 @@ class StackHeapModel:
     def digest(self) -> bytes:
         """A 20-byte ``blake2b`` digest of the model's four fields.
 
-        It covers the stack, the heap cells in insertion order, the typing
-        and the sorted freed addresses, so equal digests mean equal models
-        with equal heap order.  Computed once per model: the location and
-        validation memo keys of :mod:`repro.core.sling` fold it instead of
-        the model itself.
+        It covers the stack, the heap addresses in insertion order with each
+        cell's :meth:`HeapCell.digest`, the typing and the sorted freed
+        addresses, so equal digests mean equal models with equal heap order.
+        Computed once per model: the location and validation memo keys of
+        :mod:`repro.core.sling` fold it instead of the model itself.
         """
         cached = self.__dict__.get("_digest")
         if cached is None:
-            cells = tuple(
-                (address, cell.type_name, cell.fields) for address, cell in self.heap.items()
-            )
-            text = repr((self.stack, cells, self.var_types, sorted(self.freed_addresses)))
-            cached = hashlib.blake2b(text.encode(), digest_size=20).digest()
+            cells = self.heap._cells
+            text = repr((self.stack, tuple(cells), self.var_types, sorted(self.freed_addresses)))
+            digest = hashlib.blake2b(text.encode(), digest_size=20)
+            digest.update(b"".join([cell.digest() for cell in cells.values()]))
+            cached = digest.digest()
             object.__setattr__(self, "_digest", cached)
         return cached
 

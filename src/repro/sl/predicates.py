@@ -233,12 +233,16 @@ class PredicateRegistry:
 
     def __init__(self, predicates: Iterable[InductivePredicate] = ()):
         self._predicates: dict[str, InductivePredicate] = {}
+        #: :func:`repro.cache.fingerprint.registry_fingerprint` of the
+        #: definitions, computed on first use; :meth:`add` drops it.
+        self.fingerprint: str | None = None
         for predicate in predicates:
             self.add(predicate)
 
     def add(self, predicate: InductivePredicate) -> None:
         """Register (or replace) a predicate definition."""
         self._predicates[predicate.name] = predicate
+        self.fingerprint = None
 
     def get(self, name: str) -> InductivePredicate:
         """Look up a predicate; raises :class:`UnknownPredicateError` if absent."""

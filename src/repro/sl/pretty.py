@@ -115,7 +115,22 @@ def pretty_spatial(
 def pretty(
     formula: SymHeap, field_names: Mapping[str, tuple[str, ...]] | None = None
 ) -> str:
-    """Render a symbolic heap ``exists xs . Sigma & Pi``."""
+    """Render a symbolic heap ``exists xs . Sigma & Pi``.
+
+    The rendering with the default field names is cached on the (immutable)
+    formula: the driver renders every invariant to deduplicate it, and the
+    serve records render the same objects again.
+    """
+    if field_names is None:
+        cached = formula.__dict__.get("_pretty")
+        if cached is None:
+            cached = _render(formula, None)
+            object.__setattr__(formula, "_pretty", cached)
+        return cached
+    return _render(formula, field_names)
+
+
+def _render(formula: SymHeap, field_names: Mapping[str, tuple[str, ...]] | None) -> str:
     parts = []
     spatial_text = pretty_spatial(formula.spatial, field_names)
     pure_text = pretty_pure(formula.pure)

@@ -222,6 +222,19 @@ class SymHeap:
             pure_formula = conjoin(pure)
         object.__setattr__(self, "pure", pure_formula)
 
+    def __hash__(self) -> int:
+        # Memo keys hold formulas: hash the tree once per formula.
+        cached = self.__dict__.get("_hash")
+        if cached is None:
+            cached = hash((self.exists, self.spatial, self.pure))
+            object.__setattr__(self, "_hash", cached)
+        return cached
+
+    def __getstate__(self) -> dict:
+        # The cached hash is salted per process, and the cached rendering
+        # (see :func:`repro.sl.pretty.pretty`) is rebuilt on demand.
+        return {"exists": self.exists, "spatial": self.spatial, "pure": self.pure}
+
     # -- queries ------------------------------------------------------------
 
     def free_vars(self) -> frozenset[str]:

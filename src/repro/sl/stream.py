@@ -24,6 +24,7 @@ import threading
 from collections import OrderedDict
 from contextlib import contextmanager
 
+from repro.sl.model import HashedKey
 from repro.sl.search import CheckBudgetExceeded
 
 #: Entries one skeleton stream holds; a stream cut off here stays
@@ -291,16 +292,17 @@ class LocationMemo(OrderedDict):
     """Whole-location results (content key -> ``(formula, from freed
     traces)`` pairs) and frame-rule verdicts (tagged content key -> bool),
     least recently used first, at most ``_LOCATION_MEMO_LIMIT`` of them
-    together."""
+    together.  Keys are :class:`~repro.sl.model.HashedKey` objects: a
+    lookup and its LRU move hash the key's content once."""
 
-    def recall(self, key: tuple) -> tuple | bool | None:
+    def recall(self, key: HashedKey) -> tuple | bool | None:
         """The result under ``key`` (now the most recently used), or ``None``."""
         value = self.get(key)
         if value is not None:
             self.move_to_end(key)
         return value
 
-    def add(self, key: tuple, value: tuple | bool) -> None:
+    def add(self, key: HashedKey, value: tuple | bool) -> None:
         """Insert ``value`` as the most recently used entry, evicting the
         least recently used one beyond ``_LOCATION_MEMO_LIMIT``."""
         self[key] = value

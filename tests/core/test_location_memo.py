@@ -31,8 +31,8 @@ from repro.core.sling import Sling, SlingConfig
 from repro.lang.ast import Program
 from repro.lang.tracer import Location
 from repro.lang.types import StructDef, StructRegistry
-from repro.sl.stream import stream_pool
-from repro.sl.model import Heap, StackHeapModel
+from repro.sl.stream import LocationMemo, stream_pool
+from repro.sl.model import HashedKey, Heap, StackHeapModel
 from repro.sl.pretty import pretty
 from repro.sl.stdpreds import standard_predicates
 from repro.telemetry import Telemetry, read_trace, span_records
@@ -204,3 +204,26 @@ def test_a_hit_emits_a_childless_location_span(tmp_path):
     assert all(
         span["id"] in parents for span in locations if not span["attrs"]["memo_hit"]
     )
+
+
+def test_a_lookup_hashes_its_key_once():
+    """A miss, the insert after it and a later hit each hash the key's
+    content once, when the :class:`HashedKey` is built."""
+
+    class Counted:
+        hashes = 0
+
+        def __hash__(self):
+            Counted.hashes += 1
+            return 7
+
+        def __eq__(self, other):
+            return isinstance(other, Counted)
+
+    memo = LocationMemo()
+    key = HashedKey(("location", Counted()))
+    assert memo.recall(key) is None
+    memo.add(key, ("invariant",))
+    assert memo.recall(HashedKey(("location", Counted()))) == ("invariant",)
+    assert memo.recall(HashedKey(("other", Counted()))) is None
+    assert Counted.hashes == 3

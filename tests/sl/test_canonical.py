@@ -428,17 +428,19 @@ def _fast_path_stats(models: list[StackHeapModel]):
             [_sll_model(1, 0), _sll_model(1, 1), _sll_model(1, 5)],
             id="with-empty-list",
         ),
+        pytest.param(
+            [_sll_model(1, 3, y_index=1), _sll_model(1, 4, y_index=3)],
+            id="y-aliases-the-tail",
+        ),
     ],
 )
 def test_renamed_copies_add_no_skeleton_search(originals):
     """Each model of a location runs Algorithm 2 on its own, but a renamed
-    copy of a nil-terminated list already seen solves no skeleton search of
-    its own: its streams are served, through the canonical stream key, from
-    the ones solved on the original.
-
-    (A residual heap whose cells point outside it keeps those pointers as
-    concrete values in its canonical form, so the copies of an aliased
-    list do search some residuals again.)"""
+    copy of a list already seen solves no skeleton search of its own: its
+    streams are served, through the canonical stream key, from the ones
+    solved on the original.  That holds for an aliased list too, whose
+    residual heaps point at cells split off: those out-of-heap pointers are
+    labeled like in-heap addresses."""
     copies = [
         _permute(model, {addr: 2000 + addr for addr in model.heap})
         for model in originals

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.cache.fingerprint import registry_fingerprint
 from repro.sl.errors import SLError, UnknownPredicateError
 from repro.sl.exprs import Nil, Var
 from repro.sl.predicates import (
@@ -72,6 +73,17 @@ class TestRegistry:
         right = predicates_for("tree")
         merged = left.merged_with(right)
         assert "sll" in merged and "tree" in merged
+
+    def test_fingerprint_is_cached_until_the_next_add(self):
+        registry = predicates_for("sll")
+        fingerprint = registry_fingerprint(registry)
+        assert registry.fingerprint == fingerprint
+        assert registry_fingerprint(registry) is fingerprint
+        registry.add(predicates_for("tree").get("tree"))
+        assert registry.fingerprint is None
+        grown = registry_fingerprint(registry)
+        assert grown != fingerprint
+        assert grown == registry_fingerprint(predicates_for("sll").merged_with(predicates_for("tree")))
 
     def test_library_registries_share_cases_but_no_predicate(self):
         # The library is parsed once; each registry wraps the shared,

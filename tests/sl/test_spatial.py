@@ -1,6 +1,9 @@
 """Unit tests for spatial formulae and symbolic heaps."""
 
+import pickle
+
 from repro.sl.exprs import Eq, Nil, Var
+from repro.sl.pretty import pretty
 from repro.sl.spatial import (
     Emp,
     PointsTo,
@@ -90,6 +93,21 @@ class TestSymHeap:
         formula = sym_heap([PredApp("sll", [Var("x")])], [Eq(Var("x"), Nil())], ["u"])
         assert formula.exists == ("u",)
         assert len(formula.spatial_atoms()) == 1
+
+    def test_cached_hash_and_rendering_stay_in_process(self):
+        """Memo keys hash a formula once and the serve records reuse the
+        driver's rendering; neither cache crosses a pickle boundary."""
+        formula = sym_heap([PointsTo(Var("x"), "SllNode", [Var("u")])], [], ["u"])
+        fresh = pickle.loads(pickle.dumps(formula))
+        assert hash(formula) == hash(fresh) and formula == fresh
+        text = pretty(formula)
+        assert pretty(formula) is text
+        assert pretty(formula, {"SllNode": ("next",)}) == "exists u. x -> SllNode{next: u}"
+        assert pretty(formula) is text
+        assert pickle.dumps(formula) == pickle.dumps(fresh)
+        restored = pickle.loads(pickle.dumps(formula))
+        assert "_hash" not in restored.__dict__ and "_pretty" not in restored.__dict__
+        assert pretty(restored) == text and restored == formula
 
 
 class TestFreshVariables:
