@@ -30,6 +30,9 @@ bench-micro:
 test:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest -x -q
 
+# `infer --connect` at a socket nothing listens on takes the in-process
+# fallback, which serves the request through the daemon's own runner: its
+# last record must be a `done` record with status `complete`.
 # The cache verify pair runs on one fresh file: the first run writes it
 # (cold), the second reads it back as a restored cache would be (resumed).
 # The file must then hold stream rows only: the one row kind written.
@@ -38,6 +41,11 @@ test:
 smoke:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro table1 --category SLL --limit 2 --json > /dev/null
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro docs --stdout > /dev/null
+	rm -f /tmp/smoke_absent.sock
+	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro infer --connect /tmp/smoke_absent.sock \
+		--benchmark sll/insertFront \
+		| $(PYTHON) -c "import json, sys; last = json.loads(sys.stdin.readlines()[-1]); \
+		assert (last['type'], last['status']) == ('done', 'complete'), last"
 	rm -f /tmp/smoke_cache.sqlite*
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro cache verify --file /tmp/smoke_cache.sqlite > /dev/null
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro cache verify --file /tmp/smoke_cache.sqlite > /dev/null

@@ -28,11 +28,7 @@ def _reached_locations(report) -> int:
 
 
 def test_a_warm_request_runs_no_search_and_no_check(once, tmp_path):
-    config = SlingConfig(
-        discard_crashed_runs=True,
-        persistent_cache=tmp_path / "warm.sqlite",
-        incremental_flush=True,
-    )
+    config = SlingConfig(persistent_cache=tmp_path / "warm.sqlite")
     engine = InferenceEngine(jobs=1)
     jobs = [EngineJob(kind="spec", benchmark=name, seed=0, config=config) for name in BENCHMARKS]
 

@@ -197,9 +197,9 @@ class PersistentCache:
         flushes are incremental: streams are read from the memo's
         ``finished`` log where the previous flush stopped, so a flush
         visits only the streams finished since then, and the known-row set
-        keeps every row from being written twice.  Callers (the serve
-        daemon, per-location incremental mode) may flush as often as they
-        like.  Intermediate flushes pass ``final=False`` to skip eviction
+        keeps every row from being written twice, so a driver may flush
+        after every location, as :class:`~repro.core.sling.Sling` does.
+        Intermediate flushes pass ``final=False`` to skip eviction
         and the file-size refresh: those are end-of-run accounting, and
         running eviction mid-inference could drop rows a concurrent sharer
         just wrote.  A final flush evicts over the size cap only when this

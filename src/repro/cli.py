@@ -133,7 +133,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--cache-file",
         default=None,
         metavar="PATH",
-        help="persistent cache file, flushed incrementally per function",
+        help="persistent cache file, flushed after every location",
     )
     serve.add_argument(
         "--request-timeout",
@@ -262,11 +262,16 @@ def _cmd_infer(arguments: argparse.Namespace) -> None:
         from repro.telemetry import Telemetry
 
         telemetry = Telemetry(arguments.trace_out)
-        config = SlingConfig(discard_crashed_runs=True, telemetry=telemetry)
-    engine = InferenceEngine(jobs=arguments.jobs, job_timeout=arguments.timeout)
-    reports = engine.run(
+        config = SlingConfig(telemetry=telemetry)
+    reports = InferenceEngine(jobs=arguments.jobs).run(
         [
-            EngineJob(kind="spec", benchmark=name, seed=arguments.seed, config=config)
+            EngineJob(
+                kind="spec",
+                benchmark=name,
+                seed=arguments.seed,
+                config=config,
+                timeout=arguments.timeout,
+            )
             for name in names
         ]
     )

@@ -130,11 +130,12 @@ class EngineJob:
     ``"table2"``
         Payload is a :class:`repro.evaluation.table2.BenchmarkComparison`.
 
-    ``timeout`` (seconds) overrides the engine-wide ``job_timeout``.  It is a
-    true per-job wall-clock budget, enforced *inside* the executing process
-    with an interval timer (the inference search is pure Python, so the
-    resulting alarm always interrupts it); a timed-out job yields an
-    ``ok=False`` report whose :attr:`EngineReport.timed_out` is true.
+    ``timeout`` (seconds) is the job's wall-clock budget (``None``: none),
+    overridden by :meth:`InferenceEngine.run`'s ``timeout_for`` hook.  It is
+    enforced *inside* the executing process with an interval timer (the
+    inference search is pure Python, so the resulting alarm always
+    interrupts it); a timed-out job yields an ``ok=False`` report whose
+    :attr:`EngineReport.timed_out` is true.
     """
 
     kind: str
@@ -322,7 +323,7 @@ def _dispatch(job: EngineJob) -> tuple[object, CacheStats]:
     # job.kind == "spec"
     from repro.core.sling import Sling
 
-    config = job.config or SlingConfig(discard_crashed_runs=True)
+    config = job.config or SlingConfig()
     sling = Sling(benchmark.program, benchmark.predicates, config)
     specification = sling.infer_function(benchmark.function, benchmark.test_cases(job.seed))
     return (
@@ -367,22 +368,19 @@ class InferenceEngine:
         depend on which earlier jobs shared a worker, so they are only
         reproducible run to run with ``jobs=1``; their sum
         ``skeletons_solved + env_stream_reuses`` is the same either way.
-    job_timeout:
-        Default per-job timeout in seconds (see :class:`EngineJob.timeout`).
-        ``None`` waits indefinitely.  Enforced per job by an interval timer
-        inside the executing process, so it works in the calling thread too
-        (when that is the main thread).
+
+    Each job carries its own timeout (:attr:`EngineJob.timeout`, or the
+    ``timeout_for`` hook of :meth:`run`).
 
     The retry and healing policy is fixed by the module constants
     :data:`MAX_RETRIES`, :data:`BACKOFF_BASE`, :data:`BACKOFF_CAP` and
     :data:`MAX_POOL_REBUILDS`.
     """
 
-    def __init__(self, jobs: int = 1, job_timeout: float | None = None):
+    def __init__(self, jobs: int = 1):
         if jobs < 1:
             raise EngineError(f"engine needs at least one worker, got jobs={jobs}")
         self.jobs = jobs
-        self.job_timeout = job_timeout
 
     def run(
         self,
@@ -425,14 +423,6 @@ class InferenceEngine:
         copy of the memo as it was at the fork, fill their own copies and
         feed nothing back.
         """
-        # Bake the engine-wide default timeout into each job so the executing
-        # process (calling thread or pool worker) enforces it locally.
-        batch = [
-            replace(job, timeout=self.job_timeout)
-            if job.timeout is None and self.job_timeout is not None
-            else job
-            for job in batch
-        ]
         if not batch:
             return []
         hooks = {"on_report": on_report, "cancel": cancel, "timeout_for": timeout_for}
@@ -1001,7 +991,7 @@ def run_category_batch(
             if keep is None or keep(benchmark)
         )
 
-    engine = InferenceEngine(jobs=jobs, job_timeout=job_timeout)
+    engine = InferenceEngine(jobs=jobs)
     telemetry = config.telemetry if config is not None else None
     sweep_span = (
         telemetry.tracer().span("sweep", name=kind, benchmarks=len(selected), jobs=jobs)
@@ -1011,7 +1001,13 @@ def run_category_batch(
     with sweep_span:
         reports = engine.run(
             [
-                EngineJob(kind=kind, benchmark=benchmark.name, seed=seed, config=config)
+                EngineJob(
+                    kind=kind,
+                    benchmark=benchmark.name,
+                    seed=seed,
+                    config=config,
+                    timeout=job_timeout,
+                )
                 for _, benchmark in selected
             ]
         )
@@ -1051,8 +1047,3 @@ def warm_worker_state() -> dict[str, int]:
         "interned_canonical_forms": intern_table_size(),
     }
 
-
-def default_job_config(config: SlingConfig | None = None, **overrides) -> SlingConfig:
-    """The engine's default analysis configuration (paper setup + crash discard)."""
-    base = config or SlingConfig(discard_crashed_runs=True)
-    return replace(base, **overrides) if overrides else base

@@ -95,7 +95,7 @@ def infer_atoms(
         facts = (
             None
             if reference_search
-            else tuple(ModelFacts(model, root) for model in sub_models)
+            else tuple(ModelFacts(model) for model in sub_models)
         )
         for predicate in predicates.candidates_for_type(root_type):
             if predicate.arity > MAX_PRED_ARITY:

@@ -130,15 +130,6 @@ class Specification:
         """Number of invariants flagged as spurious."""
         return sum(1 for invariant in self.all_invariants() if invariant.spurious or invariant.from_freed_traces)
 
-    def locations_with_invariants(self) -> list[str]:
-        """Locations that received at least one invariant."""
-        result = []
-        if self.preconditions:
-            result.append("entry")
-        result.extend(loc for loc, invs in self.postconditions.items() if invs)
-        result.extend(loc for loc, invs in self.loop_invariants.items() if invs)
-        return result
-
 
 def merge_instantiations(
     first: Sequence[Mapping[str, int]], second: Sequence[Mapping[str, int]]

@@ -74,12 +74,14 @@ class SlingConfig:
     variable_order: str = "reachability"
     #: Drop the events of test runs that crashed (the paper's LLDB-batch
     #: workflow obtained no usable traces from crashing programs).
-    discard_crashed_runs: bool = False
+    discard_crashed_runs: bool = True
     #: Path of a disk-backed cache file persisting the checker's
     #: canonical-keyed caches across runs (see :mod:`repro.cache` and
-    #: ``docs/performance.md``).  ``None`` (the default) keeps the tier
-    #: entirely inert: no file is touched and every code path is identical
-    #: to a cache-less run.
+    #: ``docs/performance.md``).  A driver bound to it flushes after every
+    #: location, so a run interrupted later in the function (a failed
+    #: location, a serve deadline, a killed daemon) still banks what it
+    #: learned.  ``None`` (the default) keeps the tier entirely inert: no
+    #: file is touched and every code path is identical to a cache-less run.
     persistent_cache: str | Path | None = None
     #: Read ``persistent_cache`` without writing to it.  Internal to
     #: ``repro cache verify``, whose warm sweep must measure the file, not
@@ -92,14 +94,6 @@ class SlingConfig:
     #: picklable, so a traced configuration crosses the engine's fork
     #: boundary; each worker process then writes its own trace segment.
     telemetry: Telemetry | None = None
-    #: Flush the persistent cache tier after every *location's* inference
-    #: instead of only at the end of a function sweep.  Rows are written
-    #: incrementally (the tier's bookkeeping skips everything already on
-    #: disk), so an interrupted run -- a serve request cancelled by its
-    #: deadline, a daemon killed mid-request -- still banks whatever it
-    #: learned.  Off by default: one-shot runs gain nothing from the extra
-    #: sqlite commits.  Inert without ``persistent_cache``.
-    incremental_flush: bool = False
     #: Deterministic fault-injection plan (see :mod:`repro.faults`).
     #: ``None`` (the default) keeps every injection site a single
     #: ``is None`` branch away from the untouched code path -- no injector
@@ -201,11 +195,6 @@ class Sling:
         """
         if self.persistent_cache is not None:
             self.persistent_cache.flush(self.checker, final=final)
-
-    def _flush_incremental(self) -> None:
-        """Per-location flush, active only under ``config.incremental_flush``."""
-        if self.config.incremental_flush:
-            self.flush_persistent(final=False)
 
     # ------------------------------------------------------------------ tracing --
 
@@ -451,7 +440,7 @@ class Sling:
             location="entry",
             free_vars=self._free_vars_for(function_name, "entry"),
         )
-        self._flush_incremental()
+        self.flush_persistent(final=False)
 
         for return_location in function.return_locations():
             models = traces.models_at(Location(function_name, return_location))
@@ -461,13 +450,13 @@ class Sling:
                 free_vars=self._free_vars_for(function_name, return_location),
             )
             specification.postconditions[return_location] = invariants
-            self._flush_incremental()
+            self.flush_persistent(final=False)
 
         for loop_location in function.loop_locations():
             models = traces.models_at(Location(function_name, loop_location))
             invariants = self.infer_from_models(models, location=loop_location)
             specification.loop_invariants[loop_location] = invariants
-            self._flush_incremental()
+            self.flush_persistent(final=False)
 
         specification.validated = self._validate(specification, traces, function_name)
         self.flush_persistent()

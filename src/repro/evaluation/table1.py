@@ -228,7 +228,7 @@ def evaluate_program(
     benchmark: BenchmarkProgram, config: SlingConfig | None = None, seed: int = 0
 ) -> ProgramResult:
     """Run SLING on one benchmark and compute its Table 1 measurements."""
-    config = config or SlingConfig(discard_crashed_runs=True)
+    config = config or SlingConfig()
     sling = Sling(benchmark.program, benchmark.predicates, config)
     test_cases = benchmark.test_cases(seed=seed)
     function = benchmark.program.get_function(benchmark.function)
@@ -346,7 +346,7 @@ def verify_cache_file(cache_file: str) -> dict:
     from repro.cache import close_tiers
 
     resumed = os.path.exists(cache_file)
-    cached_config = SlingConfig(discard_crashed_runs=True, persistent_cache=cache_file)
+    cached_config = SlingConfig(persistent_cache=cache_file)
     expected = sweep(None).fingerprints()
     identical = True
     try:
@@ -446,7 +446,7 @@ def table1_command(arguments: argparse.Namespace) -> None:
         from repro.telemetry import Telemetry
 
         telemetry = Telemetry(arguments.trace_out)
-        config = SlingConfig(discard_crashed_runs=True, telemetry=telemetry)
+        config = SlingConfig(telemetry=telemetry)
     result = run_table1(
         categories=arguments.category,
         config=config,

@@ -132,7 +132,7 @@ def compare_benchmark(
     """Evaluate one benchmark's documented properties with SLING and S2."""
     from repro.baselines.s2 import S2Analyzer
 
-    config = config or SlingConfig(discard_crashed_runs=True)
+    config = config or SlingConfig()
     comparison = BenchmarkComparison(name=benchmark.name, category=benchmark.category)
     if not benchmark.documented:
         return comparison

@@ -261,10 +261,6 @@ class Function:
 
         return count(self.body)
 
-    def pointer_params(self) -> list[str]:
-        """Names of the pointer-typed parameters, in declaration order."""
-        return [name for name, type_name in self.params if type_name.endswith("*")]
-
 
 @dataclass
 class Program:

@@ -95,8 +95,11 @@ class Frame:
 #: some benchmark inputs (e.g. cyclic lists fed to ``concat``) make the
 #: original C programs diverge.
 MAX_STEPS = 200_000
-#: Call depth per run (recursion guard).
-MAX_CALL_DEPTH = 2_000
+#: Call depth per run (recursion guard).  A heaplang call costs several
+#: Python frames, so the guard sits well below what Python's recursion limit
+#: allows (a plain recursion there reaches a depth of about 250); the
+#: deepest benchsuite recursion reaches 20.
+MAX_CALL_DEPTH = 100
 
 
 class Interpreter:
@@ -116,7 +119,14 @@ class Interpreter:
         self.steps = 0
         self.depth = 0
         self.heap = heap
-        return self.call(self.program.get_function(function_name), list(args))
+        try:
+            return self.call(self.program.get_function(function_name), list(args))
+        except RecursionError:
+            # Calls nested in deeply nested statements can still reach
+            # Python's limit first; the run ends the same way.
+            raise InterpreterTimeout(
+                "call depth exceeded Python's recursion limit"
+            ) from None
 
     def call(self, function: Function, args: list[int]) -> int | None:
         """Run one activation of ``function`` on the current run's heap."""

@@ -162,14 +162,6 @@ class Tracer:
         """All captured models at the given location, in capture order."""
         return [event.model for event in self.events if event.location == location]
 
-    def locations_seen(self) -> list[Location]:
-        """Locations that were actually reached, in first-hit order."""
-        seen: list[Location] = []
-        for event in self.events:
-            if event.location not in seen:
-                seen.append(event.location)
-        return seen
-
 
 def _layout(struct: StructDef) -> tuple[tuple[str, ...], Callable[[dict], tuple]]:
     """A struct's field names and a reader of a runtime cell's values in
@@ -233,10 +225,6 @@ class TraceCollection:
         return TraceCollection(
             events=kept_events, outcomes=list(self.outcomes), runs=kept_runs
         )
-
-    def has_freed_cell_models(self, location: Location) -> bool:
-        """True when any model at ``location`` observed freed cells."""
-        return any(model.has_freed_cells() for model in self.models_at(location))
 
 
 def _run_suite(

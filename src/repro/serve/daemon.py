@@ -57,10 +57,12 @@ import signal
 import socket
 import threading
 from collections import deque
+from contextlib import nullcontext
 from dataclasses import dataclass, field
+from typing import Callable
 
 from repro.cache import close_tiers
-from repro.core.engine import CacheStats, EngineJob, InferenceEngine
+from repro.core.engine import CacheStats, EngineJob, EngineReport, InferenceEngine
 from repro.core.sling import SlingConfig
 from repro.serve.journal import RequestJournal
 from repro.serve.protocol import (
@@ -246,11 +248,7 @@ class ServeDaemon:
         self.queue = AdmissionQueue(queue_limit)
         self.engine = InferenceEngine(jobs=jobs)
         self.config = SlingConfig(
-            discard_crashed_runs=True,
-            persistent_cache=cache_file,
-            incremental_flush=cache_file is not None,
-            telemetry=telemetry,
-            fault_plan=fault_plan,
+            persistent_cache=cache_file, telemetry=telemetry, fault_plan=fault_plan
         )
         #: Aggregated counters of everything served (the serve_* fields are
         #: this daemon's own; the rest accumulate from job reports).
@@ -524,15 +522,18 @@ class ServeDaemon:
                 resumed=pending.resumed,
             )
             if self.tracer is not None
-            else None
+            else nullcontext()
         )
-        if span is not None:
-            span.__enter__()
-        try:
-            status, reports = self._execute(pending, started)
-        finally:
-            if span is not None:
-                span.__exit__(None, None, None)
+        with span:
+            status, reports = run_request(
+                self.engine,
+                request,
+                lambda record: self._stream_record(pending, record),
+                enqueued_at=pending.enqueued_at,
+                config=self.config,
+                disconnected=pending.disconnected,
+                request_timeout=self.request_timeout,
+            )
         with self._stats_lock:
             for report in reports:
                 self.stats.merge(report.cache)
@@ -540,11 +541,7 @@ class ServeDaemon:
                 self.stats.serve_deadline_expiries += 1
             elif status == "cancelled":
                 self.stats.serve_client_disconnects += 1
-            counters = {
-                key: value
-                for key, value in self.stats.as_dict().items()
-                if key.startswith("serve_")
-            }
+            counters = serve_counters(self.stats)
         self._safe_write(
             pending.sink,
             done_record(
@@ -558,66 +555,12 @@ class ServeDaemon:
         pending.done.set()
         self.journal.record_done(request.id)
 
-    def _execute(self, pending: _PendingRequest, started: float):
-        """Run one request's jobs, streaming records; returns (status, reports)."""
-        request = pending.request
-        deadline_at = (
-            pending.enqueued_at + request.deadline if request.deadline is not None else None
-        )
-        if deadline_at is not None and started >= deadline_at:
-            # Expired while queued: nothing runs, every job is reported.
-            for name in request.benchmarks:
-                self._stream_record(
-                    pending,
-                    {
-                        "type": "job",
-                        "id": request.id,
-                        "benchmark": name,
-                        "ok": False,
-                        "error": "cancelled: deadline",
-                    },
-                )
-            return "deadline_expired", []
-
-        def cancel() -> str | None:
-            if pending.disconnected.is_set():
-                return "client disconnected"
-            if deadline_at is not None and monotime() > deadline_at:
-                return "deadline"
-            return None
-
-        def on_report(index: int, report) -> None:
-            for record in records_for_report(request.id, report):
-                self._stream_record(pending, record, request_id=request.id)
-
-        jobs = [
-            EngineJob(kind="spec", benchmark=name, seed=request.seed, config=self.config)
-            for name in request.benchmarks
-        ]
-        reports = self.engine.run(
-            jobs,
-            on_report=on_report,
-            cancel=cancel,
-            timeout_for=lambda job: remaining_budget(deadline_at, self.request_timeout),
-        )
-
-        errors = [report.error or "" for report in reports if not report.ok]
-        if pending.disconnected.is_set() or any(
-            error.startswith("cancelled: client disconnected") for error in errors
-        ):
-            return "cancelled", reports
-        if deadline_at is not None and (
-            monotime() > deadline_at
-            or any(error.startswith("cancelled: deadline") for error in errors)
-            or any(report.timed_out for report in reports)
-        ):
-            return "deadline_expired", reports
-        return "complete", reports
-
-    def _stream_record(self, pending: _PendingRequest, record: dict, request_id: str = "") -> None:
+    def _stream_record(self, pending: _PendingRequest, record: dict) -> None:
         """Write one response record; a failed write cancels the request."""
         try:
-            pending.sink.write(record, fault_plan=self.fault_plan, request_id=request_id)
+            pending.sink.write(
+                record, fault_plan=self.fault_plan, request_id=pending.request.id
+            )
         except _ClientGone:
             pending.disconnected.set()
 
@@ -643,3 +586,87 @@ class ServeDaemon:
                 parent=self.tracer.current_id,
                 checkpointed=len(remaining),
             )
+
+
+# ------------------------------------------------------------------ runner --
+
+
+def run_request(
+    engine: InferenceEngine,
+    request: ServeRequest,
+    write: Callable[[dict], None],
+    *,
+    enqueued_at: float,
+    config: SlingConfig | None = None,
+    disconnected: threading.Event | None = None,
+    request_timeout: float | None = None,
+) -> tuple[str, list[EngineReport]]:
+    """Run one request's jobs, ``write``-ing each record as its job
+    finalizes; returns ``(status, reports)``.
+
+    The one request runner: the daemon's executor and the in-process
+    fallback (:func:`repro.serve.client.run_local`) both serve through it,
+    so the two emit the same ``result`` and ``job`` records under the same
+    status rules.  ``config`` is every job's :class:`SlingConfig` (``None``:
+    the engine's default).  The ``deadline`` counts from ``enqueued_at``;
+    a request already past it runs nothing and reports every benchmark as
+    ``cancelled: deadline``.  Each job is stamped with the budget left when
+    it starts, capped by ``request_timeout``.  ``disconnected`` is polled as
+    a cancel reason: the daemon sets it when the client hangs up, or in
+    ``write`` when a record cannot be delivered.
+    """
+    if disconnected is None:
+        disconnected = threading.Event()
+    deadline_at = enqueued_at + request.deadline if request.deadline is not None else None
+    if deadline_at is not None and monotime() >= deadline_at:
+        # Expired while queued: nothing runs, every job is reported.
+        for name in request.benchmarks:
+            write(
+                {
+                    "type": "job",
+                    "id": request.id,
+                    "benchmark": name,
+                    "ok": False,
+                    "error": "cancelled: deadline",
+                }
+            )
+        return "deadline_expired", []
+
+    def cancel() -> str | None:
+        if disconnected.is_set():
+            return "client disconnected"
+        if deadline_at is not None and monotime() > deadline_at:
+            return "deadline"
+        return None
+
+    def on_report(index: int, report: EngineReport) -> None:
+        for record in records_for_report(request.id, report):
+            write(record)
+
+    reports = engine.run(
+        [
+            EngineJob(kind="spec", benchmark=name, seed=request.seed, config=config)
+            for name in request.benchmarks
+        ],
+        on_report=on_report,
+        cancel=cancel,
+        timeout_for=lambda job: remaining_budget(deadline_at, request_timeout),
+    )
+
+    errors = [report.error or "" for report in reports if not report.ok]
+    if disconnected.is_set() or any(
+        error.startswith("cancelled: client disconnected") for error in errors
+    ):
+        return "cancelled", reports
+    if deadline_at is not None and (
+        monotime() > deadline_at
+        or any(error.startswith("cancelled: deadline") for error in errors)
+        or any(report.timed_out for report in reports)
+    ):
+        return "deadline_expired", reports
+    return "complete", reports
+
+
+def serve_counters(stats: CacheStats) -> dict:
+    """The ``serve_*`` counters of ``stats``: a ``done`` record's counters."""
+    return {key: value for key, value in stats.as_dict().items() if key.startswith("serve_")}

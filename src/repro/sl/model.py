@@ -324,11 +324,6 @@ class HeapCell:
         return cached
 
     @property
-    def field_dict(self) -> dict[str, int]:
-        """Field values as a dictionary (field name -> value)."""
-        return dict(self.fields)
-
-    @property
     def values(self) -> tuple[int, ...]:
         """Field values in declaration order (precomputed in ``__init__``)."""
         return self._values

@@ -13,9 +13,8 @@ backtracking search.  This module makes refutation cheap in two places:
   candidate pre-filter consults it before calling the checker at all.
 
 * :class:`ModelFacts` precomputes, once per heap split, the per-model data
-  the screens are evaluated against: the sub-heap's domain, its
-  boundary-value footprint (addresses, field values and ``nil``), its heap
-  type histogram and the root-reachable address set.
+  the screens are evaluated against: the model's stack, the sub-heap's
+  domain and its cell lookup.
 
 Soundness contract: :func:`case_feasible` may return ``True`` for a case
 that ultimately fails, but it returns ``False`` only when *no* reduction
@@ -302,65 +301,17 @@ def case_feasible(
 class ModelFacts:
     """Cheap semantic facts about one sub-model, computed once per split.
 
-    The pre-filter itself reads only ``stack``, ``dom`` and ``heap_get``;
-    the richer facts (value footprint, type histogram, root-reachable set)
-    are derived lazily on first access, so constructing facts for a split
-    costs one ``domain()`` call and nothing else.
+    The pre-filter reads ``stack``, ``dom`` and ``heap_get``; constructing
+    facts for a split costs one ``domain()`` call and nothing else.
     """
 
-    __slots__ = (
-        "model",
-        "stack",
-        "dom",
-        "heap_get",
-        "_root",
-        "_footprint",
-        "_type_histogram",
-        "_root_reachable",
-    )
+    __slots__ = ("stack", "dom", "heap_get")
 
-    def __init__(self, model: StackHeapModel, root: str | None = None):
+    def __init__(self, model: StackHeapModel):
         heap = model.heap
-        self.model = model
         self.stack = model.stack_map
         self.dom = heap.domain()
         self.heap_get = heap.get
-        self._root = root
-        self._footprint: frozenset[int] | None = None
-        self._type_histogram: dict[str, int] | None = None
-        self._root_reachable: frozenset[int] | None = None
-
-    @property
-    def footprint(self) -> frozenset[int]:
-        """Addresses, field values and ``nil`` observable in the sub-heap."""
-        if self._footprint is None:
-            values: set[int] = {0}
-            values.update(self.dom)
-            for _, cell in self.model.heap.items():
-                values.update(cell.values)
-            self._footprint = frozenset(values)
-        return self._footprint
-
-    @property
-    def type_histogram(self) -> dict[str, int]:
-        """Cell counts per structure type."""
-        if self._type_histogram is None:
-            histogram: dict[str, int] = {}
-            for _, cell in self.model.heap.items():
-                histogram[cell.type_name] = histogram.get(cell.type_name, 0) + 1
-            self._type_histogram = histogram
-        return self._type_histogram
-
-    @property
-    def root_reachable(self) -> frozenset[int]:
-        """Addresses reachable from the split's root variable."""
-        if self._root_reachable is None:
-            root = self._root
-            if root is not None and root in self.stack:
-                self._root_reachable = self.model.heap.reachable_from([self.stack[root]])
-            else:
-                self._root_reachable = self.dom
-        return self._root_reachable
 
     def argument_values(
         self, names: Sequence[str], fresh: frozenset[str] | set[str]

@@ -29,10 +29,11 @@ from repro.cache import close_tiers
 from repro.cache import serialize, tier as tier_module
 from repro.cache.store import CacheStore
 from repro.cache.tier import KIND_STREAM
+from repro.core import engine as engine_module
 from repro.core.engine import EngineJob, InferenceEngine
 from repro.core.sling import Sling, SlingConfig
 from repro.evaluation.table1 import run_table1
-from repro.faults import FaultPlan, FaultRule, reset_injector
+from repro.faults import FaultPlan, FaultRule, InjectedFault, injector_for, reset_injector
 from repro.serve.client import submit
 from repro.serve.protocol import ServeRequest
 from repro.sl.model import CanonicalForm
@@ -191,15 +192,22 @@ def test_file_deleted_under_the_tier_is_recreated(tmp_path):
 def test_pool_hits_flushed_by_an_earlier_job_are_not_written_again(
     tmp_path, monkeypatch
 ):
+    # Every stream row key each job wrote, over all of its flushes.
     written: list[set[bytes]] = []
     put_many = CacheStore.put_many
+    execute_job = engine_module.execute_job
 
     def record_puts(self, fingerprint, kind, rows):
         if kind == KIND_STREAM:
-            written.append({key for key, _ in rows})
+            written[-1].update(key for key, _ in rows)
         return put_many(self, fingerprint, kind, rows)
 
+    def per_job(job):
+        written.append(set())
+        return execute_job(job)
+
     monkeypatch.setattr(CacheStore, "put_many", record_puts)
+    monkeypatch.setattr(engine_module, "execute_job", per_job)
     config = _cached(tmp_path / "pool.sqlite")
     jobs = [
         EngineJob(kind="spec", benchmark=name, seed=0, config=config)
@@ -210,6 +218,32 @@ def test_pool_hits_flushed_by_an_earlier_job_are_not_written_again(
     first, second = written
     assert first
     assert first.isdisjoint(second)
+
+
+def test_a_failed_later_location_keeps_the_rows_of_the_finished_ones(tmp_path):
+    # A driver bound to a cache file flushes after every location, outside
+    # serve too: the entry location's streams reach the file even though a
+    # stream of a later location of the same function fails to materialize.
+    benchmark = get_benchmark("dll/concat")
+    counting = FaultPlan(rules=(FaultRule("stream_materialize", "raise", at=10**9),))
+    reset_injector(counting)
+    entry_only = tmp_path / "entry.sqlite"
+    sling = Sling(
+        benchmark.program, benchmark.predicates, _cached(entry_only, fault_plan=counting)
+    )
+    sling.infer_at(benchmark.function, "entry", benchmark.test_cases(0))
+    (materialized,), _ = injector_for(counting).state()
+    entry_rows = _row_keys(entry_only, KIND_STREAM)
+    assert entry_rows
+
+    failing = FaultPlan(
+        rules=(FaultRule("stream_materialize", "raise_permanent", at=materialized + 1),)
+    )
+    reset_injector(failing)
+    path = tmp_path / "failed.sqlite"
+    with pytest.raises(InjectedFault):
+        _infer(benchmark.name, _cached(path, fault_plan=failing))
+    assert entry_rows <= _row_keys(path, KIND_STREAM)
 
 
 # ------------------------------------------------------- processes, threads --

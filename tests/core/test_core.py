@@ -228,6 +228,18 @@ class TestSlingDriver:
         traces = sling.collect("crash", [lambda heap: [0]])
         assert traces.total_models() == 0
 
+    def test_the_default_config_discards_crashed_runs(self, structs):
+        from repro.lang import Function, Program, Return
+        from repro.lang.builder import field as f
+
+        crash = Function("crash", [("x", "SllNode*")], "int", [Return(f("x", "next"))])
+        program = Program(structs, [crash])
+        cases = [lambda heap: [0]]
+        default = Sling(program, predicates_for("sll"), SlingConfig())
+        assert default.collect("crash", cases).total_models() == 0
+        kept = Sling(program, predicates_for("sll"), SlingConfig(discard_crashed_runs=False))
+        assert kept.collect("crash", cases).total_models() == 1
+
 
 class TestValidation:
     def test_frame_rule_accepts_consistent_spec(self, concat_program, concat_tests, checker):

@@ -148,8 +148,8 @@ class TestTable1Determinism:
         import repro.core.engine as engine_module
 
         class _Boom:
-            def __init__(self, jobs=1, job_timeout=None):
-                del jobs, job_timeout
+            def __init__(self, jobs=1):
+                del jobs
 
             def run(self, batch):
                 from repro.core.engine import EngineReport

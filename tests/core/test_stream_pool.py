@@ -383,15 +383,22 @@ def _stream_rows(path) -> dict[bytes, int]:
 
 
 def test_pool_hits_are_not_written_to_the_cache_file_again(tmp_path, monkeypatch):
+    # Every stream row key each job wrote, over all of its flushes.
     written: list[set[bytes]] = []
     put_many = store_module.CacheStore.put_many
+    execute_job = engine_module.execute_job
 
     def record_puts(self, fingerprint, kind, rows):
         if kind == KIND_STREAM:
-            written.append({bytes(key) for key, _ in rows})
+            written[-1].update(bytes(key) for key, _ in rows)
         return put_many(self, fingerprint, kind, rows)
 
+    def per_job(job):
+        written.append(set())
+        return execute_job(job)
+
     monkeypatch.setattr(store_module.CacheStore, "put_many", record_puts)
+    monkeypatch.setattr(engine_module, "execute_job", per_job)
     path = str(tmp_path / "pool.sqlite")
     config = SlingConfig(discard_crashed_runs=True, persistent_cache=path)
     left = _two_spec_jobs(monkeypatch, config, config)

@@ -49,10 +49,13 @@ _POOL = {"jobs": 4}
 _INLINE = {"jobs": 1}
 
 
-def _run(benchmarks, config, **engine_kwargs):
-    engine = InferenceEngine(**engine_kwargs)
+def _run(benchmarks, config, jobs, timeout=None):
+    engine = InferenceEngine(jobs=jobs)
     return engine.run(
-        [EngineJob(kind="table1", benchmark=name, config=config) for name in benchmarks]
+        [
+            EngineJob(kind="table1", benchmark=name, config=config, timeout=timeout)
+            for name in benchmarks
+        ]
     )
 
 
@@ -101,7 +104,7 @@ def _check_poison(by_name, totals):
     assert totals["jobs_poisoned"] == 1
 
 
-def _sweep(rule, engine_kwargs, cache_file):
+def _sweep(rule, run_kwargs, cache_file):
     """Run the workload under one fault rule: reports by name, summed counters."""
     plan = FaultPlan(rules=(rule,), seed=0)
     # Equal plans share matching state in one process: start this one over.
@@ -109,7 +112,7 @@ def _sweep(rule, engine_kwargs, cache_file):
     config = SlingConfig(fault_plan=plan, persistent_cache=cache_file)
     by_name = {
         report.job.benchmark: report
-        for report in _run(WORKLOAD, config, **engine_kwargs)
+        for report in _run(WORKLOAD, config, **run_kwargs)
     }
     totals = {
         counter: sum(getattr(report.cache, counter, 0) for report in by_name.values())
@@ -120,9 +123,10 @@ def _sweep(rule, engine_kwargs, cache_file):
 
 _KILL_TARGET_ONCE = FaultRule("job_exec", "exit", match=TARGET, attempt=0)
 
-#: One row per named scenario: the injected rule, the engine settings, the
-#: engine policy constants it overrides, whether it needs a persistent cache
-#: file, the jobs that must fail, its own checks.
+#: One row per named scenario: the injected rule, the run settings (pool
+#: size and per-job timeout), the engine policy constants it overrides,
+#: whether it needs a persistent cache file, the jobs that must fail, its
+#: own checks.
 SCENARIOS = [
     pytest.param(
         _KILL_TARGET_ONCE,
@@ -131,7 +135,7 @@ SCENARIOS = [
     ),
     pytest.param(
         FaultRule("job_exec", "hang", match=TARGET, attempt=0, seconds=30.0),
-        {**_POOL, "job_timeout": 5.0}, {}, False, (TARGET,), _check_job_hang,
+        {**_POOL, "timeout": 5.0}, {}, False, (TARGET,), _check_job_hang,
         id="job_hang",
     ),
     pytest.param(
@@ -161,16 +165,16 @@ class TestChaosScenarios:
     """The named scenarios, and the trace that healing leaves."""
 
     @pytest.mark.parametrize(
-        "rule, engine_kwargs, constants, cached, failed, check", SCENARIOS
+        "rule, run_kwargs, constants, cached, failed, check", SCENARIOS
     )
     def test_scenario_passes(
-        self, rule, engine_kwargs, constants, cached, failed, check, reference,
+        self, rule, run_kwargs, constants, cached, failed, check, reference,
         tmp_path, monkeypatch,
     ):
         for name, value in constants.items():
             monkeypatch.setattr(engine_module, name, value)
         cache_file = str(tmp_path / "chaos.sqlite") if cached else None
-        by_name, totals = _sweep(rule, engine_kwargs, cache_file)
+        by_name, totals = _sweep(rule, run_kwargs, cache_file)
 
         assert [name for name, report in by_name.items() if not report.ok] == list(failed)
         diverged = [

@@ -13,10 +13,10 @@ from __future__ import annotations
 import pytest
 
 from repro.benchsuite.corpus import PINNED_DIGESTS, collect_corpus, corpus_digest
-from repro.lang import Function, Label, Program, Return, RuntimeHeap, Store, While
+from repro.lang import Function, If, Label, Program, Return, RuntimeHeap, Store, While
 from repro.lang import interp as interp_module
 from repro.lang.ast import Alloc, Free
-from repro.lang.builder import eq, field, i, v
+from repro.lang.builder import call, eq, field, i, sub, v
 from repro.lang.errors import InterpreterTimeout
 from repro.lang.interp import Interpreter
 from repro.lang.tracer import Location, collect_models
@@ -126,3 +126,42 @@ class TestStepBudget:
             with pytest.raises(InterpreterTimeout, match=f"exceeded {limit} steps"):
                 interpreter.run("spin", [], RuntimeHeap(structs))
             assert interpreter.steps == limit + 1
+
+
+def _countdown(structs) -> Program:
+    """``f(n) = n == 0 ? 0 : f(n - 1)``."""
+    f = Function(
+        "f",
+        [("n", "int")],
+        "int",
+        [If(eq(v("n"), i(0)), [Return(i(0))]), Return(call("f", sub(v("n"), i(1))))],
+    )
+    return Program(structs, [f])
+
+
+class TestCallDepth:
+    def test_a_deep_recursion_ends_as_a_crashed_timed_out_run(self, structs):
+        # MAX_CALL_DEPTH stops f(5000) long before Python's own recursion
+        # limit would, and the next run of the suite goes on.
+        traces = collect_models(
+            _countdown(structs), "f", [lambda heap: [5000], lambda heap: [3]]
+        )
+        deep, shallow = traces.outcomes
+        assert deep.crashed and deep.timed_out
+        assert deep.error == (
+            f"InterpreterTimeout: call depth exceeded {interp_module.MAX_CALL_DEPTH}"
+        )
+        # One entry model per activation that started.
+        assert len(traces.runs[0]) == interp_module.MAX_CALL_DEPTH
+        assert not shallow.crashed and shallow.result == 0
+
+    def test_the_python_stack_running_out_ends_the_run_the_same_way(
+        self, structs, monkeypatch
+    ):
+        monkeypatch.setattr(interp_module, "MAX_CALL_DEPTH", 10**6)
+        traces = collect_models(_countdown(structs), "f", [lambda heap: [5000]])
+        (outcome,) = traces.outcomes
+        assert outcome.crashed and outcome.timed_out
+        assert outcome.error == (
+            "InterpreterTimeout: call depth exceeded Python's recursion limit"
+        )

@@ -91,7 +91,7 @@ class TestPrefilterSoundness:
     def test_never_rejects_a_kept_candidate(self, registry, size):
         checker = ModelChecker(registry)
         models = [sll_model(size), sll_model(max(size - 1, 0)), dll_model(size)]
-        facts = [ModelFacts(model, "x") for model in models]
+        facts = [ModelFacts(model) for model in models]
         names = ["x", "nil", "u9"]  # boundary var, nil, fresh existential
         fresh = {"u9"}
         tested = 0
@@ -122,16 +122,8 @@ class TestPrefilterSoundness:
 
 
 class TestModelFacts:
-    def test_footprint_and_histogram(self):
-        model = sll_model(2)
-        facts = ModelFacts(model, "x")
-        assert facts.dom == frozenset({1, 2})
-        assert 0 in facts.footprint and 1 in facts.footprint and 2 in facts.footprint
-        assert facts.type_histogram == {"SllNode": 2}
-        assert facts.root_reachable == frozenset({1, 2})
-
     def test_argument_values(self):
-        facts = ModelFacts(sll_model(2), "x")
+        facts = ModelFacts(sll_model(2))
         assert facts.argument_values(("x", "nil", "u1"), {"u1"}) == (1, 0, None)
         # A non-fresh name missing from the stack refutes outright.
         assert facts.argument_values(("ghost",), set()) is None

@@ -2,7 +2,8 @@
 
 import glob
 
-from repro.core.engine import EngineJob, InferenceEngine, default_job_config
+from repro.core.engine import EngineJob, InferenceEngine
+from repro.core.sling import SlingConfig
 from repro.telemetry import Telemetry, read_trace, span_records
 
 BENCHMARKS = ("sll/insertFront", "sll/reverse", "dll/append", "dll/concat")
@@ -19,7 +20,7 @@ def test_worker_spans_reparent_under_origin(tmp_path):
     """
     trace_path = tmp_path / "parallel.ndjson"
     telemetry = Telemetry(trace_path)
-    config = default_job_config(telemetry=telemetry)
+    config = SlingConfig(telemetry=telemetry)
     engine = InferenceEngine(jobs=4)
     reports = engine.run(
         [EngineJob(kind="spec", benchmark=name, config=config) for name in BENCHMARKS]
@@ -53,7 +54,7 @@ def test_workers_running_several_jobs_keep_every_job_span(tmp_path):
     """
     trace_path = tmp_path / "reused.ndjson"
     telemetry = Telemetry(trace_path)
-    config = default_job_config(telemetry=telemetry)
+    config = SlingConfig(telemetry=telemetry)
     engine = InferenceEngine(jobs=2)
     reports = engine.run(
         [EngineJob(kind="spec", benchmark=name, config=config) for name in BENCHMARKS]
@@ -74,7 +75,7 @@ def test_worker_spans_parent_to_open_sweep_span(tmp_path):
 
     trace_path = tmp_path / "sweep.ndjson"
     telemetry = Telemetry(trace_path)
-    config = default_job_config(telemetry=telemetry)
+    config = SlingConfig(telemetry=telemetry)
     run_category_batch(
         "spec", categories=["SLL"], max_programs_per_category=4,
         config=config, jobs=4,
