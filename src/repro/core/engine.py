@@ -1046,4 +1046,3 @@ def warm_worker_state() -> dict[str, int]:
         "predicate_case_screens": screens,
         "interned_canonical_forms": intern_table_size(),
     }
-
