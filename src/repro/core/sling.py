@@ -18,7 +18,6 @@ equalities and quantify out-of-scope variables existentially.
 from __future__ import annotations
 
 import hashlib
-from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -33,8 +32,17 @@ from repro.core.results import (
     merge_instantiations,
 )
 from repro.core.validate import paired_entry_exit_models, validate_specification
+from repro.lang import interp
+from repro.lang import tracer as tracer_module
 from repro.lang.ast import Program
-from repro.lang.tracer import Location, TestCase, TraceCollection, collect_models
+from repro.lang.tracer import (
+    BuiltInput,
+    Location,
+    TestCase,
+    TraceCollection,
+    build_inputs,
+    collect_models,
+)
 from repro.sl.checker import ModelChecker
 from repro.sl.exprs import conjoin
 from repro.sl.model import HashedKey, StackHeapModel, models_union
@@ -165,11 +173,12 @@ class Sling:
         neither ``skeletons_solved`` nor ``env_stream_reuses``, streams an
         earlier job of the batch or an earlier request of the daemon solved
         count as ``env_stream_reuses``, a location one of them inferred
-        counts one ``location_memo_hits`` and no search work, and a
-        frame-rule verdict one of them reached counts one
-        ``validation_memo_hits`` and no ``checker_misses``, so those
-        counters are **not comparable** with a standalone, cache-less run's
-        (see ``docs/performance.md``).
+        counts one ``location_memo_hits`` and no search work, a frame-rule
+        verdict one of them reached counts one ``validation_memo_hits`` and
+        no ``checker_misses``, and a function one of them inferred on the
+        same inputs counts one ``function_memo_hits`` and no other work, so
+        those counters are **not comparable** with a standalone, cache-less
+        run's (see ``docs/performance.md``).
         """
         stats = self.cache_counters().as_dict()
         if self.persistent_cache is not None or self.checker.shares_streams:
@@ -179,10 +188,12 @@ class Sling:
                 "env_stream_reuses, streams an earlier job of the batch or "
                 "an earlier request of the daemon solved count as "
                 "env_stream_reuses, a location one of them inferred "
-                "counts location_memo_hits and no search work, and a "
+                "counts location_memo_hits and no search work, a "
                 "frame-rule verdict one of them reached counts "
-                "validation_memo_hits and no checker_misses; do not "
-                "compare these counters with a standalone cache-less run"
+                "validation_memo_hits and no checker_misses, and a "
+                "function one of them inferred on the same inputs counts "
+                "function_memo_hits and no other work; do not compare "
+                "these counters with a standalone cache-less run"
             )
         return stats
 
@@ -201,10 +212,11 @@ class Sling:
     def collect(
         self,
         function_name: str,
-        test_cases: Sequence[TestCase],
+        test_cases: Sequence[TestCase | BuiltInput],
         locations: Iterable[str] | None = None,
     ) -> TraceCollection:
-        """Run the test suite under the tracer (``CollectModels``)."""
+        """Run the test suite under the tracer (``CollectModels``); the
+        cases may be closures or inputs already built from them."""
         breakpoints = None
         if locations is not None:
             breakpoints = [Location(function_name, name) for name in locations]
@@ -406,25 +418,85 @@ class Sling:
     ) -> Specification:
         """Infer a full specification (pre, posts, loop invariants) for a function.
 
-        The trace collection always runs here (rather than accepting a
-        pre-collected one): test-case closures may share a seeded RNG, so
-        which draw the tracer observes is part of the deterministic
-        contract -- see the note in ``evaluation.table1.evaluate_program``.
+        Every test case builds its input exactly once, in suite order,
+        before any of them runs: test-case closures may share a seeded RNG,
+        so which draw the tracer observes is part of the deterministic
+        contract -- see the note in ``evaluation.table1.evaluate_program``
+        (runs draw nothing, so this is the draw of the interleaved order).
+        The interpreter is deterministic, so the specification is a
+        function of the program, the built inputs, the registry and the
+        config: under a shared memo it is looked up by them first
+        (:meth:`_memoized_function`), and a hit runs no test case at all.
         """
         start = monotime()
-        function_span = (
-            self.tracer.span("function", name=function_name, tests=len(test_cases))
-            if self.tracer is not None
-            else nullcontext()
-        )
-        with function_span:
-            specification = self._infer_function(function_name, test_cases)
+        if self.tracer is None:
+            specification = self._memoized_function(function_name, test_cases)
+        else:
+            stats = self.checker.stats
+            hits = stats.function_memo_hits
+            with self.tracer.span(
+                "function", name=function_name, tests=len(test_cases)
+            ) as span:
+                specification = self._memoized_function(function_name, test_cases)
+                span.set(memo_hit=stats.function_memo_hits > hits)
         specification.inference_seconds = monotime() - start
         return specification
 
-    def _infer_function(
+    def _memoized_function(
         self, function_name: str, test_cases: Sequence[TestCase]
     ) -> Specification:
+        """:meth:`_infer_function` behind the function memo.
+
+        The entry lives where the location results and the verdicts do
+        (``StreamMemo.locations``, under the same LRU bound), on the same
+        terms: a shared memo only, never the ``reference_search`` oracle.
+        It holds the specification's invariants, unreached locations and
+        verdict, never a trace, a model or a heap; a hit returns new lists
+        of them, and learned nothing, so it flushes nothing to a cache file.
+        A miss runs the suite on the very inputs the key was taken from.
+        """
+        inputs = build_inputs(self.program, test_cases)
+        if self.config.reference_search or not self.checker.shares_streams:
+            return self._infer_function(function_name, inputs)
+        key = self._function_key(function_name, inputs)
+        cached = self.checker.locations.recall(key)
+        if cached is None:
+            specification = self._infer_function(function_name, inputs)
+            self.checker.locations.add(key, _stored_specification(specification))
+            return specification
+        self.checker.stats.function_memo_hits += 1
+        return _served_specification(function_name, cached)
+
+    def _function_key(self, function_name: str, inputs: Sequence[BuiltInput]) -> HashedKey:
+        """The content key of one function's inference (see above).
+
+        Besides the program and its built inputs (digested before they
+        run), it holds every option and module budget that changes what the
+        suite's runs see: the interpreter's step and call-depth budgets and
+        the tracer's per-run event cap.
+        """
+        return HashedKey(
+            (
+                "function",
+                self.checker.registry_space(),
+                self._struct_key(),
+                self.program.digest(),
+                function_name,
+                _fold_digests(built.digest() for built in inputs),
+                self.config.variable_order,
+                self.config.discard_crashed_runs,
+                interp.MAX_STEPS,
+                interp.MAX_CALL_DEPTH,
+                tracer_module.MAX_EVENTS,
+            )
+        )
+
+    def _infer_function(
+        self, function_name: str, test_cases: Sequence[TestCase | BuiltInput]
+    ) -> Specification:
+        """Trace the suite and infer every location of the function (the
+        path with no function memo; each location still goes through the
+        location memo, and each verdict through the verdict memo)."""
         function = self.program.get_function(function_name)
         traces = self.collect(function_name, test_cases)
         specification = Specification(function=function_name)
@@ -632,8 +704,39 @@ class Sling:
 
 
 def _fold_digests(digests: Iterable[bytes]) -> bytes:
-    """One 20-byte digest of a sequence of fixed-width model digests."""
+    """One 20-byte digest of a sequence of fixed-width digests."""
     return hashlib.blake2b(b"".join(digests), digest_size=20).digest()
+
+
+def _stored_specification(specification: Specification) -> tuple:
+    """What the function memo keeps of a specification.  Its invariants
+    are frozen, so the entry may share them; the containers are its own."""
+    return (
+        tuple(specification.preconditions),
+        tuple(
+            (location, tuple(invariants))
+            for location, invariants in specification.postconditions.items()
+        ),
+        tuple(
+            (location, tuple(invariants))
+            for location, invariants in specification.loop_invariants.items()
+        ),
+        tuple(specification.unreached_locations),
+        specification.validated,
+    )
+
+
+def _served_specification(function_name: str, stored: tuple) -> Specification:
+    """A new :class:`Specification` from a function memo entry."""
+    preconditions, postconditions, loop_invariants, unreached, validated = stored
+    return Specification(
+        function=function_name,
+        preconditions=list(preconditions),
+        postconditions={location: list(invariants) for location, invariants in postconditions},
+        loop_invariants={location: list(invariants) for location, invariants in loop_invariants},
+        unreached_locations=list(unreached),
+        validated=validated,
+    )
 
 
 def _normalize_existentials(formula: SymHeap, free: set[str]) -> SymHeap:

@@ -26,7 +26,8 @@ Sites (``FAULT_SITES``) are the places the stack consults the injector:
 ``serve_accept`` / ``serve_checkpoint`` / ``serve_client_write``
     The serving layer (:mod:`repro.serve`): the daemon's accept loop
     (qualifier: the socket path), the request-journal checkpoint write
-    (qualifier: the journal path) and the per-record client socket write
+    (qualifier: the journal path) and the client socket write, one per
+    job report and one per ``accepted``/``done``/``rejected`` record
     (qualifier: the request id).  Each sits inside the daemon's defensive
     handling, so an injected failure exercises the real recovery path:
     a failed accept is logged and the loop continues, a failed checkpoint

@@ -18,7 +18,8 @@ Locations of interest (where SLING collects stack-heap models) are:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
+import hashlib
+from dataclasses import dataclass, field as dataclass_field, fields, is_dataclass
 from typing import Iterable, Sequence
 
 
@@ -285,6 +286,37 @@ class Program:
     def statement_count(self) -> int:
         """Total statements across all functions (a lines-of-code proxy)."""
         return sum(func.statement_count() for func in self.functions.values())
+
+    def digest(self) -> bytes:
+        """A 20-byte digest of the program's content: its struct definitions
+        and every function's syntax tree, callees included, field by field.
+
+        Computed once, like the interpreter's compiled bodies: a program is
+        not edited once it runs.
+        """
+        cached = self.__dict__.get("_digest")
+        if cached is None:
+            text = repr(
+                (
+                    [(struct.name, struct.fields) for struct in self.structs],
+                    [_content(function) for function in self.functions.values()],
+                )
+            )
+            cached = self._digest = hashlib.blake2b(text.encode(), digest_size=20).digest()
+        return cached
+
+
+def _content(node):
+    """A syntax tree as nested tuples of every dataclass field's value."""
+    if is_dataclass(node):
+        return (type(node).__name__,) + tuple(
+            _content(getattr(node, spec.name)) for spec in fields(node)
+        )
+    if isinstance(node, (list, tuple)):
+        return tuple(_content(item) for item in node)
+    if isinstance(node, dict):
+        return tuple((key, _content(value)) for key, value in node.items())
+    return node
 
 
 # Imported late to avoid a module cycle in type annotations.

@@ -145,6 +145,20 @@ class RuntimeHeap:
         """Addresses of live (not freed) cells."""
         return frozenset(addr for addr in self._cells if addr not in self._freed)
 
+    def contents(self) -> tuple:
+        """All a run can observe of this heap: every cell in allocation
+        order with its type and field values, the freed addresses and the
+        next address the allocator hands out."""
+        types = self._types
+        return (
+            tuple(
+                (address, types[address], tuple(values.items()))
+                for address, values in self._cells.items()
+            ),
+            tuple(sorted(self._freed)),
+            self._next,
+        )
+
     def live_count(self) -> int:
         """Number of live cells (used by leak-detection assertions in tests)."""
         return len(self._cells) - len(self._freed)

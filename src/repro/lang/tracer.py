@@ -18,6 +18,7 @@ A snapshot contains
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
@@ -32,6 +33,9 @@ from repro.sl.model import Heap, HeapCell, StackHeapModel
 #: A test case builds its input data structures inside a fresh runtime heap
 #: and returns the argument values for the function under analysis.
 TestCase = Callable[[RuntimeHeap], Sequence[int]]
+
+#: Breakpoint hits one run records at most (per :class:`Tracer`).
+MAX_EVENTS = 10_000
 
 
 @dataclass(frozen=True)
@@ -78,12 +82,12 @@ class Tracer:
         self,
         structs,
         breakpoints: Iterable[Location] | None = None,
-        max_events: int = 10_000,
+        max_events: int | None = None,
         snapshots: bool = True,
     ):
         self.structs = structs
         self.breakpoints = set(breakpoints) if breakpoints is not None else None
-        self.max_events = max_events
+        self.max_events = MAX_EVENTS if max_events is None else max_events
         #: ``False`` only counts the hits (see :func:`count_models`).
         self.snapshots = snapshots
         #: Breakpoint hits that passed the filter and the event cap.
@@ -227,31 +231,81 @@ class TraceCollection:
         )
 
 
+@dataclass
+class BuiltInput:
+    """One test case's input, built: the heap its closure filled and the
+    argument values it returned, or the error it raised instead.
+
+    Built once and run at most once, since a run mutates ``heap``.
+    """
+
+    heap: RuntimeHeap
+    args: list[int] | None = None
+    error: HeapLangError | None = None
+
+    def digest(self) -> bytes:
+        """A 20-byte digest of all a run of this input can observe: the
+        heap's contents, the arguments and the build error.  Take it before
+        the run."""
+        error = None if self.error is None else _error_text(self.error)
+        text = repr((self.heap.contents(), self.args, error))
+        return hashlib.blake2b(text.encode(), digest_size=20).digest()
+
+
+def build_input(program: Program, test_case: TestCase) -> BuiltInput:
+    """Run one test-case closure on a fresh heap of ``program``."""
+    heap = RuntimeHeap(program.structs)
+    try:
+        return BuiltInput(heap, list(test_case(heap)))
+    except HeapLangError as error:
+        return BuiltInput(heap, error=error)
+
+
+def build_inputs(program: Program, test_cases: Sequence[TestCase]) -> list[BuiltInput]:
+    """Every test case's input, built in suite order.
+
+    Runs never draw from a random generator the closures share, so
+    building every input before running any draws what the interleaved
+    build-then-run order of :func:`collect_models` draws.
+    """
+    return [build_input(program, test_case) for test_case in test_cases]
+
+
+def _error_text(error: HeapLangError) -> str:
+    return f"{type(error).__name__}: {error}"
+
+
 def _run_suite(
     program: Program,
     function_name: str,
-    test_cases: Sequence[TestCase],
+    test_cases: Sequence[TestCase | BuiltInput],
     breakpoints: Iterable[Location] | None,
     snapshots: bool,
 ) -> Iterator[tuple[Tracer, RunOutcome]]:
     """Run every test case under a fresh tracer; yield ``(tracer, outcome)``.
 
-    Each test case gets a fresh heap; crashes and timeouts are recorded
-    (the events captured before the crash are kept, mirroring what a
-    debugger session would have seen).
+    Each test case gets a fresh heap, unless it is an input already built
+    on one; crashes and timeouts, in the run or while building its input,
+    are recorded (the events captured before the crash are kept, mirroring
+    what a debugger session would have seen).
     """
     for test_case in test_cases:
+        built = test_case
+        if not isinstance(built, BuiltInput):
+            built = build_input(program, test_case)
         tracer = Tracer(program.structs, breakpoints, snapshots=snapshots)
         interpreter = Interpreter(program, observer=tracer)
-        heap = RuntimeHeap(program.structs)
         outcome = RunOutcome()
-        try:
-            args = list(test_case(heap))
-            outcome.result = interpreter.run(function_name, args, heap)
-        except HeapLangError as error:
+        error = built.error
+        if error is None:
+            try:
+                outcome.result = interpreter.run(function_name, built.args, built.heap)
+            except HeapLangError as raised:
+                error = raised
+        if error is not None:
             outcome.crashed = True
             outcome.timed_out = "steps" in str(error) or "depth" in str(error)
-            outcome.error = f"{type(error).__name__}: {error}"
+            outcome.error = _error_text(error)
         outcome.steps = interpreter.steps
         yield tracer, outcome
 
@@ -259,13 +313,14 @@ def _run_suite(
 def collect_models(
     program: Program,
     function_name: str,
-    test_cases: Sequence[TestCase],
+    test_cases: Sequence[TestCase | BuiltInput],
     breakpoints: Iterable[Location] | None = None,
 ) -> TraceCollection:
     """Run every test case under the tracer and collect stack-heap models.
 
     This is the ``CollectModels`` step of Algorithm 1 (see
-    :func:`_run_suite` for how each test case runs).
+    :func:`_run_suite` for how each test case runs).  ``test_cases`` may
+    be closures or the inputs :func:`build_inputs` built from them.
     """
     collection = TraceCollection()
     for tracer, outcome in _run_suite(

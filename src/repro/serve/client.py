@@ -75,12 +75,12 @@ def run_local(request: ServeRequest, out, jobs: int = 1) -> dict:
     configuration, between an ``accepted`` and a ``done`` record of its
     own.  The request ``deadline`` is measured from this call.
     """
-    def emit(record: dict) -> None:
-        out.write(encode(record) + "\n")
+    def emit(records: list[dict]) -> None:
+        out.write("".join(encode(record) + "\n" for record in records))
         out.flush()
 
     started = monotime()
-    emit(accepted_record(request.id))
+    emit([accepted_record(request.id)])
     status, reports = run_request(
         InferenceEngine(jobs=jobs), request, emit, enqueued_at=started
     )
@@ -91,5 +91,5 @@ def run_local(request: ServeRequest, out, jobs: int = 1) -> dict:
         counters=serve_counters(CacheStats()),
         seconds=monotime() - started,
     )
-    emit(record)
+    emit([record])
     return record

@@ -11,10 +11,14 @@ the set of stream rows already on disk, so a warm request never reopens
 the file and flushes only what it newly learned (see
 :func:`repro.cache.bind_tier`) -- and one stream memo
 (:func:`repro.sl.stream.stream_pool`) open on that thread for the daemon's
-whole life, so a request is served the skeleton streams and whole-location
-results an earlier request left there.  Each request still gets a fresh
-checker: its records are its own, bit-identical to an in-process run, but
-its work counters depend on what earlier requests left in the memo.
+whole life, so a request is served the skeleton streams, whole-location
+results, frame-rule verdicts and whole-function specifications an earlier
+request left there.  A request that repeats an earlier one's benchmark
+and seed builds its test inputs and runs none of them: the function memo
+(``Sling.infer_function``) answers from the program and those inputs.
+Each request still gets a fresh checker: its records are its own,
+bit-identical to an in-process run, but its work counters depend on what
+earlier requests left in the memo.
 Teardown closes the tiers.  The robustness contract:
 
 * **Bounded admission.**  A fixed-capacity FIFO queue; a submission that
@@ -59,7 +63,7 @@ import threading
 from collections import deque
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Sequence
 
 from repro.cache import close_tiers
 from repro.core.engine import CacheStats, EngineJob, EngineReport, InferenceEngine
@@ -163,8 +167,11 @@ class _Connection:
         self.lock = threading.Lock()
         self.alive = True
 
-    def write(self, record: dict, fault_plan=None, request_id: str = "") -> None:
-        payload = (encode(record) + "\n").encode("utf-8")
+    def write(
+        self, records: Sequence[dict], fault_plan=None, request_id: str = ""
+    ) -> None:
+        """Send ``records`` as one payload, in one ``sendall``."""
+        payload = "".join(encode(record) + "\n" for record in records).encode("utf-8")
         with self.lock:
             if not self.alive:
                 raise _ClientGone
@@ -194,8 +201,10 @@ class _FileSink:
         self.path = os.fspath(path)
         self._file = open(self.path, "a", encoding="utf-8")
 
-    def write(self, record: dict, fault_plan=None, request_id: str = "") -> None:
-        self._file.write(encode(record) + "\n")
+    def write(
+        self, records: Sequence[dict], fault_plan=None, request_id: str = ""
+    ) -> None:
+        self._file.write("".join(encode(record) + "\n" for record in records))
         self._file.flush()
 
     def close(self) -> None:
@@ -482,7 +491,7 @@ class ServeDaemon:
     @staticmethod
     def _safe_write(sink, record: dict) -> bool:
         try:
-            sink.write(record)
+            sink.write([record])
             return True
         except _ClientGone:
             return False
@@ -528,7 +537,7 @@ class ServeDaemon:
             status, reports = run_request(
                 self.engine,
                 request,
-                lambda record: self._stream_record(pending, record),
+                lambda records: self._stream_records(pending, records),
                 enqueued_at=pending.enqueued_at,
                 config=self.config,
                 disconnected=pending.disconnected,
@@ -555,11 +564,11 @@ class ServeDaemon:
         pending.done.set()
         self.journal.record_done(request.id)
 
-    def _stream_record(self, pending: _PendingRequest, record: dict) -> None:
-        """Write one response record; a failed write cancels the request."""
+    def _stream_records(self, pending: _PendingRequest, records: list[dict]) -> None:
+        """Write response records; a failed write cancels the request."""
         try:
             pending.sink.write(
-                record, fault_plan=self.fault_plan, request_id=pending.request.id
+                records, fault_plan=self.fault_plan, request_id=pending.request.id
             )
         except _ClientGone:
             pending.disconnected.set()
@@ -594,15 +603,15 @@ class ServeDaemon:
 def run_request(
     engine: InferenceEngine,
     request: ServeRequest,
-    write: Callable[[dict], None],
+    write: Callable[[list[dict]], None],
     *,
     enqueued_at: float,
     config: SlingConfig | None = None,
     disconnected: threading.Event | None = None,
     request_timeout: float | None = None,
 ) -> tuple[str, list[EngineReport]]:
-    """Run one request's jobs, ``write``-ing each record as its job
-    finalizes; returns ``(status, reports)``.
+    """Run one request's jobs, ``write``-ing each job's records, in one
+    call, as the job finalizes; returns ``(status, reports)``.
 
     The one request runner: the daemon's executor and the in-process
     fallback (:func:`repro.serve.client.run_local`) both serve through it,
@@ -620,8 +629,8 @@ def run_request(
     deadline_at = enqueued_at + request.deadline if request.deadline is not None else None
     if deadline_at is not None and monotime() >= deadline_at:
         # Expired while queued: nothing runs, every job is reported.
-        for name in request.benchmarks:
-            write(
+        write(
+            [
                 {
                     "type": "job",
                     "id": request.id,
@@ -629,7 +638,9 @@ def run_request(
                     "ok": False,
                     "error": "cancelled: deadline",
                 }
-            )
+                for name in request.benchmarks
+            ]
+        )
         return "deadline_expired", []
 
     def cancel() -> str | None:
@@ -640,8 +651,7 @@ def run_request(
         return None
 
     def on_report(index: int, report: EngineReport) -> None:
-        for record in records_for_report(request.id, report):
-            write(record)
+        write(records_for_report(request.id, report))
 
     reports = engine.run(
         [

@@ -119,6 +119,11 @@ class CacheStats:
     #: entry/exit models (see ``Sling._validate``), so no
     #: ``ModelChecker.check`` ran for them.
     validation_memo_hits: int = 0
+    #: Functions served whole from the same shared memo: an earlier job
+    #: ran the same program on the same built inputs (see
+    #: ``Sling.infer_function``), so no test case ran under the tracer and
+    #: no location result or verdict was looked up for it.
+    function_memo_hits: int = 0
 
     def merge(self, other: "CacheStats") -> None:
         """Accumulate another job's counters into this one."""

@@ -16,6 +16,11 @@ what that may and may not do:
   oracle is never memoized;
 * a hit still emits its ``location`` span, childless and marked
   ``memo_hit``.
+
+A repeated ``infer_function`` call on the same inputs is answered by the
+function memo before any location is looked up (``test_function_memo.py``),
+so the tests that repeat a whole function drive ``Sling._infer_function``,
+the traced path beneath that memo.
 """
 
 from __future__ import annotations
@@ -29,7 +34,8 @@ import pytest
 from repro.benchsuite.registry import get_benchmark
 from repro.core.sling import Sling, SlingConfig
 from repro.lang.ast import Program
-from repro.lang.tracer import Location
+from repro.lang.heap import RuntimeHeap
+from repro.lang.tracer import BuiltInput, Location
 from repro.lang.types import StructDef, StructRegistry
 from repro.sl.stream import LocationMemo, stream_pool
 from repro.sl.model import HashedKey, Heap, StackHeapModel
@@ -73,7 +79,7 @@ def test_a_hit_equals_a_standalone_recomputation():
         first = _sling()
         first.infer_function(benchmark.function, benchmark.test_cases(0))
         second = _sling()
-        served = second.infer_function(benchmark.function, benchmark.test_cases(0))
+        served = second._infer_function(benchmark.function, benchmark.test_cases(0))
     assert first.cache_counters().location_memo_hits == 0
     hits = second.cache_counters()
     locations = 1 + len(served.postconditions) + len(served.loop_invariants)
@@ -151,12 +157,15 @@ def _reachable(root) -> list:
 
 
 def test_the_memo_holds_no_models():
+    """Nor does the function entry the run leaves next to its locations:
+    no built input, no runtime heap."""
     benchmark = get_benchmark(BENCHMARK)
     with stream_pool() as memo:
         _sling().infer_function(benchmark.function, benchmark.test_cases(0))
     assert memo.locations
     reachable = _reachable(memo.locations)
-    assert not [obj for obj in reachable if isinstance(obj, (StackHeapModel, Heap))]
+    kept = (StackHeapModel, Heap, RuntimeHeap, BuiltInput)
+    assert not [obj for obj in reachable if isinstance(obj, kept)]
     # Not vacuous: the walk does reach the stored formulas.
     assert any(type(obj).__name__ == "SymHeap" for obj in reachable)
 
@@ -188,7 +197,7 @@ def test_a_hit_emits_a_childless_location_span(tmp_path):
         config = replace(CONFIG, telemetry=telemetry)
         with stream_pool():
             for _ in range(2):
-                _sling(config=config).infer_function(
+                _sling(config=config)._infer_function(
                     benchmark.function, benchmark.test_cases(0)
                 )
     finally:

@@ -128,7 +128,7 @@ def test_pool_saves_solves_without_changing_the_search(sweeps):
         assert alone.cache.location_memo_hits == 0
         requests = shared.cache.skeletons_solved + shared.cache.env_stream_reuses
         alone_requests = alone.cache.skeletons_solved + alone.cache.env_stream_reuses
-        if shared.cache.location_memo_hits == 0:
+        if shared.cache.location_memo_hits + shared.cache.function_memo_hits == 0:
             exact += 1
             assert requests == alone_requests
             assert shared.cache.candidates_checked == alone.cache.candidates_checked
@@ -293,7 +293,7 @@ def test_a_batch_inside_an_open_pool_fills_the_outer_memo():
         assert len(outer) > 0 and outer.locations
         locations = dict(outer.locations)
         again = InferenceEngine(jobs=1).run(jobs[1:])[0]
-        assert again.ok and again.cache.location_memo_hits > 0
+        assert again.ok and again.cache.function_memo_hits == 1
         assert again.cache.skeletons_solved == 0
         assert dict(outer.locations) == locations
 
@@ -310,11 +310,12 @@ def test_a_long_lived_memo_stays_within_its_bounds(monkeypatch):
     """Streams, locations and the finished log are bounded however many
     distinct jobs one pool serves; the results are a standalone run's.
 
-    The location bound holds the last job's four locations and two
-    frame-rule verdicts, so the repeated job is served from the memo."""
+    The location bound holds the last job's four locations, two
+    frame-rule verdicts and its function entry, so the repeated job is
+    served from the memo."""
     limits = {
         "_STREAM_MEMO_LIMIT": 24,
-        "_LOCATION_MEMO_LIMIT": 6,
+        "_LOCATION_MEMO_LIMIT": 7,
         "_FINISHED_LOG_LIMIT": 16,
     }
     for name, limit in limits.items():
@@ -340,7 +341,8 @@ def test_a_long_lived_memo_stays_within_its_bounds(monkeypatch):
         served = InferenceEngine(jobs=1).run([job])[0]
     assert memo.finished_dropped > 0
     assert len(memo.locations) == limits["_LOCATION_MEMO_LIMIT"]
-    assert served.cache.location_memo_hits > 0
+    assert served.cache.function_memo_hits == 1
+    assert served.cache.skeletons_solved == 0
     alone = InferenceEngine(jobs=1).run([job])[0]
     assert records_for_report("r", served) == records_for_report("r", alone)
 

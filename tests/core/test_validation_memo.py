@@ -7,7 +7,9 @@ paired entry/exit models -- is looked up by content before
 :func:`~repro.core.validate.validate_specification` runs.  These tests pin
 that a served verdict is the one a fresh validation gives, in both
 directions, that any change to the paired models misses, and that only a
-shared memo outside ``reference_search`` is consulted.
+shared memo outside ``reference_search`` is consulted.  A repeated
+``infer_function`` call is answered by the function memo first, so the
+repeat below runs ``Sling._infer_function``, the traced path beneath it.
 """
 
 from __future__ import annotations
@@ -56,7 +58,7 @@ def test_a_served_verdict_equals_a_fresh_validation(name, validated):
     with stream_pool():
         _infer(_sling(benchmark), benchmark)
         second = _sling(benchmark)
-        served = _infer(second, benchmark)
+        served = second._infer_function(benchmark.function, benchmark.test_cases(0))
     fresh = _fresh_verdicts(benchmark, served)
     assert second.cache_counters().validation_memo_hits == len(fresh) > 0
     assert served.validated is validated is all(fresh.values())

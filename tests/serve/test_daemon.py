@@ -23,6 +23,7 @@ import time
 
 import pytest
 
+from repro.serve import daemon as daemon_module
 from repro.serve.client import submit
 from repro.serve.daemon import ServeDaemon, _PendingRequest
 from repro.serve.journal import RequestJournal
@@ -51,6 +52,26 @@ class TestServedEquivalence:
         assert terminal["counters"]["serve_requests"] == 1
         assert served_payload(out.getvalue().splitlines()) == reference_payload(request)
 
+    def test_each_job_report_is_one_socket_write(self, serve_daemon, monkeypatch):
+        """``accepted``, one write per benchmark with all its records, ``done``."""
+        writes = []
+        write = daemon_module._Connection.write
+
+        def counted(self, records, *args, **kwargs):
+            writes.append([record["type"] for record in records])
+            return write(self, records, *args, **kwargs)
+
+        monkeypatch.setattr(daemon_module._Connection, "write", counted)
+        host = serve_daemon(jobs=1)
+        request = ServeRequest(id="writes", benchmarks=WORKLOAD, seed=0)
+        out = io.StringIO()
+        submit(host.socket_path, request, out)
+        assert served_payload(out.getvalue().splitlines()) == reference_payload(request)
+        assert writes[0] == ["accepted"] and writes[-1] == ["done"]
+        reports = writes[1:-1]
+        assert len(reports) == len(WORKLOAD)
+        assert all(types[-1] == "job" and "result" in types for types in reports)
+
     def test_pool_daemon_matches_inline_per_benchmark(self, serve_daemon):
         """--jobs 2 may reorder job completion, never change any job's records."""
         host = serve_daemon(jobs=2)
@@ -66,18 +87,20 @@ class TestServedEquivalence:
 
     def test_request_isolation_keeps_streams_identical(self, serve_daemon):
         """A warm daemon serves the same request identically every time,
-        the second time from the locations the first one left in the
-        daemon's memo."""
+        the second time from the functions the first one left in the
+        daemon's memo, with no search."""
         host = serve_daemon(jobs=1)
         request = ServeRequest(id="warm", benchmarks=WORKLOAD)
         streams = []
-        hits = []
+        counters = []
         for _ in range(2):
             out = io.StringIO()
             submit(host.socket_path, request, out)
             streams.append(served_payload(out.getvalue().splitlines()))
-            hits.append(host.counters()["location_memo_hits"])
-        assert hits[1] > hits[0]
+            counters.append(host.counters())
+        assert counters[0]["function_memo_hits"] == 0
+        assert counters[1]["function_memo_hits"] == len(WORKLOAD)
+        assert counters[1]["skeletons_solved"] == counters[0]["skeletons_solved"]
         assert streams[0] == streams[1] == reference_payload(request)
 
 
@@ -263,8 +286,8 @@ class _RecordingSink:
     def __init__(self):
         self.records = []
 
-    def write(self, record, fault_plan=None, request_id=""):
-        self.records.append(record)
+    def write(self, records, fault_plan=None, request_id=""):
+        self.records.extend(records)
 
 
 class TestSocketExclusivity:
