@@ -73,7 +73,8 @@ class SlingConfig:
     #: Run the reference search instead of the fast path: every candidate
     #: goes through the exact per-candidate ``ModelChecker.check_all``, with
     #: no semantic pre-filter, no skeleton batching and so no stream memo
-    #: (canonical or concrete keys) and no location memo.  It is the oracle
+    #: (canonical or concrete keys), and neither the location memo nor the
+    #: function memo (``Sling._memoized_function``).  It is the oracle
     #: the fast path is checked against (see ``docs/performance.md``); both
     #: infer the same invariants.
     reference_search: bool = False
@@ -173,12 +174,11 @@ class Sling:
         neither ``skeletons_solved`` nor ``env_stream_reuses``, streams an
         earlier job of the batch or an earlier request of the daemon solved
         count as ``env_stream_reuses``, a location one of them inferred
-        counts one ``location_memo_hits`` and no search work, a frame-rule
-        verdict one of them reached counts one ``validation_memo_hits`` and
-        no ``checker_misses``, and a function one of them inferred on the
-        same inputs counts one ``function_memo_hits`` and no other work, so
-        those counters are **not comparable** with a standalone, cache-less
-        run's (see ``docs/performance.md``).
+        counts one ``location_memo_hits`` and no search work, and a
+        function one of them inferred on the same inputs counts one
+        ``function_memo_hits`` and no other work, so those counters are
+        **not comparable** with a standalone, cache-less run's (see
+        ``docs/performance.md``).
         """
         stats = self.cache_counters().as_dict()
         if self.persistent_cache is not None or self.checker.shares_streams:
@@ -188,9 +188,7 @@ class Sling:
                 "env_stream_reuses, streams an earlier job of the batch or "
                 "an earlier request of the daemon solved count as "
                 "env_stream_reuses, a location one of them inferred "
-                "counts location_memo_hits and no search work, a "
-                "frame-rule verdict one of them reached counts "
-                "validation_memo_hits and no checker_misses, and a "
+                "counts location_memo_hits and no search work, and a "
                 "function one of them inferred on the same inputs counts "
                 "function_memo_hits and no other work; do not compare "
                 "these counters with a standalone cache-less run"
@@ -447,8 +445,8 @@ class Sling:
     ) -> Specification:
         """:meth:`_infer_function` behind the function memo.
 
-        The entry lives where the location results and the verdicts do
-        (``StreamMemo.locations``, under the same LRU bound), on the same
+        The entry lives where the location results do (in
+        ``StreamMemo.locations``, under the same LRU bound), on the same
         terms: a shared memo only, never the ``reference_search`` oracle.
         It holds the specification's invariants, unreached locations and
         verdict, never a trace, a model or a heap; a hit returns new lists
@@ -496,7 +494,7 @@ class Sling:
     ) -> Specification:
         """Trace the suite and infer every location of the function (the
         path with no function memo; each location still goes through the
-        location memo, and each verdict through the verdict memo)."""
+        location memo)."""
         function = self.program.get_function(function_name)
         traces = self.collect(function_name, test_cases)
         specification = Specification(function=function_name)
@@ -659,48 +657,13 @@ class Sling:
             pairs = paired_entry_exit_models(traces, function_name, return_location)
             if not pairs:
                 continue
-            valid = self._memoized_verdict(precondition, invariants[0], pairs)
+            valid = validate_specification(precondition, invariants[0], pairs, self.checker)
             if not valid:
                 all_valid = False
                 specification.postconditions[return_location] = [
                     replace(invariant, spurious=True) for invariant in invariants
                 ]
         return all_valid
-
-    def _memoized_verdict(
-        self,
-        precondition: Invariant,
-        postcondition: Invariant,
-        pairs: Sequence[tuple[StackHeapModel, StackHeapModel]],
-    ) -> bool:
-        """:func:`validate_specification` behind the shared memo.
-
-        The verdict is a function of the registry, the two formulas and the
-        paired models' content, so it is memoized where the location
-        results are (``StreamMemo.locations``, under the same LRU bound),
-        on the same terms: a shared memo only, never the
-        ``reference_search`` oracle.  The key's leading tag keeps it apart
-        from every location key.
-        """
-        if self.config.reference_search or not self.checker.shares_streams:
-            return validate_specification(precondition, postcondition, pairs, self.checker)
-        key = HashedKey(
-            (
-                "validation",
-                self.checker.registry_space(),
-                self._struct_key(),
-                precondition.formula,
-                postcondition.formula,
-                _fold_digests(entry.digest() + exit.digest() for entry, exit in pairs),
-            )
-        )
-        cached = self.checker.locations.recall(key)
-        if cached is not None:
-            self.checker.stats.validation_memo_hits += 1
-            return cached
-        valid = validate_specification(precondition, postcondition, pairs, self.checker)
-        self.checker.locations.add(key, valid)
-        return valid
 
 
 def _fold_digests(digests: Iterable[bytes]) -> bytes:

@@ -12,8 +12,7 @@ the file and flushes only what it newly learned (see
 :func:`repro.cache.bind_tier`) -- and one stream memo
 (:func:`repro.sl.stream.stream_pool`) open on that thread for the daemon's
 whole life, so a request is served the skeleton streams, whole-location
-results, frame-rule verdicts and whole-function specifications an earlier
-request left there.  A request that repeats an earlier one's benchmark
+results and whole-function specifications an earlier request left there.  A request that repeats an earlier one's benchmark
 and seed builds its test inputs and runs none of them: the function memo
 (``Sling.infer_function``) answers from the program and those inputs.
 Each request still gets a fresh checker: its records are its own,

@@ -569,7 +569,7 @@ class StackHeapModel:
         It covers the stack, the heap addresses in insertion order with each
         cell's :meth:`HeapCell.digest`, the typing and the sorted freed
         addresses, so equal digests mean equal models with equal heap order.
-        Computed once per model: the location and validation memo keys of
+        Computed once per model: the location memo keys of
         :mod:`repro.core.sling` fold it instead of the model itself.
         """
         cached = self.__dict__.get("_digest")

@@ -36,10 +36,9 @@ STREAM_MAX_ENTRIES = 4096
 #: largest benchsuite job, so a memo never evicts inside one job.
 _STREAM_MEMO_LIMIT = 512
 
-#: Upper bound on the whole-location results, frame-rule verdicts and
-#: whole-function specifications one memo holds together (LRU-evicted
-#: beyond it).  One seed's 150 benchsuite programs leave 376 locations,
-#: 230 verdicts and 149 functions.
+#: Upper bound on the whole-location results and whole-function
+#: specifications one memo holds together (LRU-evicted beyond it).  One
+#: seed's 150 benchsuite programs leave 376 locations and 149 functions.
 _LOCATION_MEMO_LIMIT = 1024
 
 #: Upper bound on the keys a memo's ``finished`` log holds; beyond it the
@@ -254,13 +253,12 @@ class StreamMemo(OrderedDict):
     log bounded.
 
     ``locations`` holds whole-location results of the driver, keyed by
-    content (see :meth:`repro.core.sling.Sling.infer_from_models`), its
-    frame-rule verdicts (``Sling._validate``) and its whole-function
-    specifications (``Sling.infer_function``): they share the streams'
-    scope, so an engine batch, or a serve daemon, infers and validates
-    each distinct location once, and traces each distinct function's
-    inputs once.  It keeps formulas and verdicts only, never models or
-    heaps.
+    content (see :meth:`repro.core.sling.Sling.infer_from_models`), and
+    its whole-function specifications (``Sling.infer_function``): they
+    share the streams' scope, so an engine batch, or a serve daemon,
+    infers each distinct location once, and traces each distinct
+    function's inputs once.  It keeps formulas and verdicts only, never
+    models or heaps.
     """
 
     def __init__(self):
@@ -293,21 +291,20 @@ class StreamMemo(OrderedDict):
 
 class LocationMemo(OrderedDict):
     """Whole-location results (content key -> ``(formula, from freed
-    traces)`` pairs), frame-rule verdicts (tagged content key -> bool) and
-    whole-function specifications (tagged content key -> a tuple of
-    invariants, unreached locations and verdict), least recently used
-    first, at most ``_LOCATION_MEMO_LIMIT`` of them together.  Keys are
-    :class:`~repro.sl.model.HashedKey` objects: a lookup and its LRU move
-    hash the key's content once."""
+    traces)`` pairs) and whole-function specifications (tagged content
+    key -> a tuple of invariants, unreached locations and verdict), least
+    recently used first, at most ``_LOCATION_MEMO_LIMIT`` of them
+    together.  Keys are :class:`~repro.sl.model.HashedKey` objects: a
+    lookup and its LRU move hash the key's content once."""
 
-    def recall(self, key: HashedKey) -> tuple | bool | None:
+    def recall(self, key: HashedKey) -> tuple | None:
         """The result under ``key`` (now the most recently used), or ``None``."""
         value = self.get(key)
         if value is not None:
             self.move_to_end(key)
         return value
 
-    def add(self, key: HashedKey, value: tuple | bool) -> None:
+    def add(self, key: HashedKey, value: tuple) -> None:
         """Insert ``value`` as the most recently used entry, evicting the
         least recently used one beyond ``_LOCATION_MEMO_LIMIT``."""
         self[key] = value

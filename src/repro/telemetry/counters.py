@@ -114,15 +114,10 @@ class CacheStats:
     #: counter above counts it.  Declared last so that the JSON key order
     #: of every earlier counter stays as it was.
     location_memo_hits: int = 0
-    #: Frame-rule verdicts (Section 4.4) served from the same memo: an
-    #: earlier job validated the same pre/post formulas on the same
-    #: entry/exit models (see ``Sling._validate``), so no
-    #: ``ModelChecker.check`` ran for them.
-    validation_memo_hits: int = 0
     #: Functions served whole from the same shared memo: an earlier job
     #: ran the same program on the same built inputs (see
-    #: ``Sling.infer_function``), so no test case ran under the tracer and
-    #: no location result or verdict was looked up for it.
+    #: ``Sling.infer_function``), so no test case ran under the tracer, no
+    #: location result was looked up and no frame-rule check ran for it.
     function_memo_hits: int = 0
 
     def merge(self, other: "CacheStats") -> None:

@@ -310,12 +310,11 @@ def test_a_long_lived_memo_stays_within_its_bounds(monkeypatch):
     """Streams, locations and the finished log are bounded however many
     distinct jobs one pool serves; the results are a standalone run's.
 
-    The location bound holds the last job's four locations, two
-    frame-rule verdicts and its function entry, so the repeated job is
-    served from the memo."""
+    The location bound holds the last job's four locations and its
+    function entry, so the repeated job is served from the memo."""
     limits = {
         "_STREAM_MEMO_LIMIT": 24,
-        "_LOCATION_MEMO_LIMIT": 7,
+        "_LOCATION_MEMO_LIMIT": 5,
         "_FINISHED_LOG_LIMIT": 16,
     }
     for name, limit in limits.items():

@@ -36,7 +36,7 @@ PROGRAM_KEYS = [
     "degraded_sequential", "faults_injected", "serve_requests",
     "serve_queue_high_water", "serve_rejections", "serve_deadline_expiries",
     "serve_client_disconnects", "serve_requests_resumed", "location_memo_hits",
-    "validation_memo_hits", "function_memo_hits",
+    "function_memo_hits",
 ]
 
 
